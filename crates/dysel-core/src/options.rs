@@ -1,7 +1,6 @@
 //! Launch options — the paper's `DySelLaunchKernel` parameters plus the
 //! engineering knobs discussed in §5.
 
-use dysel_device::Cycles;
 use dysel_kernel::{Orchestration, ProfilingMode, VariantId};
 
 /// Identifies the tenant a runtime (or a launch-service stream) belongs
@@ -76,7 +75,7 @@ pub struct LaunchOptions {
     /// profiling cost, §5.2). The best (minimum) of the repetitions wins.
     pub profile_reps: u32,
     /// Work-groups per eager chunk, in multiples of the device's execution
-    /// units; `None` uses the runtime default.
+    /// units; `None` uses the runtime default of one.
     pub chunk_groups_per_unit: Option<u64>,
 }
 
@@ -192,9 +191,9 @@ pub enum PruneLevel {
 /// [`PruneLevel::Audit`]): predict on every launch, still profile, and
 /// count `dysel_predict_{hits,misses}_total` so model accuracy is
 /// measurable against ground truth. On additionally skips micro-profiling
-/// when the model's confidence margin clears
-/// [`RuntimeConfig::predict_margin_pm`] — with a drift detector that
-/// invalidates a predicted selection whose observed cost leaves its band.
+/// when the model's confidence margin clears 50‰ of the runner-up's
+/// predicted cost — with a drift detector that invalidates a predicted
+/// selection whose observed cost leaves its band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PredictLevel {
     /// No prediction; classic reactive profiling only. The default:
@@ -206,9 +205,10 @@ pub enum PredictLevel {
     /// the digest over them) are bit-identical to an unpredicted run.
     Shadow,
     /// Skip micro-profiling when the model names a winner with a
-    /// confidence margin of at least
-    /// [`RuntimeConfig::predict_margin_pm`]; fall back to classic
-    /// profiling otherwise. Predicted selections are watched for drift.
+    /// confidence margin of at least 50‰; fall back to classic profiling
+    /// otherwise. Predicted selections are watched for drift: three
+    /// consecutive launches above twice the cheapest per-unit cost seen
+    /// force a re-profile.
     On,
 }
 
@@ -219,8 +219,6 @@ pub struct RuntimeConfig {
     /// profiling entirely ("profiling-based kernel selection is deactivated
     /// for small workload", §2.1; Fig. 2 motivates 128).
     pub profile_threshold_groups: u64,
-    /// Default eager chunk size: work-groups per execution unit per chunk.
-    pub default_chunk_groups_per_unit: u64,
     /// When set, a signature is micro-profiled at most once per runtime:
     /// any later launch of the same signature reuses the cached selection
     /// even with profiling enabled in its [`LaunchOptions`]. Iterative
@@ -229,10 +227,8 @@ pub struct RuntimeConfig {
     pub profile_once_per_signature: bool,
     /// How many times a transient launch failure is retried before the
     /// variant is quarantined (first rung of the degradation ladder).
+    /// Attempt `n` waits `2,000 × 2^n` cycles after observing the failure.
     pub max_launch_retries: u32,
-    /// Base host-side backoff before a retry; attempt `n` waits
-    /// `retry_backoff * 2^n` cycles after observing the failure.
-    pub retry_backoff: Cycles,
     /// When set, a profiled variant whose measurement exceeds
     /// `factor * best measurement` is dropped from selection and
     /// quarantined (`DeadlineExceeded`) — the hang guard. `None` (the
@@ -291,18 +287,6 @@ pub struct RuntimeConfig {
     /// or corrupt model file must degrade to classic profiling, never
     /// fail a launch).
     pub predict_model: Option<std::sync::Arc<dysel_predict::Model>>,
-    /// Minimum confidence margin (per-mille of the runner-up's predicted
-    /// cost) for [`PredictLevel::On`] to skip micro-profiling. The
-    /// centroid fallback always reports margin 0, so it never skips.
-    pub predict_margin_pm: u32,
-    /// Drift detector window: this many *consecutive* launches of a
-    /// predicted selection observing a per-unit cost above the band
-    /// invalidate the selection and force re-profiling.
-    pub predict_drift_window: u32,
-    /// Drift band width in per-mille: a launch is over-band when its
-    /// per-unit cost exceeds `best-observed × predict_drift_factor_pm /
-    /// 1000`. Integer per-mille keeps the detector float-free.
-    pub predict_drift_factor_pm: u32,
     /// When `true`, the runtime re-addresses every launch's buffers — and
     /// allocates sandbox copies — from its own private
     /// [`dysel_kernel::AddrSpace`] instead of the process-global virtual
@@ -321,10 +305,8 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             profile_threshold_groups: 128,
-            default_chunk_groups_per_unit: 1,
             profile_once_per_signature: false,
             max_launch_retries: 2,
-            retry_backoff: Cycles(2_000),
             profile_deadline_factor: None,
             validate_outputs: false,
             state_path: None,
@@ -335,9 +317,6 @@ impl Default for RuntimeConfig {
             prune: PruneLevel::Off,
             predict: PredictLevel::Off,
             predict_model: None,
-            predict_margin_pm: 50,
-            predict_drift_window: 3,
-            predict_drift_factor_pm: 2000,
             private_addrs: false,
         }
     }

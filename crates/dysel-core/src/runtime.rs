@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dysel_analysis::{infer_mode, safe_point, SafePointPlan};
+use dysel_analysis::{infer_mode, safe_point, VariantFeatures};
 use dysel_device::{
     BatchEntry, BudgetPolicy, Cycles, Device, LaunchOutcome, LaunchRecord, LaunchSpec, StreamId,
 };
@@ -49,6 +49,27 @@ const VALIDATE_SLOT: usize = usize::MAX;
 /// runtime relaunching a bad signature forever must not grow its
 /// diagnostics without bound; findings past the cap are counted, not kept.
 const MAX_DIAGS_PER_SIGNATURE: usize = 32;
+
+/// Eager chunk size in work-groups per execution unit, unless the launch
+/// overrides it ([`LaunchOptions::chunk_groups_per_unit`]).
+const DEFAULT_CHUNK_GROUPS_PER_UNIT: u64 = 1;
+
+/// Base host-side backoff before a retry: attempt `n` waits
+/// `RETRY_BACKOFF * 2^n` cycles after observing the failure.
+const RETRY_BACKOFF: Cycles = Cycles(2_000);
+
+/// Minimum confidence margin (per-mille of the runner-up's predicted cost)
+/// for [`PredictLevel::On`] to skip micro-profiling. The centroid fallback
+/// always reports margin 0, so it never skips.
+const PREDICT_MARGIN_PM: u32 = 50;
+
+/// Drift watch window: this many *consecutive* over-band launches of a
+/// reused selection invalidate it and force re-profiling.
+const DRIFT_WINDOW: u32 = 3;
+
+/// Drift band in per-mille: a launch is over-band when its per-unit cost
+/// exceeds the cheapest seen × `DRIFT_FACTOR_PM / 1000` (2×).
+const DRIFT_FACTOR_PM: u64 = 2000;
 
 /// Recorded verifier findings for one signature: the first
 /// [`MAX_DIAGS_PER_SIGNATURE`] distinct findings, plus how many distinct
@@ -125,18 +146,12 @@ impl std::fmt::Debug for Runtime {
     }
 }
 
-/// One profiling launch's bookkeeping.
-struct ProfiledLaunch {
-    variant: usize,
-    record: LaunchRecord,
-}
-
 /// Per-signature drift watch over skip-path launches (prediction enabled).
 ///
 /// All integer arithmetic: per-unit cost is tracked scaled by 1000, and a
-/// launch is over-band when `cost * 1000 > floor * drift_factor_pm`. After
-/// [`RuntimeConfig::predict_drift_window`] *consecutive* over-band launches
-/// the cached selection is invalidated so the next launch re-profiles.
+/// launch is over-band when `cost * 1000 > floor * DRIFT_FACTOR_PM`. After
+/// [`DRIFT_WINDOW`] *consecutive* over-band launches the cached selection
+/// is invalidated so the next launch re-profiles.
 #[derive(Debug, Clone, Copy)]
 struct DriftTracker {
     /// Cheapest per-unit cost seen so far, scaled by 1000.
@@ -436,8 +451,9 @@ impl Runtime {
     }
 
     /// Clears device time (replaying any installed fault plan), statistics,
-    /// cached selections, quarantine state, the recorded timeline and the
-    /// pooled profiling sandboxes (including their lease counters).
+    /// cached selections, quarantine state, the drift watch, the recorded
+    /// timeline and the pooled profiling sandboxes (including their lease
+    /// counters).
     pub fn reset(&mut self) {
         self.device.reset();
         self.stats.reset();
@@ -448,6 +464,7 @@ impl Runtime {
         self.warm.clear();
         self.diagnostics.clear();
         self.sanitized.clear();
+        self.drift.clear();
     }
 
     /// Sandbox-pool accounting: `(fresh allocations, recycled leases)`.
@@ -502,9 +519,16 @@ impl Runtime {
     /// Building block of [`Runtime::launch`] (whole workload) and
     /// [`Runtime::launch_mixed`] (per-region selection).
     ///
+    /// The launch runs as a pipeline of stages over one per-launch
+    /// context; DESIGN.md §4.20 lists the stages in order.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Runtime::launch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end`.
     pub fn launch_region(
         &mut self,
         signature: &str,
@@ -519,612 +543,1385 @@ impl Runtime {
         // happened to push the global allocator (see
         // [`RuntimeConfig::private_addrs`]).
         self.sandboxes.rebase(args);
-        let total_units = end.saturating_sub(start);
         let variants = self.pool.variants(signature)?;
-        let k = variants.len();
-
-        let initial = opts
-            .initial
-            .resolve(k)
-            .ok_or_else(|| DyselError::BadVariantIndex {
-                signature: signature.to_owned(),
-                index: match opts.initial {
-                    crate::InitialSelection::Index(i) => i,
-                    crate::InitialSelection::First => 0,
-                },
-                len: k,
-            })?;
-
-        // ---- warm-restore staleness audit -------------------------------
-        // A warm-restored selection was chosen by a previous process
-        // against that process's candidate set; before letting it skip
-        // micro-profiling, cross-check it against *this* process. Stale
-        // when the signature re-registered with a different variant count,
-        // or the persisted winner is out of range or has since been
-        // quarantined. Invalidation drops the warm marker and the cached
-        // selection, so the launch falls through to live profiling.
-        if let Some(&warm_k) = self.warm.get(signature) {
-            let stale = match self.selection_cache.get(signature) {
-                None => Some("no cached selection".to_owned()),
-                Some(id) if id.0 >= k => {
-                    Some(format!("selected variant {} out of range (k={k})", id.0))
-                }
-                Some(_) if warm_k != 0 && warm_k as usize != k => {
-                    Some(format!("variant count changed ({warm_k} -> {k})"))
-                }
-                Some(id)
-                    if self
-                        .quarantine
-                        .get(signature)
-                        .is_some_and(|q| q.iter().any(|(v, _)| v == id)) =>
-                {
-                    Some(format!("selected variant {} quarantined", id.0))
-                }
-                Some(_) => None,
-            };
-            if let Some(why) = stale {
-                self.warm.remove(signature);
-                self.selection_cache.remove(signature);
-                if let Some(obs) = &self.config.observe {
-                    obs.emit(
-                        Event::new(Stage::WarmInvalidate)
-                            .signature(signature)
-                            .detail(why),
-                    );
-                    obs.count(names::WARM_INVALIDATIONS, 1);
-                }
-            }
-        }
-
-        // Fallback rung of the degradation ladder: only non-quarantined
-        // variants may run, win, or serve as the eager default.
-        let quarantine = self.quarantine.entry(signature.to_owned()).or_default();
-        let mut active: Vec<usize> = (0..k)
-            .filter(|i| !quarantine.iter().any(|(v, _)| v.0 == *i))
-            .collect();
-        if active.is_empty() {
-            return Err(DyselError::AllVariantsFaulted {
-                signature: signature.to_owned(),
-                quarantined: quarantine.len(),
-            });
-        }
-
-        // ---- static verification (see `dysel-verify`) -------------------
-        // Strict mode refuses the launch before touching any user buffer;
-        // lenient mode downgrades a denied launch to swap-based profiling,
-        // the mode that is safe whatever the metadata claims.
-        let mut force_swap = false;
-        if self.config.verify != VerifyLevel::Off {
-            let metas: Vec<VariantMeta> =
-                active.iter().map(|&i| variants[i].meta.clone()).collect();
-            let mut diags: Vec<Diagnostic> = Vec::new();
-            for m in &metas {
-                diags.extend(dysel_verify::verify_variant(m));
-                diags.extend(dysel_verify::verify_arity(m, args.len()));
-            }
-            if let Some(requested) = opts.mode {
-                diags.extend(dysel_verify::verify_mode_override(&metas, requested));
-            }
-            if has_deny(&diags) {
-                match self.config.verify {
-                    VerifyLevel::Strict => {
-                        return Err(DyselError::Rejected {
-                            signature: signature.to_owned(),
-                            diagnostics: diags,
-                        });
-                    }
-                    _ => force_swap = true,
-                }
-            }
-            record_diags(&mut self.diagnostics, &self.config, signature, diags);
-        }
-
-        self.stats.record(total_units);
-        let device = self.device.as_mut();
-        // Budget rung of the ladder: with a deadline factor configured the
-        // device derives per-launch cycle budgets for profiling launches
-        // from the best measurement seen so far and cooperatively preempts
-        // any launch that blows its budget mid-slice.
-        device.set_budget_policy(self.config.profile_deadline_factor.map(BudgetPolicy::new));
-        let t_start = device.busy_until();
-        let initial = sanitize(&active, initial);
-
-        // ---- skip paths -------------------------------------------------
-        let warm_hit = self.warm.contains_key(signature);
-        let skip = if !opts.profiling {
-            match self.selection_cache.get(signature) {
-                Some(&id) => Some((SkipReason::CachedSelection, sanitize(&active, id))),
-                None => Some((SkipReason::ProfilingDisabled, initial)),
-            }
-        } else if (self.config.profile_once_per_signature || warm_hit)
-            && self.selection_cache.contains_key(signature)
-        {
-            // Profile-once runtimes treat every later launch of a profiled
-            // signature as the steady state of an iterative solver; a
-            // selection loaded from the state file gets the same warm
-            // treatment — that is the point of persisting it.
-            Some((
-                SkipReason::CachedSelection,
-                sanitize(&active, self.selection_cache[signature]),
-            ))
-        } else if active.len() == 1 {
-            Some((SkipReason::SingleVariant, VariantId(active[0])))
-        } else if total_units < self.config.profile_threshold_groups {
-            // Small workloads skip profiling (§2.1); reuse an earlier
-            // selection for this signature if one exists.
-            let id = self
-                .selection_cache
-                .get(signature)
-                .copied()
-                .unwrap_or(initial);
-            Some((SkipReason::SmallWorkload, sanitize(&active, id)))
-        } else {
-            None
-        };
-
-        // ---- trace-replay sanitizer (dynamic cross-check) ---------------
-        // Before the first profiled launch of a declared-disjoint variant,
-        // replay a few of its work-groups against a copy-on-write clone and
-        // cross-check the *observed* store footprints for cross-group
-        // overlap. A variant whose observation contradicts its declaration
-        // lied to the static verifier and is quarantined.
-        if self.config.sanitize_traces && self.config.verify != VerifyLevel::Off && skip.is_none() {
-            let mut pre_faults = FaultReport::default();
-            for vi in active.clone() {
-                let key = (signature.to_owned(), vi);
-                if !variants[vi].meta.ir.output_disjoint || self.sanitized.contains(&key) {
-                    continue;
-                }
-                self.sanitized.insert(key);
-                // A replay that cannot run (bad argument index) is the
-                // verifier's DV301 finding, not a sanitizer verdict.
-                if let Ok(outcome) = sanitize_variant(&variants[vi], args, total_units) {
-                    if outcome.contradicts_disjoint() {
-                        quarantine_variant(
-                            &self.config,
-                            signature,
-                            variants[vi].name(),
-                            &mut active,
-                            quarantine,
-                            &mut pre_faults,
-                            vi,
-                            QuarantineReason::MetadataMismatch,
-                        );
-                    }
-                }
-            }
-            self.stats.record_faults(&pre_faults);
-            if active.is_empty() {
-                return Err(DyselError::AllVariantsFaulted {
+        let initial =
+            opts.initial
+                .resolve(variants.len())
+                .ok_or_else(|| DyselError::BadVariantIndex {
                     signature: signature.to_owned(),
-                    quarantined: quarantine.len(),
-                });
-            }
-        }
-
-        // ---- static dominance pruning (see `dysel_analysis::features`) --
-        // A variant Pareto-dominated on every static access-shape axis by
-        // a same-context sibling is excluded from the micro-profiling pool
-        // (`PruneLevel::On`) or profiled anyway and cross-checked against
-        // the winner (`PruneLevel::Audit`). Pareto maximality guarantees at
-        // least one variant always survives. The *accounting* (events,
-        // counters, report fields) runs on every launch — warm and cold
-        // alike, so metric streams stay comparable across restarts — but
-        // the pool is only actually shrunk when this launch will profile.
-        let mut would_prune: Vec<usize> = Vec::new();
-        if self.config.prune != PruneLevel::Off && active.len() > 1 {
-            let feats: Vec<_> = active
-                .iter()
-                .map(|&i| dysel_analysis::extract_features(&variants[i].meta))
-                .collect();
-            for (ai, &vi) in active.iter().enumerate() {
-                let dominated = feats
-                    .iter()
-                    .enumerate()
-                    .any(|(aj, fj)| aj != ai && fj.dominates(&feats[ai]));
-                if dominated {
-                    would_prune.push(vi);
-                }
-            }
-            if !would_prune.is_empty() {
-                if let Some(obs) = &self.config.observe {
-                    let detail = match self.config.prune {
-                        PruneLevel::On => "pruned",
-                        _ => "audit",
-                    };
-                    for &vi in &would_prune {
-                        obs.emit(
-                            Event::new(Stage::Prune)
-                                .signature(signature)
-                                .variant(variants[vi].name())
-                                .at(t_start.0)
-                                .detail(detail),
-                        );
-                    }
-                    obs.count(names::PRUNED, would_prune.len() as u64);
-                }
-                if self.config.prune == PruneLevel::On && skip.is_none() {
-                    active.retain(|vi| !would_prune.contains(vi));
-                }
-            }
-        }
-        let initial = sanitize(&active, initial);
-
-        // ---- trained-model prediction (see `dysel-predict`) -------------
-        // Shadow mode ranks the active candidates and records the verdict
-        // (events plus hit/miss counters folded at report time) without
-        // touching control flow. On mode additionally converts a
-        // would-profile launch into a skip when the model's confidence
-        // margin clears the configured threshold — an exact-tier margin of
-        // zero (unranked or centroid-sourced prediction) never skips.
-        let mut predicted_name: Option<String> = None;
-        let mut skip = skip;
-        if self.config.predict != PredictLevel::Off {
-            if let Some(model) = self
-                .config
-                .predict_model
-                .as_deref()
-                .filter(|m| !m.is_empty())
-            {
-                let feats: Vec<_> = active
-                    .iter()
-                    .map(|&i| dysel_analysis::extract_features(&variants[i].meta))
-                    .collect();
-                let candidates: Vec<dysel_predict::Candidate<'_>> = active
-                    .iter()
-                    .zip(feats.iter())
-                    .map(|(&i, f)| dysel_predict::Candidate {
-                        name: variants[i].name(),
-                        features: f,
-                    })
-                    .collect();
-                if let Some(p) = model.predict(signature, &candidates) {
-                    if let Some(obs) = &self.config.observe {
-                        obs.emit(
-                            Event::new(Stage::Predict)
-                                .signature(signature)
-                                .variant(&p.variant)
-                                .at(t_start.0)
-                                .detail(format!(
-                                    "source={} margin_pm={}",
-                                    p.source.as_str(),
-                                    p.margin_pm
-                                )),
-                        );
-                    }
-                    if self.config.predict == PredictLevel::On
-                        && skip.is_none()
-                        && active.len() > 1
-                        && p.margin_pm > 0
-                        && p.margin_pm >= self.config.predict_margin_pm
-                        && !self.drift.get(signature).is_some_and(|t| t.hold)
-                    {
-                        if let Some(&vi) = active.iter().find(|&&i| variants[i].name() == p.variant)
-                        {
-                            if let Some(obs) = &self.config.observe {
-                                obs.count(names::PREDICT_SKIPS, 1);
-                            }
-                            skip = Some((SkipReason::Predicted, VariantId(vi)));
-                        }
-                    }
-                    predicted_name = Some(p.variant);
-                }
-            }
-        }
-
-        let active_metas: Vec<_> = active.iter().map(|&i| variants[i].meta.clone()).collect();
-        let mode = if force_swap {
-            ProfilingMode::SwapPartial
-        } else {
-            opts.mode.unwrap_or_else(|| infer_mode(&active_metas))
-        };
-        let reps = u64::from(opts.profile_reps);
-        let distinct_slices = match mode {
-            ProfilingMode::FullyProductive => active.len() as u64 * reps,
-            _ => 1,
-        };
-        let wa_factors: Vec<u32> = active_metas.iter().map(|m| m.wa_factor).collect();
-        let plan = safe_point(&wa_factors, device.units(), total_units, distinct_slices);
-
-        let (skip, plan) = match (skip, plan) {
-            (Some(s), _) => (Some(s), None),
-            (None, Some(p)) => (None, Some(p)),
-            (None, None) => (Some((SkipReason::InfeasiblePlan, initial)), None),
-        };
-
-        if let Some((reason, mut selected)) = skip {
-            // Profiling was skipped: say why before the batch runs, so the
-            // event stream reads in lifecycle order. A cached selection is
-            // a warm skip when it came from the state file, a plain
-            // selection-cache hit otherwise.
-            if reason == SkipReason::CachedSelection {
-                if let Some(obs) = &self.config.observe {
-                    let (stage, counter) = if warm_hit {
-                        (Stage::WarmSkip, names::WARM_SKIPS)
-                    } else {
-                        (Stage::CacheHit, names::CACHE_HITS)
-                    };
-                    obs.emit(
-                        Event::new(stage)
-                            .signature(signature)
-                            .variant(variants[selected.0].name())
-                            .at(t_start.0),
-                    );
-                    obs.count(counter, 1);
-                }
-            }
-            self.timeline.clear();
-            let mut faults = FaultReport::default();
-            let mut launches_issued = 0u64;
-            // Retry-then-fall-back: a variant whose launch keeps failing is
-            // quarantined and the next surviving candidate runs instead.
-            let rec = loop {
-                match launch_checked(
-                    device,
-                    &self.config,
-                    signature,
-                    &variants[selected.0],
-                    args,
-                    UnitRange::new(start, end),
-                    COMPUTE_STREAM,
-                    t_start,
-                    false,
-                    &mut faults,
-                    &mut launches_issued,
-                ) {
-                    Ok(rec) => break rec,
-                    Err(()) => {
-                        quarantine_variant(
-                            &self.config,
-                            signature,
-                            variants[selected.0].name(),
-                            &mut active,
-                            quarantine,
-                            &mut faults,
-                            selected.0,
-                            QuarantineReason::LaunchFailed,
-                        );
-                        match active.first() {
-                            Some(&next) => selected = VariantId(next),
-                            None => {
-                                self.stats.record_faults(&faults);
-                                return Err(DyselError::AllVariantsFaulted {
-                                    signature: signature.to_owned(),
-                                    quarantined: quarantine.len(),
-                                });
-                            }
-                        }
-                    }
-                }
-            };
-            record_entry(
-                &mut self.timeline,
-                &self.config,
-                signature,
-                COMPUTE_STREAM.0,
-                TimelineEntry {
-                    kind: LaunchKind::Batch,
-                    variant: selected,
-                    variant_name: variants[selected.0].name().to_owned(),
-                    units: UnitRange::new(start, end),
-                    start: rec.start,
-                    end: rec.end,
-                },
-            );
-            self.stats.record_faults(&faults);
-            let mut report = LaunchReport {
-                signature: signature.to_owned(),
-                tenant: self.config.tenant,
-                selected,
-                selected_name: variants[selected.0].name().to_owned(),
-                mode: None,
-                orchestration: opts.orchestration,
-                skipped: Some(reason),
-                total_time: rec.end.saturating_sub(t_start),
-                profile_time: Cycles::ZERO,
-                measurements: Vec::new(),
-                productive_units: 0,
-                wasted_units: 0,
-                extra_space_bytes: 0,
-                eager_chunks: 0,
-                launches: launches_issued,
-                pruned_variants: would_prune.len() as u64,
-                prune_disagreement: false,
-                predicted: None,
-                predict_hit: None,
-                drift_reprofiled: false,
-                faults,
-            };
-            // Audit-mode falsification holds on skip paths too: a cached
-            // winner the dominance rule would prune falsifies the rule for
-            // this signature exactly as a freshly profiled one does, and
-            // counting it here keeps warm and cold metric streams at
-            // parity.
-            if self.config.prune == PruneLevel::Audit && would_prune.contains(&report.selected.0) {
-                report.prune_disagreement = true;
-                if let Some(obs) = &self.config.observe {
-                    obs.count(names::PRUNE_DISAGREEMENTS, 1);
-                }
-                record_diags(
-                    &mut self.diagnostics,
-                    &self.config,
-                    signature,
-                    vec![Diagnostic::new(
-                        LintCode::PruningDisagreement,
-                        variants[report.selected.0].name(),
-                        "dominance pruning would have excluded the cached \
-                         selection; the static rule is falsified for this \
-                         signature",
-                    )],
-                );
-            }
-            fold_prediction(&self.config, predicted_name, &mut report);
-            // ---- drift watch --------------------------------------------
-            // Reusing a selection without measuring alternatives is a bet;
-            // the drift watch hedges it. Per-unit cost of each skip-path
-            // launch is compared against the cheapest seen so far, and
-            // after `predict_drift_window` consecutive launches above the
-            // band the selection is invalidated — the next launch falls
-            // through to live micro-profiling.
-            if self.config.predict != PredictLevel::Off
-                && matches!(reason, SkipReason::CachedSelection | SkipReason::Predicted)
-                && total_units > 0
-            {
-                let cost = report.total_time.0.saturating_mul(1000) / total_units;
-                let factor = u64::from(self.config.predict_drift_factor_pm);
-                let t = self
-                    .drift
-                    .entry(signature.to_owned())
-                    .or_insert(DriftTracker {
-                        floor: cost,
-                        over: 0,
-                        hold: false,
-                    });
-                let mut tripped = false;
-                if cost.saturating_mul(1000) > t.floor.saturating_mul(factor) {
-                    t.over += 1;
-                    if t.over >= self.config.predict_drift_window && !t.hold {
-                        // Keep the entry: the `hold` suppresses prediction
-                        // skips until the re-profile removes it.
-                        t.hold = true;
-                        t.over = 0;
-                        tripped = true;
-                    }
-                } else {
-                    t.over = 0;
-                    t.floor = t.floor.min(cost);
-                }
-                if tripped {
-                    report.drift_reprofiled = true;
-                    self.selection_cache.remove(signature);
-                    self.warm.remove(signature);
-                    if let Some(obs) = &self.config.observe {
-                        obs.emit(
-                            Event::new(Stage::Predict)
-                                .signature(signature)
-                                .variant(&report.selected_name)
-                                .at(t_start.0)
-                                .detail("drift-reprofile"),
-                        );
-                        obs.count(names::PREDICT_DRIFT_REPROFILES, 1);
-                    }
-                }
-            }
-            fold_report_metrics(&self.config, &report);
-            return Ok(report);
-        }
-        let plan = plan.expect("skip handled above");
-
-        // Swap-based profiling cannot run asynchronously (Table 1).
-        let orchestration = if mode == ProfilingMode::SwapPartial {
-            Orchestration::Sync
-        } else {
-            opts.orchestration
-        };
-
-        self.timeline.clear();
-        let mut report = profile_and_run(
-            device,
-            &self.config,
+                    index: match opts.initial {
+                        crate::InitialSelection::Index(i) => i,
+                        crate::InitialSelection::First => 0,
+                    },
+                    len: variants.len(),
+                })?;
+        let config = &self.config;
+        let needs_features = config.prune != PruneLevel::Off || active_model(config).is_some();
+        let mut l = Launch {
+            device: self.device.as_mut(),
+            config,
+            timeline: &mut self.timeline,
+            sandboxes: &mut self.sandboxes,
+            stats: &mut self.stats,
+            diagnostics: &mut self.diagnostics,
+            selections: &mut self.selection_cache,
+            warm: &mut self.warm,
+            sanitized: &mut self.sanitized,
+            drift: &mut self.drift,
+            quarantined: self.quarantine.entry(signature.to_owned()).or_default(),
             signature,
             variants,
-            &active,
-            quarantine,
             args,
-            start,
-            end,
-            mode,
-            orchestration,
-            initial,
             opts,
-            &plan,
-            t_start,
-            &mut self.sandboxes,
-            &mut self.timeline,
-            &mut self.stats,
-        )?;
-        report.pruned_variants = would_prune.len() as u64;
-        // Audit-mode falsification: every variant was profiled anyway, so
-        // if the winner is one the dominance rule would have pruned, the
-        // rule is wrong for this signature — record the disagreement.
-        if self.config.prune == PruneLevel::Audit && would_prune.contains(&report.selected.0) {
-            report.prune_disagreement = true;
-            if let Some(obs) = &self.config.observe {
-                obs.count(names::PRUNE_DISAGREEMENTS, 1);
-            }
-            record_diags(
-                &mut self.diagnostics,
-                &self.config,
-                signature,
-                vec![Diagnostic::new(
-                    LintCode::PruningDisagreement,
-                    variants[report.selected.0].name(),
-                    "dominance pruning would have excluded the micro-profiling \
-                     winner; the static rule is falsified for this signature",
-                )],
-            );
+            units: UnitRange::new(start, end),
+            features: if needs_features {
+                let extract = |v: &Variant| dysel_analysis::extract_features(&v.meta);
+                variants.iter().map(extract).collect()
+            } else {
+                Vec::new()
+            },
+            t_start: Cycles::ZERO,
+            alive: Vec::new(),
+            would_prune: Vec::new(),
+            predicted: None,
+            private: Vec::new(),
+            scratch: None,
+            dead: Vec::new(),
+            faults: FaultReport::default(),
+            launches: 0,
+        };
+        l.audit_warm();
+        l.filter_quarantined()?;
+        let force_swap = l.verify()?;
+        l.start_clock();
+        let mut skip = l.skip_reason(initial);
+        if skip.is_none() {
+            l.sanitize()?;
         }
-        fold_prediction(&self.config, predicted_name, &mut report);
-        // A fresh profile starts a fresh bet; the drift watch re-seeds its
-        // per-unit-cost floor from the next skip-path launch.
-        self.drift.remove(signature);
-        self.selection_cache
-            .insert(signature.to_owned(), report.selected);
-        fold_report_metrics(&self.config, &report);
-        Ok(report)
+        l.prune(skip.is_none());
+        l.predict(&mut skip);
+        let report = match skip.map_or_else(|| l.plan(initial, force_swap), Err) {
+            Ok(plan) => l.run_profiled(&plan),
+            Err((reason, selected)) => l.run_skipped(reason, selected.0),
+        };
+        l.stats.record_faults(&l.faults);
+        Ok(l.score(report?))
     }
 }
 
-/// Scores a model prediction against the launch's final selection: sets the
-/// report's `predicted` / `predict_hit` fields and bumps the hit/miss
-/// counters. A launch with no prediction (mode off, no model, model could
-/// not rank) leaves the fields `None` and the counters untouched.
-fn fold_prediction(config: &RuntimeConfig, predicted: Option<String>, report: &mut LaunchReport) {
-    if let Some(pred) = predicted {
-        let hit = pred == report.selected_name;
-        if let Some(obs) = &config.observe {
-            obs.count(
-                if hit {
-                    names::PREDICT_HITS
-                } else {
-                    names::PREDICT_MISSES
-                },
-                1,
-            );
+/// One profiling launch's bookkeeping.
+struct ProfiledLaunch {
+    variant: usize,
+    record: LaunchRecord,
+}
+
+/// The argument set a device launch runs against.
+#[derive(Clone, Copy)]
+enum Target {
+    /// The user's buffers.
+    Live,
+    /// The launching variant's leased private output copy.
+    Private,
+    /// The validation scratch sandbox.
+    Scratch,
+}
+
+/// One device launch, short of its issue time.
+#[derive(Clone, Copy)]
+struct Dispatch {
+    variant: usize,
+    target: Target,
+    units: UnitRange,
+    stream: StreamId,
+    measured: bool,
+}
+
+impl Dispatch {
+    /// An unmeasured launch of `units` on the compute stream, against the
+    /// user's buffers.
+    fn compute(variant: usize, units: UnitRange) -> Self {
+        Dispatch {
+            variant,
+            target: Target::Live,
+            units,
+            stream: COMPUTE_STREAM,
+            measured: false,
         }
-        report.predict_hit = Some(hit);
-        report.predicted = Some(pred);
     }
 }
 
-/// Pushes a timeline entry, mirroring it into the observation sink as a
-/// structured span event first — the timeline order IS the canonical event
-/// order for runtime-level spans.
-fn record_entry(
-    timeline: &mut Timeline,
-    config: &RuntimeConfig,
-    signature: &str,
-    stream: u32,
-    entry: TimelineEntry,
-) {
-    if let Some(obs) = &config.observe {
-        let stage = match entry.kind {
+/// A feasible micro-profiling plan.
+struct Plan {
+    mode: ProfilingMode,
+    /// Orchestration actually used: swap-based profiling cannot run
+    /// asynchronously (Table 1).
+    orchestration: Orchestration,
+    /// The profiled candidates; the one at position `pos` profiles on
+    /// stream `pos + 1`.
+    slots: Vec<usize>,
+    reps: u64,
+    /// Units per profiling slice (safe point analysis, §3.4).
+    slice: u64,
+    /// First unit of the launch range.
+    base: u64,
+    /// The eager-execution default before any measurement lands.
+    initial: VariantId,
+}
+
+impl Plan {
+    /// The slice the candidate at `pos` profiles on repetition `r`: its
+    /// own productive slice in fully-productive mode, the shared leading
+    /// slice otherwise.
+    fn slice(&self, pos: usize, r: u64) -> UnitRange {
+        let idx = match self.mode {
+            ProfilingMode::FullyProductive => pos as u64 * self.reps + r,
+            _ => 0,
+        };
+        UnitRange::new(
+            self.base + idx * self.slice,
+            self.base + (idx + 1) * self.slice,
+        )
+    }
+
+    /// Every slice variant `vi` profiled.
+    fn slices_of(&self, vi: usize) -> impl Iterator<Item = UnitRange> + '_ {
+        let pos = self.slots.iter().position(|&a| a == vi);
+        pos.into_iter()
+            .flat_map(move |pos| (0..self.reps).map(move |r| self.slice(pos, r)))
+    }
+
+    /// Units profiling wrote into the live output: every slice in
+    /// fully-productive mode, the shared one otherwise.
+    fn productive_units(&self) -> u64 {
+        match self.mode {
+            ProfilingMode::FullyProductive => self.slots.len() as u64 * self.reps * self.slice,
+            _ => self.slice,
+        }
+    }
+}
+
+/// The per-launch context of [`Runtime::launch_region`]: the runtime state
+/// a launch borrows, plus everything the launch itself owns. Each stage
+/// of the launch pipeline is one method; DESIGN.md §4.20 gives their
+/// order.
+struct Launch<'a> {
+    device: &'a mut dyn Device,
+    config: &'a RuntimeConfig,
+    timeline: &'a mut Timeline,
+    sandboxes: &'a mut SandboxPool,
+    stats: &'a mut LaunchStats,
+    diagnostics: &'a mut HashMap<String, DiagSlot>,
+    selections: &'a mut HashMap<String, VariantId>,
+    warm: &'a mut HashMap<String, u32>,
+    sanitized: &'a mut HashSet<(String, usize)>,
+    drift: &'a mut HashMap<String, DriftTracker>,
+    /// This signature's persistent quarantine list.
+    quarantined: &'a mut Vec<(VariantId, QuarantineReason)>,
+    signature: &'a str,
+    variants: &'a [Variant],
+    args: &'a mut Args,
+    opts: &'a LaunchOptions,
+    units: UnitRange,
+    /// Static features of every variant, extracted once when pruning or
+    /// prediction will read them (empty otherwise).
+    features: Vec<VariantFeatures>,
+    /// Device time when the launch started.
+    t_start: Cycles,
+    /// The surviving candidates: not quarantined (and not pruned, when
+    /// the launch profiles under `PruneLevel::On`).
+    alive: Vec<usize>,
+    /// Variants static dominance pruning flagged on this launch.
+    would_prune: Vec<usize>,
+    /// The trained model's predicted winner, when it ranked the launch.
+    predicted: Option<String>,
+    /// Private output copies leased for sandboxed profiling, by variant.
+    private: Vec<Option<Args>>,
+    /// Scratch sandbox of fully-productive winner validation.
+    scratch: Option<Args>,
+    /// Productive slices a faulted variant left unwritten or corrupt; the
+    /// winner re-executes them before the final batch.
+    dead: Vec<UnitRange>,
+    faults: FaultReport,
+    /// Device launches issued, retries and repairs included.
+    launches: u64,
+}
+
+impl Launch<'_> {
+    /// Emits a runtime event for this signature; `build` runs only when
+    /// observation is on.
+    fn emit(&self, stage: Stage, build: impl FnOnce(Event) -> Event) {
+        if let Some(obs) = &self.config.observe {
+            obs.emit(build(Event::new(stage).signature(self.signature)));
+        }
+    }
+
+    /// Bumps an observation counter (a no-op when observation is off).
+    fn count(&self, name: &str, delta: u64) {
+        if let Some(obs) = &self.config.observe {
+            obs.count(name, delta);
+        }
+    }
+
+    fn name(&self, vi: usize) -> &str {
+        self.variants[vi].name()
+    }
+
+    /// Fails the launch with [`DyselError::AllVariantsFaulted`] once no
+    /// candidate survives.
+    fn ensure_alive(&self) -> Result<(), DyselError> {
+        if !self.alive.is_empty() {
+            return Ok(());
+        }
+        Err(DyselError::AllVariantsFaulted {
+            signature: self.signature.to_owned(),
+            quarantined: self.quarantined.len(),
+        })
+    }
+
+    /// Removes `vi` from the surviving candidates and records the
+    /// quarantine in both the signature's persistent list and this
+    /// launch's fault report — plus, when observation is on, the event
+    /// stream and the quarantine counter (counted here rather than from
+    /// the report, so sanitizer quarantines that never reach a report are
+    /// still covered).
+    fn quarantine(&mut self, vi: usize, reason: QuarantineReason) {
+        let Some(pos) = self.alive.iter().position(|&a| a == vi) else {
+            return;
+        };
+        self.alive.remove(pos);
+        self.quarantined.push((VariantId(vi), reason));
+        self.faults.quarantined.push((VariantId(vi), reason));
+        self.emit(Stage::Quarantine, |e| {
+            e.variant(self.name(vi)).detail(format!("{reason:?}"))
+        });
+        self.count(names::QUARANTINES, 1);
+    }
+
+    /// Pushes a timeline entry, mirroring it into the observation sink as a
+    /// structured span event first — the timeline order IS the canonical
+    /// event order for runtime-level spans.
+    fn record(&mut self, kind: LaunchKind, d: &Dispatch, rec: &LaunchRecord) {
+        let stage = match kind {
             LaunchKind::Profile => Stage::Profile,
             LaunchKind::EagerChunk => Stage::EagerChunk,
             LaunchKind::Batch => Stage::Batch,
             LaunchKind::Validate => Stage::Validate,
             LaunchKind::Repair => Stage::Repair,
         };
-        obs.emit(
-            Event::new(stage)
-                .signature(signature)
-                .variant(&entry.variant_name)
-                .stream(stream)
-                .span(entry.start.0, entry.end.0)
-                .units(entry.units.start, entry.units.end),
-        );
+        self.emit(stage, |e| {
+            e.variant(self.name(d.variant))
+                .stream(d.stream.0)
+                .span(rec.start.0, rec.end.0)
+                .units(d.units.start, d.units.end)
+        });
+        self.timeline.push(TimelineEntry {
+            kind,
+            variant: VariantId(d.variant),
+            variant_name: self.name(d.variant).to_owned(),
+            units: d.units,
+            start: rec.start,
+            end: rec.end,
+        });
     }
-    timeline.push(entry);
+
+    /// Issues one device launch of `d` at `not_before`.
+    fn issue(&mut self, d: Dispatch, not_before: Cycles) -> LaunchOutcome {
+        self.launches += 1;
+        let v = &self.variants[d.variant];
+        let args = match d.target {
+            Target::Live => &mut *self.args,
+            Target::Private => self.private[d.variant].as_mut().expect("leased"),
+            Target::Scratch => self.scratch.as_mut().expect("leased"),
+        };
+        self.device.launch(LaunchSpec {
+            kernel: v.kernel.as_ref(),
+            meta: &v.meta,
+            units: d.units,
+            args,
+            stream: d.stream,
+            not_before,
+            measured: d.measured,
+            budget: None,
+        })
+    }
+
+    /// Issues `d` at `not_before` — or settles `pending`, the outcome of
+    /// an entry already issued in a batch — retrying transient failures
+    /// with bounded exponential backoff (first rung of the degradation
+    /// ladder).
+    ///
+    /// `Err(())` means the launch failed permanently or exhausted its
+    /// retries; the caller decides whether that quarantines the variant or
+    /// fails the whole DySel launch. A failed device launch executed
+    /// nothing.
+    fn launch_checked(
+        &mut self,
+        d: Dispatch,
+        mut not_before: Cycles,
+        mut pending: Option<LaunchOutcome>,
+    ) -> Result<LaunchRecord, ()> {
+        let mut attempt = 0u32;
+        loop {
+            let outcome = match pending.take() {
+                Some(outcome) => outcome,
+                None => self.issue(d, not_before),
+            };
+            match outcome {
+                LaunchOutcome::Done(rec) => return Ok(rec),
+                LaunchOutcome::Failed(failure) => {
+                    self.faults.launch_errors += 1;
+                    if !failure.transient || attempt >= self.config.max_launch_retries {
+                        return Err(());
+                    }
+                    self.faults.retries += 1;
+                    not_before = failure.at + RETRY_BACKOFF * (1u64 << attempt.min(16));
+                    attempt += 1;
+                    self.emit(Stage::Retry, |e| {
+                        e.variant(self.name(d.variant))
+                            .stream(d.stream.0)
+                            .at(not_before.0)
+                            .detail(format!("attempt={attempt}"))
+                    });
+                }
+                LaunchOutcome::Preempted(_) => {
+                    // Only batch entries carry a budget, so a retry is
+                    // never preempted; defensively, a preempted launch is
+                    // discarded like a hard failure.
+                    self.faults.preemptions += 1;
+                    return Err(());
+                }
+            }
+        }
+    }
+
+    /// Runs `units` with `winner` on the compute stream and records it; a
+    /// launch that keeps failing fails the whole DySel launch.
+    fn run_winner(
+        &mut self,
+        kind: LaunchKind,
+        winner: usize,
+        units: UnitRange,
+        not_before: Cycles,
+    ) -> Result<LaunchRecord, DyselError> {
+        let d = Dispatch::compute(winner, units);
+        let rec =
+            self.launch_checked(d, not_before, None)
+                .map_err(|()| DyselError::LaunchFailed {
+                    signature: self.signature.to_owned(),
+                    variant: self.name(winner).to_owned(),
+                })?;
+        self.record(kind, &d, &rec);
+        Ok(rec)
+    }
+
+    /// The report of a launch of `selected` that finished at `end`; the
+    /// profiling path fills in its profiling fields on top.
+    fn report(&self, selected: usize, end: Cycles) -> LaunchReport {
+        LaunchReport {
+            signature: self.signature.to_owned(),
+            tenant: self.config.tenant,
+            selected: VariantId(selected),
+            selected_name: self.name(selected).to_owned(),
+            mode: None,
+            orchestration: self.opts.orchestration,
+            skipped: None,
+            total_time: end.saturating_sub(self.t_start),
+            profile_time: Cycles::ZERO,
+            measurements: Vec::new(),
+            productive_units: 0,
+            wasted_units: 0,
+            extra_space_bytes: 0,
+            eager_chunks: 0,
+            launches: self.launches,
+            pruned_variants: self.would_prune.len() as u64,
+            prune_disagreement: false,
+            predicted: None,
+            predict_hit: None,
+            drift_reprofiled: false,
+            faults: self.faults.clone(),
+        }
+    }
+
+    // ---- pipeline stages, in launch order ---------------------------------
+
+    /// Warm-restore staleness audit. A warm-restored selection was chosen
+    /// by a previous process against that process's candidate set; before
+    /// letting it skip micro-profiling, cross-check it against *this*
+    /// process. Stale when the signature re-registered with a different
+    /// variant count, or the persisted winner is out of range or has since
+    /// been quarantined. Invalidation drops the warm marker and the cached
+    /// selection, so the launch falls through to live profiling.
+    fn audit_warm(&mut self) {
+        let Some(&warm_k) = self.warm.get(self.signature) else {
+            return;
+        };
+        let k = self.variants.len();
+        let stale = match self.selections.get(self.signature) {
+            None => Some("no cached selection".to_owned()),
+            Some(id) if id.0 >= k => {
+                Some(format!("selected variant {} out of range (k={k})", id.0))
+            }
+            Some(_) if warm_k != 0 && warm_k as usize != k => {
+                Some(format!("variant count changed ({warm_k} -> {k})"))
+            }
+            Some(id) if self.quarantined.iter().any(|(v, _)| v == id) => {
+                Some(format!("selected variant {} quarantined", id.0))
+            }
+            Some(_) => None,
+        };
+        if let Some(why) = stale {
+            self.warm.remove(self.signature);
+            self.selections.remove(self.signature);
+            self.emit(Stage::WarmInvalidate, |e| e.detail(why));
+            self.count(names::WARM_INVALIDATIONS, 1);
+        }
+    }
+
+    /// Fallback rung of the degradation ladder: only non-quarantined
+    /// variants may run, win, or serve as the eager default.
+    fn filter_quarantined(&mut self) -> Result<(), DyselError> {
+        let quarantined = &*self.quarantined;
+        self.alive = (0..self.variants.len())
+            .filter(|i| !quarantined.iter().any(|(v, _)| v.0 == *i))
+            .collect();
+        self.ensure_alive()
+    }
+
+    /// Static verification (see `dysel-verify`). Strict mode refuses the
+    /// launch before touching any user buffer; lenient mode downgrades a
+    /// denied launch to swap-based profiling — the mode that is safe
+    /// whatever the metadata claims — by returning `true`.
+    fn verify(&mut self) -> Result<bool, DyselError> {
+        if self.config.verify == VerifyLevel::Off {
+            return Ok(false);
+        }
+        let metas: Vec<VariantMeta> = self
+            .alive
+            .iter()
+            .map(|&i| self.variants[i].meta.clone())
+            .collect();
+        let mut diags: Vec<Diagnostic> = Vec::new();
+        for m in &metas {
+            diags.extend(dysel_verify::verify_variant(m));
+            diags.extend(dysel_verify::verify_arity(m, self.args.len()));
+        }
+        if let Some(requested) = self.opts.mode {
+            diags.extend(dysel_verify::verify_mode_override(&metas, requested));
+        }
+        let deny = has_deny(&diags);
+        if deny && self.config.verify == VerifyLevel::Strict {
+            return Err(DyselError::Rejected {
+                signature: self.signature.to_owned(),
+                diagnostics: diags,
+            });
+        }
+        record_diags(self.diagnostics, self.config, self.signature, diags);
+        Ok(deny)
+    }
+
+    /// Counts the launch (Fig. 2) and stamps its start time. Budget rung
+    /// of the ladder: with a deadline factor configured the device derives
+    /// per-launch cycle budgets for profiling launches from the best
+    /// measurement seen so far and cooperatively preempts any launch that
+    /// blows its budget mid-slice.
+    fn start_clock(&mut self) {
+        self.stats.record(self.units.len());
+        self.device
+            .set_budget_policy(self.config.profile_deadline_factor.map(BudgetPolicy::new));
+        self.t_start = self.device.busy_until();
+    }
+
+    /// Why this launch skips micro-profiling, and which variant runs it
+    /// instead; `None` when it profiles.
+    fn skip_reason(&self, initial: VariantId) -> Option<(SkipReason, VariantId)> {
+        let clamped = |id| clamp(&self.alive, id);
+        let cached = self.selections.get(self.signature).copied();
+        if !self.opts.profiling {
+            return Some(match cached {
+                Some(id) => (SkipReason::CachedSelection, clamped(id)),
+                None => (SkipReason::ProfilingDisabled, clamped(initial)),
+            });
+        }
+        match cached {
+            // Profile-once runtimes treat every later launch of a profiled
+            // signature as the steady state of an iterative solver; a
+            // selection loaded from the state file gets the same warm
+            // treatment — that is the point of persisting it.
+            Some(id)
+                if self.config.profile_once_per_signature
+                    || self.warm.contains_key(self.signature) =>
+            {
+                Some((SkipReason::CachedSelection, clamped(id)))
+            }
+            _ if self.alive.len() == 1 => {
+                Some((SkipReason::SingleVariant, VariantId(self.alive[0])))
+            }
+            // Small workloads skip profiling (§2.1); reuse an earlier
+            // selection for this signature if one exists.
+            _ if self.units.len() < self.config.profile_threshold_groups => Some((
+                SkipReason::SmallWorkload,
+                clamped(cached.unwrap_or(initial)),
+            )),
+            _ => None,
+        }
+    }
+
+    /// Trace-replay sanitizer (dynamic cross-check). Before the first
+    /// profiled launch of a declared-disjoint variant, replay a few of its
+    /// work-groups against a copy-on-write clone and cross-check the
+    /// *observed* store footprints for cross-group overlap. A variant
+    /// whose observation contradicts its declaration lied to the static
+    /// verifier and is quarantined.
+    fn sanitize(&mut self) -> Result<(), DyselError> {
+        if !self.config.sanitize_traces || self.config.verify == VerifyLevel::Off {
+            return Ok(());
+        }
+        for vi in self.alive.clone() {
+            let key = (self.signature.to_owned(), vi);
+            if !self.variants[vi].meta.ir.output_disjoint || self.sanitized.contains(&key) {
+                continue;
+            }
+            self.sanitized.insert(key);
+            // A replay that cannot run (bad argument index) is the
+            // verifier's DV301 finding, not a sanitizer verdict.
+            if let Ok(outcome) = sanitize_variant(&self.variants[vi], self.args, self.units.len()) {
+                if outcome.contradicts_disjoint() {
+                    self.quarantine(vi, QuarantineReason::MetadataMismatch);
+                }
+            }
+        }
+        // Sanitizer quarantines reach the runtime statistics, not the
+        // launch report.
+        self.stats.record_faults(&std::mem::take(&mut self.faults));
+        self.ensure_alive()
+    }
+
+    /// Static dominance pruning (see `dysel_analysis::features`). A
+    /// variant Pareto-dominated on every static access-shape axis by a
+    /// same-context sibling is excluded from the micro-profiling pool
+    /// (`PruneLevel::On`) or profiled anyway and cross-checked against the
+    /// winner (`PruneLevel::Audit`). Pareto maximality guarantees at least
+    /// one variant always survives. The *accounting* (events, counters,
+    /// report fields) runs on every launch — warm and cold alike, so
+    /// metric streams stay comparable across restarts — but the pool is
+    /// only actually shrunk when this launch will profile.
+    fn prune(&mut self, profiling: bool) {
+        if self.config.prune == PruneLevel::Off || self.alive.len() < 2 {
+            return;
+        }
+        let feats = &self.features;
+        self.would_prune = self
+            .alive
+            .iter()
+            .copied()
+            .filter(|&vi| {
+                self.alive
+                    .iter()
+                    .any(|&vj| vj != vi && feats[vj].dominates(&feats[vi]))
+            })
+            .collect();
+        if self.would_prune.is_empty() {
+            return;
+        }
+        let detail = match self.config.prune {
+            PruneLevel::On => "pruned",
+            _ => "audit",
+        };
+        for &vi in &self.would_prune {
+            self.emit(Stage::Prune, |e| {
+                e.variant(self.name(vi)).at(self.t_start.0).detail(detail)
+            });
+        }
+        self.count(names::PRUNED, self.would_prune.len() as u64);
+        if self.config.prune == PruneLevel::On && profiling {
+            self.alive.retain(|vi| !self.would_prune.contains(vi));
+        }
+    }
+
+    /// Trained-model prediction (see `dysel-predict`). Shadow mode ranks
+    /// the surviving candidates and records the verdict (events plus
+    /// hit/miss counters folded at score time) without touching control
+    /// flow. On mode additionally converts a would-profile launch into a
+    /// skip when the model's confidence margin clears
+    /// [`PREDICT_MARGIN_PM`] — an exact-tier margin of zero (unranked or
+    /// centroid-sourced prediction) never skips, and neither does a
+    /// signature whose drift watch tripped.
+    fn predict(&mut self, skip: &mut Option<(SkipReason, VariantId)>) {
+        let Some(model) = active_model(self.config) else {
+            return;
+        };
+        let candidates: Vec<dysel_predict::Candidate<'_>> = self
+            .alive
+            .iter()
+            .map(|&i| dysel_predict::Candidate {
+                name: self.name(i),
+                features: &self.features[i],
+            })
+            .collect();
+        let Some(p) = model.predict(self.signature, &candidates) else {
+            return;
+        };
+        self.emit(Stage::Predict, |e| {
+            e.variant(&p.variant).at(self.t_start.0).detail(format!(
+                "source={} margin_pm={}",
+                p.source.as_str(),
+                p.margin_pm
+            ))
+        });
+        if self.config.predict == PredictLevel::On
+            && skip.is_none()
+            && self.alive.len() > 1
+            && p.margin_pm > 0
+            && p.margin_pm >= PREDICT_MARGIN_PM
+            && !self.drift.get(self.signature).is_some_and(|t| t.hold)
+        {
+            if let Some(&vi) = self.alive.iter().find(|&&i| self.name(i) == p.variant) {
+                self.count(names::PREDICT_SKIPS, 1);
+                *skip = Some((SkipReason::Predicted, VariantId(vi)));
+            }
+        }
+        self.predicted = Some(p.variant);
+    }
+
+    /// The micro-profiling plan: profiling mode (forced swap, the caller's
+    /// override, or the compiler analyses), repetitions and the safe-point
+    /// slice size. `Err` skips profiling when safe point analysis cannot
+    /// fit the slices into the workload.
+    fn plan(&self, initial: VariantId, force_swap: bool) -> Result<Plan, (SkipReason, VariantId)> {
+        let initial = clamp(&self.alive, initial);
+        let metas: Vec<_> = self
+            .alive
+            .iter()
+            .map(|&i| self.variants[i].meta.clone())
+            .collect();
+        let mode = if force_swap {
+            ProfilingMode::SwapPartial
+        } else {
+            self.opts.mode.unwrap_or_else(|| infer_mode(&metas))
+        };
+        let reps = u64::from(self.opts.profile_reps);
+        let distinct_slices = match mode {
+            ProfilingMode::FullyProductive => self.alive.len() as u64 * reps,
+            _ => 1,
+        };
+        let wa_factors: Vec<u32> = metas.iter().map(|m| m.wa_factor).collect();
+        let Some(sp) = safe_point(
+            &wa_factors,
+            self.device.units(),
+            self.units.len(),
+            distinct_slices,
+        ) else {
+            return Err((SkipReason::InfeasiblePlan, initial));
+        };
+        Ok(Plan {
+            mode,
+            orchestration: match mode {
+                ProfilingMode::SwapPartial => Orchestration::Sync,
+                _ => self.opts.orchestration,
+            },
+            slots: self.alive.clone(),
+            reps,
+            slice: sp.slice_units,
+            base: self.units.start,
+            initial,
+        })
+    }
+
+    /// The skip path: the whole range runs as one batch. Retry-then-fall-
+    /// back: a variant whose launch keeps failing is quarantined and the
+    /// next surviving candidate runs instead.
+    fn run_skipped(
+        &mut self,
+        reason: SkipReason,
+        mut selected: usize,
+    ) -> Result<LaunchReport, DyselError> {
+        // Say why profiling was skipped before the batch runs, so the
+        // event stream reads in lifecycle order. A cached selection is a
+        // warm skip when it came from the state file, a plain
+        // selection-cache hit otherwise.
+        if reason == SkipReason::CachedSelection {
+            let (stage, counter) = if self.warm.contains_key(self.signature) {
+                (Stage::WarmSkip, names::WARM_SKIPS)
+            } else {
+                (Stage::CacheHit, names::CACHE_HITS)
+            };
+            self.emit(stage, |e| e.variant(self.name(selected)).at(self.t_start.0));
+            self.count(counter, 1);
+        }
+        self.timeline.clear();
+        let (d, rec) = loop {
+            let d = Dispatch::compute(selected, self.units);
+            match self.launch_checked(d, self.t_start, None) {
+                Ok(rec) => break (d, rec),
+                Err(()) => {
+                    self.quarantine(selected, QuarantineReason::LaunchFailed);
+                    self.ensure_alive()?;
+                    selected = self.alive[0];
+                }
+            }
+        };
+        self.record(LaunchKind::Batch, &d, &rec);
+        Ok(LaunchReport {
+            skipped: Some(reason),
+            ..self.report(selected, rec.end)
+        })
+    }
+
+    /// The profiling path. Guarantees the cleanup invariants: leased
+    /// sandboxes go back to the pool, and on error the user buffers are
+    /// restored bit-exactly from a pre-launch snapshot.
+    fn run_profiled(&mut self, plan: &Plan) -> Result<LaunchReport, DyselError> {
+        self.timeline.clear();
+        // Copy-on-write snapshot: the healthy path pays a handful of Arc
+        // clones, and a degraded-to-error launch restores from it exactly.
+        let snapshot = self.args.clone();
+        let result = self
+            .lease(plan)
+            .and_then(|extra_space_bytes| self.profile(plan, &snapshot, extra_space_bytes));
+        for (vi, private) in std::mem::take(&mut self.private).into_iter().enumerate() {
+            if let Some(sandbox) = private {
+                self.sandboxes.give_back(self.signature, vi, sandbox);
+            }
+        }
+        if result.is_err() {
+            *self.args = snapshot;
+        }
+        result
+    }
+
+    /// Leases the private output copies sandboxed profiling writes into,
+    /// from the sandbox pool so steady-state re-profiling recycles them
+    /// instead of allocating each launch. Returns the extra space pinned.
+    fn lease(&mut self, plan: &Plan) -> Result<u64, DyselError> {
+        self.private = (0..self.variants.len()).map(|_| None).collect();
+        let mut extra_space_bytes = 0u64;
+        for (pos, &vi) in plan.slots.iter().enumerate() {
+            let needs_copy = match plan.mode {
+                ProfilingMode::FullyProductive => false,
+                ProfilingMode::HybridPartial => pos > 0,
+                ProfilingMode::SwapPartial => true,
+            };
+            if needs_copy {
+                let sandbox_args = &self.variants[vi].meta.sandbox_args;
+                extra_space_bytes += self.args.sandbox_bytes(sandbox_args)?;
+                let obs = self.config.observe.as_deref();
+                let lease =
+                    self.sandboxes
+                        .lease(self.signature, vi, self.args, sandbox_args, obs)?;
+                self.private[vi] = Some(lease);
+            }
+        }
+        Ok(extra_space_bytes)
+    }
+
+    /// Micro-profiling, selection, degradation and the remaining workload.
+    /// Fault accounting lands in `self.faults` even when this fails.
+    fn profile(
+        &mut self,
+        plan: &Plan,
+        snapshot: &Args,
+        extra_space_bytes: u64,
+    ) -> Result<LaunchReport, DyselError> {
+        let profiled = self.profile_batch(plan);
+        // In hybrid mode the first candidate writes the live slice; if
+        // every one of its launches failed, that slice is unwritten.
+        let first = plan.slots[0];
+        if plan.mode == ProfilingMode::HybridPartial
+            && !self.alive.contains(&first)
+            && !profiled.iter().any(|p| p.variant == first)
+        {
+            self.dead.push(plan.slice(0, 0));
+        }
+
+        // Per-variant best-of-reps measurements (quarantined and
+        // launch-less variants surface as `Cycles::MAX` and can never win).
+        let measurements: Vec<Measurement> = (0..self.variants.len())
+            .map(|i| {
+                let runs = || profiled.iter().filter(move |p| p.variant == i);
+                Measurement {
+                    variant: VariantId(i),
+                    measured: runs()
+                        .filter_map(|p| p.record.measured)
+                        .min()
+                        .unwrap_or(Cycles::MAX),
+                    true_time: runs().map(|p| p.record.span()).min().unwrap_or(Cycles::MAX),
+                }
+            })
+            .collect();
+        self.discard_over_deadline(&measurements);
+
+        // The host waits only for launches of variants it still cares about.
+        let profile_end = profiled
+            .iter()
+            .filter(|p| self.alive.contains(&p.variant))
+            .map(|p| p.record.end)
+            .max()
+            .unwrap_or(self.t_start);
+        if self.config.validate_outputs && plan.mode != ProfilingMode::FullyProductive {
+            self.check_consensus(plan, &profiled, snapshot)?;
+        }
+        self.ensure_alive()?;
+
+        // ---- asynchronous eager execution (Fig. 4(b), Fig. 5) -----------
+        let end = self.units.end;
+        let mut next_unit = self.units.start + plan.productive_units();
+        let mut eager_chunks = 0u64;
+        let mut chunk_ends = Cycles::ZERO;
+        let mut t_host = self.t_start;
+        if plan.orchestration == Orchestration::Async {
+            let chunk_groups = self
+                .opts
+                .chunk_groups_per_unit
+                .unwrap_or(DEFAULT_CHUNK_GROUPS_PER_UNIT)
+                .max(1)
+                * u64::from(self.device.units());
+            let all_done = |t: Cycles, alive: &[usize]| {
+                profiled
+                    .iter()
+                    .filter(|p| alive.contains(&p.variant))
+                    .all(|p| p.record.end <= t)
+            };
+            while next_unit < end {
+                // One status query per still-running profiling launch.
+                let unfinished = profiled
+                    .iter()
+                    .filter(|p| self.alive.contains(&p.variant) && p.record.end > t_host)
+                    .count()
+                    .max(1);
+                t_host += self.device.query_latency() * unfinished as u64;
+                if all_done(t_host, &self.alive) {
+                    break;
+                }
+                // Wait for a vacant execution unit before dispatching a chunk.
+                let free = self.device.earliest_unit_free();
+                if free > t_host {
+                    t_host = free;
+                    if all_done(t_host, &self.alive) {
+                        break;
+                    }
+                }
+                // The chunk runs with the best surviving variant the host
+                // has seen so far; before any measurement lands, that is
+                // the suggested initial default (Fig. 5(b)/(c)).
+                let current = best_so_far(&profiled, &self.alive, t_host)
+                    .unwrap_or_else(|| clamp(&self.alive, plan.initial))
+                    .0;
+                let chunk_units = chunk_groups * u64::from(self.variants[current].meta.wa_factor);
+                let chunk_end = (next_unit + chunk_units).min(end);
+                let d = Dispatch::compute(current, UnitRange::new(next_unit, chunk_end));
+                match self.launch_checked(d, t_host, None) {
+                    Ok(rec) => {
+                        self.record(LaunchKind::EagerChunk, &d, &rec);
+                        eager_chunks += 1;
+                        chunk_ends = chunk_ends.max(rec.end);
+                        next_unit = chunk_end;
+                        // Asynchronous enqueue: the host only pays the
+                        // submission side of the launch overhead.
+                        t_host += self.device.launch_overhead() / 4;
+                    }
+                    // A failed launch executed nothing: quarantine the
+                    // variant and re-dispatch the same chunk with another.
+                    Err(()) => {
+                        self.quarantine(current, QuarantineReason::LaunchFailed);
+                        self.ensure_alive()?;
+                    }
+                }
+            }
+        }
+
+        // ---- selection ---------------------------------------------------
+        let t_sel = t_host.max(profile_end) + self.device.query_latency();
+        // Surviving candidates by measurement; ties keep the lower index,
+        // so a healthy run selects exactly what the paper's arg-min would.
+        let mut order = self.alive.clone();
+        order.sort_by_key(|&vi| (measurements[vi].measured, vi));
+        let mut t_val = t_sel;
+        // Fully-productive slices were each written by a DIFFERENT
+        // variant, so no consensus exists; instead the winner recomputes
+        // the losers' slices into a scratch sandbox (and a referee
+        // recomputes the winner's).
+        if self.config.validate_outputs
+            && plan.mode == ProfilingMode::FullyProductive
+            && order.len() >= 2
+        {
+            let scratch = self.sandboxes.lease(
+                self.signature,
+                VALIDATE_SLOT,
+                self.args,
+                &self.variants[order[0]].meta.sandbox_args,
+                self.config.observe.as_deref(),
+            )?;
+            self.scratch = Some(scratch);
+            let validated = self.validate(plan, &mut order, &mut t_val);
+            let scratch = self.scratch.take().expect("leased above");
+            self.sandboxes
+                .give_back(self.signature, VALIDATE_SLOT, scratch);
+            validated?;
+        }
+        let winner = order[0];
+        self.emit(Stage::Select, |e| {
+            e.variant(self.name(winner))
+                .at(t_val.0)
+                .detail(format!("measured={}", measurements[winner].measured.0))
+        });
+        // Swap-based: adopt the winner's private outputs as the final output.
+        if plan.mode == ProfilingMode::SwapPartial {
+            if let Some(private) = self.private[winner].as_mut() {
+                self.args
+                    .adopt_outputs(private, &self.variants[winner].meta.sandbox_args)?;
+            }
+        }
+
+        // ---- repairs -----------------------------------------------------
+        // Re-execute every dead productive slice with the winner so the
+        // final output is exactly what an all-healthy launch would have
+        // produced. Every repair is enqueued at the same host issue time
+        // (`t_val`): the compute stream serializes them, and the per-launch
+        // overhead overlaps execution of the previous repair (pipelined
+        // enqueue) instead of being paid again between every pair.
+        let mut t_repair = t_val;
+        for range in std::mem::take(&mut self.dead) {
+            let rec = self.run_winner(LaunchKind::Repair, winner, range, t_val)?;
+            self.faults.repaired_slices += 1;
+            self.faults.repaired_units += range.len();
+            t_repair = t_repair.max(rec.end);
+        }
+
+        // ---- remaining workload ------------------------------------------
+        // Issued at selection time; the compute stream already orders it
+        // behind any repairs (same pipelined-enqueue overlap as above).
+        let mut total_end = t_val.max(chunk_ends).max(profile_end).max(t_repair);
+        if next_unit < end {
+            let units = UnitRange::new(next_unit, end);
+            let rec = self.run_winner(LaunchKind::Batch, winner, units, t_val)?;
+            total_end = total_end.max(rec.end);
+        }
+
+        let productive_units = plan
+            .productive_units()
+            .saturating_sub(self.faults.repaired_units);
+        let profiled_units = plan.slots.len() as u64 * plan.reps * plan.slice;
+        Ok(LaunchReport {
+            mode: Some(plan.mode),
+            orchestration: plan.orchestration,
+            profile_time: t_val.saturating_sub(self.t_start),
+            measurements,
+            productive_units,
+            wasted_units: profiled_units.saturating_sub(productive_units),
+            extra_space_bytes,
+            eager_chunks,
+            ..self.report(winner, total_end)
+        })
+    }
+
+    /// Issues all K × reps profiling launches as ONE device batch: they are
+    /// mutually independent (disjoint productive slices, or private
+    /// sandboxes), so the device may fan their functional execution out
+    /// across worker threads while scheduling them in issue order. A failed
+    /// entry is retried serially — its slot in the batch schedule is gone,
+    /// but a profiling slice is small and the stream otherwise idle.
+    fn profile_batch(&mut self, plan: &Plan) -> Vec<ProfiledLaunch> {
+        let variants = self.variants;
+        let dispatches: Vec<Dispatch> = plan
+            .slots
+            .iter()
+            .enumerate()
+            .flat_map(|(pos, &vi)| {
+                let target = match self.private[vi] {
+                    Some(_) => Target::Private,
+                    None => Target::Live,
+                };
+                (0..plan.reps).map(move |r| Dispatch {
+                    variant: vi,
+                    target,
+                    units: plan.slice(pos, r),
+                    stream: StreamId(pos as u32 + 1),
+                    measured: true,
+                })
+            })
+            .collect();
+        // targets[0] is the live argument set; each leased sandbox follows.
+        let mut targets: Vec<&mut Args> = vec![&mut *self.args];
+        let mut target_of = vec![0; variants.len()];
+        for (vi, private) in self.private.iter_mut().enumerate() {
+            if let Some(sandbox) = private {
+                target_of[vi] = targets.len();
+                targets.push(sandbox);
+            }
+        }
+        let entries: Vec<BatchEntry<'_>> = dispatches
+            .iter()
+            .map(|d| BatchEntry {
+                kernel: variants[d.variant].kernel.as_ref(),
+                meta: &variants[d.variant].meta,
+                units: d.units,
+                target: target_of[d.variant],
+                stream: d.stream,
+                not_before: self.t_start,
+                measured: true,
+                budget: None,
+            })
+            .collect();
+        self.launches += entries.len() as u64;
+        let outcomes = self.device.launch_batch(&entries, &mut targets);
+        debug_assert_eq!(outcomes.len(), entries.len());
+
+        let mut profiled = Vec::with_capacity(dispatches.len());
+        for (d, outcome) in dispatches.into_iter().zip(outcomes) {
+            let record = match outcome {
+                LaunchOutcome::Preempted(p) => {
+                    // The launch blew its cycle budget and was cut off
+                    // mid-slice; the device discarded its partial writes.
+                    // Fold the preemption into the deadline rung of the
+                    // ladder: quarantine the variant and hand any
+                    // productive slice it owned to the winner for repair.
+                    self.faults.preemptions += 1;
+                    self.faults.preempted_groups += p.groups_done;
+                    self.faults.preempted_cycles += p.cycles_spent;
+                    self.faults.deadline_discards += 1;
+                    self.quarantine(d.variant, QuarantineReason::DeadlineExceeded);
+                    None
+                }
+                outcome => match self.launch_checked(d, self.t_start, Some(outcome)) {
+                    Ok(rec) => Some(rec),
+                    Err(()) => {
+                        self.quarantine(d.variant, QuarantineReason::LaunchFailed);
+                        None
+                    }
+                },
+            };
+            let Some(record) = record else {
+                if plan.mode == ProfilingMode::FullyProductive {
+                    // Its productive slice was never written.
+                    self.dead.push(d.units);
+                }
+                continue;
+            };
+            if let Some(obs) = &self.config.observe {
+                obs.count(names::PROFILE_LAUNCHES, 1);
+                if let Some(m) = record.measured {
+                    let key = dysel_obs::profile_cycles_key(self.signature, self.name(d.variant));
+                    obs.record_hist(&key, m.0);
+                }
+            }
+            self.record(LaunchKind::Profile, &d, &record);
+            profiled.push(ProfiledLaunch {
+                variant: d.variant,
+                record,
+            });
+        }
+        profiled
+    }
+
+    /// Deadline discard (hang guard): a variant whose measurement exceeds
+    /// `factor * best` is dropped — the host stops waiting for it instead
+    /// of stalling selection. Its data is valid (the launch did complete
+    /// in virtual time), so no repair.
+    fn discard_over_deadline(&mut self, measurements: &[Measurement]) {
+        let Some(factor) = self.config.profile_deadline_factor else {
+            return;
+        };
+        let measured = |vi: usize| measurements[vi].measured;
+        let best = self
+            .alive
+            .iter()
+            .map(|&vi| measured(vi))
+            .filter(|&m| m < Cycles::MAX)
+            .min();
+        let Some(best) = best else {
+            return;
+        };
+        let budget = Cycles::from_f64(best.as_f64() * factor.max(1.0));
+        let over: Vec<usize> = self
+            .alive
+            .iter()
+            .copied()
+            .filter(|&vi| measured(vi) > budget)
+            .collect();
+        for vi in over {
+            self.faults.deadline_discards += 1;
+            self.quarantine(vi, QuarantineReason::DeadlineExceeded);
+        }
+    }
+
+    /// Output consensus (sandboxed modes): hybrid/swap candidates all
+    /// computed the SAME slice, so their output digests must agree.
+    /// Computed before any eager chunk touches the live buffers.
+    fn check_consensus(
+        &mut self,
+        plan: &Plan,
+        profiled: &[ProfiledLaunch],
+        snapshot: &Args,
+    ) -> Result<(), DyselError> {
+        let first = plan.slots[0];
+        let outs = outputs_of(&self.variants[first].meta, self.args);
+        let mut digests: Vec<(usize, u64)> = Vec::new();
+        for &vi in &self.alive {
+            if profiled.iter().any(|p| p.variant == vi) {
+                let out = self.private[vi].as_ref().unwrap_or(self.args);
+                digests.push((vi, out.changed_digest(snapshot, &outs)?));
+            }
+        }
+        if digests.len() < 2 {
+            return Ok(());
+        }
+        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+        for &(vi, d) in &digests {
+            groups.entry(d).or_default().push(vi);
+        }
+        // Largest agreeing group wins; ties prefer the group holding the
+        // live-slice writer, then the lowest variant index.
+        let trusted = groups
+            .values()
+            .max_by_key(|members| {
+                (
+                    members.len(),
+                    members.contains(&first),
+                    std::cmp::Reverse(members[0]),
+                )
+            })
+            .cloned()
+            .unwrap_or_default();
+        for (vi, _) in digests {
+            if !trusted.contains(&vi) {
+                self.faults.validation_failures += 1;
+                self.quarantine(vi, QuarantineReason::WrongOutput);
+                if plan.mode == ProfilingMode::HybridPartial && vi == first {
+                    // The dissenter wrote the live slice: re-execute it.
+                    self.dead.push(plan.slice(0, 0));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fully-productive winner validation (two passes over the scratch
+    /// sandbox).
+    ///
+    /// Pass 1: the provisional winner recomputes every runner-up's
+    /// productive slices and flags those whose bits disagree with what the
+    /// runner-up wrote. Pass 2: a referee (the best non-suspect runner-up)
+    /// recomputes the *winner's* slices — this runs even with zero
+    /// suspects, because a corrupt winner whose validation launches happen
+    /// to be clean (a windowed fault) is otherwise invisible. A winner
+    /// contradicted by the referee, or by ALL of at least two runner-ups,
+    /// is quarantined and its slices marked dead; otherwise the dissenting
+    /// runner-ups are.
+    ///
+    /// With only two candidates left and a disagreement, the pair is
+    /// indistinguishable; the runtime trusts the (faster) winner — the
+    /// documented K=2 limitation.
+    fn validate(
+        &mut self,
+        plan: &Plan,
+        order: &mut Vec<usize>,
+        t_val: &mut Cycles,
+    ) -> Result<(), DyselError> {
+        while order.len() >= 2 {
+            let winner = order[0];
+            // Pass 1: winner recomputes each runner-up's slices.
+            let mut suspects: Vec<usize> = Vec::new();
+            let mut checked = 0usize;
+            let mut winner_broke = false;
+            for &cand in &order[1..] {
+                match self.recompute(plan, winner, cand, t_val)? {
+                    Some(differs) => {
+                        checked += 1;
+                        if differs {
+                            suspects.push(cand);
+                        }
+                    }
+                    None => {
+                        winner_broke = true;
+                        break;
+                    }
+                }
+            }
+            if winner_broke {
+                // The winner cannot even launch any more: quarantine it.
+                // Its own productive slices were written successfully
+                // earlier and stay valid — no repair needed.
+                self.quarantine(winner, QuarantineReason::LaunchFailed);
+                order.remove(0);
+                continue;
+            }
+
+            // Pass 2: a referee recomputes the winner's slices.
+            let mut winner_bad = checked >= 2 && !suspects.is_empty() && suspects.len() == checked;
+            let referee = order[1..].iter().find(|vi| !suspects.contains(vi)).copied();
+            if let Some(rf) = referee {
+                match self.recompute(plan, rf, winner, t_val)? {
+                    Some(differs) => winner_bad |= differs,
+                    None => {
+                        self.quarantine(rf, QuarantineReason::LaunchFailed);
+                        order.retain(|&vi| vi != rf);
+                        continue; // same winner, next referee
+                    }
+                }
+            }
+
+            if winner_bad {
+                self.faults.validation_failures += 1;
+                self.quarantine(winner, QuarantineReason::WrongOutput);
+                self.dead.extend(plan.slices_of(winner));
+                order.remove(0);
+                continue; // revalidate under the next-best winner
+            }
+            // Winner confirmed: the dissenting runner-ups are the wrong ones.
+            for &cand in &suspects {
+                self.faults.validation_failures += 1;
+                self.quarantine(cand, QuarantineReason::WrongOutput);
+                self.dead.extend(plan.slices_of(cand));
+            }
+            order.retain(|vi| !suspects.contains(vi));
+            return Ok(());
+        }
+        Ok(())
+    }
+
+    /// Variant `by` recomputes every slice variant `of` profiled into the
+    /// refreshed scratch sandbox: `Some(true)` when any recomputed bits
+    /// disagree with the live output, `None` when a recompute launch
+    /// itself failed.
+    fn recompute(
+        &mut self,
+        plan: &Plan,
+        by: usize,
+        of: usize,
+        t_val: &mut Cycles,
+    ) -> Result<Option<bool>, DyselError> {
+        let outs = outputs_of(&self.variants[by].meta, self.args);
+        let mut differs = false;
+        for units in plan.slices_of(of) {
+            let scratch = self.scratch.as_mut().expect("leased");
+            scratch.refresh_from(self.args)?;
+            self.faults.validation_launches += 1;
+            let d = Dispatch {
+                variant: by,
+                target: Target::Scratch,
+                units,
+                stream: VALIDATE_STREAM,
+                measured: false,
+            };
+            let Ok(rec) = self.launch_checked(d, *t_val, None) else {
+                return Ok(None);
+            };
+            self.record(LaunchKind::Validate, &d, &rec);
+            *t_val = (*t_val).max(rec.end);
+            let scratch = self.scratch.as_ref().expect("leased");
+            differs |= self.args.bits_differ(scratch, &outs)?;
+        }
+        Ok(Some(differs))
+    }
+
+    /// Scores a finished launch: the prune audit, the prediction verdict,
+    /// the drift watch (skip path) or the fresh selection (profiling path),
+    /// and the report metrics.
+    fn score(&mut self, mut report: LaunchReport) -> LaunchReport {
+        // Audit-mode falsification: a winner — freshly profiled or reused —
+        // that the dominance rule would have pruned falsifies the rule for
+        // this signature. Counting reused winners too keeps warm and cold
+        // metric streams at parity.
+        if self.config.prune == PruneLevel::Audit && self.would_prune.contains(&report.selected.0) {
+            report.prune_disagreement = true;
+            self.count(names::PRUNE_DISAGREEMENTS, 1);
+            let what = match report.skipped {
+                Some(_) => "cached selection",
+                None => "micro-profiling winner",
+            };
+            let finding = Diagnostic::new(
+                LintCode::PruningDisagreement,
+                report.selected_name.as_str(),
+                format!(
+                    "dominance pruning would have excluded the {what}; \
+                     the static rule is falsified for this signature"
+                ),
+            );
+            record_diags(self.diagnostics, self.config, self.signature, vec![finding]);
+        }
+        // A launch with no prediction (mode off, no model, model could not
+        // rank) leaves the prediction fields `None` and the counters alone.
+        if let Some(predicted) = self.predicted.take() {
+            let hit = predicted == report.selected_name;
+            let counter = if hit {
+                names::PREDICT_HITS
+            } else {
+                names::PREDICT_MISSES
+            };
+            self.count(counter, 1);
+            report.predict_hit = Some(hit);
+            report.predicted = Some(predicted);
+        }
+        match report.skipped {
+            Some(reason) => self.watch_drift(reason, &mut report),
+            None => {
+                // A fresh profile starts a fresh bet; the drift watch
+                // re-seeds its per-unit-cost floor from the next skip-path
+                // launch.
+                self.drift.remove(self.signature);
+                self.selections
+                    .insert(self.signature.to_owned(), report.selected);
+            }
+        }
+        fold_report_metrics(self.config, &report);
+        report
+    }
+
+    /// Drift watch. Reusing a selection without measuring alternatives is
+    /// a bet; the watch hedges it. The per-unit cost of each skip-path
+    /// launch is compared against the cheapest seen so far, and after
+    /// [`DRIFT_WINDOW`] consecutive launches above the band the selection
+    /// is invalidated — the next launch falls through to live
+    /// micro-profiling.
+    fn watch_drift(&mut self, reason: SkipReason, report: &mut LaunchReport) {
+        let total_units = self.units.len();
+        if self.config.predict == PredictLevel::Off
+            || !matches!(reason, SkipReason::CachedSelection | SkipReason::Predicted)
+            || total_units == 0
+        {
+            return;
+        }
+        let cost = report.total_time.0.saturating_mul(1000) / total_units;
+        let t = self
+            .drift
+            .entry(self.signature.to_owned())
+            .or_insert(DriftTracker {
+                floor: cost,
+                over: 0,
+                hold: false,
+            });
+        if cost.saturating_mul(1000) <= t.floor.saturating_mul(DRIFT_FACTOR_PM) {
+            t.over = 0;
+            t.floor = t.floor.min(cost);
+            return;
+        }
+        t.over += 1;
+        if t.over < DRIFT_WINDOW || t.hold {
+            return;
+        }
+        // Keep the entry: the `hold` suppresses prediction skips until the
+        // re-profile removes it.
+        t.hold = true;
+        t.over = 0;
+        report.drift_reprofiled = true;
+        self.selections.remove(self.signature);
+        self.warm.remove(self.signature);
+        self.emit(Stage::Predict, |e| {
+            e.variant(&report.selected_name)
+                .at(self.t_start.0)
+                .detail("drift-reprofile")
+        });
+        self.count(names::PREDICT_DRIFT_REPROFILES, 1);
+    }
+}
+
+/// The trained model prediction consults: configured, non-empty, and
+/// prediction not [`PredictLevel::Off`].
+fn active_model(config: &RuntimeConfig) -> Option<&dysel_predict::Model> {
+    config
+        .predict_model
+        .as_deref()
+        .filter(|m| config.predict != PredictLevel::Off && !m.is_empty())
 }
 
 /// Folds one finished launch's report into the observation metrics. The
@@ -1182,12 +1979,12 @@ fn record_diags(
     }
 }
 
-/// Clamps a selection to the non-quarantined candidate set.
-fn sanitize(active: &[usize], id: VariantId) -> VariantId {
-    if active.contains(&id.0) {
+/// Clamps a selection to the surviving candidate set.
+fn clamp(alive: &[usize], id: VariantId) -> VariantId {
+    if alive.contains(&id.0) {
         id
     } else {
-        VariantId(active[0])
+        VariantId(alive[0])
     }
 }
 
@@ -1199,1090 +1996,6 @@ fn outputs_of(meta: &VariantMeta, args: &Args) -> Vec<usize> {
         .copied()
         .filter(|&i| i < args.len())
         .collect()
-}
-
-/// Removes `vi` from the surviving candidates and records the quarantine in
-/// both the signature's persistent list and this launch's fault report —
-/// plus, when observation is on, the event stream and the quarantine
-/// counter (counted here rather than from the report, so sanitizer-path
-/// quarantines that never reach a report are still covered).
-#[allow(clippy::too_many_arguments)]
-fn quarantine_variant(
-    config: &RuntimeConfig,
-    signature: &str,
-    name: &str,
-    alive: &mut Vec<usize>,
-    quarantine: &mut Vec<(VariantId, QuarantineReason)>,
-    faults: &mut FaultReport,
-    vi: usize,
-    reason: QuarantineReason,
-) {
-    if let Some(pos) = alive.iter().position(|&a| a == vi) {
-        alive.remove(pos);
-        quarantine.push((VariantId(vi), reason));
-        faults.quarantined.push((VariantId(vi), reason));
-        if let Some(obs) = &config.observe {
-            obs.emit(
-                Event::new(Stage::Quarantine)
-                    .signature(signature)
-                    .variant(name)
-                    .detail(format!("{reason:?}")),
-            );
-            obs.count(names::QUARANTINES, 1);
-        }
-    }
-}
-
-/// Launches `variant` over `units`, retrying transient failures with
-/// bounded exponential backoff (first rung of the degradation ladder).
-///
-/// `Err(())` means the launch failed permanently (or exhausted its
-/// retries); the caller decides whether that quarantines the variant or
-/// fails the whole DySel launch. A failed device launch executed nothing.
-#[allow(clippy::too_many_arguments)]
-fn launch_checked(
-    device: &mut dyn Device,
-    config: &RuntimeConfig,
-    signature: &str,
-    variant: &Variant,
-    args: &mut Args,
-    units: UnitRange,
-    stream: StreamId,
-    mut not_before: Cycles,
-    measured: bool,
-    faults: &mut FaultReport,
-    launches: &mut u64,
-) -> Result<LaunchRecord, ()> {
-    let mut attempt = 0u32;
-    loop {
-        *launches += 1;
-        match device.launch(LaunchSpec {
-            kernel: variant.kernel.as_ref(),
-            meta: &variant.meta,
-            units,
-            args,
-            stream,
-            not_before,
-            measured,
-            budget: None,
-        }) {
-            LaunchOutcome::Done(rec) => return Ok(rec),
-            LaunchOutcome::Failed(failure) => {
-                faults.launch_errors += 1;
-                if !failure.transient || attempt >= config.max_launch_retries {
-                    return Err(());
-                }
-                faults.retries += 1;
-                not_before = failure.at + config.retry_backoff * (1u64 << attempt.min(16));
-                attempt += 1;
-                if let Some(obs) = &config.observe {
-                    obs.emit(
-                        Event::new(Stage::Retry)
-                            .signature(signature)
-                            .variant(variant.name())
-                            .stream(stream.0)
-                            .at(not_before.0)
-                            .detail(format!("attempt={attempt}")),
-                    );
-                }
-            }
-            LaunchOutcome::Preempted(_) => {
-                // No budget is attached here, so this arm is defensive: a
-                // preempted launch is discarded like a hard failure.
-                faults.preemptions += 1;
-                return Err(());
-            }
-        }
-    }
-}
-
-/// Leases sandboxes, snapshots the user buffers, runs the profiling
-/// pipeline, and guarantees the cleanup invariants: leased sandboxes go
-/// back to the pool, fault counters reach the runtime stats, and on error
-/// the user buffers are restored bit-exactly from the snapshot.
-#[allow(clippy::too_many_arguments)]
-fn profile_and_run(
-    device: &mut dyn Device,
-    config: &RuntimeConfig,
-    signature: &str,
-    variants: &[Variant],
-    active: &[usize],
-    quarantine: &mut Vec<(VariantId, QuarantineReason)>,
-    args: &mut Args,
-    start: u64,
-    end: u64,
-    mode: ProfilingMode,
-    orchestration: Orchestration,
-    initial: VariantId,
-    opts: &LaunchOptions,
-    plan: &SafePointPlan,
-    t_start: Cycles,
-    sandboxes: &mut SandboxPool,
-    timeline: &mut Timeline,
-    stats: &mut LaunchStats,
-) -> Result<LaunchReport, DyselError> {
-    // Copy-on-write snapshot: the healthy path pays a handful of Arc
-    // clones, and a degraded-to-error launch restores from it exactly.
-    let snapshot = args.clone();
-
-    // ---- sandbox / private output spaces --------------------------------
-    // Leased from the sandbox pool so steady-state re-profiling recycles
-    // the private copies instead of allocating them each launch.
-    let mut extra_space_bytes = 0u64;
-    let mut private_args: Vec<Option<Args>> = (0..variants.len()).map(|_| None).collect();
-    let mut lease_err: Option<DyselError> = None;
-    for (pos, &vi) in active.iter().enumerate() {
-        let needs_copy = match mode {
-            ProfilingMode::FullyProductive => false,
-            ProfilingMode::HybridPartial => pos > 0,
-            ProfilingMode::SwapPartial => true,
-        };
-        if !needs_copy {
-            continue;
-        }
-        let v = &variants[vi];
-        let leased = args
-            .sandbox_bytes(&v.meta.sandbox_args)
-            .map_err(DyselError::from)
-            .and_then(|bytes| {
-                extra_space_bytes += bytes;
-                sandboxes
-                    .lease(
-                        signature,
-                        vi,
-                        args,
-                        &v.meta.sandbox_args,
-                        config.observe.as_deref(),
-                    )
-                    .map_err(DyselError::from)
-            });
-        match leased {
-            Ok(p) => private_args[vi] = Some(p),
-            Err(e) => {
-                lease_err = Some(e);
-                break;
-            }
-        }
-    }
-
-    let mut faults = FaultReport::default();
-    let result = match lease_err {
-        Some(e) => Err(e),
-        None => profile_core(
-            device,
-            config,
-            signature,
-            variants,
-            active,
-            quarantine,
-            args,
-            &mut private_args,
-            extra_space_bytes,
-            &snapshot,
-            start,
-            end,
-            mode,
-            orchestration,
-            initial,
-            opts,
-            plan,
-            t_start,
-            sandboxes,
-            timeline,
-            &mut faults,
-        ),
-    };
-
-    // Hand the leased sandboxes back for reuse by later launches.
-    for (vi, private) in private_args.into_iter().enumerate() {
-        if let Some(sb) = private {
-            sandboxes.give_back(signature, vi, sb);
-        }
-    }
-    stats.record_faults(&faults);
-
-    match result {
-        Ok(report) => Ok(report),
-        Err(e) => {
-            *args = snapshot;
-            Err(e)
-        }
-    }
-}
-
-/// The full profiling + selection + degradation + remaining-workload
-/// pipeline. Fault accounting lands in `faults` even when this returns an
-/// error (the wrapper folds it into the runtime statistics either way).
-#[allow(clippy::too_many_arguments)]
-fn profile_core(
-    device: &mut dyn Device,
-    config: &RuntimeConfig,
-    signature: &str,
-    variants: &[Variant],
-    active: &[usize],
-    quarantine: &mut Vec<(VariantId, QuarantineReason)>,
-    args: &mut Args,
-    private_args: &mut [Option<Args>],
-    extra_space_bytes: u64,
-    snapshot: &Args,
-    start: u64,
-    end: u64,
-    mode: ProfilingMode,
-    orchestration: Orchestration,
-    initial: VariantId,
-    opts: &LaunchOptions,
-    plan: &SafePointPlan,
-    t_start: Cycles,
-    sandboxes: &mut SandboxPool,
-    timeline: &mut Timeline,
-    faults: &mut FaultReport,
-) -> Result<LaunchReport, DyselError> {
-    let k = variants.len();
-    let ka = active.len();
-    let reps = u64::from(opts.profile_reps);
-    let s = plan.slice_units;
-    let mut launches_issued: u64 = 0;
-    let mut alive: Vec<usize> = active.to_vec();
-    // Productive profiling slices a faulted variant left unwritten or
-    // corrupt; re-executed with the winner before the final batch.
-    let mut dead_slices: Vec<UnitRange> = Vec::new();
-
-    // ---- issue profiling launches ---------------------------------------
-    // All K * reps profiling launches go to the device as ONE batch: they
-    // are mutually independent (disjoint productive slices, or private
-    // sandboxes), so the device may fan their functional execution out
-    // across worker threads while scheduling them in issue order.
-    let mut profiled: Vec<ProfiledLaunch> = Vec::with_capacity(ka * reps as usize);
-    {
-        // targets[0] is the live argument set; each sandboxed variant's
-        // lease follows, with `target_of[pos]` naming the slot the variant
-        // at active position `pos` executes against.
-        let mut targets: Vec<&mut Args> = Vec::with_capacity(1 + ka);
-        targets.push(&mut *args);
-        let mut target_of: Vec<usize> = vec![0; ka];
-        for (vi, slot) in private_args.iter_mut().enumerate() {
-            if let Some(p) = slot.as_mut() {
-                let pos = active
-                    .iter()
-                    .position(|&a| a == vi)
-                    .expect("sandboxes are leased for active variants only");
-                target_of[pos] = targets.len();
-                targets.push(p);
-            }
-        }
-        let mut entries: Vec<BatchEntry<'_>> = Vec::with_capacity(ka * reps as usize);
-        for (pos, &vi) in active.iter().enumerate() {
-            let stream = StreamId(pos as u32 + 1);
-            let v = &variants[vi];
-            for r in 0..reps {
-                let units = match mode {
-                    ProfilingMode::FullyProductive => {
-                        let idx = pos as u64 * reps + r;
-                        UnitRange::new(start + idx * s, start + (idx + 1) * s)
-                    }
-                    _ => UnitRange::new(start, start + s),
-                };
-                entries.push(BatchEntry {
-                    kernel: v.kernel.as_ref(),
-                    meta: &v.meta,
-                    units,
-                    target: target_of[pos],
-                    stream,
-                    not_before: t_start,
-                    measured: true,
-                    budget: None,
-                });
-            }
-        }
-        launches_issued += entries.len() as u64;
-        let outcomes = device.launch_batch(&entries, &mut targets);
-        debug_assert_eq!(outcomes.len(), entries.len());
-        for (e, outcome) in entries.iter().zip(outcomes) {
-            let pos = usize::try_from(e.stream.0 - 1).expect("stream fits");
-            let vi = active[pos];
-            let record = match outcome {
-                LaunchOutcome::Done(record) => Some(record),
-                LaunchOutcome::Failed(first) => {
-                    // Retry the failed profiling launch serially; its slot
-                    // in the batch schedule is gone, but a profiling slice
-                    // is small and the stream is otherwise idle.
-                    faults.launch_errors += 1;
-                    let mut recovered = None;
-                    let mut fail = first;
-                    let mut attempt = 0u32;
-                    while fail.transient && attempt < config.max_launch_retries {
-                        faults.retries += 1;
-                        let not_before = fail.at + config.retry_backoff * (1u64 << attempt.min(16));
-                        if let Some(obs) = &config.observe {
-                            obs.emit(
-                                Event::new(Stage::Retry)
-                                    .signature(signature)
-                                    .variant(&e.meta.name)
-                                    .stream(e.stream.0)
-                                    .at(not_before.0)
-                                    .detail(format!("attempt={}", attempt + 1)),
-                            );
-                        }
-                        launches_issued += 1;
-                        match device.launch(LaunchSpec {
-                            kernel: e.kernel,
-                            meta: e.meta,
-                            units: e.units,
-                            args: &mut *targets[e.target],
-                            stream: e.stream,
-                            not_before,
-                            measured: true,
-                            budget: None,
-                        }) {
-                            LaunchOutcome::Done(record) => {
-                                recovered = Some(record);
-                                break;
-                            }
-                            LaunchOutcome::Failed(f2) => {
-                                faults.launch_errors += 1;
-                                fail = f2;
-                                attempt += 1;
-                            }
-                            // Unbudgeted retry; defensive — give up.
-                            LaunchOutcome::Preempted(_) => break,
-                        }
-                    }
-                    if recovered.is_none() {
-                        quarantine_variant(
-                            config,
-                            signature,
-                            variants[vi].name(),
-                            &mut alive,
-                            quarantine,
-                            faults,
-                            vi,
-                            QuarantineReason::LaunchFailed,
-                        );
-                        if e.target == 0 && mode == ProfilingMode::FullyProductive {
-                            // Its productive slice was never written.
-                            dead_slices.push(e.units);
-                        }
-                    }
-                    recovered
-                }
-                LaunchOutcome::Preempted(p) => {
-                    // The launch blew its cycle budget and was cut off
-                    // mid-slice; its partial writes were discarded by the
-                    // device. Fold the preemption into the deadline rung
-                    // of the ladder: quarantine the variant and hand any
-                    // productive slice it owned to the winner for repair.
-                    faults.preemptions += 1;
-                    faults.preempted_groups += p.groups_done;
-                    faults.preempted_cycles += p.cycles_spent;
-                    faults.deadline_discards += 1;
-                    quarantine_variant(
-                        config,
-                        signature,
-                        variants[vi].name(),
-                        &mut alive,
-                        quarantine,
-                        faults,
-                        vi,
-                        QuarantineReason::DeadlineExceeded,
-                    );
-                    if e.target == 0 && mode == ProfilingMode::FullyProductive {
-                        dead_slices.push(e.units);
-                    }
-                    None
-                }
-            };
-            if let Some(record) = record {
-                if let Some(obs) = &config.observe {
-                    obs.count(names::PROFILE_LAUNCHES, 1);
-                    if let Some(m) = record.measured {
-                        obs.record_hist(
-                            &dysel_obs::profile_cycles_key(signature, variants[vi].name()),
-                            m.0,
-                        );
-                    }
-                }
-                record_entry(
-                    timeline,
-                    config,
-                    signature,
-                    e.stream.0,
-                    TimelineEntry {
-                        kind: LaunchKind::Profile,
-                        variant: VariantId(vi),
-                        variant_name: variants[vi].name().to_owned(),
-                        units: e.units,
-                        start: record.start,
-                        end: record.end,
-                    },
-                );
-                profiled.push(ProfiledLaunch {
-                    variant: vi,
-                    record,
-                });
-            }
-        }
-    }
-    // In hybrid mode the first candidate writes the live slice; if every
-    // one of its launches failed, that slice is unwritten.
-    if mode == ProfilingMode::HybridPartial
-        && !alive.contains(&active[0])
-        && !profiled.iter().any(|p| p.variant == active[0])
-    {
-        dead_slices.push(UnitRange::new(start, start + s));
-    }
-
-    // Per-variant best-of-reps measurements (quarantined and launch-less
-    // variants surface as `Cycles::MAX` and can never win).
-    let measurements: Vec<Measurement> = (0..k)
-        .map(|i| {
-            let best_measured = profiled
-                .iter()
-                .filter(|p| p.variant == i)
-                .filter_map(|p| p.record.measured)
-                .min()
-                .unwrap_or(Cycles::MAX);
-            let best_true = profiled
-                .iter()
-                .filter(|p| p.variant == i)
-                .map(|p| p.record.span())
-                .min()
-                .unwrap_or(Cycles::MAX);
-            Measurement {
-                variant: VariantId(i),
-                measured: best_measured,
-                true_time: best_true,
-            }
-        })
-        .collect();
-
-    // ---- deadline discard (hang guard) ----------------------------------
-    // A variant whose measurement exceeds `factor * best` is dropped: the
-    // host stops waiting for it instead of stalling selection. Its data is
-    // valid (the launch did complete in virtual time), so no repair.
-    if let Some(factor) = config.profile_deadline_factor {
-        let best = alive
-            .iter()
-            .map(|&vi| measurements[vi].measured)
-            .filter(|&m| m < Cycles::MAX)
-            .min();
-        if let Some(best) = best {
-            let budget = Cycles::from_f64(best.as_f64() * factor.max(1.0));
-            let over: Vec<usize> = alive
-                .iter()
-                .copied()
-                .filter(|&vi| measurements[vi].measured > budget)
-                .collect();
-            for vi in over {
-                faults.deadline_discards += 1;
-                quarantine_variant(
-                    config,
-                    signature,
-                    variants[vi].name(),
-                    &mut alive,
-                    quarantine,
-                    faults,
-                    vi,
-                    QuarantineReason::DeadlineExceeded,
-                );
-            }
-        }
-    }
-
-    // The host waits only for launches of variants it still cares about.
-    let profile_end = profiled
-        .iter()
-        .filter(|p| alive.contains(&p.variant))
-        .map(|p| p.record.end)
-        .max()
-        .unwrap_or(t_start);
-
-    // ---- output consensus (sandboxed modes) ------------------------------
-    // Hybrid/swap candidates all computed the SAME slice, so their output
-    // digests must agree. Computed before any eager chunk touches `args`.
-    if config.validate_outputs && mode != ProfilingMode::FullyProductive {
-        let outs = outputs_of(&variants[active[0]].meta, args);
-        let mut digests: Vec<(usize, u64)> = Vec::new();
-        for &vi in alive.iter() {
-            if !profiled.iter().any(|p| p.variant == vi) {
-                continue;
-            }
-            let digest = match private_args[vi].as_ref() {
-                Some(p) => p.changed_digest(snapshot, &outs)?,
-                None => args.changed_digest(snapshot, &outs)?,
-            };
-            digests.push((vi, digest));
-        }
-        if digests.len() >= 2 {
-            let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-            for &(vi, d) in &digests {
-                groups.entry(d).or_default().push(vi);
-            }
-            let first = active[0];
-            // Largest agreeing group wins; ties prefer the group holding
-            // the live-slice writer, then the lowest variant index.
-            let trusted = groups
-                .values()
-                .max_by_key(|members| {
-                    (
-                        members.len(),
-                        members.contains(&first),
-                        std::cmp::Reverse(members[0]),
-                    )
-                })
-                .cloned()
-                .unwrap_or_default();
-            for &(vi, _) in &digests {
-                if !trusted.contains(&vi) {
-                    faults.validation_failures += 1;
-                    quarantine_variant(
-                        config,
-                        signature,
-                        variants[vi].name(),
-                        &mut alive,
-                        quarantine,
-                        faults,
-                        vi,
-                        QuarantineReason::WrongOutput,
-                    );
-                    if mode == ProfilingMode::HybridPartial && vi == first {
-                        // The dissenter wrote the live slice: re-execute it.
-                        dead_slices.push(UnitRange::new(start, start + s));
-                    }
-                }
-            }
-        }
-    }
-
-    if alive.is_empty() {
-        return Err(DyselError::AllVariantsFaulted {
-            signature: signature.to_owned(),
-            quarantined: quarantine.len(),
-        });
-    }
-
-    let profiled_end_units = match mode {
-        ProfilingMode::FullyProductive => ka as u64 * reps * s,
-        _ => s,
-    };
-    let mut next_unit = start + profiled_end_units;
-    let mut eager_chunks = 0u64;
-    let mut chunk_ends = Cycles::ZERO;
-    let mut t_host = t_start;
-
-    // ---- asynchronous eager execution (Fig. 4(b), Fig. 5) ---------------
-    if orchestration == Orchestration::Async {
-        let chunk_per_unit = opts
-            .chunk_groups_per_unit
-            .unwrap_or(config.default_chunk_groups_per_unit)
-            .max(1);
-        let chunk_groups = chunk_per_unit * u64::from(device.units());
-        loop {
-            if next_unit >= end {
-                break;
-            }
-            // One status query per still-running profiling launch.
-            let unfinished = profiled
-                .iter()
-                .filter(|p| alive.contains(&p.variant) && p.record.end > t_host)
-                .count()
-                .max(1);
-            t_host += device.query_latency() * unfinished as u64;
-            let all_done = |t: Cycles, profiled: &[ProfiledLaunch], alive: &[usize]| {
-                profiled
-                    .iter()
-                    .filter(|p| alive.contains(&p.variant))
-                    .all(|p| p.record.end <= t)
-            };
-            if all_done(t_host, &profiled, &alive) {
-                break;
-            }
-            // Wait for a vacant execution unit before dispatching a chunk.
-            let free = device.earliest_unit_free();
-            if free > t_host {
-                t_host = free;
-                if all_done(t_host, &profiled, &alive) {
-                    break;
-                }
-            }
-            // The chunk runs with the best surviving variant the host has
-            // seen so far; before any measurement lands, that is the
-            // suggested initial default (Fig. 5(b)/(c)).
-            let fallback = if alive.contains(&initial.0) {
-                initial
-            } else {
-                VariantId(alive[0])
-            };
-            let current = best_so_far(&profiled, &alive, t_host).unwrap_or(fallback);
-            let v = &variants[current.0];
-            let chunk_units = chunk_groups * u64::from(v.meta.wa_factor);
-            let chunk_end = (next_unit + chunk_units).min(end);
-            match launch_checked(
-                device,
-                config,
-                signature,
-                v,
-                args,
-                UnitRange::new(next_unit, chunk_end),
-                COMPUTE_STREAM,
-                t_host,
-                false,
-                faults,
-                &mut launches_issued,
-            ) {
-                Ok(rec) => {
-                    record_entry(
-                        timeline,
-                        config,
-                        signature,
-                        COMPUTE_STREAM.0,
-                        TimelineEntry {
-                            kind: LaunchKind::EagerChunk,
-                            variant: current,
-                            variant_name: v.name().to_owned(),
-                            units: UnitRange::new(next_unit, chunk_end),
-                            start: rec.start,
-                            end: rec.end,
-                        },
-                    );
-                    eager_chunks += 1;
-                    chunk_ends = chunk_ends.max(rec.end);
-                    next_unit = chunk_end;
-                    // Asynchronous enqueue: the host only pays the
-                    // submission side of the launch overhead.
-                    t_host += device.launch_overhead() / 4;
-                }
-                Err(()) => {
-                    // A failed launch executed nothing: quarantine the
-                    // variant and re-dispatch the same chunk with another.
-                    quarantine_variant(
-                        config,
-                        signature,
-                        v.name(),
-                        &mut alive,
-                        quarantine,
-                        faults,
-                        current.0,
-                        QuarantineReason::LaunchFailed,
-                    );
-                    if alive.is_empty() {
-                        return Err(DyselError::AllVariantsFaulted {
-                            signature: signature.to_owned(),
-                            quarantined: quarantine.len(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // ---- selection -------------------------------------------------------
-    let t_sel = t_host.max(profile_end) + device.query_latency();
-    // Surviving candidates by measurement; ties keep the lower index, so a
-    // healthy run selects exactly what the paper's arg-min would.
-    let mut order: Vec<usize> = alive.clone();
-    order.sort_by_key(|&vi| (measurements[vi].measured, vi));
-    let mut t_val = t_sel;
-
-    // ---- winner cross-validation (fully-productive mode) -----------------
-    // Productive slices were each written by a DIFFERENT variant, so no
-    // consensus exists; instead the winner recomputes the losers' slices
-    // into a scratch sandbox (and a referee recomputes the winner's).
-    if config.validate_outputs && mode == ProfilingMode::FullyProductive && order.len() >= 2 {
-        let mut scratch = sandboxes.lease(
-            signature,
-            VALIDATE_SLOT,
-            args,
-            &variants[order[0]].meta.sandbox_args,
-            config.observe.as_deref(),
-        )?;
-        let vres = validate_fp(
-            device,
-            config,
-            signature,
-            variants,
-            active,
-            reps,
-            s,
-            start,
-            args,
-            &mut scratch,
-            &mut order,
-            &mut alive,
-            quarantine,
-            &mut dead_slices,
-            faults,
-            &mut launches_issued,
-            timeline,
-            &mut t_val,
-        );
-        sandboxes.give_back(signature, VALIDATE_SLOT, scratch);
-        vres?;
-    }
-
-    let winner = VariantId(order[0]);
-    if let Some(obs) = &config.observe {
-        obs.emit(
-            Event::new(Stage::Select)
-                .signature(signature)
-                .variant(variants[winner.0].name())
-                .at(t_val.0)
-                .detail(format!("measured={}", measurements[winner.0].measured.0)),
-        );
-    }
-
-    // Swap-based: adopt the winner's private outputs as the final output.
-    if mode == ProfilingMode::SwapPartial {
-        let sandbox_args = variants[winner.0].meta.sandbox_args.clone();
-        if let Some(private) = private_args[winner.0].as_mut() {
-            args.adopt_outputs(private, &sandbox_args)?;
-        }
-    }
-
-    // ---- repairs ---------------------------------------------------------
-    // Re-execute every dead productive slice with the winner so the final
-    // output is exactly what an all-healthy launch would have produced.
-    // Every repair is enqueued at the same host issue time (`t_val`): the
-    // compute stream serializes them, and the per-launch overhead overlaps
-    // execution of the previous repair (pipelined enqueue) instead of
-    // being paid again between every pair.
-    let mut t_repair = t_val;
-    for range in std::mem::take(&mut dead_slices) {
-        let v = &variants[winner.0];
-        let rec = launch_checked(
-            device,
-            config,
-            signature,
-            v,
-            args,
-            range,
-            COMPUTE_STREAM,
-            t_val,
-            false,
-            faults,
-            &mut launches_issued,
-        )
-        .map_err(|()| DyselError::LaunchFailed {
-            signature: signature.to_owned(),
-            variant: v.name().to_owned(),
-        })?;
-        faults.repaired_slices += 1;
-        faults.repaired_units += range.len();
-        record_entry(
-            timeline,
-            config,
-            signature,
-            COMPUTE_STREAM.0,
-            TimelineEntry {
-                kind: LaunchKind::Repair,
-                variant: winner,
-                variant_name: v.name().to_owned(),
-                units: range,
-                start: rec.start,
-                end: rec.end,
-            },
-        );
-        t_repair = t_repair.max(rec.end);
-    }
-
-    // ---- remaining workload ----------------------------------------------
-    let mut total_end = t_val.max(chunk_ends).max(profile_end).max(t_repair);
-    if next_unit < end {
-        let v = &variants[winner.0];
-        // Issued at selection time; the compute stream already orders it
-        // behind any repairs (same pipelined-enqueue overlap as above).
-        let rec = launch_checked(
-            device,
-            config,
-            signature,
-            v,
-            args,
-            UnitRange::new(next_unit, end),
-            COMPUTE_STREAM,
-            t_val.max(t_sel),
-            false,
-            faults,
-            &mut launches_issued,
-        )
-        .map_err(|()| DyselError::LaunchFailed {
-            signature: signature.to_owned(),
-            variant: v.name().to_owned(),
-        })?;
-        record_entry(
-            timeline,
-            config,
-            signature,
-            COMPUTE_STREAM.0,
-            TimelineEntry {
-                kind: LaunchKind::Batch,
-                variant: winner,
-                variant_name: v.name().to_owned(),
-                units: UnitRange::new(next_unit, end),
-                start: rec.start,
-                end: rec.end,
-            },
-        );
-        total_end = total_end.max(rec.end);
-    }
-
-    let gross_productive = match mode {
-        ProfilingMode::FullyProductive => profiled_end_units,
-        _ => s,
-    };
-    let productive_units = gross_productive.saturating_sub(faults.repaired_units);
-    let wasted_units = (ka as u64 * reps * s).saturating_sub(productive_units);
-
-    Ok(LaunchReport {
-        signature: signature.to_owned(),
-        tenant: config.tenant,
-        selected: winner,
-        selected_name: variants[winner.0].name().to_owned(),
-        mode: Some(mode),
-        orchestration,
-        skipped: None,
-        total_time: total_end.saturating_sub(t_start),
-        profile_time: t_val.saturating_sub(t_start),
-        measurements,
-        productive_units,
-        wasted_units,
-        extra_space_bytes,
-        eager_chunks,
-        launches: launches_issued,
-        pruned_variants: 0,
-        prune_disagreement: false,
-        predicted: None,
-        predict_hit: None,
-        drift_reprofiled: false,
-        faults: faults.clone(),
-    })
-}
-
-/// Fully-productive winner validation (two passes over a scratch sandbox).
-///
-/// Pass 1: the provisional winner recomputes every runner-up's productive
-/// slices into `scratch` and flags those whose bits disagree with what the
-/// runner-up wrote. Pass 2: a referee (the best non-suspect runner-up)
-/// recomputes the *winner's* slices — this runs even with zero suspects,
-/// because a corrupt winner whose validation launches happen to be clean
-/// (a windowed fault) is otherwise invisible. A winner contradicted by the
-/// referee, or by ALL of at least two runner-ups, is quarantined and its
-/// slices marked dead; otherwise the dissenting runner-ups are quarantined.
-///
-/// With only two candidates left and a disagreement, the pair is
-/// indistinguishable; the runtime trusts the (faster) winner — the
-/// documented K=2 limitation.
-#[allow(clippy::too_many_arguments)]
-fn validate_fp(
-    device: &mut dyn Device,
-    config: &RuntimeConfig,
-    signature: &str,
-    variants: &[Variant],
-    active: &[usize],
-    reps: u64,
-    s: u64,
-    start: u64,
-    args: &Args,
-    scratch: &mut Args,
-    order: &mut Vec<usize>,
-    alive: &mut Vec<usize>,
-    quarantine: &mut Vec<(VariantId, QuarantineReason)>,
-    dead_slices: &mut Vec<UnitRange>,
-    faults: &mut FaultReport,
-    launches_issued: &mut u64,
-    timeline: &mut Timeline,
-    t_val: &mut Cycles,
-) -> Result<(), DyselError> {
-    let slice_of = |vi: usize, r: u64| -> Option<UnitRange> {
-        let pos = active.iter().position(|&a| a == vi)?;
-        let idx = pos as u64 * reps + r;
-        Some(UnitRange::new(start + idx * s, start + (idx + 1) * s))
-    };
-    // Recomputes `who`'s launch of `range` into the refreshed scratch and
-    // reports whether the recomputed bits disagree with the live output.
-    // `Ok(None)` means the recomputing variant's launch itself failed.
-    macro_rules! recompute {
-        ($by:expr, $range:expr) => {{
-            let v: &Variant = $by;
-            let range: UnitRange = $range;
-            scratch.refresh_from(args)?;
-            faults.validation_launches += 1;
-            match launch_checked(
-                device,
-                config,
-                signature,
-                v,
-                scratch,
-                range,
-                VALIDATE_STREAM,
-                *t_val,
-                false,
-                faults,
-                launches_issued,
-            ) {
-                Ok(rec) => {
-                    record_entry(
-                        timeline,
-                        config,
-                        signature,
-                        VALIDATE_STREAM.0,
-                        TimelineEntry {
-                            kind: LaunchKind::Validate,
-                            variant: VariantId(
-                                variants
-                                    .iter()
-                                    .position(|x| std::ptr::eq(x, v))
-                                    .unwrap_or(0),
-                            ),
-                            variant_name: v.name().to_owned(),
-                            units: range,
-                            start: rec.start,
-                            end: rec.end,
-                        },
-                    );
-                    *t_val = (*t_val).max(rec.end);
-                    let outs = outputs_of(&v.meta, args);
-                    Some(args.bits_differ(scratch, &outs)?)
-                }
-                Err(()) => None,
-            }
-        }};
-    }
-
-    loop {
-        if order.len() < 2 {
-            return Ok(());
-        }
-        let winner = order[0];
-        // Pass 1: winner recomputes each runner-up's slices.
-        let mut suspects: Vec<usize> = Vec::new();
-        let mut winner_broke = false;
-        let mut checked = 0usize;
-        for &cand in order.iter().skip(1).collect::<Vec<_>>() {
-            let mut differs = false;
-            let mut failed = false;
-            for r in 0..reps {
-                let Some(range) = slice_of(cand, r) else {
-                    continue;
-                };
-                match recompute!(&variants[winner], range) {
-                    Some(true) => differs = true,
-                    Some(false) => {}
-                    None => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                winner_broke = true;
-                break;
-            }
-            checked += 1;
-            if differs {
-                suspects.push(cand);
-            }
-        }
-        if winner_broke {
-            // The winner cannot even launch any more: quarantine it. Its
-            // own productive slices were written successfully earlier and
-            // stay valid — no repair needed.
-            quarantine_variant(
-                config,
-                signature,
-                variants[winner].name(),
-                alive,
-                quarantine,
-                faults,
-                winner,
-                QuarantineReason::LaunchFailed,
-            );
-            order.remove(0);
-            continue;
-        }
-
-        // Pass 2: a referee recomputes the winner's slices.
-        let mut winner_bad = checked >= 2 && !suspects.is_empty() && suspects.len() == checked;
-        let referee = order
-            .iter()
-            .skip(1)
-            .find(|vi| !suspects.contains(vi))
-            .copied();
-        if let Some(rf) = referee {
-            let mut ref_broke = false;
-            let mut ref_differs = false;
-            for r in 0..reps {
-                let Some(range) = slice_of(winner, r) else {
-                    continue;
-                };
-                match recompute!(&variants[rf], range) {
-                    Some(true) => ref_differs = true,
-                    Some(false) => {}
-                    None => {
-                        ref_broke = true;
-                        break;
-                    }
-                }
-            }
-            if ref_broke {
-                quarantine_variant(
-                    config,
-                    signature,
-                    variants[rf].name(),
-                    alive,
-                    quarantine,
-                    faults,
-                    rf,
-                    QuarantineReason::LaunchFailed,
-                );
-                order.retain(|&vi| vi != rf);
-                continue; // same winner, next referee
-            }
-            if ref_differs {
-                winner_bad = true;
-            }
-        }
-
-        if winner_bad {
-            faults.validation_failures += 1;
-            quarantine_variant(
-                config,
-                signature,
-                variants[winner].name(),
-                alive,
-                quarantine,
-                faults,
-                winner,
-                QuarantineReason::WrongOutput,
-            );
-            for r in 0..reps {
-                if let Some(range) = slice_of(winner, r) {
-                    dead_slices.push(range);
-                }
-            }
-            order.remove(0);
-            continue; // revalidate under the next-best winner
-        }
-        // Winner confirmed: the dissenting runner-ups are the wrong ones.
-        for &cand in &suspects {
-            faults.validation_failures += 1;
-            quarantine_variant(
-                config,
-                signature,
-                variants[cand].name(),
-                alive,
-                quarantine,
-                faults,
-                cand,
-                QuarantineReason::WrongOutput,
-            );
-            for r in 0..reps {
-                if let Some(range) = slice_of(cand, r) {
-                    dead_slices.push(range);
-                }
-            }
-        }
-        order.retain(|vi| !suspects.contains(vi));
-        return Ok(());
-    }
 }
 
 /// Best (minimum measured) surviving variant among profiling launches the

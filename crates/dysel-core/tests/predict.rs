@@ -214,10 +214,8 @@ fn on_mode_without_a_model_behaves_like_off() {
     assert_eq!(sink.metrics_snapshot().counter(names::PREDICT_SKIPS), 0);
 }
 
-/// Runs the drift scenario once: a predicted (skipping) runtime whose
-/// winner starts hanging mid-stream. Returns per-launch
-/// `(selected, skipped, drift_reprofiled)` tuples.
-fn drift_sequence() -> Vec<(String, Option<SkipReason>, bool)> {
+/// A predicted (skipping) runtime whose winner starts hanging mid-stream.
+fn drift_runtime() -> Runtime {
     // The winner's device launches: profiling reps + the batch run, then
     // one batch per predicted skip. From per-variant launch index 4 every
     // "fast" launch is priced x64 — far outside the default 2x band.
@@ -232,18 +230,27 @@ fn drift_sequence() -> Vec<(String, Option<SkipReason>, bool)> {
     };
     let mut rt = Runtime::with_config(device, config);
     rt.add_kernels("double", three_variants());
-    let mut out = Vec::new();
-    for _ in 0..10 {
-        let mut args = fresh_args(N);
-        let report = rt.launch("double", &mut args, N, &sync_opts()).unwrap();
-        assert_output_complete(&args, N);
-        out.push((
-            report.selected_name,
-            report.skipped,
-            report.drift_reprofiled,
-        ));
-    }
-    out
+    rt
+}
+
+/// One launch of the drift scenario as `(selected, skipped,
+/// drift_reprofiled)`.
+fn drift_launch(rt: &mut Runtime) -> (String, Option<SkipReason>, bool) {
+    let mut args = fresh_args(N);
+    let report = rt.launch("double", &mut args, N, &sync_opts()).unwrap();
+    assert_output_complete(&args, N);
+    (
+        report.selected_name,
+        report.skipped,
+        report.drift_reprofiled,
+    )
+}
+
+/// Runs the drift scenario once: ten launches of a fresh
+/// [`drift_runtime`].
+fn drift_sequence() -> Vec<(String, Option<SkipReason>, bool)> {
+    let mut rt = drift_runtime();
+    (0..10).map(|_| drift_launch(&mut rt)).collect()
 }
 
 #[test]
@@ -266,6 +273,22 @@ fn drift_reprofiles_after_consecutive_over_band_launches() {
     assert_eq!(after.0, "medium", "re-profiling must dodge the hung winner");
     // Determinism: the whole faulted sequence replays bit-identically.
     assert_eq!(seq, drift_sequence());
+}
+
+/// `Runtime::reset` forgets the drift watch together with the selection
+/// cache, so a reset runtime replays the drift scenario launch for launch:
+/// the first launch is a predicted skip again and the watch trips on the
+/// same launch.
+#[test]
+fn reset_replays_the_drift_scenario() {
+    let mut rt = drift_runtime();
+    let first: Vec<_> = (0..7).map(|_| drift_launch(&mut rt)).collect();
+    assert_eq!(first[0].1, Some(SkipReason::Predicted));
+    assert!(first[6].2, "the seventh launch trips the drift watch");
+    assert!(first[..6].iter().all(|(_, _, drifted)| !drifted));
+    rt.reset();
+    let second: Vec<_> = (0..7).map(|_| drift_launch(&mut rt)).collect();
+    assert_eq!(second, first);
 }
 
 // ---- warm-vs-cold prune accounting parity --------------------------------

@@ -5,18 +5,15 @@
 # Everything here runs with no network access and no external crates —
 # including the optional extras:
 #   --proptest     also run the in-tree randomized property suites
-#   --bench        also build the std-only timing benches
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_proptest=0
-run_bench=0
 for arg in "$@"; do
     case "$arg" in
         --proptest) run_proptest=1 ;;
-        --bench) run_bench=1 ;;
         *)
-            echo "unknown flag: $arg (known: --proptest --bench)" >&2
+            echo "unknown flag: $arg (known: --proptest)" >&2
             exit 2
             ;;
     esac
@@ -254,11 +251,6 @@ if [ "$run_proptest" = 1 ]; then
     for crate in dysel-kernel dysel-device dysel-analysis dysel-verify dysel-core dysel-workloads; do
         cargo test --release -p "$crate" --features proptest -q
     done
-fi
-
-if [ "$run_bench" = 1 ]; then
-    echo "==> timing benches build (--features bench-deps)"
-    cargo bench -p dysel-bench --features bench-deps --no-run
 fi
 
 echo "==> OK"

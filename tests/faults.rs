@@ -12,6 +12,8 @@
 //! * variant 1 `b-mid`  — middle,
 //! * variant 2 `c-fast` — fastest (the healthy winner).
 
+use std::sync::Arc;
+
 use dysel::core::{
     DyselError, LaunchOptions, LaunchReport, QuarantineReason, Runtime, RuntimeConfig,
 };
@@ -19,6 +21,7 @@ use dysel::device::{CpuConfig, CpuDevice, Device, FaultKind, FaultPlan, FaultRul
 use dysel::kernel::{
     Args, Buffer, KernelIr, Orchestration, ProfilingMode, Space, Variant, VariantId, VariantMeta,
 };
+use dysel::obs::{EventSink, Stage};
 
 const N: u64 = 4096;
 
@@ -291,4 +294,71 @@ fn empty_plan_is_free_and_identical() {
     );
     assert_eq!(r1.unwrap(), r2.unwrap());
     assert_eq!(b1, b2);
+}
+
+/// A runtime over the three writers with observation on and output
+/// validation off, so a launch's device-launch count is exactly its
+/// profiling slices, its final batch and its retries.
+fn observed_runtime(plan: FaultPlan, sink: &Arc<EventSink>) -> Runtime {
+    let mut dev = CpuDevice::new(CpuConfig::noiseless());
+    dev.set_fault_plan(Some(plan));
+    let mut rt = Runtime::with_config(
+        Box::new(dev),
+        RuntimeConfig {
+            profile_threshold_groups: 16,
+            observe: Some(sink.clone()),
+            ..RuntimeConfig::default()
+        },
+    );
+    rt.add_kernels(
+        "triple",
+        [
+            writer("a-slow", 12),
+            writer("b-mid", 8),
+            writer("c-fast", 4),
+        ],
+    );
+    rt
+}
+
+/// Retry accounting at both retry sites: one transient launch error on the
+/// winner's profiling batch entry (its launch 0, on profiling stream 3),
+/// then on the winner's final batch launch (its launch 1, on the compute
+/// stream 0). Either way the failed launch is retried once and succeeds:
+/// one extra device launch, one retry, one launch error, and one
+/// `Stage::Retry` event stamped with the retry's issue time.
+#[test]
+fn one_transient_error_is_retried_once_at_each_retry_site() {
+    // (c-fast launch index that fails, retry stream, retry issue time).
+    // The host sees a failure one 3,000-cycle launch overhead after the
+    // issue and retries after the 2,000-cycle base backoff: at 0 + 3,000 +
+    // 2,000 for the profiling entry, at selection time + 5,000 for the
+    // final batch.
+    for (index, stream, at) in [(0u64, 3u32, 5_000u64), (1, 0, 8_126)] {
+        let sink = Arc::new(EventSink::new());
+        let plan = FaultPlan::new(7)
+            .with(FaultRule::new("c-fast", FaultKind::LaunchError).window(index, 1));
+        let mut rt = observed_runtime(plan, &sink);
+        let (report, bits) = launch(&mut rt, ProfilingMode::FullyProductive, Orchestration::Sync);
+        let report = report.unwrap();
+        assert_eq!(report.selected, VariantId(2), "index {index}");
+        assert!(report.faults.quarantined.is_empty(), "index {index}");
+        // 3 profiling slices + 1 final batch + 1 retry.
+        assert_eq!(report.launches, 5, "index {index}");
+        assert_eq!(report.faults.retries, 1, "index {index}");
+        assert_eq!(report.faults.launch_errors, 1, "index {index}");
+        let retries: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.stage == Stage::Retry)
+            .collect();
+        assert_eq!(retries.len(), 1, "index {index}");
+        let retry = &retries[0];
+        assert_eq!(retry.variant, "c-fast");
+        assert_eq!(retry.stream, Some(stream), "index {index}");
+        assert_eq!((retry.start, retry.end), (at, at), "index {index}");
+        assert_eq!(retry.detail, "attempt=1", "index {index}");
+        let expect: Vec<u32> = (0..N).map(|i| (2.0 * i as f32 + 1.0).to_bits()).collect();
+        assert_eq!(bits, expect, "index {index}");
+    }
 }
