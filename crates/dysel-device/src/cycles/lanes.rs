@@ -45,15 +45,41 @@ pub fn seg_bounds_u64(addrs: &[u64], elem: u32, seg: u64, out: &mut Vec<u64>) {
 /// `sort_unstable(); dedup(); len()` without the dedup compaction pass.
 pub fn distinct_sorted_u64(vals: &mut [u64]) -> u32 {
     vals.sort_unstable();
+    count_runs(vals).expect("sorted input has no descent")
+}
+
+/// Number of runs of equal values in a non-decreasing `vals` (its
+/// distinct count), or `None` at the first descent.
+fn count_runs(vals: &[u64]) -> Option<u32> {
     let mut n = 0u32;
     let mut last = None;
-    for &v in vals.iter() {
-        if last != Some(v) {
-            n += 1;
-            last = Some(v);
+    for &v in vals {
+        match last {
+            Some(p) if v == p => {}
+            Some(p) if v < p => return None,
+            _ => {
+                n += 1;
+                last = Some(v);
+            }
         }
     }
-    n
+    Some(n)
+}
+
+/// Number of distinct `seg`-byte segments touched by `elem`-byte accesses
+/// at `addrs`: exactly the scalar `gather_segments` count, with `scratch`
+/// reused for the segment ids. When no access straddles a segment
+/// boundary only the `a / seg` bound is pushed (the other is equal), and
+/// ids that already arrive non-decreasing are counted without a sort.
+pub fn gather_distinct_segments(addrs: &[u64], elem: u32, seg: u64, scratch: &mut Vec<u64>) -> u32 {
+    let e = u64::from(elem);
+    if e > 0 && addrs.iter().all(|&a| a % seg + e <= seg) {
+        scratch.clear();
+        scratch.extend(addrs.iter().map(|&a| a / seg));
+    } else {
+        seg_bounds_u64(addrs, elem, seg, scratch);
+    }
+    count_runs(scratch).unwrap_or_else(|| distinct_sorted_u64(scratch))
 }
 
 /// Number of distinct values in the multiset
@@ -66,6 +92,14 @@ pub fn distinct_sorted_u64(vals: &mut [u64]) -> u32 {
 /// in `l` (after flipping a negative stride), so a two-pointer merge counts
 /// distinct values in O(lanes) with no sort and no allocation. Requires
 /// `div > 0`; `span` may be any value (callers pass `elem - 1`).
+///
+/// Contiguous warps take an O(1) closed form instead: when
+/// `0 <= span < div` and `stride <= span + 1`, the lanes' intervals
+/// `[a, a + span]` overlap or abut, so together they cover one contiguous
+/// range, and an interval no wider than a segment cannot contain a whole
+/// segment strictly between its own bounds. Every segment the range spans
+/// therefore holds a `first` or `last` bound, and the count is
+/// `last(lanes - 1) - first(0) + 1`. Gapped strides still merge.
 pub fn affine_distinct_i64(base: i64, stride: i64, lanes: u32, span: i64, div: i64) -> u32 {
     debug_assert!(div > 0);
     if lanes == 0 {
@@ -81,6 +115,9 @@ pub fn affine_distinct_i64(base: i64, stride: i64, lanes: u32, span: i64, div: i
     let first = |l: i64| (base + l * stride) / div;
     let last = |l: i64| (base + l * stride + span) / div;
     let n = i64::from(lanes);
+    if (0..div).contains(&span) && stride <= span + 1 {
+        return (last(n - 1) - first(0) + 1) as u32;
+    }
     let (mut i, mut j) = (0i64, 0i64);
     let mut count = 0u32;
     let mut prev = None;
@@ -104,6 +141,8 @@ pub fn affine_distinct_i64(base: i64, stride: i64, lanes: u32, span: i64, div: i
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::gather_segments;
+    use dysel_kernel::XorShiftRng;
 
     /// Scalar reference: exactly what `coalesced_segments` does.
     fn affine_reference(base: i64, stride: i64, lanes: u32, span: i64, div: i64) -> u32 {
@@ -138,6 +177,42 @@ mod tests {
                     }
                 }
             }
+        }
+        // Both sides of each closed-form condition: `stride <= span + 1`
+        // (after sign normalisation) and `0 <= span < div`. `span` -1 is
+        // a zero-width element.
+        for div in [32i64, 128] {
+            for span in [-1i64, 0, 3, div - 1, div, div + 1, 127] {
+                let strides = [-(span + 2), -(span + 1), -1, 0, span, span + 1, span + 2];
+                for stride in strides {
+                    for base in [-(1i64 << 40) - 5, -1000, -129, -1, 0, 1, 1 << 40] {
+                        for lanes in [1u32, 2, 7, 32, 33] {
+                            assert_eq!(
+                                affine_distinct_i64(base, stride, lanes, span, div),
+                                affine_reference(base, stride, lanes, span, div),
+                                "base={base} stride={stride} lanes={lanes} span={span} div={div}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn affine_random_differential() {
+        let mut rng = XorShiftRng::seed_from_u64(0x5eed_c0a1);
+        for case in 0..4000 {
+            let div = [32i64, 64, 128][rng.gen_range_usize(0, 3)];
+            let span = rng.gen_range_u64(0, 2 * div as u64) as i64;
+            let stride = rng.gen_range_u64(0, 6 * div as u64 + 1) as i64 - 3 * div;
+            let base = rng.gen_range_u64(0, 1 << 41) as i64 - (1 << 40);
+            let lanes = rng.gen_range_u32(1, 65);
+            assert_eq!(
+                affine_distinct_i64(base, stride, lanes, span, div),
+                affine_reference(base, stride, lanes, span, div),
+                "case={case} base={base} stride={stride} lanes={lanes} span={span} div={div}"
+            );
         }
     }
 
@@ -174,6 +249,49 @@ mod tests {
         // Reuse keeps capacity and clears old contents.
         seg_bounds_u64(&addrs[..3], 4, 128, &mut out);
         assert_eq!(out.len(), 6);
+    }
+
+    #[test]
+    fn gather_helper_matches_reference() {
+        let aligned: Vec<u64> = (0..32).map(|l| l * 4).collect();
+        let unaligned: Vec<u64> = (0..32).map(|l| 126 + l * 12).collect();
+        let mut sorted: Vec<u64> = (0..40)
+            .map(|i| 1_000_003u64.wrapping_mul(i) % 65536)
+            .collect();
+        sorted.sort_unstable();
+        let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+        let duplicates = vec![508u64, 4, 508, 4, 124, 124, 130, 4096];
+        // One-byte straddles: 125 for elem 4 and 4096 + 121 for elem 8.
+        let edge = vec![125u64, 4096, 4096 + 121, 8192 + 93];
+        let scattered: Vec<u64> = (0..37)
+            .map(|i| 1_000_003u64.wrapping_mul(i) % 65536)
+            .collect();
+        let mut scratch = Vec::new();
+        for addrs in [
+            &aligned,
+            &unaligned,
+            &sorted,
+            &reversed,
+            &duplicates,
+            &edge,
+            &scattered,
+        ] {
+            for elem in [4u32, 8] {
+                for seg in [32u32, 128] {
+                    assert_eq!(
+                        gather_distinct_segments(addrs, elem, u64::from(seg), &mut scratch),
+                        gather_segments(addrs, elem, seg),
+                        "addrs={addrs:?} elem={elem} seg={seg}"
+                    );
+                }
+            }
+        }
+        assert_eq!(gather_distinct_segments(&[], 4, 128, &mut scratch), 0);
+        // A zero-width access's `last` bound is the byte before it.
+        assert_eq!(
+            gather_distinct_segments(&edge, 0, 128, &mut scratch),
+            gather_segments(&edge, 0, 128)
+        );
     }
 
     #[test]

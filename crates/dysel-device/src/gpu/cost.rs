@@ -197,16 +197,12 @@ impl<'a> GpuCostSink<'a> {
         match space {
             Space::Global => {
                 let segs = if self.batched {
-                    // Chunked segment-bound computation into the reused
-                    // scratch, then a sort-free distinct count is not
-                    // possible for arbitrary addresses — sort in place.
-                    lanes::seg_bounds_u64(
+                    lanes::gather_distinct_segments(
                         addrs,
                         elem,
                         u64::from(self.cfg.segment_bytes),
                         self.scratch,
-                    );
-                    lanes::distinct_sorted_u64(self.scratch)
+                    )
                 } else {
                     gather_segments(addrs, elem, self.cfg.segment_bytes)
                 };
