@@ -4,6 +4,8 @@
 //! shortest runtime" (§4.1); "worst" is its counterpart. Both require
 //! running every variant over the whole workload on a fresh device.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use dysel_device::{Cycles, Device, LaunchSpec, StreamId};
 use dysel_kernel::{UnitRange, Variant, VariantId};
 use dysel_workloads::{Target, Workload};
@@ -66,29 +68,43 @@ pub fn run_pure(w: &Workload, variant: &Variant, device: &mut dyn Device) -> Cyc
     rec.end
 }
 
-/// Exhaustive sweep over a workload's variant set for a target, using
-/// fresh devices from `factory`. Runs variants on parallel host threads
-/// (virtual time is per-device, so parallelism does not affect results).
+/// Exhaustive sweep over a workload's variant set for a target. Every
+/// variant runs on its own fresh device from `factory`, at most
+/// [`std::thread::available_parallelism`] variants at a time on parallel
+/// host threads — bounding the devices and buffers alive at once. Virtual
+/// time is per-device, so neither the parallelism nor the width affects
+/// the results.
 pub fn exhaustive_sweep<F>(w: &Workload, target: Target, factory: F) -> SweepResult
 where
     F: Fn() -> Box<dyn Device> + Sync,
 {
     let variants = w.variants(target);
+    let width = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(variants.len());
+    let next = AtomicUsize::new(0);
     let mut times = vec![Cycles::ZERO; variants.len()];
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, v) in variants.iter().enumerate() {
-            let factory = &factory;
-            handles.push((
-                i,
+        let workers: Vec<_> = (0..width)
+            .map(|_| {
+                let (factory, next) = (&factory, &next);
                 scope.spawn(move || {
-                    let mut device = factory();
-                    run_pure(w, v, device.as_mut())
-                }),
-            ));
-        }
-        for (i, h) in handles {
-            times[i] = h.join().expect("sweep thread panicked");
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(v) = variants.get(i) else {
+                            return done;
+                        };
+                        let mut device = factory();
+                        done.push((i, run_pure(w, v, device.as_mut())));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, t) in worker.join().expect("sweep thread panicked") {
+                times[i] = t;
+            }
         }
     });
     SweepResult {

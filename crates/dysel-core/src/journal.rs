@@ -3,16 +3,16 @@
 //! A checkpoint ([`crate::persist`], format v4) is a full snapshot written
 //! atomically — but only when someone calls `save_state` or the service
 //! compacts. Everything learned *since* the last checkpoint would die with
-//! the process. This module closes that window: a journaling
-//! [`crate::LaunchService`] appends one small checksummed record per
-//! selection/quarantine decision to `<state_path>.journal` as it happens,
+//! the process. This module closes that window: the learned-state store
+//! of a journaling [`crate::LaunchService`] appends one small checksummed
+//! record per change it commits to `<state_path>.journal` as it happens,
 //! and recovery replays `checkpoint + journal` to reconstruct the exact
 //! pre-crash cache. The design constraints, in order:
 //!
 //! * **off the hot path** — a record is a few dozen bytes, appended and
-//!   flushed outside every lane and shard lock; without a configured
-//!   state path the journal is `None` and launches pay a single `Option`
-//!   check;
+//!   flushed outside every store shard lock; without a configured
+//!   state path there is no journal, and a commit that changes an entry
+//!   pays one uncontended lock and an `Option` check;
 //! * **torn-tail tolerant** — a crash (or `SIGKILL`) mid-append leaves a
 //!   partial final record. Each record is length-prefixed and FNV-1a
 //!   checksummed, so [`replay`] keeps the valid prefix, flags the tail as
@@ -34,7 +34,7 @@ use std::path::{Path, PathBuf};
 use dysel_kernel::VariantId;
 
 use crate::fault::QuarantineReason;
-use crate::persist::{RuntimeState, StateError, TenantState};
+use crate::persist::{fnv1a, reason_code, reason_from_code, RuntimeState, StateError};
 
 /// File magic: identifies a DySel selection journal.
 const MAGIC: [u8; 8] = *b"DYSELJL\n";
@@ -47,35 +47,6 @@ const FRAME_LEN: usize = 4 + 8;
 /// Upper bound on a single record body; a length field beyond this is
 /// corruption, not a real record.
 const MAX_BODY: u32 = 1 << 20;
-
-/// 64-bit FNV-1a over a byte slice (same function the checkpoint uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn reason_code(r: QuarantineReason) -> u8 {
-    match r {
-        QuarantineReason::LaunchFailed => 0,
-        QuarantineReason::DeadlineExceeded => 1,
-        QuarantineReason::WrongOutput => 2,
-        QuarantineReason::MetadataMismatch => 3,
-    }
-}
-
-fn reason_from_code(c: u8) -> Option<QuarantineReason> {
-    match c {
-        0 => Some(QuarantineReason::LaunchFailed),
-        1 => Some(QuarantineReason::DeadlineExceeded),
-        2 => Some(QuarantineReason::WrongOutput),
-        3 => Some(QuarantineReason::MetadataMismatch),
-        _ => None,
-    }
-}
 
 /// The journal path derived from a checkpoint path: the same file name
 /// with `.journal` appended, so the pair travels together.
@@ -126,27 +97,6 @@ impl JournalRecord {
     /// keeps quarantine. Applying the same record twice is a no-op, which
     /// is what makes replay-over-checkpoint safe.
     pub fn apply(&self, state: &mut RuntimeState) {
-        type Sections<'a> = (
-            &'a mut std::collections::BTreeMap<String, VariantId>,
-            &'a mut std::collections::BTreeMap<String, Vec<(VariantId, QuarantineReason)>>,
-            &'a mut std::collections::BTreeMap<String, u32>,
-        );
-        fn sections(state: &mut RuntimeState, tenant: u32) -> Sections<'_> {
-            if tenant == 0 {
-                (
-                    &mut state.selections,
-                    &mut state.quarantine,
-                    &mut state.variant_counts,
-                )
-            } else {
-                let ts: &mut TenantState = state.tenants.entry(tenant).or_default();
-                (
-                    &mut ts.selections,
-                    &mut ts.quarantine,
-                    &mut ts.variant_counts,
-                )
-            }
-        }
         match self {
             JournalRecord::Select {
                 tenant,
@@ -154,7 +104,7 @@ impl JournalRecord {
                 variant,
                 variants,
             } => {
-                let (selections, quarantine, counts) = sections(state, *tenant);
+                let (selections, quarantine, counts) = state.sections_mut(*tenant);
                 let quarantined = quarantine
                     .get(signature)
                     .is_some_and(|q| q.iter().any(|(v, _)| v == variant));
@@ -169,7 +119,7 @@ impl JournalRecord {
                 variant,
                 reason,
             } => {
-                let (selections, quarantine, _) = sections(state, *tenant);
+                let (selections, quarantine, _) = state.sections_mut(*tenant);
                 let entries = quarantine.entry(signature.clone()).or_default();
                 if !entries.iter().any(|(v, _)| v == variant) {
                     entries.push((*variant, *reason));
@@ -179,7 +129,7 @@ impl JournalRecord {
                 }
             }
             JournalRecord::Invalidate { tenant, signature } => {
-                let (selections, _, counts) = sections(state, *tenant);
+                let (selections, _, counts) = state.sections_mut(*tenant);
                 selections.remove(signature);
                 counts.remove(signature);
             }

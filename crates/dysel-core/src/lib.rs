@@ -39,6 +39,7 @@ mod report;
 mod runtime;
 mod service;
 mod stats;
+mod store;
 mod timeline;
 
 pub use chaos::{ChaosAction, ChaosPlan, ChaosPlanParseError, ChaosRule};
@@ -57,8 +58,9 @@ pub use pool::KernelPool;
 pub use report::{LaunchReport, Measurement, SkipReason};
 pub use runtime::Runtime;
 pub use service::{
-    BreakerConfig, CacheEntry, DeviceFactory, LaunchOutcome, LaunchService, PredictStats,
-    RecoveryInfo, RejectReason, ServiceConfig, ShardedCache, StreamKey, SubmitError, Ticket,
+    BreakerConfig, DeviceFactory, LaunchOutcome, LaunchService, PredictStats, RecoveryInfo,
+    RejectReason, ServiceConfig, SubmitError, Ticket,
 };
 pub use stats::LaunchStats;
+pub use store::{CacheEntry, ShardedCache, StreamKey};
 pub use timeline::{LaunchKind, Timeline, TimelineEntry};

@@ -96,6 +96,14 @@ pub struct RuntimeState {
     pub journal_seq: u64,
 }
 
+/// One tenant's three per-signature maps, borrowed mutably from a
+/// [`RuntimeState`].
+pub(crate) type SectionsMut<'a> = (
+    &'a mut BTreeMap<String, VariantId>,
+    &'a mut BTreeMap<String, Vec<(VariantId, QuarantineReason)>>,
+    &'a mut BTreeMap<String, u32>,
+);
+
 impl RuntimeState {
     /// True when there is nothing to persist. [`RuntimeState::journal_seq`]
     /// is bookkeeping, not learned state, and is ignored here.
@@ -104,6 +112,24 @@ impl RuntimeState {
             && self.quarantine.is_empty()
             && self.variant_counts.is_empty()
             && self.tenants.values().all(TenantState::is_empty)
+    }
+
+    /// The tenant's maps: the flat ones for tenant 0, its nested section
+    /// (created on demand) otherwise.
+    pub(crate) fn sections_mut(&mut self, tenant: u32) -> SectionsMut<'_> {
+        if tenant == 0 {
+            return (
+                &mut self.selections,
+                &mut self.quarantine,
+                &mut self.variant_counts,
+            );
+        }
+        let ts = self.tenants.entry(tenant).or_default();
+        (
+            &mut ts.selections,
+            &mut ts.quarantine,
+            &mut ts.variant_counts,
+        )
     }
 }
 
@@ -192,8 +218,9 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// 64-bit FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over a byte slice (the journal checksums records with
+/// it too).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -202,7 +229,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn reason_code(r: QuarantineReason) -> u8 {
+pub(crate) fn reason_code(r: QuarantineReason) -> u8 {
     match r {
         QuarantineReason::LaunchFailed => 0,
         QuarantineReason::DeadlineExceeded => 1,
@@ -211,7 +238,7 @@ fn reason_code(r: QuarantineReason) -> u8 {
     }
 }
 
-fn reason_from_code(c: u8) -> Option<QuarantineReason> {
+pub(crate) fn reason_from_code(c: u8) -> Option<QuarantineReason> {
     match c {
         0 => Some(QuarantineReason::LaunchFailed),
         1 => Some(QuarantineReason::DeadlineExceeded),

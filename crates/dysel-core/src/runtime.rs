@@ -12,6 +12,7 @@
 //! untouched.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use dysel_analysis::{infer_mode, safe_point, VariantFeatures};
 use dysel_device::{
@@ -27,6 +28,7 @@ use dysel_verify::{has_deny, sanitize_variant, Diagnostic, LintCode};
 use crate::fault::{FaultReport, QuarantineReason};
 use crate::persist::{self, RuntimeState, StateError};
 use crate::pool::SandboxPool;
+use crate::store::{ShardedCache, Slot, StreamKey};
 use crate::timeline::{LaunchKind, Timeline, TimelineEntry};
 use crate::{
     DyselError, KernelPool, LaunchOptions, LaunchReport, LaunchStats, Measurement, PredictLevel,
@@ -112,16 +114,12 @@ pub struct Runtime {
     pool: KernelPool,
     stats: LaunchStats,
     config: RuntimeConfig,
-    selection_cache: HashMap<String, VariantId>,
+    /// The learned state — selections, variant counts, warm markers and
+    /// quarantine — keyed by `(config.tenant, signature)`: private to a
+    /// plain runtime, the service's shared store for a lane.
+    store: Arc<ShardedCache>,
     sandboxes: SandboxPool,
     timeline: Timeline,
-    quarantine: HashMap<String, Vec<(VariantId, QuarantineReason)>>,
-    /// Signatures whose selection was loaded from the state file, mapped
-    /// to the variant count persisted alongside (zero when unknown): these
-    /// skip micro-profiling on launch (warm restart), independently of
-    /// [`RuntimeConfig::profile_once_per_signature`] — unless the launch
-    /// path finds the restored selection stale and invalidates it.
-    warm: HashMap<String, u32>,
     /// What went wrong with the best-effort state load at construction,
     /// if anything; the runtime cold-started in that case.
     state_error: Option<StateError>,
@@ -169,7 +167,8 @@ impl Runtime {
         Runtime::with_config(device, RuntimeConfig::default())
     }
 
-    /// Creates a runtime with an explicit configuration.
+    /// Creates a runtime with an explicit configuration and a private
+    /// learned-state store.
     ///
     /// With [`RuntimeConfig::state_path`] set and the file present, the
     /// persisted selection state is loaded best-effort: on success the
@@ -179,6 +178,25 @@ impl Runtime {
     /// the typed error in [`Runtime::state_load_error`]. A missing file is
     /// a plain cold start, not an error.
     pub fn with_config(device: Box<dyn Device>, config: RuntimeConfig) -> Self {
+        let mut rt = Runtime::with_store(device, config, Arc::new(ShardedCache::new(1)));
+        if let Some(path) = rt.config.state_path.clone() {
+            if path.exists() {
+                match persist::load(&path) {
+                    Ok(state) => rt.store.import(&state),
+                    Err(e) => rt.state_error = Some(e),
+                }
+            }
+        }
+        rt
+    }
+
+    /// A runtime that reads and commits its learned state through `store`
+    /// (a service lane shares the service's store). Loads no state file.
+    pub(crate) fn with_store(
+        device: Box<dyn Device>,
+        config: RuntimeConfig,
+        store: Arc<ShardedCache>,
+    ) -> Self {
         let sandboxes = if config.private_addrs {
             SandboxPool::with_private_addrs()
         } else {
@@ -189,11 +207,9 @@ impl Runtime {
             pool: KernelPool::new(),
             stats: LaunchStats::new(),
             config,
-            selection_cache: HashMap::new(),
+            store,
             sandboxes,
             timeline: Timeline::default(),
-            quarantine: HashMap::new(),
-            warm: HashMap::new(),
             state_error: None,
             diagnostics: HashMap::new(),
             sanitized: HashSet::new(),
@@ -202,71 +218,15 @@ impl Runtime {
         if let Some(obs) = &rt.config.observe {
             rt.device.set_observer(Some(obs.clone()));
         }
-        if let Some(path) = rt.config.state_path.clone() {
-            if path.exists() {
-                match persist::load(&path) {
-                    Ok(state) => rt.apply_state(&state),
-                    Err(e) => rt.state_error = Some(e),
-                }
-            }
-        }
         rt
     }
 
-    /// The persisted runtime state as a value: cached selections and
-    /// quarantine entries, ready for [`crate::persist`] encoding.
-    fn snapshot_state(&self) -> RuntimeState {
-        RuntimeState {
-            selections: self
-                .selection_cache
-                .iter()
-                .map(|(s, id)| (s.clone(), *id))
-                .collect(),
-            quarantine: self
-                .quarantine
-                .iter()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(s, v)| (s.clone(), v.clone()))
-                .collect(),
-            // Variant count at save time, so a later process can tell a
-            // re-registered candidate set from the one the winner beat.
-            // For signatures with no live registration (state saved again
-            // before re-registering), carry the loaded count forward.
-            variant_counts: self
-                .selection_cache
-                .keys()
-                .map(|s| {
-                    let count = self
-                        .pool
-                        .variants(s)
-                        .map(|v| v.len() as u32)
-                        .unwrap_or_else(|_| self.warm.get(s).copied().unwrap_or(0));
-                    (s.clone(), count)
-                })
-                .collect(),
-            // A lane runtime is single-tenant; nested tenant sections are
-            // the service's aggregation concern.
-            tenants: std::collections::BTreeMap::new(),
-            // Journal sequence numbers are service-level bookkeeping; a
-            // plain runtime always writes 0.
-            journal_seq: 0,
-        }
+    /// This runtime's store key for `signature`.
+    fn key(&self, signature: &str) -> StreamKey {
+        StreamKey::new(self.config.tenant, signature)
     }
 
-    /// Installs a loaded state: selections become warm cached selections
-    /// (skipping micro-profiling), quarantine entries are restored.
-    fn apply_state(&mut self, state: &RuntimeState) {
-        for (sig, id) in &state.selections {
-            self.selection_cache.insert(sig.clone(), *id);
-            let count = state.variant_counts.get(sig).copied().unwrap_or(0);
-            self.warm.insert(sig.clone(), count);
-        }
-        for (sig, entries) in &state.quarantine {
-            self.quarantine.insert(sig.clone(), entries.clone());
-        }
-    }
-
-    /// Persists the current selection cache and quarantine set to the
+    /// Persists the learned state — selections and quarantine — to the
     /// configured [`RuntimeConfig::state_path`], atomically (temp file +
     /// rename): a crash mid-save leaves the previous file intact.
     ///
@@ -280,14 +240,13 @@ impl Runtime {
             .state_path
             .as_deref()
             .ok_or(StateError::NoStatePath)?;
-        persist::save(&self.snapshot_state(), path)?;
+        self.store.checkpoint(path, None)?;
         Ok(())
     }
 
     /// Explicitly (re)loads the state file from the configured
-    /// [`RuntimeConfig::state_path`], replacing in-memory selections and
-    /// quarantine entries for the signatures it names, and returns the
-    /// loaded state.
+    /// [`RuntimeConfig::state_path`] — its selections become warm, its
+    /// quarantine entries are merged in — and returns the loaded state.
     ///
     /// # Errors
     ///
@@ -303,7 +262,7 @@ impl Runtime {
             .clone()
             .ok_or(StateError::NoStatePath)?;
         let state = persist::load(&path)?;
-        self.apply_state(&state);
+        self.store.import(&state);
         self.state_error = None;
         Ok(state)
     }
@@ -316,20 +275,10 @@ impl Runtime {
     }
 
     /// The learned state — cached selections, quarantine entries, variant
-    /// counts — as a value, without touching any file. This is what
-    /// [`Runtime::save_state`] persists; a [`crate::LaunchService`] calls
-    /// it per lane (between launches, under the shard lock) to aggregate a
-    /// torn-free multi-tenant snapshot.
+    /// counts — as a value, without touching any file: what
+    /// [`Runtime::save_state`] persists.
     pub fn export_state(&self) -> RuntimeState {
-        self.snapshot_state()
-    }
-
-    /// Installs a state value as if it had been loaded from disk:
-    /// selections become warm cached selections (skipping micro-profiling
-    /// unless found stale), quarantine entries are restored. Signatures
-    /// the state does not name are left untouched.
-    pub fn import_state(&mut self, state: &RuntimeState) {
-        self.apply_state(state);
+        self.store.export()
     }
 
     /// Registers a kernel variant (`DySelAddKernel`).
@@ -436,32 +385,35 @@ impl Runtime {
         &self.timeline
     }
 
-    /// The cached selection for a signature, if profiling already ran.
+    /// The cached selection for a signature: the variant its last
+    /// successful launch ran, or a warm restore (never a quarantined
+    /// variant).
     pub fn cached_selection(&self, signature: &str) -> Option<VariantId> {
-        self.selection_cache.get(signature).copied()
+        self.store
+            .get(&self.key(signature))
+            .and_then(|e| e.selection)
     }
 
     /// Variants of `signature` currently quarantined, with the reason each
     /// was excluded, in quarantine order. Empty for healthy signatures.
-    pub fn quarantined(&self, signature: &str) -> &[(VariantId, QuarantineReason)] {
-        self.quarantine
-            .get(signature)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    pub fn quarantined(&self, signature: &str) -> Vec<(VariantId, QuarantineReason)> {
+        self.store
+            .get(&self.key(signature))
+            .map(|e| e.quarantine)
+            .unwrap_or_default()
     }
 
     /// Clears device time (replaying any installed fault plan), statistics,
-    /// cached selections, quarantine state, the drift watch, the recorded
-    /// timeline and the pooled profiling sandboxes (including their lease
-    /// counters).
+    /// the learned-state store (cached selections, warm markers,
+    /// quarantine), the drift watch, the recorded timeline and the pooled
+    /// profiling sandboxes (including their lease counters). A service
+    /// lane never resets: its store is the service's.
     pub fn reset(&mut self) {
         self.device.reset();
         self.stats.reset();
-        self.selection_cache.clear();
+        self.store.clear();
         self.sandboxes.clear();
         self.timeline.clear();
-        self.quarantine.clear();
-        self.warm.clear();
         self.diagnostics.clear();
         self.sanitized.clear();
         self.drift.clear();
@@ -555,6 +507,7 @@ impl Runtime {
                     },
                     len: variants.len(),
                 })?;
+        let key = self.key(signature);
         let config = &self.config;
         let needs_features = config.prune != PruneLevel::Off || active_model(config).is_some();
         let mut l = Launch {
@@ -564,11 +517,9 @@ impl Runtime {
             sandboxes: &mut self.sandboxes,
             stats: &mut self.stats,
             diagnostics: &mut self.diagnostics,
-            selections: &mut self.selection_cache,
-            warm: &mut self.warm,
             sanitized: &mut self.sanitized,
             drift: &mut self.drift,
-            quarantined: self.quarantine.entry(signature.to_owned()).or_default(),
+            learned: self.store.read(&key),
             signature,
             variants,
             args,
@@ -590,22 +541,10 @@ impl Runtime {
             faults: FaultReport::default(),
             launches: 0,
         };
-        l.audit_warm();
-        l.filter_quarantined()?;
-        let force_swap = l.verify()?;
-        l.start_clock();
-        let mut skip = l.skip_reason(initial);
-        if skip.is_none() {
-            l.sanitize()?;
-        }
-        l.prune(skip.is_none());
-        l.predict(&mut skip);
-        let report = match skip.map_or_else(|| l.plan(initial, force_swap), Err) {
-            Ok(plan) => l.run_profiled(&plan),
-            Err((reason, selected)) => l.run_skipped(reason, selected.0),
-        };
-        l.stats.record_faults(&l.faults);
-        Ok(l.score(report?))
+        let report = l.run(initial);
+        // Commit once, success or not: quarantines outlive a failed launch.
+        self.store.commit(&key, &l.learned.entry, l.learned.warm);
+        report
     }
 }
 
@@ -711,12 +650,11 @@ struct Launch<'a> {
     sandboxes: &'a mut SandboxPool,
     stats: &'a mut LaunchStats,
     diagnostics: &'a mut HashMap<String, DiagSlot>,
-    selections: &'a mut HashMap<String, VariantId>,
-    warm: &'a mut HashMap<String, u32>,
     sanitized: &'a mut HashSet<(String, usize)>,
     drift: &'a mut HashMap<String, DriftTracker>,
-    /// This signature's persistent quarantine list.
-    quarantined: &'a mut Vec<(VariantId, QuarantineReason)>,
+    /// The stream's learned state, read from the store at the start and
+    /// committed back at the end.
+    learned: Slot,
     signature: &'a str,
     variants: &'a [Variant],
     args: &'a mut Args,
@@ -774,27 +712,41 @@ impl Launch<'_> {
         }
         Err(DyselError::AllVariantsFaulted {
             signature: self.signature.to_owned(),
-            quarantined: self.quarantined.len(),
+            quarantined: self.learned.entry.quarantine.len(),
         })
     }
 
     /// Removes `vi` from the surviving candidates and records the
-    /// quarantine in both the signature's persistent list and this
-    /// launch's fault report — plus, when observation is on, the event
-    /// stream and the quarantine counter (counted here rather than from
-    /// the report, so sanitizer quarantines that never reach a report are
-    /// still covered).
+    /// quarantine in both the stream's learned state and this launch's
+    /// fault report — plus, when observation is on, the event stream and
+    /// the quarantine counter (counted here rather than from the report,
+    /// so sanitizer quarantines that never reach a report are still
+    /// covered). Quarantine always wins: a selection naming `vi` is
+    /// dropped, and a warm-restored one is invalidated on the spot.
     fn quarantine(&mut self, vi: usize, reason: QuarantineReason) {
         let Some(pos) = self.alive.iter().position(|&a| a == vi) else {
             return;
         };
         self.alive.remove(pos);
-        self.quarantined.push((VariantId(vi), reason));
+        let was_warm = self.learned.warm;
+        self.learned.quarantine(VariantId(vi), reason);
         self.faults.quarantined.push((VariantId(vi), reason));
         self.emit(Stage::Quarantine, |e| {
             e.variant(self.name(vi)).detail(format!("{reason:?}"))
         });
         self.count(names::QUARANTINES, 1);
+        if was_warm && !self.learned.warm {
+            self.invalidate_warm(format!("selected variant {vi} quarantined"));
+        }
+    }
+
+    /// Drops a stale warm-restored selection, so the stream falls back to
+    /// live profiling.
+    fn invalidate_warm(&mut self, why: String) {
+        self.learned.entry.invalidate();
+        self.learned.warm = false;
+        self.emit(Stage::WarmInvalidate, |e| e.detail(why));
+        self.count(names::WARM_INVALIDATIONS, 1);
     }
 
     /// Pushes a timeline entry, mirroring it into the observation sink as a
@@ -942,47 +894,52 @@ impl Launch<'_> {
         }
     }
 
+    /// The launch pipeline; DESIGN.md §4.20 lists the stages in order.
+    fn run(&mut self, initial: VariantId) -> Result<LaunchReport, DyselError> {
+        self.audit_warm();
+        self.filter_quarantined()?;
+        let force_swap = self.verify()?;
+        self.start_clock();
+        let mut skip = self.skip_reason(initial);
+        if skip.is_none() {
+            self.sanitize()?;
+        }
+        self.prune(skip.is_none());
+        self.predict(&mut skip);
+        let report = match skip.map_or_else(|| self.plan(initial, force_swap), Err) {
+            Ok(plan) => self.run_profiled(&plan),
+            Err((reason, selected)) => self.run_skipped(reason, selected.0),
+        };
+        self.stats.record_faults(&self.faults);
+        Ok(self.score(report?))
+    }
+
     // ---- pipeline stages, in launch order ---------------------------------
 
     /// Warm-restore staleness audit. A warm-restored selection was chosen
     /// by a previous process against that process's candidate set; before
     /// letting it skip micro-profiling, cross-check it against *this*
     /// process. Stale when the signature re-registered with a different
-    /// variant count, or the persisted winner is out of range or has since
-    /// been quarantined. Invalidation drops the warm marker and the cached
-    /// selection, so the launch falls through to live profiling.
+    /// variant count or the persisted winner is out of range (a
+    /// quarantined winner never survives in the store).
     fn audit_warm(&mut self) {
-        let Some(&warm_k) = self.warm.get(self.signature) else {
+        let (Some(id), true) = (self.learned.entry.selection, self.learned.warm) else {
             return;
         };
-        let k = self.variants.len();
-        let stale = match self.selections.get(self.signature) {
-            None => Some("no cached selection".to_owned()),
-            Some(id) if id.0 >= k => {
-                Some(format!("selected variant {} out of range (k={k})", id.0))
-            }
-            Some(_) if warm_k != 0 && warm_k as usize != k => {
-                Some(format!("variant count changed ({warm_k} -> {k})"))
-            }
-            Some(id) if self.quarantined.iter().any(|(v, _)| v == id) => {
-                Some(format!("selected variant {} quarantined", id.0))
-            }
-            Some(_) => None,
-        };
-        if let Some(why) = stale {
-            self.warm.remove(self.signature);
-            self.selections.remove(self.signature);
-            self.emit(Stage::WarmInvalidate, |e| e.detail(why));
-            self.count(names::WARM_INVALIDATIONS, 1);
+        let (k, warm_k) = (self.variants.len(), self.learned.entry.variants);
+        if id.0 >= k {
+            self.invalidate_warm(format!("selected variant {} out of range (k={k})", id.0));
+        } else if warm_k != 0 && warm_k as usize != k {
+            self.invalidate_warm(format!("variant count changed ({warm_k} -> {k})"));
         }
     }
 
     /// Fallback rung of the degradation ladder: only non-quarantined
     /// variants may run, win, or serve as the eager default.
     fn filter_quarantined(&mut self) -> Result<(), DyselError> {
-        let quarantined = &*self.quarantined;
+        let entry = &self.learned.entry;
         self.alive = (0..self.variants.len())
-            .filter(|i| !quarantined.iter().any(|(v, _)| v.0 == *i))
+            .filter(|&i| !entry.is_quarantined(VariantId(i)))
             .collect();
         self.ensure_alive()
     }
@@ -1035,7 +992,7 @@ impl Launch<'_> {
     /// instead; `None` when it profiles.
     fn skip_reason(&self, initial: VariantId) -> Option<(SkipReason, VariantId)> {
         let clamped = |id| clamp(&self.alive, id);
-        let cached = self.selections.get(self.signature).copied();
+        let cached = self.learned.entry.selection;
         if !self.opts.profiling {
             return Some(match cached {
                 Some(id) => (SkipReason::CachedSelection, clamped(id)),
@@ -1047,10 +1004,7 @@ impl Launch<'_> {
             // signature as the steady state of an iterative solver; a
             // selection loaded from the state file gets the same warm
             // treatment — that is the point of persisting it.
-            Some(id)
-                if self.config.profile_once_per_signature
-                    || self.warm.contains_key(self.signature) =>
-            {
+            Some(id) if self.config.profile_once_per_signature || self.learned.warm => {
                 Some((SkipReason::CachedSelection, clamped(id)))
             }
             _ if self.alive.len() == 1 => {
@@ -1240,7 +1194,7 @@ impl Launch<'_> {
         // warm skip when it came from the state file, a plain
         // selection-cache hit otherwise.
         if reason == SkipReason::CachedSelection {
-            let (stage, counter) = if self.warm.contains_key(self.signature) {
+            let (stage, counter) = if self.learned.warm {
                 (Stage::WarmSkip, names::WARM_SKIPS)
             } else {
                 (Stage::CacheHit, names::CACHE_HITS)
@@ -1852,6 +1806,11 @@ impl Launch<'_> {
             report.predict_hit = Some(hit);
             report.predicted = Some(predicted);
         }
+        // The variant that ran the launch is the stream's selection (set
+        // before the drift watch, which may drop it again).
+        self.learned
+            .entry
+            .select(report.selected, self.variants.len() as u32);
         match report.skipped {
             Some(reason) => self.watch_drift(reason, &mut report),
             None => {
@@ -1859,8 +1818,6 @@ impl Launch<'_> {
                 // re-seeds its per-unit-cost floor from the next skip-path
                 // launch.
                 self.drift.remove(self.signature);
-                self.selections
-                    .insert(self.signature.to_owned(), report.selected);
             }
         }
         fold_report_metrics(self.config, &report);
@@ -1904,8 +1861,8 @@ impl Launch<'_> {
         t.hold = true;
         t.over = 0;
         report.drift_reprofiled = true;
-        self.selections.remove(self.signature);
-        self.warm.remove(self.signature);
+        self.learned.entry.invalidate();
+        self.learned.warm = false;
         self.emit(Stage::Predict, |e| {
             e.variant(&report.selected_name)
                 .at(self.t_start.0)

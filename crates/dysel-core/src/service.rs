@@ -35,12 +35,13 @@
 //!   [`LaunchReport`], event attribution (the lane sink stamps it on every
 //!   event; Chrome traces group by it as the `pid`) and the v3 persist
 //!   format.
-//! * **Torn-free persistence.** The authoritative selection/quarantine
-//!   view lives in a [`ShardedCache`] updated under its shard lock *after*
-//!   each launch completes, so [`LaunchService::save_state`] — unlike
-//!   calling [`Runtime::save_state`] on a shared runtime — can never
-//!   observe a half-applied launch. `tests/persistence.rs` storms the
-//!   service while saving concurrently to prove it.
+//! * **One learned-state store.** Every lane runtime reads and commits
+//!   its stream's selection, warm marker and quarantine list through the
+//!   service's [`ShardedCache`] (DESIGN.md §4.16), once each per launch
+//!   and atomically under the store's shard lock, so
+//!   [`LaunchService::save_state`] can never observe a half-applied
+//!   launch. `tests/persistence.rs` storms the service while saving
+//!   concurrently to prove it.
 //!
 //! # Fault containment (`DESIGN.md` §4.17)
 //!
@@ -50,10 +51,11 @@
 //!
 //! * **Lane supervision.** Every launch runs under `catch_unwind`. A
 //!   panicking kernel poisons only its own lane — the lane is discarded
-//!   (a later submission builds a fresh one, warm-restoring learned
-//!   state), the ticket resolves [`DyselError::LanePanicked`] with the
-//!   buffers handed back (contents unspecified), and the stream's circuit
-//!   breaker trips. Other lanes, the worker and the service never notice.
+//!   (a later submission builds a fresh one, which reads everything the
+//!   stream's earlier launches committed to the store), the ticket
+//!   resolves [`DyselError::LanePanicked`] with the buffers handed back
+//!   (contents unspecified), and the stream's circuit breaker trips.
+//!   Other lanes, the worker and the service never notice.
 //! * **Worker supervision.** A supervisor thread restarts shard workers
 //!   that die anyway (a bug, or an injected [`ChaosAction::Kill`]) with
 //!   bounded deterministic backoff; jobs stranded on a dead worker —
@@ -75,13 +77,14 @@
 //!
 //! # Crash recovery
 //!
-//! With [`ServiceConfig::state_path`] set, every *new* selection and
-//! quarantine decision is appended to a checksummed write-ahead journal
-//! (`<state_path>.journal`, see [`crate::journal`]) before the next
-//! checkpoint folds it into the atomic v4 state file. Construction
-//! replays checkpoint + journal — tolerating a torn tail from a killed
-//! process — and rewrites a merged checkpoint, so a `SIGKILL` at any
-//! point loses at most the record being written. The deterministic chaos
+//! With [`ServiceConfig::state_path`] set, the store appends every change
+//! a lane commits — selection, quarantine, invalidation — to a
+//! checksummed write-ahead journal (`<state_path>.journal`, see
+//! [`crate::journal`]) before the next checkpoint folds it into the
+//! atomic v4 state file. Construction replays checkpoint + journal —
+//! tolerating a torn tail from a killed process — and rewrites a merged
+//! checkpoint, so a `SIGKILL` at any point loses at most the record
+//! being written. The deterministic chaos
 //! harness (`tests/chaos.rs`) drives panics, worker kills and journal
 //! kill-points from a seeded [`ChaosPlan`] and asserts all of the above.
 //!
@@ -102,27 +105,24 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dysel_device::Device;
-use dysel_kernel::{Args, Variant, VariantId};
+use dysel_kernel::{Args, Variant};
 use dysel_obs::{names, Event, EventSink, MetricsSnapshot, Stage};
 
 use crate::chaos::{ChaosAction, ChaosPlan};
-use crate::fault::QuarantineReason;
-use crate::journal::{self, Journal, JournalRecord};
+use crate::journal::{self, Journal};
 use crate::options::{RuntimeConfig, TenantId};
-use crate::persist::{self, RuntimeState, StateError, TenantState};
+use crate::persist::{self, RuntimeState, StateError};
 use crate::pool::KernelPool;
 use crate::report::LaunchReport;
 use crate::runtime::Runtime;
+use crate::store::{fnv_fold, lock, ShardedCache, StreamKey, FNV_OFFSET};
 use crate::{DyselError, LaunchOptions};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// How often the supervisor polls worker liveness and the watchdog slots.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
@@ -130,194 +130,6 @@ const SUPERVISOR_POLL: Duration = Duration::from_millis(1);
 /// Panic payloads for injected chaos faults ([`ChaosPlan`]).
 const CHAOS_PANIC: &str = "chaos: injected lane panic";
 const CHAOS_KILL: &str = "chaos: injected worker kill";
-
-fn fnv_fold(digest: &mut u64, bytes: &[u8]) {
-    for b in bytes.iter().chain(&[0u8]) {
-        *digest ^= u64::from(*b);
-        *digest = digest.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Ignores mutex poisoning: a panicking worker must not cascade into every
-/// thread that later touches shared state (same policy as `EventSink`).
-/// See the module-level "Locking policy" section for why this is sound.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Identifies one launch stream: a `(tenant, signature)` pair. All
-/// launches of a stream are serialized in submission order; distinct
-/// streams are independent.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StreamKey {
-    /// Owning tenant.
-    pub tenant: TenantId,
-    /// Kernel signature.
-    pub signature: String,
-}
-
-impl StreamKey {
-    /// A stream key.
-    pub fn new(tenant: TenantId, signature: impl Into<String>) -> Self {
-        StreamKey {
-            tenant,
-            signature: signature.into(),
-        }
-    }
-
-    /// The stable hash both the service and the cache shard by.
-    fn hash64(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv_fold(&mut h, &self.tenant.0.to_le_bytes());
-        fnv_fold(&mut h, self.signature.as_bytes());
-        h
-    }
-}
-
-/// One stream's entry in the [`ShardedCache`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheEntry {
-    /// The selected winner, if any launch (or warm restore) picked one.
-    pub selection: Option<VariantId>,
-    /// Variant-pool size the selection was made against (zero if unknown).
-    pub variants: u32,
-    /// Quarantined variants, in quarantine order. Quarantine survives
-    /// [`ShardedCache::invalidate`] and is never undone by
-    /// [`ShardedCache::warm_restore`].
-    pub quarantine: Vec<(VariantId, QuarantineReason)>,
-}
-
-/// A sharded selection/quarantine cache keyed by stream: per-shard locks,
-/// no global `&mut`, safe to hit from any number of threads.
-///
-/// Invariants (property-tested against a single-map model in
-/// `crates/dysel-core/tests/shard_prop.rs`):
-///
-/// * entries are never lost — every key ever touched stays present;
-/// * a quarantined variant is never resurrected — [`Self::warm_restore`]
-///   refuses to select it and [`Self::quarantine`] drops a selection that
-///   names it;
-/// * every operation is atomic under its shard lock, so a
-///   [`Self::snapshot`] never observes a half-applied update.
-///
-/// Mutating operations report whether they changed the entry, which is
-/// what the service's write-ahead journal keys on: only *new* decisions
-/// are appended, so replaying a journal over its checkpoint is
-/// idempotent.
-#[derive(Debug)]
-pub struct ShardedCache {
-    shards: Box<[Mutex<HashMap<StreamKey, CacheEntry>>]>,
-}
-
-impl ShardedCache {
-    /// A cache with `shards` independent lock domains (min 1).
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1);
-        ShardedCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a key lives on.
-    pub fn shard_of(&self, key: &StreamKey) -> usize {
-        (key.hash64() % self.shards.len() as u64) as usize
-    }
-
-    fn with_entry<R>(&self, key: &StreamKey, f: impl FnOnce(&mut CacheEntry) -> R) -> R {
-        let mut shard = lock(&self.shards[self.shard_of(key)]);
-        f(shard.entry(key.clone()).or_default())
-    }
-
-    /// Records a fresh selection for the stream (a completed launch). A
-    /// selection naming a variant already quarantined for the stream is
-    /// ignored — quarantine always wins, whatever the operation order.
-    /// Returns whether the entry changed (a new decision worth
-    /// journaling).
-    pub fn insert(&self, key: &StreamKey, selected: VariantId, variants: u32) -> bool {
-        self.with_entry(key, |e| {
-            if e.quarantine.iter().any(|(q, _)| *q == selected) {
-                return false;
-            }
-            let changed = e.selection != Some(selected) || e.variants != variants;
-            e.selection = Some(selected);
-            e.variants = variants;
-            changed
-        })
-    }
-
-    /// Quarantines a variant for the stream. Idempotent per variant (the
-    /// first reason wins); a selection naming the variant is dropped —
-    /// quarantine always beats selection. Returns whether the variant was
-    /// newly quarantined.
-    pub fn quarantine(&self, key: &StreamKey, id: VariantId, reason: QuarantineReason) -> bool {
-        self.with_entry(key, |e| {
-            let fresh = !e.quarantine.iter().any(|(q, _)| *q == id);
-            if fresh {
-                e.quarantine.push((id, reason));
-            }
-            if e.selection == Some(id) {
-                e.selection = None;
-            }
-            fresh
-        })
-    }
-
-    /// Restores a persisted selection, unless the variant is quarantined
-    /// for this stream — a quarantined variant is never resurrected.
-    /// Returns whether the restore was applied.
-    pub fn warm_restore(&self, key: &StreamKey, selected: VariantId, variants: u32) -> bool {
-        self.with_entry(key, |e| {
-            if e.quarantine.iter().any(|(q, _)| *q == selected) {
-                return false;
-            }
-            e.selection = Some(selected);
-            e.variants = variants;
-            true
-        })
-    }
-
-    /// Drops the stream's selection (stale winner). Quarantine entries are
-    /// kept — staleness never rehabilitates a faulty variant.
-    pub fn invalidate(&self, key: &StreamKey) {
-        self.with_entry(key, |e| {
-            e.selection = None;
-            e.variants = 0;
-        });
-    }
-
-    /// The stream's entry, if any operation ever touched it.
-    pub fn get(&self, key: &StreamKey) -> Option<CacheEntry> {
-        lock(&self.shards[self.shard_of(key)]).get(key).cloned()
-    }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// Whether no entry exists.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A canonical point-in-time copy: shards are locked one at a time (an
-    /// entry is updated atomically under its shard lock, so no torn entry
-    /// can be observed), results are key-ordered.
-    pub fn snapshot(&self) -> BTreeMap<StreamKey, CacheEntry> {
-        let mut out = BTreeMap::new();
-        for shard in self.shards.iter() {
-            for (k, v) in lock(shard).iter() {
-                out.insert(k.clone(), v.clone());
-            }
-        }
-        out
-    }
-}
 
 /// Why a submission was refused outright (no queue slot was consumed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -743,25 +555,18 @@ struct Inner {
     config: ServiceConfig,
     registry: Mutex<KernelPool>,
     shards: Box<[Shard]>,
-    cache: ShardedCache,
-    /// State loaded from `config.state_path` at construction (journal
-    /// already replayed into it); new lanes warm-restore their stream's
-    /// slice of it.
-    restored: Mutex<RuntimeState>,
-    state_error: Mutex<Option<StateError>>,
+    /// The learned-state store every lane reads and commits through; it
+    /// journals each change when a state path is configured.
+    cache: Arc<ShardedCache>,
+    /// What went wrong loading the checkpoint or opening the journal.
+    state_error: Option<StateError>,
     shutdown: AtomicBool,
     /// Service-level admission/containment counters and events (always
     /// on). Never routed to lane sinks — lane traces must stay
     /// bit-identical to serial replay.
-    sink: EventSink,
+    sink: Arc<EventSink>,
     /// Per-stream circuit breakers (entries materialize on first failure).
     breakers: Mutex<HashMap<StreamKey, Breaker>>,
-    /// Write-ahead journal (`None` without a state path, or after a
-    /// persistence error disabled journaling).
-    journal: Mutex<Option<Journal>>,
-    /// Lifetime appends, for the chaos journal kill-point.
-    journal_appends: AtomicU64,
-    journal_kill_after: Option<u64>,
     /// Mutable chaos schedule (per-stream counters advance in here).
     chaos: Mutex<Option<ChaosPlan>>,
     /// What construction recovered from the journal (`None` without a
@@ -824,13 +629,9 @@ impl LaunchService {
     /// A service whose lanes draw devices from `factory`.
     pub fn new(factory: DeviceFactory, config: ServiceConfig) -> Self {
         let shards = config.shards.max(1);
-        let boot = init_persistence(&config);
-        let cache = ShardedCache::new(shards);
-        seed_cache(&cache, &boot.restored);
-        let journal_kill_after = config
-            .chaos
-            .as_ref()
-            .and_then(ChaosPlan::journal_kill_after);
+        let sink = Arc::new(EventSink::new());
+        let cache = Arc::new(ShardedCache::new(shards));
+        let (recovery, state_error) = init_persistence(&config, &cache, &sink);
         let chaos = config.chaos.clone().filter(|p| !p.is_empty());
         let inner = Arc::new(Inner {
             factory,
@@ -847,16 +648,12 @@ impl LaunchService {
                 })
                 .collect(),
             cache,
-            restored: Mutex::new(boot.restored),
-            state_error: Mutex::new(boot.state_error),
+            state_error,
             shutdown: AtomicBool::new(false),
-            sink: EventSink::new(),
+            sink,
             breakers: Mutex::new(HashMap::new()),
-            journal: Mutex::new(boot.journal),
-            journal_appends: AtomicU64::new(0),
-            journal_kill_after,
             chaos: Mutex::new(chaos),
-            recovery: boot.recovery,
+            recovery,
             handles: Mutex::new(Vec::new()),
         });
         if let Some(info) = &inner.recovery {
@@ -967,7 +764,7 @@ impl LaunchService {
                 args,
             });
         }
-        let shard_idx = (key.hash64() % inner.shards.len() as u64) as usize;
+        let shard_idx = inner.cache.shard_of(&key);
         let shard = &inner.shards[shard_idx];
         if shard.dead.load(Ordering::SeqCst) {
             inner.sink.count(names::SERVICE_REJECTS, 1);
@@ -1022,11 +819,15 @@ impl LaunchService {
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         for shard in self.inner.shards.iter() {
+            // Notify under the queue lock: a worker between its shutdown
+            // check and its wait would otherwise miss the wake-up and
+            // never exit.
+            let _queue = lock(&shard.queue);
             shard.cv.notify_all();
         }
     }
 
-    /// The authoritative selection/quarantine cache.
+    /// The learned-state store every lane reads and commits through.
     pub fn cache(&self) -> &ShardedCache {
         &self.inner.cache
     }
@@ -1036,20 +837,28 @@ impl LaunchService {
     /// directly comparable to a serial replay's digest. `None` if the
     /// stream never launched.
     pub fn stream_digest(&self, tenant: TenantId, signature: &str) -> Option<u64> {
+        self.stream(tenant, signature, |s| s.digest)
+    }
+
+    /// `f` of the stream's bookkeeping, if the stream ever launched.
+    fn stream<R>(
+        &self,
+        tenant: TenantId,
+        signature: &str,
+        f: impl FnOnce(&StreamStats) -> R,
+    ) -> Option<R> {
         let key = StreamKey::new(tenant, signature);
-        let shard = &self.inner.shards[(key.hash64() % self.inner.shards.len() as u64) as usize];
-        lock(&shard.stats).get(&key).map(|s| s.digest)
+        // The store shards streams exactly like the service does.
+        let shard = &self.inner.shards[self.inner.cache.shard_of(&key)];
+        lock(&shard.stats).get(&key).map(f)
     }
 
     /// The stream's event log (empty unless [`ServiceConfig::observe`]).
     /// Sequence numbers and virtual times are the stream's own — identical
     /// to a serial replay of the same submissions on a plain runtime.
     pub fn stream_events(&self, tenant: TenantId, signature: &str) -> Vec<Event> {
-        let key = StreamKey::new(tenant, signature);
-        let shard = &self.inner.shards[(key.hash64() % self.inner.shards.len() as u64) as usize];
-        lock(&shard.stats)
-            .get(&key)
-            .and_then(|s| s.sink.as_ref().map(|s| s.events()))
+        self.stream(tenant, signature, |s| s.sink.as_ref().map(|s| s.events()))
+            .flatten()
             .unwrap_or_default()
     }
 
@@ -1078,9 +887,7 @@ impl LaunchService {
     /// the launches this stream completed — unlike the lane sinks, it
     /// survives lane discards and needs no observability to be on.
     pub fn stream_predict_stats(&self, tenant: TenantId, signature: &str) -> Option<PredictStats> {
-        let key = StreamKey::new(tenant, signature);
-        let shard = &self.inner.shards[(key.hash64() % self.inner.shards.len() as u64) as usize];
-        lock(&shard.stats).get(&key).map(|s| s.predict)
+        self.stream(tenant, signature, |s| s.predict)
     }
 
     /// The tenant's prediction accounting, summed over all of its streams.
@@ -1126,18 +933,19 @@ impl LaunchService {
         self.inner.recovery
     }
 
-    /// The typed error of the best-effort state load at construction, if
-    /// it failed (the service cold-started), or of a later journal write
-    /// failure (journaling disabled; in-memory state unaffected).
+    /// The typed error of a later journal write failure (journaling
+    /// disabled; in-memory state unaffected) or, failing that, of the
+    /// best-effort state load at construction (the service cold-started).
     pub fn state_load_error(&self) -> Option<StateError> {
-        lock(&self.inner.state_error).clone()
+        let inner = &self.inner;
+        inner.cache.journal_error().or(inner.state_error.clone())
     }
 
     /// The multi-tenant learned state as a value: tenant 0 in the flat
-    /// maps, every other tenant nested — snapshotted through the cache's
+    /// maps, every other tenant nested — snapshotted through the store's
     /// shard locks, so no half-applied launch can be observed.
     pub fn export_state(&self) -> RuntimeState {
-        export_state_of(&self.inner)
+        self.inner.cache.export()
     }
 
     /// Atomically persists [`LaunchService::export_state`] to the
@@ -1157,22 +965,7 @@ impl LaunchService {
             .state_path
             .as_deref()
             .ok_or(StateError::NoStatePath)?;
-        // Hold the journal lock across snapshot + save + truncate so a
-        // concurrent append cannot land between the snapshot and the
-        // truncation (it would be lost from both).
-        let mut guard = lock(&inner.journal);
-        let mut state = export_state_of(inner);
-        if let Some(journal) = guard.as_mut() {
-            state.journal_seq = journal.seq();
-            persist::save(&state, path)?;
-            journal.compacted()?;
-            inner.sink.count(names::SERVICE_JOURNAL_COMPACTIONS, 1);
-            inner
-                .sink
-                .emit(Event::new(Stage::JournalCompact).detail(format!("seq {}", journal.seq())));
-        } else {
-            persist::save(&state, path)?;
-        }
+        inner.cache.checkpoint(path, None)?;
         Ok(())
     }
 }
@@ -1200,125 +993,66 @@ impl Drop for LaunchService {
     }
 }
 
-/// What [`init_persistence`] hands to the constructor.
-struct Boot {
-    restored: RuntimeState,
-    state_error: Option<StateError>,
-    journal: Option<Journal>,
-    recovery: Option<RecoveryInfo>,
-}
-
 /// Loads checkpoint + journal, replays the journal over the checkpoint
-/// (tolerating a torn tail), rewrites a merged checkpoint when anything
-/// was recovered, and opens a fresh journal. Never panics: every failure
-/// is typed into `state_error` and degrades to a cold start or disabled
-/// journaling.
-fn init_persistence(config: &ServiceConfig) -> Boot {
-    let mut boot = Boot {
-        restored: RuntimeState::default(),
-        state_error: None,
-        journal: None,
-        recovery: None,
-    };
+/// (tolerating a torn tail) and imports the result into `store`, rewrites
+/// a merged checkpoint when anything was recovered, and attaches a fresh
+/// journal to the store. Returns the recovery info and what went wrong, if
+/// anything. Never panics: every failure is typed and degrades to a cold
+/// start or disabled journaling.
+fn init_persistence(
+    config: &ServiceConfig,
+    store: &ShardedCache,
+    sink: &Arc<EventSink>,
+) -> (Option<RecoveryInfo>, Option<StateError>) {
     let Some(path) = &config.state_path else {
-        return boot;
+        return (None, None);
     };
+    let mut error = None;
+    let mut state = RuntimeState::default();
     if path.exists() {
         match persist::load(path) {
-            Ok(state) => boot.restored = state,
-            Err(e) => boot.state_error = Some(e),
+            Ok(loaded) => state = loaded,
+            Err(e) => error = Some(e),
         }
     }
     let journal_path = journal::journal_path(path);
-    match journal::replay(&journal_path) {
-        Ok(replay) => {
-            let replayed = replay.records.len() as u64;
-            replay.apply(&mut boot.restored);
-            boot.recovery = Some(RecoveryInfo {
-                replayed,
-                torn: replay.torn,
-            });
-            let seq = boot.restored.journal_seq + replayed;
-            boot.restored.journal_seq = seq;
-            if replayed > 0 || replay.torn {
-                // Fold the recovered records into the checkpoint before
-                // truncating the journal; if the checkpoint write fails,
-                // leave the journal file untouched (the records survive
-                // for the next recovery attempt) and disable journaling.
-                if let Err(e) = persist::save(&boot.restored, path) {
-                    boot.state_error = Some(e);
-                    return boot;
-                }
-            }
-            match Journal::create(&journal_path, seq) {
-                Ok(journal) => boot.journal = Some(journal),
-                Err(e) => boot.state_error = Some(e),
-            }
-        }
+    let replay = match journal::replay(&journal_path) {
+        Ok(replay) => replay,
         // An unreadable/foreign journal is a typed cold start for the
         // journal only — the checkpoint (if any) is still honored.
-        Err(e) => boot.state_error = Some(e),
-    }
-    boot
-}
-
-/// Seeds the cache from a loaded state file: quarantine first, then warm
-/// restores (which therefore cannot resurrect a quarantined winner).
-fn seed_cache(cache: &ShardedCache, state: &RuntimeState) {
-    let seed_tenant = |tenant: u32, ts: &TenantState| {
-        for (sig, entries) in &ts.quarantine {
-            let key = StreamKey::new(TenantId(tenant), sig.clone());
-            for (id, reason) in entries {
-                cache.quarantine(&key, *id, *reason);
-            }
-        }
-        for (sig, id) in &ts.selections {
-            let key = StreamKey::new(TenantId(tenant), sig.clone());
-            let count = ts.variant_counts.get(sig).copied().unwrap_or(0);
-            cache.warm_restore(&key, *id, count);
+        Err(e) => {
+            store.import(&state);
+            return (None, Some(e));
         }
     };
-    seed_tenant(
-        0,
-        &TenantState {
-            selections: state.selections.clone(),
-            quarantine: state.quarantine.clone(),
-            variant_counts: state.variant_counts.clone(),
-        },
-    );
-    for (tenant, ts) in &state.tenants {
-        seed_tenant(*tenant, ts);
-    }
-}
-
-/// [`LaunchService::export_state`], callable from worker context.
-fn export_state_of(inner: &Inner) -> RuntimeState {
-    let mut state = RuntimeState::default();
-    for (key, entry) in inner.cache.snapshot() {
-        let (selections, quarantine, variant_counts) = if key.tenant.0 == 0 {
-            (
-                &mut state.selections,
-                &mut state.quarantine,
-                &mut state.variant_counts,
-            )
-        } else {
-            let ts = state.tenants.entry(key.tenant.0).or_default();
-            (
-                &mut ts.selections,
-                &mut ts.quarantine,
-                &mut ts.variant_counts,
-            )
-        };
-        if let Some(id) = entry.selection {
-            selections.insert(key.signature.clone(), id);
-            variant_counts.insert(key.signature.clone(), entry.variants);
-        }
-        if !entry.quarantine.is_empty() {
-            quarantine.insert(key.signature.clone(), entry.quarantine);
+    replay.apply(&mut state);
+    let replayed = replay.records.len() as u64;
+    state.journal_seq += replayed;
+    store.import(&state);
+    let recovery = Some(RecoveryInfo {
+        replayed,
+        torn: replay.torn,
+    });
+    // Fold the recovered records into the checkpoint before truncating the
+    // journal; if the checkpoint write fails, leave the journal file
+    // untouched (the records survive for the next recovery attempt) and
+    // disable journaling.
+    if replayed > 0 || replay.torn {
+        if let Err(e) = persist::save(&state, path) {
+            return (recovery, Some(e));
         }
     }
-    state.tenants.retain(|_, ts| !ts.is_empty());
-    state
+    match Journal::create(&journal_path, state.journal_seq) {
+        Ok(journal) => {
+            let kill_after = config
+                .chaos
+                .as_ref()
+                .and_then(ChaosPlan::journal_kill_after);
+            store.attach_journal(journal, kill_after, sink.clone());
+            (recovery, error)
+        }
+        Err(e) => (recovery, Some(e)),
+    }
 }
 
 fn spawn_worker(inner: &Arc<Inner>, shard_idx: usize) -> JoinHandle<()> {
@@ -1530,64 +1264,6 @@ fn breaker_record(inner: &Inner, key: &StreamKey, success: bool, panicked: bool)
     }
 }
 
-/// Appends one record to the write-ahead journal (no-op when journaling
-/// is off). An append failure disables journaling with a typed error;
-/// the in-memory cache is unaffected.
-fn journal_append(inner: &Inner, record: &JournalRecord) {
-    let mut guard = lock(&inner.journal);
-    let Some(journal) = guard.as_mut() else {
-        return;
-    };
-    if let Some(kill_after) = inner.journal_kill_after {
-        if inner.journal_appends.load(Ordering::SeqCst) >= kill_after {
-            journal.kill();
-        }
-    }
-    match journal.append(record) {
-        Ok(true) => {
-            inner.journal_appends.fetch_add(1, Ordering::SeqCst);
-            inner.sink.count(names::SERVICE_JOURNAL_APPENDS, 1);
-        }
-        Ok(false) => {}
-        Err(e) => {
-            *lock(&inner.state_error) = Some(e);
-            *guard = None;
-        }
-    }
-}
-
-/// Rewrites the checkpoint and truncates the journal once it accumulated
-/// [`ServiceConfig::checkpoint_every`] records. Holds the journal lock
-/// across snapshot + save + truncate (see [`LaunchService::save_state`]).
-fn maybe_checkpoint(inner: &Inner) {
-    let every = inner.config.checkpoint_every.max(1);
-    let mut guard = lock(&inner.journal);
-    let Some(journal) = guard.as_mut() else {
-        return;
-    };
-    if !journal.is_alive() || journal.appended() < every {
-        return;
-    }
-    let Some(path) = inner.config.state_path.as_deref() else {
-        return;
-    };
-    let mut state = export_state_of(inner);
-    state.journal_seq = journal.seq();
-    let result = persist::save(&state, path).and_then(|()| journal.compacted());
-    match result {
-        Ok(()) => {
-            inner.sink.count(names::SERVICE_JOURNAL_COMPACTIONS, 1);
-            inner
-                .sink
-                .emit(Event::new(Stage::JournalCompact).detail(format!("seq {}", journal.seq())));
-        }
-        Err(e) => {
-            *lock(&inner.state_error) = Some(e);
-            *guard = None;
-        }
-    }
-}
-
 /// Best-effort stringification of a panic payload.
 fn payload_str(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -1612,9 +1288,10 @@ fn resolve(inner: &Inner, job: &mut Job, result: Result<LaunchReport, DyselError
 
 /// Executes one launch on its stream's lane, under lane supervision:
 /// deadline check, breaker check, chaos injection, `catch_unwind` around
-/// the launch, journaled cache updates, breaker bookkeeping, ticket
-/// resolution. The shard's lanes-map lock is held only around lookup and
-/// discard; the launch runs under the lane's own lock.
+/// the launch (which commits the stream's learned state to the store),
+/// breaker bookkeeping, ticket resolution. The shard's lanes-map lock is
+/// held only around lookup and discard; the launch runs under the lane's
+/// own lock.
 fn process(inner: &Inner, shard: &Shard, mut job: Job) {
     let key = job.key.clone();
     let now = Instant::now();
@@ -1718,38 +1395,6 @@ fn process(inner: &Inner, shard: &Shard, mut job: Job) {
                     entry.predict.fold(report);
                 }
             }
-            if let Ok(report) = &result {
-                let variants = lock(&inner.registry)
-                    .variants(&key.signature)
-                    .map(|v| v.len() as u32)
-                    .unwrap_or(0);
-                if inner.cache.insert(&key, report.selected, variants) {
-                    journal_append(
-                        inner,
-                        &JournalRecord::Select {
-                            tenant: key.tenant.0,
-                            signature: key.signature.clone(),
-                            variant: report.selected,
-                            variants,
-                        },
-                    );
-                }
-            }
-            // Sync quarantine on every outcome — a failed launch may be
-            // exactly the one that exhausted the pool.
-            for (id, reason) in lane_guard.runtime.quarantined(&key.signature).to_vec() {
-                if inner.cache.quarantine(&key, id, reason) {
-                    journal_append(
-                        inner,
-                        &JournalRecord::Quarantine {
-                            tenant: key.tenant.0,
-                            signature: key.signature.clone(),
-                            variant: id,
-                            reason,
-                        },
-                    );
-                }
-            }
             drop(lane_guard);
             breaker_record(inner, &key, result.is_ok(), false);
             result
@@ -1757,8 +1402,9 @@ fn process(inner: &Inner, shard: &Shard, mut job: Job) {
         Err(payload) => {
             // Containment: discard the lane (its runtime/device state is
             // suspect mid-panic), trip the breaker, resolve typed. The
-            // stream's stats, learned cache state and sink survive; the
-            // next admitted launch builds a fresh lane and warm-restores.
+            // stream's stats and sink survive, and so does everything its
+            // earlier launches committed to the store: the next admitted
+            // launch builds a fresh lane that reads it from there.
             drop(lane_guard);
             lock(&shard.lanes).remove(&key);
             let detail = payload_str(payload.as_ref());
@@ -1778,15 +1424,20 @@ fn process(inner: &Inner, shard: &Shard, mut job: Job) {
     };
     // Checkpoint before resolving: a waiter that observes its outcome
     // can rely on the decision being durable (journaled, and folded into
-    // the checkpoint if the threshold was hit).
-    maybe_checkpoint(inner);
+    // the checkpoint if the threshold was hit). An automatic checkpoint
+    // reports failure by disabling journaling, never through its result.
+    if let Some(path) = &inner.config.state_path {
+        let _ = inner
+            .cache
+            .checkpoint(path, Some(inner.config.checkpoint_every));
+    }
     resolve(inner, &mut job, result);
 }
 
 /// Materializes a stream's lane: private device, private runtime (tenant
-/// stamped into its config), the stream's tenant-stamped sink, variants
-/// cloned from the shared registry, learned state warm-restored from the
-/// service's loaded snapshot.
+/// stamped into its config) reading and committing through the service's
+/// store, the stream's tenant-stamped sink, variants cloned from the
+/// shared registry.
 fn new_lane(inner: &Inner, key: &StreamKey, sink: Option<Arc<EventSink>>) -> Lane {
     let mut config = inner.config.runtime.clone();
     config.tenant = key.tenant;
@@ -1796,49 +1447,19 @@ fn new_lane(inner: &Inner, key: &StreamKey, sink: Option<Arc<EventSink>>) -> Lan
     // stream's own launch history, not of which other lanes allocated
     // concurrently (the device cache models price addresses).
     config.private_addrs = true;
-    let mut runtime = Runtime::with_config((inner.factory)(), config);
+    let mut runtime = Runtime::with_store((inner.factory)(), config, inner.cache.clone());
     if let Ok(variants) = lock(&inner.registry).variants(&key.signature) {
         runtime.add_kernels(&key.signature, variants.to_vec());
     }
-    let restored = lock(&inner.restored);
-    let slice = stream_slice(&restored, key);
-    drop(restored);
-    if !slice.is_empty() {
-        runtime.import_state(&slice);
-    }
     Lane { runtime }
-}
-
-/// The single-stream slice of a loaded multi-tenant state, as the flat
-/// (tenant-0-shaped) state a lane runtime imports.
-fn stream_slice(state: &RuntimeState, key: &StreamKey) -> RuntimeState {
-    let (selections, quarantine, variant_counts) = if key.tenant.0 == 0 {
-        (&state.selections, &state.quarantine, &state.variant_counts)
-    } else {
-        match state.tenants.get(&key.tenant.0) {
-            Some(ts) => (&ts.selections, &ts.quarantine, &ts.variant_counts),
-            None => return RuntimeState::default(),
-        }
-    };
-    let mut out = RuntimeState::default();
-    if let Some(id) = selections.get(&key.signature) {
-        out.selections.insert(key.signature.clone(), *id);
-    }
-    if let Some(entries) = quarantine.get(&key.signature) {
-        out.quarantine
-            .insert(key.signature.clone(), entries.clone());
-    }
-    if let Some(count) = variant_counts.get(&key.signature) {
-        out.variant_counts.insert(key.signature.clone(), *count);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuarantineReason;
     use dysel_device::{CpuConfig, CpuDevice};
-    use dysel_kernel::{Buffer, KernelIr, Space, VariantMeta};
+    use dysel_kernel::{Buffer, KernelIr, Space, VariantId, VariantMeta};
     use std::sync::atomic::AtomicBool as TestFlag;
 
     fn writer(name: &str, cost: u64) -> Variant {

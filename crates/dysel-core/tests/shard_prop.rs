@@ -1,8 +1,9 @@
 //! Randomized tests of the [`ShardedCache`] invariants against a
 //! single-map sequential model.
 //!
-//! The cache is the service's authoritative selection/quarantine view,
-//! updated concurrently from every shard worker. These tests drive random
+//! The cache is the learned-state store every runtime commits to — for a
+//! service, shared by every lane and updated concurrently from every
+//! shard worker. These tests drive random
 //! operation sequences — sequentially against a plain-`BTreeMap` model,
 //! and as random multi-threaded interleavings — and check the invariants
 //! the service relies on: no entry is ever lost, a quarantined variant is
@@ -32,6 +33,14 @@ enum Op {
     Quarantine(VariantId, QuarantineReason),
     WarmRestore(VariantId, u32),
     Invalidate,
+    /// A launch's end-of-launch write: selection, variant count, one
+    /// quarantine it learned (if any) and its warm marker.
+    Commit {
+        selection: Option<VariantId>,
+        variants: u32,
+        quarantine: Option<(VariantId, QuarantineReason)>,
+        warm: bool,
+    },
 }
 
 fn random_op(rng: &mut XorShiftRng) -> Op {
@@ -63,6 +72,19 @@ fn apply_cache(cache: &ShardedCache, key: &StreamKey, op: Op) {
             cache.warm_restore(key, id, n);
         }
         Op::Invalidate => cache.invalidate(key),
+        Op::Commit {
+            selection,
+            variants,
+            quarantine,
+            warm,
+        } => {
+            let entry = CacheEntry {
+                selection,
+                variants,
+                quarantine: quarantine.into_iter().collect(),
+            };
+            cache.commit(key, &entry, warm);
+        }
     }
 }
 
@@ -95,7 +117,62 @@ fn apply_model(model: &mut BTreeMap<StreamKey, CacheEntry>, key: &StreamKey, op:
             e.selection = None;
             e.variants = 0;
         }
+        Op::Commit {
+            selection,
+            variants,
+            quarantine,
+            ..
+        } => {
+            if let Some((id, reason)) = quarantine {
+                if !e.quarantine.iter().any(|(q, _)| *q == id) {
+                    e.quarantine.push((id, reason));
+                }
+            }
+            e.selection = selection.filter(|s| !e.quarantine.iter().any(|(q, _)| q == s));
+            e.variants = variants;
+        }
     }
+}
+
+/// Any op, commits included.
+fn random_store_op(rng: &mut XorShiftRng) -> Op {
+    if rng.gen_range_usize(0, 3) > 0 {
+        return random_op(rng);
+    }
+    let id = |rng: &mut XorShiftRng| VariantId(rng.gen_range_usize(0, 4));
+    Op::Commit {
+        selection: (rng.gen_range_usize(0, 4) > 0).then(|| id(rng)),
+        variants: rng.gen_range_u64(1, 8) as u32,
+        quarantine: (rng.gen_range_usize(0, 3) == 0)
+            .then(|| (id(rng), REASONS[rng.gen_range_usize(0, REASONS.len())])),
+        warm: rng.gen_range_usize(0, 2) == 0,
+    }
+}
+
+/// The warm-marker model next to [`apply_model`]: a restore marks the
+/// stream warm, a launch's insert or an invalidation clears it, a commit
+/// sets it, and no marker outlives its selection.
+fn apply_warm_model(
+    model: &mut BTreeMap<StreamKey, CacheEntry>,
+    warm: &mut BTreeMap<StreamKey, bool>,
+    key: &StreamKey,
+    op: Op,
+) {
+    let quarantined = |model: &BTreeMap<StreamKey, CacheEntry>, id: VariantId| {
+        model
+            .get(key)
+            .is_some_and(|e| e.quarantine.iter().any(|(q, _)| *q == id))
+    };
+    let was = warm.get(key).copied().unwrap_or(false);
+    let now = match op {
+        Op::Insert(id, _) => was && quarantined(model, id),
+        Op::WarmRestore(id, _) => was || !quarantined(model, id),
+        Op::Invalidate => false,
+        Op::Quarantine(..) => was,
+        Op::Commit { warm, .. } => warm,
+    };
+    apply_model(model, key, op);
+    warm.insert(key.clone(), now && model[key].selection.is_some());
 }
 
 /// For ANY sequential operation sequence over random keys spanning every
@@ -239,5 +316,57 @@ fn quarantine_survives_restore_storms() {
             vec![(banned, QuarantineReason::WrongOutput)],
             "case {case}"
         );
+    }
+}
+
+/// For ANY sequential sequence mixing the launch-side ops (commits) with
+/// the rest: entries agree with the single-map model, every warm marker
+/// agrees with the warm model, and no marker outlives its selection.
+#[test]
+fn commits_and_warm_markers_agree_with_the_model() {
+    for case in 0..32 {
+        let mut rng = XorShiftRng::seed_from_u64(0xC0_4417 + case);
+        let cache = ShardedCache::new(rng.gen_range_usize(1, 6));
+        let mut model: BTreeMap<StreamKey, CacheEntry> = BTreeMap::new();
+        let mut warm: BTreeMap<StreamKey, bool> = BTreeMap::new();
+        for _ in 0..rng.gen_range_usize(20, 200) {
+            let key = random_key(&mut rng);
+            let op = random_store_op(&mut rng);
+            apply_cache(&cache, &key, op);
+            apply_warm_model(&mut model, &mut warm, &key, op);
+        }
+        assert_eq!(cache.snapshot(), model, "case {case}");
+        for (key, entry) in &model {
+            assert_eq!(cache.is_warm(key), warm[key], "case {case}: {key:?}");
+            assert!(
+                !warm[key] || entry.selection.is_some(),
+                "case {case}: warm marker without a selection on {key:?}"
+            );
+        }
+    }
+}
+
+/// Persistence round trip: importing an export into a fresh store and
+/// exporting again is a fixed point, and every imported selection is warm.
+#[test]
+fn export_import_is_a_fixed_point() {
+    for case in 0..16 {
+        let mut rng = XorShiftRng::seed_from_u64(0xE4_9041 + case);
+        let cache = ShardedCache::new(rng.gen_range_usize(1, 6));
+        for _ in 0..rng.gen_range_usize(20, 200) {
+            let key = random_key(&mut rng);
+            apply_cache(&cache, &key, random_store_op(&mut rng));
+        }
+        let state = cache.export();
+        let restored = ShardedCache::new(rng.gen_range_usize(1, 6));
+        restored.import(&state);
+        assert_eq!(restored.export(), state, "case {case}");
+        for (key, entry) in restored.snapshot() {
+            assert_eq!(
+                restored.is_warm(&key),
+                entry.selection.is_some(),
+                "case {case}"
+            );
+        }
     }
 }

@@ -526,3 +526,83 @@ fn torn_journal_tail_is_tolerated_and_corrupt_header_is_typed_cold_start() {
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Regression: a lane rebuilt after a panic reads the stream's learned
+/// state from the service's store, so a variant quarantined before the
+/// panic stays quarantined — and the rebuilt lane agrees with
+/// `service.cache()` launch after launch.
+#[test]
+fn rebuilt_lane_keeps_the_quarantine_learned_before_the_panic() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use dysel::core::{BreakerConfig, QuarantineReason, StreamKey};
+    use dysel::device::{Cycles, FaultKind, FaultPlan, FaultRule};
+    use dysel::kernel::VariantId;
+
+    const N: u64 = 1024;
+    let built = Arc::new(AtomicUsize::new(0));
+    let factory = {
+        let built = built.clone();
+        move || -> Box<dyn Device> {
+            let mut dev = CpuDevice::new(CpuConfig {
+                threads: 1,
+                ..CpuConfig::noiseless()
+            });
+            // Only the stream's first lane sees `fast` fail.
+            if built.fetch_add(1, Ordering::SeqCst) == 0 {
+                dev.set_fault_plan(Some(
+                    FaultPlan::new(1).with(FaultRule::new("fast", FaultKind::LaunchError)),
+                ));
+            }
+            Box::new(dev)
+        }
+    };
+    let service = LaunchService::with_factory(
+        factory,
+        ServiceConfig {
+            shards: 1,
+            breaker: BreakerConfig {
+                cooldown: Duration::ZERO,
+                ..BreakerConfig::default()
+            },
+            chaos: Some(
+                ChaosPlan::new(5).with(ChaosRule::new("k", ChaosAction::Panic).window(1, 1)),
+            ),
+            ..ServiceConfig::default()
+        },
+    );
+    service.register(
+        "k",
+        [writer("slow", 9), writer("mid", 5), writer("fast", 3)],
+    );
+    let key = StreamKey::new(TenantId(1), "k");
+    let launch = || {
+        let mut args = Args::new();
+        args.push(Buffer::f32("out", vec![0.0; N as usize], Space::Global));
+        let ticket = service
+            .submit(TenantId(1), "k", args, N, &LaunchOptions::new())
+            .expect("admitted");
+        ticket.wait_timeout(WAIT).expect("resolved").1
+    };
+    let quarantined = vec![(VariantId(2), QuarantineReason::LaunchFailed)];
+
+    // Launch 0 quarantines `fast` and selects `mid`; launch 1 panics.
+    let first = launch().expect("launch 0");
+    assert_eq!(first.selected_name, "mid");
+    assert_eq!(service.cache().get(&key).unwrap().quarantine, quarantined);
+    assert!(matches!(launch(), Err(DyselError::LanePanicked { .. })));
+
+    // Launches 2 and 3 run on a rebuilt lane with a healthy device: `fast`
+    // stays quarantined (never profiled), `mid` wins, and the store the
+    // lane committed to says exactly that.
+    for i in 2..4 {
+        let report = launch().unwrap_or_else(|e| panic!("launch {i}: {e}"));
+        assert_eq!(report.selected_name, "mid", "launch {i}");
+        assert!(report.profiled(), "launch {i}");
+        assert_eq!(report.measurements[2].measured, Cycles::MAX, "launch {i}");
+        let entry = service.cache().get(&key).expect("stream entry");
+        assert_eq!(entry.selection, Some(report.selected), "launch {i}");
+        assert_eq!(entry.quarantine, quarantined, "launch {i}");
+    }
+    assert_eq!(built.load(Ordering::SeqCst), 2, "one rebuilt lane");
+}
