@@ -240,7 +240,7 @@ impl Runtime {
             .state_path
             .as_deref()
             .ok_or(StateError::NoStatePath)?;
-        self.store.checkpoint(path, None)?;
+        self.store.checkpoint(path)?;
         Ok(())
     }
 
@@ -385,9 +385,8 @@ impl Runtime {
         &self.timeline
     }
 
-    /// The cached selection for a signature: the variant its last
-    /// successful launch ran, or a warm restore (never a quarantined
-    /// variant).
+    /// The cached selection for a signature: its last micro-profiling
+    /// winner, or a warm restore (never a quarantined variant).
     pub fn cached_selection(&self, signature: &str) -> Option<VariantId> {
         self.store
             .get(&self.key(signature))
@@ -543,7 +542,7 @@ impl Runtime {
         };
         let report = l.run(initial);
         // Commit once, success or not: quarantines outlive a failed launch.
-        self.store.commit(&key, &l.learned.entry, l.learned.warm);
+        self.store.write(&key, &l.learned);
         report
     }
 }
@@ -743,8 +742,7 @@ impl Launch<'_> {
     /// Drops a stale warm-restored selection, so the stream falls back to
     /// live profiling.
     fn invalidate_warm(&mut self, why: String) {
-        self.learned.entry.invalidate();
-        self.learned.warm = false;
+        self.learned.invalidate();
         self.emit(Stage::WarmInvalidate, |e| e.detail(why));
         self.count(names::WARM_INVALIDATIONS, 1);
     }
@@ -920,10 +918,10 @@ impl Launch<'_> {
     /// by a previous process against that process's candidate set; before
     /// letting it skip micro-profiling, cross-check it against *this*
     /// process. Stale when the signature re-registered with a different
-    /// variant count or the persisted winner is out of range (a
-    /// quarantined winner never survives in the store).
+    /// variant count or the persisted winner is out of range (quarantining
+    /// a warm winner already dropped it).
     fn audit_warm(&mut self) {
-        let (Some(id), true) = (self.learned.entry.selection, self.learned.warm) else {
+        let (Some(id), true) = (self.learned.winner, self.learned.warm) else {
             return;
         };
         let (k, warm_k) = (self.variants.len(), self.learned.entry.variants);
@@ -992,7 +990,7 @@ impl Launch<'_> {
     /// instead; `None` when it profiles.
     fn skip_reason(&self, initial: VariantId) -> Option<(SkipReason, VariantId)> {
         let clamped = |id| clamp(&self.alive, id);
-        let cached = self.learned.entry.selection;
+        let cached = self.learned.winner;
         if !self.opts.profiling {
             return Some(match cached {
                 Some(id) => (SkipReason::CachedSelection, clamped(id)),
@@ -1806,18 +1804,16 @@ impl Launch<'_> {
             report.predict_hit = Some(hit);
             report.predicted = Some(predicted);
         }
-        // The variant that ran the launch is the stream's selection (set
-        // before the drift watch, which may drop it again).
-        self.learned
-            .entry
-            .select(report.selected, self.variants.len() as u32);
         match report.skipped {
             Some(reason) => self.watch_drift(reason, &mut report),
             None => {
                 // A fresh profile starts a fresh bet; the drift watch
                 // re-seeds its per-unit-cost floor from the next skip-path
-                // launch.
+                // launch. Only a micro-profiling winner becomes the
+                // stream's winner: a skipped launch keeps the stored one.
                 self.drift.remove(self.signature);
+                self.learned
+                    .select(report.selected, self.variants.len() as u32);
             }
         }
         fold_report_metrics(self.config, &report);
@@ -1861,8 +1857,7 @@ impl Launch<'_> {
         t.hold = true;
         t.over = 0;
         report.drift_reprofiled = true;
-        self.learned.entry.invalidate();
-        self.learned.warm = false;
+        self.learned.invalidate();
         self.emit(Stage::Predict, |e| {
             e.variant(&report.selected_name)
                 .at(self.t_start.0)

@@ -36,12 +36,13 @@
 //!   event; Chrome traces group by it as the `pid`) and the v3 persist
 //!   format.
 //! * **One learned-state store.** Every lane runtime reads and commits
-//!   its stream's selection, warm marker and quarantine list through the
-//!   service's [`ShardedCache`] (DESIGN.md §4.16), once each per launch
-//!   and atomically under the store's shard lock, so
-//!   [`LaunchService::save_state`] can never observe a half-applied
-//!   launch. `tests/persistence.rs` storms the service while saving
-//!   concurrently to prove it.
+//!   its stream's winner, warm marker and quarantine list through the
+//!   service's [`ShardedCache`] (DESIGN.md §4.16), once each per launch;
+//!   the service then records the variant the launch ran as the stream's
+//!   selection. Every update is atomic under the store's shard lock, so
+//!   [`LaunchService::save_state`] can never observe a torn entry.
+//!   `tests/persistence.rs` storms the service while saving concurrently
+//!   to prove it.
 //!
 //! # Fault containment (`DESIGN.md` §4.17)
 //!
@@ -386,8 +387,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Template for every lane's [`RuntimeConfig`]. The service overrides
     /// `tenant` (per lane), `observe` (per-lane sinks, see
-    /// [`ServiceConfig::observe`]) and `state_path` (lanes never touch
-    /// disk; the service persists through [`LaunchService::save_state`]).
+    /// [`ServiceConfig::observe`]) and `state_path`, which a lane ignores:
+    /// lanes never touch disk, the service loads and persists its one
+    /// store through [`ServiceConfig::state_path`].
     pub runtime: RuntimeConfig,
     /// When `true`, every lane gets its own tenant-stamped event sink and
     /// [`LaunchService::stream_events`] returns per-stream traces. Off by
@@ -837,28 +839,20 @@ impl LaunchService {
     /// directly comparable to a serial replay's digest. `None` if the
     /// stream never launched.
     pub fn stream_digest(&self, tenant: TenantId, signature: &str) -> Option<u64> {
-        self.stream(tenant, signature, |s| s.digest)
-    }
-
-    /// `f` of the stream's bookkeeping, if the stream ever launched.
-    fn stream<R>(
-        &self,
-        tenant: TenantId,
-        signature: &str,
-        f: impl FnOnce(&StreamStats) -> R,
-    ) -> Option<R> {
         let key = StreamKey::new(tenant, signature);
-        // The store shards streams exactly like the service does.
         let shard = &self.inner.shards[self.inner.cache.shard_of(&key)];
-        lock(&shard.stats).get(&key).map(f)
+        lock(&shard.stats).get(&key).map(|s| s.digest)
     }
 
     /// The stream's event log (empty unless [`ServiceConfig::observe`]).
     /// Sequence numbers and virtual times are the stream's own — identical
     /// to a serial replay of the same submissions on a plain runtime.
     pub fn stream_events(&self, tenant: TenantId, signature: &str) -> Vec<Event> {
-        self.stream(tenant, signature, |s| s.sink.as_ref().map(|s| s.events()))
-            .flatten()
+        let key = StreamKey::new(tenant, signature);
+        let shard = &self.inner.shards[self.inner.cache.shard_of(&key)];
+        lock(&shard.stats)
+            .get(&key)
+            .and_then(|s| s.sink.as_ref().map(|s| s.events()))
             .unwrap_or_default()
     }
 
@@ -887,7 +881,9 @@ impl LaunchService {
     /// the launches this stream completed — unlike the lane sinks, it
     /// survives lane discards and needs no observability to be on.
     pub fn stream_predict_stats(&self, tenant: TenantId, signature: &str) -> Option<PredictStats> {
-        self.stream(tenant, signature, |s| s.predict)
+        let key = StreamKey::new(tenant, signature);
+        let shard = &self.inner.shards[self.inner.cache.shard_of(&key)];
+        lock(&shard.stats).get(&key).map(|s| s.predict)
     }
 
     /// The tenant's prediction accounting, summed over all of its streams.
@@ -965,7 +961,7 @@ impl LaunchService {
             .state_path
             .as_deref()
             .ok_or(StateError::NoStatePath)?;
-        inner.cache.checkpoint(path, None)?;
+        inner.cache.checkpoint(path)?;
         Ok(())
     }
 }
@@ -1289,9 +1285,9 @@ fn resolve(inner: &Inner, job: &mut Job, result: Result<LaunchReport, DyselError
 /// Executes one launch on its stream's lane, under lane supervision:
 /// deadline check, breaker check, chaos injection, `catch_unwind` around
 /// the launch (which commits the stream's learned state to the store),
-/// breaker bookkeeping, ticket resolution. The shard's lanes-map lock is
-/// held only around lookup and discard; the launch runs under the lane's
-/// own lock.
+/// recording the variant it ran, breaker bookkeeping, ticket resolution.
+/// The shard's lanes-map lock is held only around lookup and discard; the
+/// launch runs under the lane's own lock.
 fn process(inner: &Inner, shard: &Shard, mut job: Job) {
     let key = job.key.clone();
     let now = Instant::now();
@@ -1395,6 +1391,14 @@ fn process(inner: &Inner, shard: &Shard, mut job: Job) {
                     entry.predict.fold(report);
                 }
             }
+            // The service records the variant every successful launch ran,
+            // skipped or not; the lane keeps reusing its profiling winner.
+            if let Ok(report) = &result {
+                let variants = lock(&inner.registry)
+                    .variants(&key.signature)
+                    .map_or(0, |v| v.len() as u32);
+                inner.cache.insert(&key, report.selected, variants);
+            }
             drop(lane_guard);
             breaker_record(inner, &key, result.is_ok(), false);
             result
@@ -1424,12 +1428,11 @@ fn process(inner: &Inner, shard: &Shard, mut job: Job) {
     };
     // Checkpoint before resolving: a waiter that observes its outcome
     // can rely on the decision being durable (journaled, and folded into
-    // the checkpoint if the threshold was hit). An automatic checkpoint
-    // reports failure by disabling journaling, never through its result.
+    // the checkpoint if the threshold was hit).
     if let Some(path) = &inner.config.state_path {
-        let _ = inner
+        inner
             .cache
-            .checkpoint(path, Some(inner.config.checkpoint_every));
+            .maybe_checkpoint(path, inner.config.checkpoint_every);
     }
     resolve(inner, &mut job, result);
 }

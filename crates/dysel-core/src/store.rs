@@ -4,11 +4,12 @@
 //! re-profiling (§3.1). Every [`crate::Runtime`] reads and commits that
 //! state through a [`ShardedCache`]: a plain runtime owns a private one, a
 //! [`crate::LaunchService`] shares one across all its lanes. Per
-//! `(tenant, signature)` stream the store keeps the selection, the
-//! variant count it was made against, the warm marker and the quarantine
-//! list — and it owns their persistence: import from a loaded
-//! [`RuntimeState`], export for checkpoints, and (for the service) a
-//! write-ahead journal of every change it commits. DESIGN.md §4.16 states
+//! `(tenant, signature)` stream the store keeps the winner launches
+//! reuse, the recorded selection and the variant count it was made
+//! against, the warm marker and the quarantine list — and it owns their
+//! persistence: import from a loaded [`RuntimeState`], export for
+//! checkpoints, and (for the service) a write-ahead journal of every
+//! change it commits. DESIGN.md §4.16 states
 //! the contract.
 
 use std::collections::{BTreeMap, HashMap};
@@ -73,7 +74,9 @@ impl StreamKey {
 /// One stream's entry in the [`ShardedCache`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheEntry {
-    /// The selected winner, if any launch (or warm restore) picked one.
+    /// The recorded selection: the stream's micro-profiling winner or warm
+    /// restore — for a service, the variant its last successful launch
+    /// ran.
     pub selection: Option<VariantId>,
     /// Variant-pool size the selection was made against (zero if unknown).
     pub variants: u32,
@@ -120,22 +123,12 @@ impl CacheEntry {
         self.variants = 0;
     }
 
-    /// The journal records that turn `self` into `new` on replay:
-    /// quarantines first (each drops a selection naming it), then the
-    /// selection change.
+    /// The journal records that turn `self` into `new` on replay: the
+    /// selection change first (a new selection is never quarantined), then
+    /// the new quarantines (each drops a selection naming it).
     fn changes(&self, key: &StreamKey, new: &CacheEntry) -> Vec<JournalRecord> {
         let (tenant, signature) = (key.tenant.0, &key.signature);
-        let mut records: Vec<JournalRecord> = new
-            .quarantine
-            .iter()
-            .filter(|(id, _)| !self.is_quarantined(*id))
-            .map(|&(variant, reason)| JournalRecord::Quarantine {
-                tenant,
-                signature: signature.clone(),
-                variant,
-                reason,
-            })
-            .collect();
+        let mut records = Vec::new();
         match new.selection {
             Some(variant) if (self.selection, self.variants) != (new.selection, new.variants) => {
                 records.push(JournalRecord::Select {
@@ -145,7 +138,7 @@ impl CacheEntry {
                     variants: new.variants,
                 });
             }
-            // A quarantine record already drops the selection it names.
+            // A quarantine record drops the selection it names.
             None if self.selection.is_some_and(|s| !new.is_quarantined(s)) => {
                 records.push(JournalRecord::Invalidate {
                     tenant,
@@ -154,28 +147,71 @@ impl CacheEntry {
             }
             _ => {}
         }
+        let fresh = new
+            .quarantine
+            .iter()
+            .filter(|(id, _)| !self.is_quarantined(*id));
+        records.extend(fresh.map(|&(variant, reason)| JournalRecord::Quarantine {
+            tenant,
+            signature: signature.clone(),
+            variant,
+            reason,
+        }));
         records
     }
 }
 
 /// One stream's learned state as a launch reads and commits it: the
-/// shared [`CacheEntry`] plus the warm marker.
+/// shared [`CacheEntry`], the winner launches reuse and its warm marker.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Slot {
+    /// The recorded state: what [`ShardedCache::get`] returns and what is
+    /// exported and journaled. Its selection is the winner, except that a
+    /// service also records there the variant each skipped launch ran
+    /// ([`ShardedCache::insert`]).
     pub(crate) entry: CacheEntry,
-    /// The selection was restored from a checkpoint and no launch in this
+    /// The selection a launch may reuse instead of micro-profiling: the
+    /// last profiling winner or a warm restore. A skipped launch ran a
+    /// variant nobody measured, so it never becomes the winner. A winner
+    /// quarantined since is never run again: a launch reusing it falls
+    /// back to the first surviving variant.
+    pub(crate) winner: Option<VariantId>,
+    /// The winner was restored from a checkpoint and no launch in this
     /// process has made its own decision since: it skips micro-profiling
-    /// once the warm audit passes. Never set without a selection.
+    /// once the warm audit passes. Never set without a winner, and never
+    /// on a quarantined one.
     pub(crate) warm: bool,
 }
 
 impl Slot {
-    /// [`CacheEntry::quarantine`]; a dropped selection takes its warm
-    /// marker with it.
+    /// Makes `id` the winner and the recorded selection, unless it is
+    /// quarantined. Returns whether it did.
+    pub(crate) fn select(&mut self, id: VariantId, variants: u32) -> bool {
+        let alive = !self.entry.is_quarantined(id);
+        if alive {
+            self.entry.select(id, variants);
+            self.winner = Some(id);
+        }
+        alive
+    }
+
+    /// [`CacheEntry::quarantine`]. A warm winner naming `id` is dropped
+    /// with its marker: the stream goes back to live profiling.
     pub(crate) fn quarantine(&mut self, id: VariantId, reason: QuarantineReason) -> bool {
         let fresh = self.entry.quarantine(id, reason);
-        self.warm &= self.entry.selection.is_some();
+        if self.warm && self.winner == Some(id) {
+            self.winner = None;
+            self.warm = false;
+        }
         fresh
+    }
+
+    /// Drops the winner, its warm marker and the recorded selection;
+    /// quarantine is kept.
+    pub(crate) fn invalidate(&mut self) {
+        self.entry.invalidate();
+        self.winner = None;
+        self.warm = false;
     }
 }
 
@@ -206,7 +242,8 @@ struct Wal {
 /// * a quarantined variant is never resurrected — [`Self::warm_restore`]
 ///   and [`Self::commit`] refuse to select it and [`Self::quarantine`]
 ///   drops a selection that names it;
-/// * a warm marker never outlives its selection;
+/// * a warm marker never outlives its winner, nor survives the winner's
+///   quarantine;
 /// * every operation is atomic under its shard lock, so a
 ///   [`Self::snapshot`] never observes a half-applied update.
 ///
@@ -260,18 +297,14 @@ impl ShardedCache {
         r
     }
 
-    /// Records a fresh selection for the stream (a completed launch). A
-    /// selection naming a variant already quarantined for the stream is
-    /// ignored — quarantine always wins, whatever the operation order.
-    /// Returns whether the entry changed.
+    /// Records the variant a completed launch ran as the stream's
+    /// selection. Launches keep reusing the stream's winner (its last
+    /// micro-profiling winner or warm restore); this changes only the
+    /// recorded entry. A selection naming a variant already quarantined
+    /// for the stream is ignored — quarantine always wins, whatever the
+    /// operation order. Returns whether the entry changed.
     pub fn insert(&self, key: &StreamKey, selected: VariantId, variants: u32) -> bool {
-        self.update(key, |s| {
-            if s.entry.is_quarantined(selected) {
-                return false;
-            }
-            s.warm = false;
-            s.entry.select(selected, variants)
-        })
+        self.update(key, |s| s.entry.select(selected, variants))
     }
 
     /// Quarantines a variant for the stream. Idempotent per variant (the
@@ -282,45 +315,50 @@ impl ShardedCache {
         self.update(key, |s| s.quarantine(id, reason))
     }
 
-    /// Restores a persisted selection and marks it warm, unless the
-    /// variant is quarantined for this stream — a quarantined variant is
-    /// never resurrected. Returns whether the restore was applied.
+    /// Restores a persisted selection as the stream's warm winner,
+    /// unless the variant is quarantined for this stream — a quarantined
+    /// variant is never resurrected. Returns whether the restore was
+    /// applied.
     pub fn warm_restore(&self, key: &StreamKey, selected: VariantId, variants: u32) -> bool {
         self.update(key, |s| {
-            if s.entry.is_quarantined(selected) {
-                return false;
-            }
-            s.entry.select(selected, variants);
-            s.warm = true;
-            true
+            let applied = s.select(selected, variants);
+            s.warm |= applied;
+            applied
         })
     }
 
-    /// Drops the stream's selection (stale winner) and its warm marker.
-    /// Quarantine entries are kept — staleness never rehabilitates a
-    /// faulty variant.
+    /// Drops the stream's selection and winner (stale) and the warm
+    /// marker. Quarantine entries are kept — staleness never
+    /// rehabilitates a faulty variant.
     pub fn invalidate(&self, key: &StreamKey) {
-        self.update(key, |s| {
-            s.entry.invalidate();
-            s.warm = false;
-        });
+        self.update(key, Slot::invalidate);
     }
 
-    /// Commits a launch's view of the stream: its selection, variant count
-    /// and warm marker replace the stored ones, and its quarantine list is
-    /// merged in (stored entries first). Quarantine still wins: a
-    /// selection naming a quarantined variant is dropped, warm marker and
-    /// all. Returns whether the entry changed.
+    /// Commits a launch's view of the stream, with `entry.selection` as
+    /// its winner: see [`Self::write`]. Returns whether the entry changed.
     pub fn commit(&self, key: &StreamKey, entry: &CacheEntry, warm: bool) -> bool {
+        let slot = Slot {
+            entry: entry.clone(),
+            winner: entry.selection,
+            warm,
+        };
+        self.write(key, &slot)
+    }
+
+    /// Writes back a launch's slot: its selection, winner, variant count
+    /// and warm marker replace the stored ones, and every quarantine —
+    /// stored ones first, then the launch's — is applied over them, so
+    /// quarantine still wins. Returns whether the entry changed.
+    pub(crate) fn write(&self, key: &StreamKey, slot: &Slot) -> bool {
         self.update(key, |s| {
-            let old = s.entry.clone();
-            for &(id, reason) in &entry.quarantine {
-                s.entry.quarantine(id, reason);
+            let mut fresh = slot.clone();
+            fresh.entry.quarantine.clear();
+            let old = std::mem::replace(s, fresh);
+            for &(id, reason) in old.entry.quarantine.iter().chain(&slot.entry.quarantine) {
+                s.quarantine(id, reason);
             }
-            s.entry.selection = entry.selection.filter(|&id| !s.entry.is_quarantined(id));
-            s.entry.variants = entry.variants;
-            s.warm = warm && s.entry.selection.is_some();
-            s.entry != old
+            s.warm &= s.winner.is_some();
+            s.entry != old.entry
         })
     }
 
@@ -339,8 +377,9 @@ impl ShardedCache {
             .map(|s| s.entry.clone())
     }
 
-    /// Whether the stream's selection is a warm restore no launch has
-    /// replaced yet.
+    /// Whether the stream's winner is a warm restore no launch has
+    /// replaced yet. Read-only inspection: launches read the marker with
+    /// the entry, and the property tests check it through this.
     pub fn is_warm(&self, key: &StreamKey) -> bool {
         self.read(key).warm
     }
@@ -418,8 +457,9 @@ impl ShardedCache {
     }
 
     /// Attaches a write-ahead journal: every later change is appended to
-    /// it, and appends and compactions are counted into `sink`. With `kill_after` (chaos), appends past
-    /// that many go silent, as if the process had died.
+    /// it, and appends and compactions are counted into `sink`. With
+    /// `kill_after` (chaos), appends past that many go silent, as if the
+    /// process had died.
     pub(crate) fn attach_journal(
         &self,
         journal: Journal,
@@ -471,40 +511,40 @@ impl ShardedCache {
 
     /// Writes a checkpoint of the whole store to `path`, stamped with the
     /// journal sequence, and truncates the journal it absorbs — a
-    /// compaction, counted and announced in the journal's sink. With
-    /// `every`, the checkpoint is automatic: it runs only once the journal
-    /// holds that many records, and a failure disables journaling instead
-    /// of being returned.
-    pub(crate) fn checkpoint(&self, path: &Path, every: Option<u64>) -> Result<(), StateError> {
+    /// compaction, counted and announced in the journal's sink.
+    pub(crate) fn checkpoint(&self, path: &Path) -> Result<(), StateError> {
+        self.save(&mut lock(&self.wal), path)
+    }
+
+    /// The automatic checkpoint: runs only once the journal holds `every`
+    /// records, and a failure disables journaling instead of being
+    /// returned.
+    pub(crate) fn maybe_checkpoint(&self, path: &Path, every: u64) {
         let mut wal = lock(&self.wal);
-        let wal = &mut *wal;
-        if let Some(every) = every {
-            let journal = wal.journal.as_ref();
-            if !journal.is_some_and(|j| j.is_alive() && j.appended() >= every.max(1)) {
-                return Ok(());
-            }
+        let due = wal.journal.as_ref();
+        if !due.is_some_and(|j| j.is_alive() && j.appended() >= every.max(1)) {
+            return;
         }
+        if let Err(e) = self.save(&mut wal, path) {
+            wal.error = Some(e);
+            wal.journal = None;
+        }
+    }
+
+    /// [`Self::checkpoint`] under the journal lock the caller holds.
+    fn save(&self, wal: &mut Wal, path: &Path) -> Result<(), StateError> {
         let mut state = self.export();
         state.journal_seq = wal.journal.as_ref().map_or(0, Journal::seq);
-        let saved = persist::save(&state, path).and_then(|()| match wal.journal.as_mut() {
-            Some(journal) => journal.compacted().map(|()| Some(journal.seq())),
-            None => Ok(None),
-        });
-        match saved {
-            Ok(Some(seq)) => {
-                if let Some(sink) = &wal.sink {
-                    sink.count(names::SERVICE_JOURNAL_COMPACTIONS, 1);
-                    sink.emit(Event::new(Stage::JournalCompact).detail(format!("seq {seq}")));
-                }
-                Ok(())
-            }
-            Ok(None) => Ok(()),
-            Err(e) if every.is_some() => {
-                wal.error = Some(e);
-                wal.journal = None;
-                Ok(())
-            }
-            Err(e) => Err(e),
+        persist::save(&state, path)?;
+        let Some(journal) = wal.journal.as_mut() else {
+            return Ok(());
+        };
+        journal.compacted()?;
+        if let Some(sink) = &wal.sink {
+            let seq = journal.seq();
+            sink.count(names::SERVICE_JOURNAL_COMPACTIONS, 1);
+            sink.emit(Event::new(Stage::JournalCompact).detail(format!("seq {seq}")));
         }
+        Ok(())
     }
 }

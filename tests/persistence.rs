@@ -115,6 +115,71 @@ fn warm_restart_skips_profiling_and_reselects_the_same_winner() {
     let _ = fs::remove_file(&path);
 }
 
+/// Only a micro-profiling winner is learned. Launches that skip
+/// profiling (a small workload, profiling switched off) run a variant
+/// nobody measured, so they leave no selection behind: a restart from
+/// their state file stays cold, and a profile-once runtime still
+/// profiles its first large launch.
+#[test]
+fn skipped_launches_are_never_persisted_as_the_selection() {
+    let path = temp_path("skipped");
+    let once = RuntimeConfig {
+        profile_once_per_signature: true,
+        ..config(&path)
+    };
+    let mut rt = runtime(None, once);
+    let opts = LaunchOptions::new()
+        .with_mode(ProfilingMode::FullyProductive)
+        .with_orchestration(Orchestration::Sync);
+    let mut args = fresh_args();
+    let small = rt.launch("triple", &mut args, 8, &opts).unwrap();
+    assert_eq!(small.skipped, Some(SkipReason::SmallWorkload));
+    let off = LaunchOptions {
+        profiling: false,
+        ..opts.clone()
+    };
+    let unprofiled = rt.launch("triple", &mut args, N, &off).unwrap();
+    assert_eq!(unprofiled.skipped, Some(SkipReason::ProfilingDisabled));
+    assert_eq!(rt.cached_selection("triple"), None);
+    rt.save_state().unwrap();
+
+    let mut restarted = runtime(None, config(&path));
+    assert!(restarted.state_load_error().is_none());
+    let first = fp_sync(&mut restarted, &mut fresh_args());
+    assert!(
+        first.profiled(),
+        "a skipped launch must not warm the restart"
+    );
+
+    let large = fp_sync(&mut rt, &mut fresh_args());
+    assert!(large.profiled(), "profile-once must still profile once");
+    assert_eq!(large.selected_name, "c-fast");
+    assert_eq!(rt.cached_selection("triple"), Some(large.selected));
+    let _ = fs::remove_file(&path);
+}
+
+/// A warm restart whose persisted winner now fails quarantines it and
+/// falls back to a survivor nobody profiled. Saving after that launch
+/// must not hand the fallback to the next process as a warm selection.
+#[test]
+fn warm_fallback_is_not_persisted_as_the_selection() {
+    let path = temp_path("fallback");
+    let (_, cold, _) = seeded_state(&path);
+    assert_eq!(cold.selected_name, "c-fast");
+    let plan = FaultPlan::new(7).with(FaultRule::new("c-fast", FaultKind::LaunchError));
+    let mut rt = runtime(Some(plan.clone()), config(&path));
+    let fallback = fp_sync(&mut rt, &mut fresh_args());
+    assert_eq!(fallback.skipped, Some(SkipReason::CachedSelection));
+    assert_ne!(fallback.selected_name, "c-fast");
+    rt.save_state().unwrap();
+
+    let mut restarted = runtime(Some(plan), config(&path));
+    let next = fp_sync(&mut restarted, &mut fresh_args());
+    assert!(next.profiled(), "an unprofiled fallback must not warm-skip");
+    assert_eq!(next.selected_name, "b-mid");
+    let _ = fs::remove_file(&path);
+}
+
 #[test]
 fn round_trip_preserves_selections_and_quarantine_bit_for_bit() {
     let path = temp_path("roundtrip");
