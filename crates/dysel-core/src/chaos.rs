@@ -42,6 +42,8 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
+use crate::persist::{fnv1a, fnv1a_step, FNV_OFFSET};
+
 /// The process-level fault a chaos rule injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosAction {
@@ -227,11 +229,10 @@ impl ChaosPlan {
 /// A stateless probability draw: pure in its inputs, so decisions are
 /// independent of client count and submission interleaving.
 fn draw(seed: u64, tenant: u32, signature: &str, index: u64, rule: usize) -> f64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    h = (h ^ u64::from(tenant)).wrapping_mul(0x0000_0100_0000_01b3);
-    for b in signature.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = fnv1a(
+        fnv1a_step(FNV_OFFSET ^ seed, u64::from(tenant)),
+        signature.as_bytes(),
+    );
     h ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^= (rule as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 33;

@@ -1,13 +1,16 @@
-//! Write-ahead journaling of selection/quarantine decisions.
+//! Write-ahead journaling of selection/quarantine decisions, and the one
+//! record codec of every state file.
 //!
-//! A checkpoint ([`crate::persist`], format v4) is a full snapshot written
+//! A checkpoint ([`crate::persist`], format v5) is a full snapshot written
 //! atomically — but only when someone calls `save_state` or the service
 //! compacts. Everything learned *since* the last checkpoint would die with
 //! the process. This module closes that window: the learned-state store
 //! of a journaling [`crate::LaunchService`] appends one small checksummed
 //! record per change it commits to `<state_path>.journal` as it happens,
 //! and recovery replays `checkpoint + journal` to reconstruct the exact
-//! pre-crash cache. The design constraints, in order:
+//! pre-crash cache. A checkpoint's payload is itself a compacted journal:
+//! the same [`JournalRecord`] frames, read by the same [`read_frames`].
+//! The design constraints, in order:
 //!
 //! * **off the hot path** — a record is a few dozen bytes, appended and
 //!   flushed outside every store shard lock; without a configured
@@ -17,15 +20,15 @@
 //!   partial final record. Each record is length-prefixed and FNV-1a
 //!   checksummed, so [`replay`] keeps the valid prefix, flags the tail as
 //!   torn, and never panics on file content;
-//! * **idempotent replay** — records are applied with the same semantics
-//!   the [`crate::ShardedCache`] enforces (last selection wins, quarantine
-//!   always beats selection, the first quarantine reason is sticky), so
+//! * **idempotent replay** — records are applied by the store itself
+//!   ([`crate::ShardedCache`]: last selection wins, quarantine always
+//!   beats selection, the first quarantine reason is sticky), so
 //!   replaying a journal over a checkpoint that already contains some of
 //!   its records converges to the same state. A crash between "checkpoint
 //!   renamed" and "journal truncated" is therefore safe;
 //! * **compactable** — once a checkpoint absorbs the journal (stamping
-//!   [`crate::RuntimeState::journal_seq`] with the cumulative record
-//!   count), the journal is truncated back to its header.
+//!   the cumulative record count as its journal sequence), the journal is
+//!   truncated back to its header.
 
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -34,7 +37,7 @@ use std::path::{Path, PathBuf};
 use dysel_kernel::VariantId;
 
 use crate::fault::QuarantineReason;
-use crate::persist::{fnv1a, reason_code, reason_from_code, RuntimeState, StateError};
+use crate::persist::{fnv1a, reason_code, reason_from_code, StateError, FNV_OFFSET};
 
 /// File magic: identifies a DySel selection journal.
 const MAGIC: [u8; 8] = *b"DYSELJL\n";
@@ -91,53 +94,8 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
-    /// Applies the record to a state value with the cache's semantics:
-    /// last selection wins unless the variant is quarantined, quarantine
-    /// beats selection and is idempotent (first reason sticks), invalidate
-    /// keeps quarantine. Applying the same record twice is a no-op, which
-    /// is what makes replay-over-checkpoint safe.
-    pub fn apply(&self, state: &mut RuntimeState) {
-        match self {
-            JournalRecord::Select {
-                tenant,
-                signature,
-                variant,
-                variants,
-            } => {
-                let (selections, quarantine, counts) = state.sections_mut(*tenant);
-                let quarantined = quarantine
-                    .get(signature)
-                    .is_some_and(|q| q.iter().any(|(v, _)| v == variant));
-                if !quarantined {
-                    selections.insert(signature.clone(), *variant);
-                    counts.insert(signature.clone(), *variants);
-                }
-            }
-            JournalRecord::Quarantine {
-                tenant,
-                signature,
-                variant,
-                reason,
-            } => {
-                let (selections, quarantine, _) = state.sections_mut(*tenant);
-                let entries = quarantine.entry(signature.clone()).or_default();
-                if !entries.iter().any(|(v, _)| v == variant) {
-                    entries.push((*variant, *reason));
-                }
-                if selections.get(signature) == Some(variant) {
-                    selections.remove(signature);
-                }
-            }
-            JournalRecord::Invalidate { tenant, signature } => {
-                let (selections, _, counts) = state.sections_mut(*tenant);
-                selections.remove(signature);
-                counts.remove(signature);
-            }
-        }
-    }
-
     /// Serializes the record body (tag + fields, little-endian,
-    /// length-prefixed strings — the checkpoint encoding's dialect).
+    /// length-prefixed strings).
     fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let put_head = |out: &mut Vec<u8>, tag: u8, tenant: u32, sig: &str| {
@@ -220,13 +178,14 @@ impl JournalRecord {
         let body = self.encode_body();
         let mut out = Vec::with_capacity(FRAME_LEN + body.len());
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        out.extend_from_slice(&fnv1a(FNV_OFFSET, &body).to_le_bytes());
         out.extend_from_slice(&body);
         out
     }
 }
 
-/// What [`replay`] recovered from a journal file.
+/// What [`replay`] recovered from a journal file, or [`read_frames`] from
+/// any run of frames.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Replay {
     /// The valid record prefix, in append order.
@@ -234,15 +193,6 @@ pub struct Replay {
     /// Whether the file ended in a torn/corrupt record (the tail was
     /// dropped; everything in [`Replay::records`] is still good).
     pub torn: bool,
-}
-
-impl Replay {
-    /// Applies every recovered record, in order, to a state value.
-    pub fn apply(&self, state: &mut RuntimeState) {
-        for rec in &self.records {
-            rec.apply(state);
-        }
-    }
 }
 
 /// Replays a journal file. A missing file is an empty replay (nothing was
@@ -287,35 +237,40 @@ pub fn replay(path: &Path) -> Result<Replay, StateError> {
             supported: VERSION,
         });
     }
+    Ok(read_frames(&bytes[HEADER_LEN..]))
+}
+
+/// Decodes consecutive framed records: the valid prefix, and whether
+/// bytes that do not parse as a frame followed it. The journal tolerates
+/// such a tail as torn; a checkpoint rejects it as malformed.
+pub(crate) fn read_frames(mut bytes: &[u8]) -> Replay {
     let mut out = Replay::default();
-    let mut at = HEADER_LEN;
-    while at < bytes.len() {
-        if bytes.len() - at < FRAME_LEN {
+    while !bytes.is_empty() {
+        let Some(rec) = read_frame(&mut bytes) else {
             out.torn = true;
             break;
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let checksum = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes"));
-        let body_at = at + FRAME_LEN;
-        if len > MAX_BODY || bytes.len() - body_at < len as usize {
-            out.torn = true;
-            break;
-        }
-        let body = &bytes[body_at..body_at + len as usize];
-        if fnv1a(body) != checksum {
-            out.torn = true;
-            break;
-        }
-        match JournalRecord::decode_body(body) {
-            Some(rec) => out.records.push(rec),
-            None => {
-                out.torn = true;
-                break;
-            }
-        }
-        at = body_at + len as usize;
+        };
+        out.records.push(rec);
     }
-    Ok(out)
+    out
+}
+
+/// Decodes the frame at the head of `bytes` and advances past it; `None`
+/// if the head is not a whole, checksummed, parseable record.
+fn read_frame(bytes: &mut &[u8]) -> Option<JournalRecord> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let (checksum, rest) = rest.split_first_chunk::<8>()?;
+    let len = u32::from_le_bytes(*len);
+    if len > MAX_BODY {
+        return None;
+    }
+    let (body, rest) = rest.split_at_checked(len as usize)?;
+    if fnv1a(FNV_OFFSET, body) != u64::from_le_bytes(*checksum) {
+        return None;
+    }
+    let rec = JournalRecord::decode_body(body)?;
+    *bytes = rest;
+    Some(rec)
 }
 
 /// An open journal writer. Appends are flushed (not fsynced: surviving
@@ -329,7 +284,7 @@ pub struct Journal {
     /// Records appended since the last compaction.
     appended: u64,
     /// Cumulative record count across compactions: what a checkpoint
-    /// stamps into [`RuntimeState::journal_seq`].
+    /// stamps as its journal sequence.
     seq: u64,
     /// Chaos kill-point: when `false`, appends are silently dropped,
     /// simulating a persistence-layer crash mid-run.
@@ -339,7 +294,7 @@ pub struct Journal {
 impl Journal {
     /// Creates (truncating) the journal at `path` and writes its header.
     /// `seq` seeds the cumulative record counter — pass the checkpoint's
-    /// [`RuntimeState::journal_seq`] plus any records just replayed.
+    /// journal sequence plus any records just replayed.
     pub fn create(path: &Path, seq: u64) -> Result<Journal, StateError> {
         let io_err = |e: std::io::Error| StateError::Io {
             path: path.to_path_buf(),
@@ -424,6 +379,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedCache;
 
     fn dir() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -545,11 +501,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_matches_cache_semantics() {
-        let mut state = RuntimeState::default();
-        for rec in sample_records() {
-            rec.apply(&mut state);
-        }
+    fn replay_matches_cache_semantics() {
+        let store = ShardedCache::new(2);
+        store.replay(&sample_records());
+        let state = store.export();
         // Tenant 0: spmv selected then invalidated.
         assert!(state.selections.is_empty());
         // Tenant 2: sgemm v0 quarantined, v1 selected.
@@ -567,16 +522,16 @@ mod tests {
             variant: VariantId(0),
             variants: 2,
         };
-        select_bad.apply(&mut state);
-        assert_eq!(state.tenants[&2].selections["sgemm"], VariantId(1));
+        store.replay(&[select_bad]);
+        assert_eq!(store.export().tenants[&2].selections["sgemm"], VariantId(1));
         let quarantine_winner = JournalRecord::Quarantine {
             tenant: 2,
             signature: "sgemm".into(),
             variant: VariantId(1),
             reason: QuarantineReason::LaunchFailed,
         };
-        quarantine_winner.apply(&mut state);
-        quarantine_winner.apply(&mut state);
+        store.replay(&[quarantine_winner.clone(), quarantine_winner]);
+        let state = store.export();
         let t2 = &state.tenants[&2];
         assert!(!t2.selections.contains_key("sgemm"));
         assert_eq!(t2.quarantine["sgemm"].len(), 2);

@@ -48,7 +48,7 @@ pub use fault::{
     FaultKind, FaultPlan, FaultPlanParseError, FaultReport, FaultRule, InjectedFault,
     QuarantineReason, DEFAULT_HANG_FACTOR,
 };
-pub use journal::{journal_path, Journal, JournalRecord, Replay};
+pub use journal::journal_path;
 pub use mixed::MixedReport;
 pub use options::{
     InitialSelection, LaunchOptions, PredictLevel, PruneLevel, RuntimeConfig, TenantId, VerifyLevel,

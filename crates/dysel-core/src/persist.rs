@@ -4,8 +4,8 @@
 //! process lifetimes: what micro-profiling and the quarantine machinery
 //! discover in one run should survive to the next, so iterative
 //! applications restart warm and skip straight to the cached winner. This
-//! module stores the per-signature selection cache and quarantine set in a
-//! small self-validating file:
+//! module stores a checkpoint of the learned-state store
+//! ([`crate::ShardedCache`]) in a small self-validating file:
 //!
 //! * **versioned** — an 8-byte magic plus a format version, so future
 //!   layouts are detected instead of misparsed;
@@ -13,17 +13,23 @@
 //!   payload length, so truncation and bit rot are told apart and both are
 //!   rejected with a typed [`StateError`];
 //! * **atomically written** — serialized to a sibling temp file, synced,
-//!   then renamed over the destination, so a crash mid-save leaves either
-//!   the old state or the new state, never a torn file.
+//!   renamed over the destination, and the directory synced, so a crash
+//!   mid-save leaves either the old state or the new state, never a torn
+//!   file, and a rename survives power loss before the journal it absorbed
+//!   is truncated.
+//!
+//! The payload is a compacted journal: the journal sequence the checkpoint
+//! absorbed, then, stream by stream in key order, the records that rebuild
+//! the stream's entry from nothing, each framed exactly as the write-ahead
+//! journal frames it ([`crate::journal`]). One frame reader decodes both
+//! files, and loading is replay through the store, so the store's rules
+//! are the only apply rules. Inside a checkpoint every frame must parse;
+//! in the journal a frame that does not is a tolerated torn tail.
 //!
 //! Loading is corruption-tolerant by contract: every malformed input maps
 //! to a [`StateError`] and the runtime cold-starts; nothing here panics on
-//! file content.
-//!
-//! The encoding is fixed little-endian with length-prefixed UTF-8 strings
-//! and [`BTreeMap`]-ordered entries, so saving the same state twice
-//! produces bit-identical files — the same determinism contract the rest
-//! of the system honors.
+//! file content. Saving the same store twice produces bit-identical files —
+//! the same determinism contract the rest of the system honors.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -34,17 +40,14 @@ use std::path::{Path, PathBuf};
 use dysel_kernel::VariantId;
 
 use crate::fault::QuarantineReason;
+use crate::journal::{self, JournalRecord};
 
 /// File magic: identifies a DySel state file regardless of extension.
 const MAGIC: [u8; 8] = *b"DYSELST\n";
-/// Current format version. v2 added the per-signature variant counts used
-/// to detect stale warm restores; v3 added the per-tenant section a
-/// multi-tenant [`crate::LaunchService`] persists; v4 added the trailing
-/// journal sequence number a journaling service stamps at checkpoint time
-/// (see [`crate::journal`]). Older files — v1 through v3 included —
-/// cold-start with a typed [`StateError::UnsupportedVersion`], never a
-/// panic.
-const VERSION: u32 = 4;
+/// Current format version. v5 made the payload a compacted journal; v1
+/// through v4 laid out nested per-signature maps. Older files cold-start
+/// with a typed [`StateError::UnsupportedVersion`], never a panic.
+const VERSION: u32 = 5;
 /// Fixed header: magic, version, payload length, payload checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
 
@@ -68,11 +71,12 @@ impl TenantState {
     }
 }
 
-/// The persisted slice of a runtime's learned state: per-signature
-/// selections and quarantine entries. The three flat maps are tenant 0's
-/// state (every single-tenant runtime reads and writes only those); a
-/// multi-tenant [`crate::LaunchService`] additionally nests the state of
-/// every other tenant under [`RuntimeState::tenants`].
+/// The persisted slice of a runtime's learned state as a value — what
+/// `export_state` and `load_state` return: per-signature selections and
+/// quarantine entries. The three flat maps are tenant 0's state (every
+/// single-tenant runtime reads and writes only those); a multi-tenant
+/// [`crate::LaunchService`] additionally nests the state of every other
+/// tenant under [`RuntimeState::tenants`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeState {
     /// Selected winner per kernel signature (tenant 0).
@@ -85,12 +89,11 @@ pub struct RuntimeState {
     /// with a different variant count is stale: the persisted winner was
     /// chosen against a different candidate set. (Tenant 0.)
     pub variant_counts: BTreeMap<String, u32>,
-    /// Per-tenant state for tenants other than 0 (v3). Tenant 0 must stay
-    /// in the flat maps; encoding rejects nothing, but a well-formed file
-    /// never carries an empty or zero-keyed entry here.
+    /// Per-tenant state for tenants other than 0. Tenant 0 stays in the
+    /// flat maps, and an export never carries an empty entry here.
     pub tenants: BTreeMap<u32, TenantState>,
     /// Cumulative count of write-ahead-journal records folded into this
-    /// checkpoint (v4; see [`crate::journal`]). Zero for plain runtimes,
+    /// checkpoint (see [`crate::journal_path`]). Zero for plain runtimes,
     /// which never journal — the field is bookkeeping, not learned state,
     /// so [`RuntimeState::is_empty`] ignores it.
     pub journal_seq: u64,
@@ -218,15 +221,19 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// 64-bit FNV-1a over a byte slice (the journal checksums records with
-/// it too).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The 64-bit FNV-1a offset basis: the hash of no input.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One 64-bit FNV-1a step: the crate's one FNV-1a, behind file and record
+/// checksums, shard assignment, service digests and chaos draws.
+pub(crate) fn fnv1a_step(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Folds `bytes` into the running FNV-1a hash `h` (start from
+/// [`FNV_OFFSET`]).
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a_step(h, u64::from(b)))
 }
 
 pub(crate) fn reason_code(r: QuarantineReason) -> u8 {
@@ -248,123 +255,25 @@ pub(crate) fn reason_from_code(c: u8) -> Option<QuarantineReason> {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends one tenant's three per-signature sections to the payload.
-fn put_sections(
-    payload: &mut Vec<u8>,
-    selections: &BTreeMap<String, VariantId>,
-    quarantine: &BTreeMap<String, Vec<(VariantId, QuarantineReason)>>,
-    variant_counts: &BTreeMap<String, u32>,
-) {
-    put_u32(payload, selections.len() as u32);
-    for (sig, id) in selections {
-        put_str(payload, sig);
-        put_u32(payload, id.0 as u32);
+/// Serializes a checkpoint to the full on-disk byte image: the header,
+/// then a payload of `seq` and the journal-framed `records`.
+pub(crate) fn encode(seq: u64, records: &[JournalRecord]) -> Vec<u8> {
+    let mut payload = seq.to_le_bytes().to_vec();
+    for rec in records {
+        payload.extend_from_slice(&rec.encode());
     }
-    put_u32(payload, quarantine.len() as u32);
-    for (sig, entries) in quarantine {
-        put_str(payload, sig);
-        put_u32(payload, entries.len() as u32);
-        for (id, reason) in entries {
-            put_u32(payload, id.0 as u32);
-            payload.push(reason_code(*reason));
-        }
-    }
-    put_u32(payload, variant_counts.len() as u32);
-    for (sig, count) in variant_counts {
-        put_str(payload, sig);
-        put_u32(payload, *count);
-    }
-}
-
-/// Serializes a state to the full on-disk byte image (header + payload).
-pub fn encode(state: &RuntimeState) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_sections(
-        &mut payload,
-        &state.selections,
-        &state.quarantine,
-        &state.variant_counts,
-    );
-    put_u32(&mut payload, state.tenants.len() as u32);
-    for (tenant, ts) in &state.tenants {
-        put_u32(&mut payload, *tenant);
-        put_sections(
-            &mut payload,
-            &ts.selections,
-            &ts.quarantine,
-            &ts.variant_counts,
-        );
-    }
-    payload.extend_from_slice(&state.journal_seq.to_le_bytes());
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
 
-/// A bounds-checked little-endian reader over the payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-    path: &'a Path,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
-        // The payload length was already validated against the header, so
-        // running off the end here means the *content* lies about its own
-        // structure — malformed, not truncated.
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.at..end];
-                self.at = end;
-                Ok(s)
-            }
-            None => Err(StateError::Malformed {
-                path: self.path.to_path_buf(),
-                detail: "length field exceeds payload".to_owned(),
-            }),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, StateError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u8(&mut self) -> Result<u8, StateError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn string(&mut self) -> Result<String, StateError> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| StateError::Malformed {
-            path: self.path.to_path_buf(),
-            detail: "signature is not UTF-8".to_owned(),
-        })
-    }
-}
-
-/// Parses a full on-disk byte image back into a state.
-pub fn decode(bytes: &[u8], path: &Path) -> Result<RuntimeState, StateError> {
-    let malformed = |detail: &str| StateError::Malformed {
-        path: path.to_path_buf(),
-        detail: detail.to_owned(),
-    };
+/// Parses a full on-disk byte image back into its journal sequence and
+/// records.
+pub(crate) fn decode(bytes: &[u8], path: &Path) -> Result<(u64, Vec<JournalRecord>), StateError> {
     if bytes.len() < 8 || bytes[..8] != MAGIC {
         // Too short to even hold the magic counts as truncated only when
         // the prefix matches; otherwise it is simply not our file.
@@ -398,84 +307,31 @@ pub fn decode(bytes: &[u8], path: &Path) -> Result<RuntimeState, StateError> {
             path: path.to_path_buf(),
         });
     }
-    if fnv1a(payload) != checksum {
+    if fnv1a(FNV_OFFSET, payload) != checksum {
         return Err(StateError::ChecksumMismatch {
             path: path.to_path_buf(),
         });
     }
-    let mut cur = Cursor {
-        bytes: payload,
-        at: 0,
-        path,
-    };
-    let mut state = RuntimeState::default();
-    let t0 = read_sections(&mut cur)?;
-    state.selections = t0.selections;
-    state.quarantine = t0.quarantine;
-    state.variant_counts = t0.variant_counts;
-    let n_tenants = cur.u32()?;
-    for _ in 0..n_tenants {
-        let tenant = cur.u32()?;
-        if tenant == 0 {
-            return Err(malformed("tenant 0 nested in the tenant section"));
-        }
-        let ts = read_sections(&mut cur)?;
-        if state.tenants.insert(tenant, ts).is_some() {
-            return Err(malformed("duplicate tenant id"));
-        }
-    }
-    let seq = cur.take(8)?;
-    state.journal_seq = u64::from_le_bytes(seq.try_into().expect("8 bytes"));
-    if cur.at != payload.len() {
-        return Err(malformed("trailing bytes after payload"));
-    }
-    Ok(state)
-}
-
-/// Parses one tenant's three per-signature sections.
-fn read_sections(cur: &mut Cursor<'_>) -> Result<TenantState, StateError> {
-    let malformed = |cur: &Cursor<'_>, detail: &str| StateError::Malformed {
-        path: cur.path.to_path_buf(),
+    // The payload passed its checksum, so a frame that does not parse is
+    // an encoder bug or a forgery — malformed, never a torn tail.
+    let malformed = |detail: &str| StateError::Malformed {
+        path: path.to_path_buf(),
         detail: detail.to_owned(),
     };
-    let mut ts = TenantState::default();
-    let n_sel = cur.u32()?;
-    for _ in 0..n_sel {
-        let sig = cur.string()?;
-        let id = VariantId(cur.u32()? as usize);
-        if ts.selections.insert(sig, id).is_some() {
-            return Err(malformed(cur, "duplicate selection signature"));
-        }
+    let (seq, frames) = payload
+        .split_first_chunk::<8>()
+        .ok_or_else(|| malformed("payload shorter than its journal sequence"))?;
+    let replay = journal::read_frames(frames);
+    if replay.torn {
+        return Err(malformed("record frame does not parse"));
     }
-    let n_quar = cur.u32()?;
-    for _ in 0..n_quar {
-        let sig = cur.string()?;
-        let n = cur.u32()?;
-        let mut entries = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            let id = VariantId(cur.u32()? as usize);
-            let reason = reason_from_code(cur.u8()?)
-                .ok_or_else(|| malformed(cur, "unknown quarantine reason code"))?;
-            entries.push((id, reason));
-        }
-        if ts.quarantine.insert(sig, entries).is_some() {
-            return Err(malformed(cur, "duplicate quarantine signature"));
-        }
-    }
-    let n_counts = cur.u32()?;
-    for _ in 0..n_counts {
-        let sig = cur.string()?;
-        let count = cur.u32()?;
-        if ts.variant_counts.insert(sig, count).is_some() {
-            return Err(malformed(cur, "duplicate variant-count signature"));
-        }
-    }
-    Ok(ts)
+    Ok((u64::from_le_bytes(*seq), replay.records))
 }
 
-/// Loads a state file. Every failure mode — missing file, wrong magic,
-/// version skew, truncation, corruption — surfaces as a [`StateError`].
-pub fn load(path: &Path) -> Result<RuntimeState, StateError> {
+/// Loads a state file: its journal sequence and records. Every failure
+/// mode — missing file, wrong magic, version skew, truncation, corruption
+/// — surfaces as a [`StateError`].
+pub(crate) fn load(path: &Path) -> Result<(u64, Vec<JournalRecord>), StateError> {
     let bytes = fs::read(path).map_err(|e| StateError::Io {
         path: path.to_path_buf(),
         detail: e.to_string(),
@@ -483,10 +339,19 @@ pub fn load(path: &Path) -> Result<RuntimeState, StateError> {
     decode(&bytes, path)
 }
 
+/// The directory holding `path`; a bare file name lives in `.`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
 /// Atomically writes a state file: the image goes to a sibling temp file,
-/// is synced to disk, and is renamed over `path`. A crash at any point
-/// leaves either the previous file or the new one intact.
-pub fn save(state: &RuntimeState, path: &Path) -> Result<(), StateError> {
+/// is synced to disk, and is renamed over `path`, and then the directory
+/// is synced so the rename itself is durable. A crash at any point leaves
+/// either the previous file or the new one intact.
+pub(crate) fn save(seq: u64, records: &[JournalRecord], path: &Path) -> Result<(), StateError> {
     let io_err = |p: &Path, e: std::io::Error| StateError::Io {
         path: p.to_path_buf(),
         detail: e.to_string(),
@@ -494,7 +359,7 @@ pub fn save(state: &RuntimeState, path: &Path) -> Result<(), StateError> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(format!(".tmp.{}", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    let image = encode(state);
+    let image = encode(seq, records);
     let write = (|| {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(&image)?;
@@ -507,54 +372,70 @@ pub fn save(state: &RuntimeState, path: &Path) -> Result<(), StateError> {
     fs::rename(&tmp, path).map_err(|e| {
         let _ = fs::remove_file(&tmp);
         io_err(path, e)
-    })
+    })?;
+    let dir = parent_dir(path);
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err(dir, e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> RuntimeState {
-        let mut s = RuntimeState::default();
-        s.selections.insert("spmv".to_owned(), VariantId(2));
-        s.selections.insert("sgemm".to_owned(), VariantId(0));
-        s.quarantine.insert(
-            "spmv".to_owned(),
-            vec![
-                (VariantId(1), QuarantineReason::DeadlineExceeded),
-                (VariantId(3), QuarantineReason::WrongOutput),
-            ],
-        );
-        s.variant_counts.insert("spmv".to_owned(), 4);
-        s.variant_counts.insert("sgemm".to_owned(), 2);
-        let mut t7 = TenantState::default();
-        t7.selections.insert("spmv".to_owned(), VariantId(1));
-        t7.quarantine.insert(
-            "spmv".to_owned(),
-            vec![(VariantId(0), QuarantineReason::LaunchFailed)],
-        );
-        t7.variant_counts.insert("spmv".to_owned(), 4);
-        s.tenants.insert(7, t7);
-        s.journal_seq = 42;
-        s
+    /// A checkpoint as the store writes one: per stream in key order, the
+    /// selection, then its quarantines.
+    fn sample() -> (u64, Vec<JournalRecord>) {
+        let select = |tenant, sig: &str, v, variants| JournalRecord::Select {
+            tenant,
+            signature: sig.to_owned(),
+            variant: VariantId(v),
+            variants,
+        };
+        let quarantine = |tenant, sig: &str, v, reason| JournalRecord::Quarantine {
+            tenant,
+            signature: sig.to_owned(),
+            variant: VariantId(v),
+            reason,
+        };
+        let records = vec![
+            select(0, "sgemm", 0, 2),
+            select(0, "spmv", 2, 4),
+            quarantine(0, "spmv", 1, QuarantineReason::DeadlineExceeded),
+            quarantine(0, "spmv", 3, QuarantineReason::WrongOutput),
+            select(7, "spmv", 1, 4),
+            quarantine(7, "spmv", 0, QuarantineReason::LaunchFailed),
+        ];
+        (42, records)
+    }
+
+    fn sample_image() -> Vec<u8> {
+        let (seq, records) = sample();
+        encode(seq, &records)
+    }
+
+    /// Re-stamps the header's payload length and checksum after a test
+    /// edited the payload.
+    fn reseal(image: &mut [u8]) {
+        let len = (image.len() - HEADER_LEN) as u64;
+        let sum = fnv1a(FNV_OFFSET, &image[HEADER_LEN..]);
+        image[12..20].copy_from_slice(&len.to_le_bytes());
+        image[20..28].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let s = sample();
-        let image = encode(&s);
+        let image = sample_image();
         let back = decode(&image, Path::new("x")).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(back, sample());
         // Deterministic bytes: encoding the decoded state is identical.
-        assert_eq!(encode(&back), image);
+        assert_eq!(encode(back.0, &back.1), image);
     }
 
     #[test]
     fn empty_state_round_trips() {
-        let s = RuntimeState::default();
-        assert!(s.is_empty());
-        let back = decode(&encode(&s), Path::new("x")).unwrap();
-        assert!(back.is_empty());
+        let back = decode(&encode(0, &[]), Path::new("x")).unwrap();
+        assert_eq!(back, (0, Vec::new()));
     }
 
     #[test]
@@ -565,8 +446,8 @@ mod tests {
 
     #[test]
     fn truncation_is_typed() {
-        let image = encode(&sample());
-        for cut in [3, HEADER_LEN - 1, image.len() - 1] {
+        let image = sample_image();
+        for cut in 0..image.len() {
             let err = decode(&image[..cut], Path::new("x")).unwrap_err();
             assert!(
                 matches!(err, StateError::Truncated { .. }),
@@ -577,35 +458,48 @@ mod tests {
 
     #[test]
     fn flipped_payload_byte_is_checksum_mismatch() {
-        let mut image = encode(&sample());
-        let last = image.len() - 1;
-        image[last] ^= 0x01;
-        let err = decode(&image, Path::new("x")).unwrap_err();
-        assert!(matches!(err, StateError::ChecksumMismatch { .. }));
+        let image = sample_image();
+        for at in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[at] ^= 0x01;
+            let err = decode(&flipped, Path::new("x")).unwrap_err();
+            let typed = match at {
+                0..8 => matches!(err, StateError::BadMagic { .. }),
+                8..12 => matches!(err, StateError::UnsupportedVersion { .. }),
+                12..20 => matches!(err, StateError::Truncated { .. }),
+                _ => matches!(err, StateError::ChecksumMismatch { .. }),
+            };
+            assert!(typed, "byte {at}: {err}");
+        }
     }
 
     #[test]
-    fn nested_tenant_zero_is_malformed() {
-        let mut s = RuntimeState::default();
-        s.tenants.insert(1, TenantState::default());
-        let mut image = encode(&s);
-        // Rewrite the tenant id (the payload tail is: id + three empty
-        // section counts + the 8-byte journal seq) from 1 to 0 and
-        // re-stamp the checksum.
-        let at = image.len() - 24;
-        image[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
-        let sum = fnv1a(&image[HEADER_LEN..]);
-        image[20..28].copy_from_slice(&sum.to_le_bytes());
-        let err = decode(&image, Path::new("x")).unwrap_err();
-        assert!(matches!(err, StateError::Malformed { .. }), "{err}");
+    fn unparseable_record_frame_is_malformed() {
+        let (seq, records) = sample();
+        // A frame cut short, a checksummed frame whose body is no record,
+        // and a payload too short for the journal sequence: each inside a
+        // correctly checksummed payload.
+        let mut torn = encode(seq, &records);
+        torn.truncate(torn.len() - 1);
+        let mut not_a_record = encode(seq, &records);
+        not_a_record.extend_from_slice(&1u32.to_le_bytes());
+        not_a_record.extend_from_slice(&fnv1a(FNV_OFFSET, &[9]).to_le_bytes());
+        not_a_record.push(9);
+        let mut no_seq = encode(seq, &[]);
+        no_seq.truncate(HEADER_LEN + 7);
+        for mut image in [torn, not_a_record, no_seq] {
+            reseal(&mut image);
+            let err = decode(&image, Path::new("x")).unwrap_err();
+            assert!(matches!(err, StateError::Malformed { .. }), "{err}");
+        }
     }
 
     #[test]
     fn other_version_is_typed() {
-        // v1-v3 are real historical formats; every one must cold-start
-        // with a typed error, never a panic. v5 is the future.
-        for found in [1u32, 2, 3, 5] {
-            let mut image = encode(&sample());
+        // v1-v4 are real historical formats; every one must cold-start
+        // with a typed error, never a panic. v6 is the future.
+        for found in [1u32, 2, 3, 4, 6] {
+            let mut image = sample_image();
             image[8..12].copy_from_slice(&found.to_le_bytes());
             let err = decode(&image, Path::new("x")).unwrap_err();
             assert_eq!(
@@ -637,13 +531,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dysel-persist-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.bin");
-        let s = sample();
-        save(&s, &path).unwrap();
-        assert_eq!(load(&path).unwrap(), s);
+        let (seq, records) = sample();
+        save(seq, &records, &path).unwrap();
+        assert_eq!(load(&path).unwrap(), sample());
         // Overwrite is atomic and idempotent.
-        save(&s, &path).unwrap();
-        assert_eq!(load(&path).unwrap(), s);
+        save(seq, &records, &path).unwrap();
+        assert_eq!(load(&path).unwrap(), sample());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bare_file_name_syncs_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("state")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("dir/state")), Path::new("dir"));
+        assert_eq!(parent_dir(Path::new("/state")), Path::new("/"));
+        // A save to a bare file name syncs `.`, not an empty path.
+        let path = PathBuf::from(format!("dysel-persist-bare-{}.state", std::process::id()));
+        let (seq, records) = sample();
+        let saved = save(seq, &records, &path);
+        let loaded = load(&path);
+        let _ = fs::remove_file(&path);
+        saved.unwrap();
+        assert_eq!(loaded.unwrap(), sample());
     }
 
     #[test]

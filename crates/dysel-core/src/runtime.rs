@@ -182,7 +182,7 @@ impl Runtime {
         if let Some(path) = rt.config.state_path.clone() {
             if path.exists() {
                 match persist::load(&path) {
-                    Ok(state) => rt.store.import(&state),
+                    Ok((_, records)) => rt.store.replay(&records),
                     Err(e) => rt.state_error = Some(e),
                 }
             }
@@ -261,10 +261,16 @@ impl Runtime {
             .state_path
             .clone()
             .ok_or(StateError::NoStatePath)?;
-        let state = persist::load(&path)?;
-        self.store.import(&state);
+        let (journal_seq, records) = persist::load(&path)?;
+        self.store.replay(&records);
         self.state_error = None;
-        Ok(state)
+        // The file's own state, not the merge: what a fresh store rebuilds.
+        let scratch = ShardedCache::new(1);
+        scratch.replay(&records);
+        Ok(RuntimeState {
+            journal_seq,
+            ..scratch.export()
+        })
     }
 
     /// The typed error of the best-effort state load performed at

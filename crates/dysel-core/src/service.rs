@@ -82,10 +82,10 @@
 //! a lane commits — selection, quarantine, invalidation — to a
 //! checksummed write-ahead journal (`<state_path>.journal`, see
 //! [`crate::journal`]) before the next checkpoint folds it into the
-//! atomic v4 state file. Construction replays checkpoint + journal —
-//! tolerating a torn tail from a killed process — and rewrites a merged
-//! checkpoint, so a `SIGKILL` at any point loses at most the record
-//! being written. The deterministic chaos
+//! atomic v5 state file. Construction replays checkpoint, then journal,
+//! into the store — tolerating a torn tail from a killed process — and
+//! rewrites a merged checkpoint, so a `SIGKILL` at any point loses at
+//! most the record being written. The deterministic chaos
 //! harness (`tests/chaos.rs`) drives panics, worker kills and journal
 //! kill-points from a seeded [`ChaosPlan`] and asserts all of the above.
 //!
@@ -118,11 +118,11 @@ use dysel_obs::{names, Event, EventSink, MetricsSnapshot, Stage};
 use crate::chaos::{ChaosAction, ChaosPlan};
 use crate::journal::{self, Journal};
 use crate::options::{RuntimeConfig, TenantId};
-use crate::persist::{self, RuntimeState, StateError};
+use crate::persist::{self, RuntimeState, StateError, FNV_OFFSET};
 use crate::pool::KernelPool;
 use crate::report::LaunchReport;
 use crate::runtime::Runtime;
-use crate::store::{fnv_fold, lock, ShardedCache, StreamKey, FNV_OFFSET};
+use crate::store::{fnv_fold, lock, ShardedCache, StreamKey};
 use crate::{DyselError, LaunchOptions};
 
 /// How often the supervisor polls worker liveness and the watchdog slots.
@@ -396,7 +396,7 @@ pub struct ServiceConfig {
     /// default — the unobserved path allocates nothing.
     pub observe: bool,
     /// When set, [`LaunchService::save_state`] persists the multi-tenant
-    /// state (v4 format) here, construction warm-restores from it, and a
+    /// state (v5 format) here, construction warm-restores from it, and a
     /// write-ahead journal at `<state_path>.journal` records every new
     /// decision between checkpoints (see the module docs on crash
     /// recovery).
@@ -989,12 +989,11 @@ impl Drop for LaunchService {
     }
 }
 
-/// Loads checkpoint + journal, replays the journal over the checkpoint
-/// (tolerating a torn tail) and imports the result into `store`, rewrites
-/// a merged checkpoint when anything was recovered, and attaches a fresh
-/// journal to the store. Returns the recovery info and what went wrong, if
-/// anything. Never panics: every failure is typed and degrades to a cold
-/// start or disabled journaling.
+/// Replays the checkpoint, then the journal (tolerating a torn tail),
+/// into `store`, rewrites a merged checkpoint when the journal held
+/// anything, and attaches a fresh journal to the store. Returns the
+/// recovery info and what went wrong, if anything. Never panics: every
+/// failure is typed and degrades to a cold start or disabled journaling.
 fn init_persistence(
     config: &ServiceConfig,
     store: &ShardedCache,
@@ -1004,10 +1003,13 @@ fn init_persistence(
         return (None, None);
     };
     let mut error = None;
-    let mut state = RuntimeState::default();
+    let mut seq = 0;
     if path.exists() {
         match persist::load(path) {
-            Ok(loaded) => state = loaded,
+            Ok((saved, records)) => {
+                store.replay(&records);
+                seq = saved;
+            }
             Err(e) => error = Some(e),
         }
     }
@@ -1016,15 +1018,11 @@ fn init_persistence(
         Ok(replay) => replay,
         // An unreadable/foreign journal is a typed cold start for the
         // journal only — the checkpoint (if any) is still honored.
-        Err(e) => {
-            store.import(&state);
-            return (None, Some(e));
-        }
+        Err(e) => return (None, Some(e)),
     };
-    replay.apply(&mut state);
+    store.replay(&replay.records);
     let replayed = replay.records.len() as u64;
-    state.journal_seq += replayed;
-    store.import(&state);
+    seq += replayed;
     let recovery = Some(RecoveryInfo {
         replayed,
         torn: replay.torn,
@@ -1034,11 +1032,11 @@ fn init_persistence(
     // untouched (the records survive for the next recovery attempt) and
     // disable journaling.
     if replayed > 0 || replay.torn {
-        if let Err(e) = persist::save(&state, path) {
+        if let Err(e) = store.write_checkpoint(path, seq) {
             return (recovery, Some(e));
         }
     }
-    match Journal::create(&journal_path, state.journal_seq) {
+    match Journal::create(&journal_path, seq) {
         Ok(journal) => {
             let kill_after = config
                 .chaos

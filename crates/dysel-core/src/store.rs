@@ -7,10 +7,10 @@
 //! `(tenant, signature)` stream the store keeps the winner launches
 //! reuse, the recorded selection and the variant count it was made
 //! against, the warm marker and the quarantine list — and it owns their
-//! persistence: import from a loaded [`RuntimeState`], export for
-//! checkpoints, and (for the service) a write-ahead journal of every
-//! change it commits. DESIGN.md §4.16 states
-//! the contract.
+//! persistence: loading is [`ShardedCache::replay`] of journal records, a
+//! checkpoint is the records that rebuild every entry, and (for the
+//! service) a write-ahead journal holds every change it commits.
+//! DESIGN.md §4.16 states the contract.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -22,16 +22,11 @@ use dysel_obs::{names, Event, EventSink, Stage};
 use crate::fault::QuarantineReason;
 use crate::journal::{Journal, JournalRecord};
 use crate::options::TenantId;
-use crate::persist::{self, RuntimeState, StateError};
+use crate::persist::{self, fnv1a, RuntimeState, StateError, FNV_OFFSET};
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
+/// Folds `bytes` and a terminating zero into an FNV-1a `digest`.
 pub(crate) fn fnv_fold(digest: &mut u64, bytes: &[u8]) {
-    for b in bytes.iter().chain(&[0u8]) {
-        *digest ^= u64::from(*b);
-        *digest = digest.wrapping_mul(FNV_PRIME);
-    }
+    *digest = fnv1a(fnv1a(*digest, bytes), &[0]);
 }
 
 /// Ignores mutex poisoning: a panicking worker must not cascade into every
@@ -125,7 +120,8 @@ impl CacheEntry {
 
     /// The journal records that turn `self` into `new` on replay: the
     /// selection change first (a new selection is never quarantined), then
-    /// the new quarantines (each drops a selection naming it).
+    /// the new quarantines (each drops a selection naming it). From
+    /// [`CacheEntry::default`] they rebuild `new`: a checkpoint's records.
     fn changes(&self, key: &StreamKey, new: &CacheEntry) -> Vec<JournalRecord> {
         let (tenant, signature) = (key.tenant.0, &key.signature);
         let mut records = Vec::new();
@@ -414,25 +410,31 @@ impl ShardedCache {
         out
     }
 
-    /// Imports a loaded state: every tenant's quarantine first, then its
-    /// selections as warm restores (which therefore cannot resurrect a
-    /// quarantined winner).
-    pub fn import(&self, state: &RuntimeState) {
-        let flat = (&state.selections, &state.quarantine, &state.variant_counts);
-        let nested = state
-            .tenants
-            .iter()
-            .map(|(t, ts)| (*t, (&ts.selections, &ts.quarantine, &ts.variant_counts)));
-        for (tenant, (selections, quarantine, counts)) in std::iter::once((0, flat)).chain(nested) {
-            let key = |sig: &String| StreamKey::new(TenantId(tenant), sig.clone());
-            for (sig, entries) in quarantine {
-                for &(id, reason) in entries {
-                    self.quarantine(&key(sig), id, reason);
-                }
+    /// Applies loaded journal records with the store's own rules, as a
+    /// checkpoint load and journal recovery both do: a selection becomes a
+    /// warm restore, a quarantine and an invalidation apply as themselves.
+    pub(crate) fn replay(&self, records: &[JournalRecord]) {
+        for record in records {
+            let (JournalRecord::Select {
+                tenant, signature, ..
             }
-            for (sig, id) in selections {
-                let count = counts.get(sig).copied().unwrap_or(0);
-                self.warm_restore(&key(sig), *id, count);
+            | JournalRecord::Quarantine {
+                tenant, signature, ..
+            }
+            | JournalRecord::Invalidate { tenant, signature }) = record;
+            let key = StreamKey::new(TenantId(*tenant), signature.clone());
+            match *record {
+                JournalRecord::Select {
+                    variant, variants, ..
+                } => {
+                    self.warm_restore(&key, variant, variants);
+                }
+                JournalRecord::Quarantine {
+                    variant, reason, ..
+                } => {
+                    self.quarantine(&key, variant, reason);
+                }
+                JournalRecord::Invalidate { .. } => self.invalidate(&key),
             }
         }
     }
@@ -513,7 +515,7 @@ impl ShardedCache {
     /// journal sequence, and truncates the journal it absorbs — a
     /// compaction, counted and announced in the journal's sink.
     pub(crate) fn checkpoint(&self, path: &Path) -> Result<(), StateError> {
-        self.save(&mut lock(&self.wal), path)
+        self.compact(&mut lock(&self.wal), path)
     }
 
     /// The automatic checkpoint: runs only once the journal holds `every`
@@ -525,17 +527,15 @@ impl ShardedCache {
         if !due.is_some_and(|j| j.is_alive() && j.appended() >= every.max(1)) {
             return;
         }
-        if let Err(e) = self.save(&mut wal, path) {
+        if let Err(e) = self.compact(&mut wal, path) {
             wal.error = Some(e);
             wal.journal = None;
         }
     }
 
     /// [`Self::checkpoint`] under the journal lock the caller holds.
-    fn save(&self, wal: &mut Wal, path: &Path) -> Result<(), StateError> {
-        let mut state = self.export();
-        state.journal_seq = wal.journal.as_ref().map_or(0, Journal::seq);
-        persist::save(&state, path)?;
+    fn compact(&self, wal: &mut Wal, path: &Path) -> Result<(), StateError> {
+        self.write_checkpoint(path, wal.journal.as_ref().map_or(0, Journal::seq))?;
         let Some(journal) = wal.journal.as_mut() else {
             return Ok(());
         };
@@ -546,5 +546,17 @@ impl ShardedCache {
             sink.emit(Event::new(Stage::JournalCompact).detail(format!("seq {seq}")));
         }
         Ok(())
+    }
+
+    /// Atomically writes the store to `path` as a checkpoint stamped with
+    /// journal sequence `seq`: every entry's rebuilding records, in key
+    /// order, so saving the same store twice writes the same bytes.
+    pub(crate) fn write_checkpoint(&self, path: &Path, seq: u64) -> Result<(), StateError> {
+        let records: Vec<JournalRecord> = self
+            .snapshot()
+            .iter()
+            .flat_map(|(key, entry)| CacheEntry::default().changes(key, entry))
+            .collect();
+        persist::save(seq, &records, path)
     }
 }

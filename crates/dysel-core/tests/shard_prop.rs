@@ -17,7 +17,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dysel_core::{CacheEntry, QuarantineReason, ShardedCache, StreamKey, TenantId};
+use dysel_core::{
+    journal_path, CacheEntry, LaunchService, QuarantineReason, ServiceConfig, ShardedCache,
+    StreamKey, TenantId,
+};
+use dysel_device::{CpuConfig, CpuDevice};
 use dysel_kernel::{VariantId, XorShiftRng};
 
 const REASONS: [QuarantineReason; 4] = [
@@ -346,20 +350,39 @@ fn commits_and_warm_markers_agree_with_the_model() {
     }
 }
 
-/// Persistence round trip: importing an export into a fresh store and
-/// exporting again is a fixed point, and every imported selection is warm.
+/// Persistence round trip through the state file: a store saved as a
+/// checkpoint and loaded back (replayed into a fresh service's store)
+/// exports the same state, every restored selection is warm, and
+/// re-saving writes the same bytes.
 #[test]
-fn export_import_is_a_fixed_point() {
+fn save_load_is_a_fixed_point() {
+    let path = std::env::temp_dir().join(format!("dysel-shard-prop-{}.state", std::process::id()));
+    let service = |shards: usize| {
+        LaunchService::with_factory(
+            || Box::new(CpuDevice::new(CpuConfig::noiseless())),
+            ServiceConfig {
+                shards,
+                state_path: Some(path.clone()),
+                ..ServiceConfig::default()
+            },
+        )
+    };
     for case in 0..16 {
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(journal_path(&path));
         let mut rng = XorShiftRng::seed_from_u64(0xE4_9041 + case);
-        let cache = ShardedCache::new(rng.gen_range_usize(1, 6));
+        let saved = service(rng.gen_range_usize(1, 6));
+        let cache = saved.cache();
         for _ in 0..rng.gen_range_usize(20, 200) {
             let key = random_key(&mut rng);
-            apply_cache(&cache, &key, random_store_op(&mut rng));
+            apply_cache(cache, &key, random_store_op(&mut rng));
         }
         let state = cache.export();
-        let restored = ShardedCache::new(rng.gen_range_usize(1, 6));
-        restored.import(&state);
+        saved.save_state().unwrap();
+        drop(saved);
+        let bytes = std::fs::read(&path).unwrap();
+        let loaded = service(rng.gen_range_usize(1, 6));
+        let restored = loaded.cache();
         assert_eq!(restored.export(), state, "case {case}");
         for (key, entry) in restored.snapshot() {
             assert_eq!(
@@ -368,5 +391,9 @@ fn export_import_is_a_fixed_point() {
                 "case {case}"
             );
         }
+        loaded.save_state().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "case {case}");
     }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(journal_path(&path));
 }

@@ -486,7 +486,7 @@ fn service_state_round_trips_all_tenants_warm() {
 /// cold-start cleanly, never panic, and simply re-learn.
 #[test]
 fn v1_through_v3_state_files_cold_start_cleanly() {
-    for old in [1u32, 2, 3] {
+    for old in [1u32, 2, 3, 4] {
         let path = temp_path(&format!("old-v{old}"));
         let (bytes, ..) = seeded_state(&path);
         let mut forged = bytes.clone();
