@@ -47,18 +47,18 @@ impl CacheConfig {
 
 /// An LRU set-associative cache over line tags.
 ///
-/// Storage is a single flat tag array (`sets × ways`, front of each set =
-/// most recent) plus a per-set occupancy count, so the pricing hot loop
-/// walks contiguous memory instead of chasing one heap allocation per set.
+/// Storage is one flat tag array of `sets × ways` slots; within a set the
+/// slots run from most to least recently used. A slot holds `line + 1`, so
+/// 0 marks an empty way and no separate occupancy count is needed: empty
+/// slots sit at the LRU end and can never match a lookup. The pricing hot
+/// loop therefore walks one contiguous, fixed-length slice per access.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
     line_shift: u32,
     set_mask: u64,
-    /// `ways`-strided tag slots; within a set, LRU order front-to-back.
+    /// `ways`-strided tag slots (`line + 1`, 0 = empty), MRU first.
     tags: Vec<u64>,
-    /// Live tags per set (`<= ways`).
-    lens: Vec<u16>,
     hits: u64,
     misses: u64,
 }
@@ -73,7 +73,6 @@ impl SetAssocCache {
             line_shift: cfg.line.trailing_zeros(),
             set_mask: sets - 1,
             tags: vec![0; (sets * u64::from(cfg.ways)) as usize],
-            lens: vec![0; sets as usize],
             hits: 0,
             misses: 0,
         }
@@ -82,6 +81,11 @@ impl SetAssocCache {
     /// The configuration this cache was built with.
     pub fn config(&self) -> CacheConfig {
         self.cfg
+    }
+
+    /// `log2` of the line size: `line_of(addr) == addr >> line_shift()`.
+    pub fn line_shift(&self) -> u32 {
+        self.line_shift
     }
 
     /// Line index of a byte address.
@@ -101,19 +105,23 @@ impl SetAssocCache {
         // behaviour we want to model.
         let set = (line & self.set_mask) as usize;
         let ways = self.cfg.ways as usize;
-        let len = usize::from(self.lens[set]);
+        let tag = line + 1;
         let slots = &mut self.tags[set * ways..set * ways + ways];
-        if let Some(pos) = slots[..len].iter().position(|&t| t == line) {
+        if slots[0] == tag {
+            // Re-touching the MRU line leaves the LRU order unchanged.
+            self.hits += 1;
+            return true;
+        }
+        if let Some(pos) = slots[1..].iter().position(|&t| t == tag) {
             // Move the hit tag to the MRU front, shifting the rest down.
-            slots[..=pos].rotate_right(1);
+            slots[..=pos + 1].rotate_right(1);
             self.hits += 1;
             true
         } else {
-            // Insert at the front; a full set implicitly drops its LRU tag.
-            let keep = len.min(ways - 1);
-            slots.copy_within(..keep, 1);
-            slots[0] = line;
-            self.lens[set] = (keep + 1) as u16;
+            // Insert at the front; the LRU slot (a tag or an empty way)
+            // falls off the end.
+            slots.copy_within(..ways - 1, 1);
+            slots[0] = tag;
             self.misses += 1;
             false
         }
@@ -136,7 +144,7 @@ impl SetAssocCache {
 
     /// Drops all contents and statistics.
     pub fn reset(&mut self) {
-        self.lens.fill(0);
+        self.tags.fill(0);
         self.hits = 0;
         self.misses = 0;
     }
@@ -161,7 +169,18 @@ pub struct CacheHierarchy {
 
 impl CacheHierarchy {
     /// Builds the default i7-like hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// If the levels differ in line size: one line id indexes every level.
     pub fn new(l1: CacheConfig, l2: CacheConfig, l3: CacheConfig) -> Self {
+        assert!(
+            l1.line == l2.line && l2.line == l3.line,
+            "every cache level must share one line size (got {}, {}, {} B)",
+            l1.line,
+            l2.line,
+            l3.line
+        );
         CacheHierarchy {
             l1: SetAssocCache::new(l1),
             l2: SetAssocCache::new(l2),
@@ -173,14 +192,23 @@ impl CacheHierarchy {
         }
     }
 
-    /// Line size of the L1 (all levels share it).
+    /// Line size (all levels share it).
     pub fn line(&self) -> u32 {
         self.l1.config().line
     }
 
+    /// `log2` of the shared line size.
+    pub fn line_shift(&self) -> u32 {
+        self.l1.line_shift()
+    }
+
     /// Accesses `addr`, returning the latency in cycles.
     pub fn access(&mut self, addr: u64) -> u64 {
-        let line = self.l1.line_of(addr);
+        self.access_line(self.l1.line_of(addr))
+    }
+
+    /// Accesses a pre-computed line index, returning the latency in cycles.
+    pub fn access_line(&mut self, line: u64) -> u64 {
         if self.l1.access_line(line) {
             self.l1_lat
         } else if self.l2.access_line(line) {
@@ -190,6 +218,11 @@ impl CacheHierarchy {
         } else {
             self.mem_lat
         }
+    }
+
+    /// Per-level (hits, misses) so far, L1 first (diagnostics).
+    pub fn stats(&self) -> [(u64, u64); 3] {
+        [self.l1.stats(), self.l2.stats(), self.l3.stats()]
     }
 
     /// L1 hit rate (diagnostics).
@@ -284,6 +317,16 @@ mod tests {
         let lat = h.access(0);
         assert!(lat < h.mem_lat, "revisit latency {lat} should beat DRAM");
         assert!(lat > h.l1_lat, "revisit should not be an L1 hit");
+    }
+
+    #[test]
+    #[should_panic(expected = "one line size")]
+    fn hierarchy_rejects_mixed_line_sizes() {
+        let l2 = CacheConfig {
+            line: 128,
+            ..CacheConfig::l2()
+        };
+        CacheHierarchy::new(CacheConfig::l1d(), l2, CacheConfig::llc_share());
     }
 
     #[test]

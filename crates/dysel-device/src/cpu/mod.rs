@@ -135,13 +135,34 @@ impl<'a> CpuCostSink<'a> {
             self.mem_cycles += self.cache.access(base as u64) as f64;
             return;
         }
+        let line = i64::from(self.cache.line());
         if self.batched {
-            // Compute lane addresses and line ids a fixed-width chunk at a
-            // time (vectorizable), then walk the precomputed ids. The
-            // `vector_line_access` call sequence is identical to the
-            // scalar form, so the f64 accumulation is bit-exact.
+            let shift = self.cache.line_shift();
+            let last = base + i64::from(lanes_n.max(1) - 1) * stride;
+            if lanes_n > 0 && stride.unsigned_abs() <= line as u64 && base >= 0 && last >= 0 {
+                // Per-line form: adjacent lanes are at most one line apart,
+                // so the lanes' distinct consecutive lines are exactly the
+                // line ids from the first lane's to the last lane's. Walking
+                // them issues the scalar form's `vector_line_access`
+                // sequence, so the f64 accumulation is bit-exact.
+                let (first, last) = ((base >> shift) as u64, (last >> shift) as u64);
+                if stride > 0 {
+                    for ln in first..=last {
+                        self.mem_cycles += self.vector_line(ln);
+                    }
+                } else {
+                    for ln in (last..=first).rev() {
+                        self.mem_cycles += self.vector_line(ln);
+                    }
+                }
+                return;
+            }
+            // Chunked form: compute lane addresses and line ids a
+            // fixed-width chunk at a time (vectorizable), then walk the
+            // precomputed ids. Line ids truncate toward zero like the
+            // scalar form's division (the bias only matters below 0).
             const W: usize = lanes::LANES;
-            let line = i64::from(self.cache.line());
+            let bias = line - 1;
             let mut prev_line = i64::MIN;
             let n = lanes_n as usize;
             let mut l = 0usize;
@@ -151,7 +172,7 @@ impl<'a> CpuCostSink<'a> {
                 let mut lns = [0i64; W];
                 for k in 0..c {
                     addrs[k] = base + (l + k) as i64 * stride;
-                    lns[k] = addrs[k] / line;
+                    lns[k] = (addrs[k] + ((addrs[k] >> 63) & bias)) >> shift;
                 }
                 for k in 0..c {
                     if lns[k] != prev_line {
@@ -163,7 +184,6 @@ impl<'a> CpuCostSink<'a> {
             }
         } else {
             // Reference form: one division and branch per lane.
-            let line = i64::from(self.cache.line());
             let mut prev_line = i64::MIN;
             for l in 0..lanes_n {
                 let addr = base + i64::from(l) * stride;
@@ -176,30 +196,30 @@ impl<'a> CpuCostSink<'a> {
         }
     }
 
-    /// Accesses `addr`, charging a prefetched cost if the line continues a
-    /// tracked stream (and recording it as a stream tail either way).
+    /// Accesses `addr`'s line; see [`CpuCostSink::vector_line`].
     fn vector_line_access(&mut self, addr: u64) -> f64 {
-        let line = (addr / u64::from(self.cache.line())) as i64;
-        let lat = self.cache.access(addr) as f64;
-        let prefetched = self.cache.l1_lat as f64 + 2.0;
-        let continues = self
-            .stream_tails
-            .iter()
-            .any(|&t| t != i64::MIN && (line == t || line == t + 1));
-        if let Some(slot) = self
+        self.vector_line(addr >> self.cache.line_shift())
+    }
+
+    /// Accesses line `line`, charging a prefetched cost if it continues a
+    /// tracked stream (and recording it as a stream tail either way).
+    fn vector_line(&mut self, line: u64) -> f64 {
+        let lat = self.cache.access_line(line) as f64;
+        let line = line as i64;
+        let continued = self
             .stream_tails
             .iter_mut()
-            .find(|t| **t != i64::MIN && (line == **t || line == **t + 1))
-        {
-            *slot = line;
-        } else {
-            self.stream_tails[self.next_tail] = line;
-            self.next_tail = (self.next_tail + 1) % self.stream_tails.len();
-        }
-        if continues {
-            lat.min(prefetched)
-        } else {
-            lat
+            .find(|t| **t != i64::MIN && (line == **t || line == **t + 1));
+        match continued {
+            Some(slot) => {
+                *slot = line;
+                lat.min(self.cache.l1_lat as f64 + 2.0)
+            }
+            None => {
+                self.stream_tails[self.next_tail] = line;
+                self.next_tail = (self.next_tail + 1) % self.stream_tails.len();
+                lat
+            }
         }
     }
 
@@ -685,5 +705,74 @@ mod tests {
             (3.0..=4.5).contains(&speedup),
             "speedup {speedup} (serial {serial}, parallel {parallel})"
         );
+    }
+
+    /// Prices `ops` through one path on a fresh hierarchy: the memory
+    /// cycles (as bits) and the per-level cache stats.
+    fn price_ops(path: PricingPath, ops: &[MemOp]) -> (u64, [(u64, u64); 3]) {
+        let cfg = CpuConfig::noiseless();
+        let mut cache = CacheHierarchy::new(cfg.l1, cfg.l2, cfg.l3);
+        let mut sink = CpuCostSink::new(&cfg, &mut cache, path);
+        for op in ops {
+            sink.mem(op);
+        }
+        let cycles = sink.mem_cycles.to_bits();
+        (cycles, cache.stats())
+    }
+
+    /// Prices a warp, a sequence continuing it (prefetch tails) and a
+    /// re-touch of the first warp through both paths; they must agree.
+    fn assert_warp_paths_agree(base: u64, stride: i64, lanes: u32) {
+        let line = i64::from(CpuConfig::default().l1.line);
+        let warp = MemOp::Warp {
+            space: Space::Global,
+            base,
+            stride,
+            lanes,
+            elem: 4,
+            store: false,
+        };
+        let ops = [
+            warp.clone(),
+            MemOp::WarpSeq {
+                space: Space::Global,
+                base: base + 3 * line as u64,
+                stride,
+                lanes,
+                elem: 4,
+                store: true,
+                repeat: 3,
+                step: line,
+            },
+            warp,
+        ];
+        assert_eq!(
+            price_ops(PricingPath::Scalar, &ops),
+            price_ops(PricingPath::Batched, &ops),
+            "base={base} stride={stride} lanes={lanes}"
+        );
+    }
+
+    #[test]
+    fn warp_paths_agree_on_the_line_boundary_grid() {
+        // Every stride in -2·line..=2·line (0, ±elem and ±line±1 among
+        // them), lane-0 bases one byte either side of a line boundary and
+        // every lane count up to 64.
+        let line = i64::from(CpuConfig::default().l1.line);
+        let boundary = 1000 * line as u64;
+        for base in [boundary - 1, boundary, boundary + 1] {
+            for stride in -2 * line..=2 * line {
+                for lanes in 0..=64 {
+                    assert_warp_paths_agree(base, stride, lanes);
+                }
+            }
+        }
+        // Negative strides from just above address 0: the last lanes fall
+        // below 0, which keeps these warps off the per-line form.
+        for stride in [-2 * line, -line - 1, -line, -line + 1, -4, -1] {
+            for lanes in 0..=64 {
+                assert_warp_paths_agree(line as u64, stride, lanes);
+            }
+        }
     }
 }

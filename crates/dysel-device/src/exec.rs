@@ -12,14 +12,19 @@
 //!    count). Each span job clones the pre-launch argument snapshot
 //!    (copy-on-write, so inputs are shared), executes its groups, and
 //!    records each group's cost trace with a
-//!    [`dysel_kernel::RecordingSink`]. Jobs run on a std-only work pool —
-//!    `std::thread` workers pulling span indexes from a shared queue and
-//!    returning results over an `mpsc` channel.
-//! 2. **Reduction + pricing phase (serial, canonical order).** Span results
-//!    are reduced in span order: output deltas are merged into the real
-//!    argument buffers, then every recorded trace is replayed — in the
-//!    launch's canonical group order — through the device's cost sink,
-//!    per-unit cache state, scheduler and noise model.
+//!    [`dysel_kernel::RecordingSink`]. Jobs run through
+//!    [`Executor::ordered`]: `std::thread` workers pull span indexes from a
+//!    shared counter and return results over an `mpsc` channel, or, with
+//!    one worker, each span runs on the caller thread when phase 2 asks
+//!    for it.
+//! 2. **Reduction + pricing phase (serial, canonical order).** Phase 2
+//!    consumes span results in canonical (entry, span) order as they are
+//!    produced; it never waits for the whole batch. For each span it merges
+//!    the output deltas into the real argument buffers, replays the span's
+//!    group traces — in the launch's canonical group order — through the
+//!    device's cost sink, per-unit cache state, scheduler and noise model,
+//!    and returns the trace to the executor's arena at once. A one-worker
+//!    device therefore records every span into the same warm buffer.
 //!
 //! Because phase 2 consumes span results in canonical order regardless of
 //! which worker produced them when, the same seed yields bit-identical
@@ -78,10 +83,10 @@ const MAX_POOLED_TRACES: usize = 64;
 /// `threads == 0` resolves to [`std::thread::available_parallelism`];
 /// `threads == 1` runs jobs inline on the caller thread (no spawning).
 ///
-/// The executor also owns the launch engine's *trace arena*: recorded span
-/// traces are returned here after pricing and handed back to the next
-/// launch's span jobs, so the profile→price→discard cycle stops hitting
-/// the allocator once the pool is warm.
+/// The executor also owns the launch engine's *trace arena*: each recorded
+/// span trace is returned here as soon as it is priced and handed to the
+/// next span job, so the profile→price→discard cycle stops hitting the
+/// allocator once the pool is warm.
 #[derive(Debug, Clone)]
 pub struct Executor {
     threads: usize,
@@ -126,47 +131,115 @@ impl Executor {
         self.threads
     }
 
-    /// Runs jobs `0..n` across the pool and returns their results in job
-    /// order. Job scheduling is dynamic (workers pull the next index off a
-    /// shared counter) but the returned order — and thus everything
-    /// downstream — is canonical.
-    pub fn run_ordered<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Runs jobs `0..n` and lets `consume` take their results in job order,
+    /// as they become available — the ordered-consumption primitive the
+    /// launch engine streams span results through.
+    ///
+    /// With one worker (or at most one job) nothing runs ahead: each job
+    /// executes on the caller thread when [`InOrder::next`] asks for it.
+    /// With more workers, the workers pull job indexes off a shared counter
+    /// and run ahead while the caller consumes; results that arrive early
+    /// are parked until their turn. Either way `consume` sees job `i`
+    /// before job `i + 1`, so everything downstream is canonical. Jobs the
+    /// caller leaves unconsumed still run (their results are dropped).
+    pub fn ordered<T, F, R>(
+        &self,
+        n: usize,
+        job: F,
+        consume: impl FnOnce(&mut InOrder<'_, T, F>) -> R,
+    ) -> R
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         if self.threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
+            return consume(&mut InOrder {
+                next: 0,
+                n,
+                source: Source::OnDemand(&job),
+            });
         }
         let workers = self.threads.min(n);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
+        let claimed = AtomicUsize::new(0);
         thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel::<(usize, T)>();
             for _ in 0..workers {
                 let tx = tx.clone();
-                let next = &next;
-                let f = &f;
+                let (claimed, job) = (&claimed, &job);
                 scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if tx.send((i, f(i))).is_err() {
+                    let i = claimed.fetch_add(1, Ordering::Relaxed);
+                    if i >= n || tx.send((i, job(i))).is_err() {
                         break;
                     }
                 });
             }
             drop(tx);
-            for (i, v) in rx {
-                slots[i] = Some(v);
+            let mut parked = Vec::with_capacity(n);
+            parked.resize_with(n, || None);
+            // Dropping the iterator (and its receiver) before the scope
+            // joins lets workers stop at their next send.
+            consume(&mut InOrder {
+                next: 0,
+                n,
+                source: Source::Pool { rx, parked },
+            })
+        })
+    }
+
+    /// Runs jobs `0..n` across the pool and returns their results in job
+    /// order (a collecting [`Executor::ordered`]).
+    pub fn run_ordered<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        self.ordered(n, f, |results| results.collect())
+    }
+}
+
+/// The job results of one [`Executor::ordered`] call, yielded in job order.
+pub struct InOrder<'a, T, F> {
+    next: usize,
+    n: usize,
+    source: Source<'a, T, F>,
+}
+
+/// Where [`InOrder`] takes each job's result from.
+enum Source<'a, T, F> {
+    /// One worker: run the job on the caller thread when it is asked for.
+    OnDemand(&'a F),
+    /// Pool workers: their result channel, and the results that arrived
+    /// before their turn, parked by job index.
+    Pool {
+        rx: mpsc::Receiver<(usize, T)>,
+        parked: Vec<Option<T>>,
+    },
+}
+
+impl<T, F: Fn(usize) -> T> Iterator for InOrder<'_, T, F> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        if self.next >= self.n {
+            return None;
+        }
+        let i = self.next;
+        self.next += 1;
+        match &mut self.source {
+            Source::OnDemand(job) => Some(job(i)),
+            Source::Pool { rx, parked } => {
+                while parked[i].is_none() {
+                    let (j, v) = rx.recv().expect("a pool worker panicked");
+                    parked[j] = Some(v);
+                }
+                parked[i].take()
             }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every job index was executed"))
-            .collect()
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.n - self.next;
+        (left, Some(left))
     }
 }
 
@@ -179,68 +252,43 @@ impl Default for Executor {
 /// One span's worth of functional execution: the mutated snapshot and the
 /// span's recorded trace, with one closed group per executed work-group
 /// (walk them in order with [`RecordedTrace::groups`]).
-pub(crate) struct SpanRun {
-    pub(crate) args: Args,
-    pub(crate) trace: RecordedTrace,
+struct SpanRun {
+    args: Args,
+    trace: RecordedTrace,
 }
 
-/// One launch to execute functionally.
-pub(crate) struct FunctionalItem<'a> {
-    pub(crate) kernel: &'a dyn Kernel,
-    pub(crate) meta: &'a VariantMeta,
-    pub(crate) units: UnitRange,
+/// One launch to execute functionally, with its canonical group list.
+struct FunctionalItem<'a> {
+    kernel: &'a dyn Kernel,
+    meta: &'a VariantMeta,
+    groups: Vec<(u64, UnitRange)>,
     /// Pre-launch snapshot of the argument set this launch targets.
-    pub(crate) pristine: &'a Args,
+    pristine: &'a Args,
 }
 
-/// Executes every item's work-groups across the pool (phase 1). Spans of
-/// *all* items are fanned out together, so a batch of K profiling launches
-/// saturates the workers even when each launch is small. Results come back
-/// grouped per item, spans in order.
-pub(crate) fn run_functional(exec: &Executor, items: &[FunctionalItem<'_>]) -> Vec<Vec<SpanRun>> {
-    // Per item: the group list and its partition into spans.
-    let groups: Vec<Vec<(u64, UnitRange)>> = items
-        .iter()
-        .map(|it| it.units.groups(u64::from(it.meta.wa_factor)).collect())
-        .collect();
-    // Global job list: (item, group range) pairs, item-major.
-    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-    for (i, g) in groups.iter().enumerate() {
-        for (lo, hi) in span_bounds(g.len(), SPANS_PER_LAUNCH) {
-            jobs.push((i, lo, hi));
-        }
+/// Executes groups `lo..hi` of `item` against a snapshot of its pristine
+/// arguments (one phase-1 job). One recycled trace records the whole span;
+/// group boundaries mark the per-group slices for the pricing pass.
+fn run_span(exec: &Executor, item: &FunctionalItem<'_>, lo: usize, hi: usize) -> SpanRun {
+    let mut args = item.pristine.clone();
+    let mut sink = RecordingSink::reusing(exec.take_trace());
+    for &(g, gu) in &item.groups[lo..hi] {
+        let mut ctx = GroupCtx::new(
+            g,
+            gu,
+            item.meta.group_size,
+            &args,
+            &item.meta.placements,
+            &mut sink,
+        );
+        item.kernel.run_group(&mut ctx, &mut args);
+        drop(ctx);
+        sink.end_group();
     }
-    let span_runs = exec.run_ordered(jobs.len(), |j| {
-        let (i, lo, hi) = jobs[j];
-        let item = &items[i];
-        let mut args = item.pristine.clone();
-        // One recycled trace records the whole span, group boundaries mark
-        // the per-group slices for the serial pricing pass.
-        let mut sink = RecordingSink::reusing(exec.take_trace());
-        for &(g, gu) in &groups[i][lo..hi] {
-            let mut ctx = GroupCtx::new(
-                g,
-                gu,
-                item.meta.group_size,
-                &args,
-                &item.meta.placements,
-                &mut sink,
-            );
-            item.kernel.run_group(&mut ctx, &mut args);
-            drop(ctx);
-            sink.end_group();
-        }
-        SpanRun {
-            args,
-            trace: sink.into_trace(),
-        }
-    });
-    // Regroup the flat span list per item (jobs were built item-major).
-    let mut out: Vec<Vec<SpanRun>> = items.iter().map(|_| Vec::new()).collect();
-    for ((i, _, _), run) in jobs.iter().zip(span_runs) {
-        out[*i].push(run);
+    SpanRun {
+        args,
+        trace: sink.into_trace(),
     }
-    out
 }
 
 /// The declared output arguments of `meta` that exist in `target`.
@@ -253,22 +301,6 @@ fn output_indices(meta: &VariantMeta, target: &Args) -> Vec<usize> {
         .collect()
 }
 
-/// Folds a launch's span results back into the real target (phase 2a).
-pub(crate) fn merge_spans(
-    target: &mut Args,
-    pristine: &Args,
-    spans: &[SpanRun],
-    meta: &VariantMeta,
-) {
-    let additive = meta.ir.has_global_atomics || !meta.ir.output_disjoint;
-    let outs = output_indices(meta, target);
-    for span in spans {
-        target
-            .merge_outputs(&span.args, pristine, &outs, additive)
-            .expect("span snapshot has the target's arity");
-    }
-}
-
 /// Device-specific trace pricing: one work-group's recorded trace against
 /// the stateful cost model of execution unit `unit`.
 pub(crate) trait PriceModel {
@@ -278,7 +310,7 @@ pub(crate) trait PriceModel {
 
 /// How phase 2 will handle one batch entry.
 enum EntryPlan {
-    /// Functionally executed by the phase-1 fan-out; index into `runs`.
+    /// Functionally executed by the phase-1 fan-out, in this many spans.
     Fanned(usize),
     /// Budget-eligible: executed lazily, group by group, inside phase 2 so
     /// a preemption really stops the functional execution.
@@ -288,8 +320,8 @@ enum EntryPlan {
 }
 
 /// The full two-phase batch launch shared by the device models: parallel
-/// functional execution of every entry, then serial in-order merge,
-/// pricing, scheduling and measurement.
+/// functional execution of every entry's spans, streamed into a serial
+/// in-order merge, pricing, scheduling and measurement.
 ///
 /// When a [`FaultPlan`] is installed, each entry consults it — in issue
 /// order, so decisions are independent of the worker-thread count — before
@@ -353,132 +385,152 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
     // or not a baseline ends up binding it.
     let mut plan_of: Vec<EntryPlan> = Vec::with_capacity(entries.len());
     let mut items: Vec<FunctionalItem<'_>> = Vec::with_capacity(entries.len());
+    // Span jobs of *all* fanned entries, item-major: (item, group range).
+    // Fanning them out together lets a batch of K small profiling launches
+    // saturate the workers.
+    let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
     for (e, decision) in entries.iter().zip(&decisions) {
         if *decision == Some(FaultKind::LaunchError) {
             plan_of.push(EntryPlan::Refused);
         } else if e.budget.is_some() || (budget_policy.is_some() && e.measured) {
             plan_of.push(EntryPlan::Inline);
         } else {
-            plan_of.push(EntryPlan::Fanned(items.len()));
+            let groups: Vec<(u64, UnitRange)> =
+                e.units.groups(u64::from(e.meta.wa_factor)).collect();
+            let first = jobs.len();
+            jobs.extend(
+                span_bounds(groups.len(), SPANS_PER_LAUNCH).map(|(lo, hi)| (items.len(), lo, hi)),
+            );
+            plan_of.push(EntryPlan::Fanned(jobs.len() - first));
             items.push(FunctionalItem {
                 kernel: e.kernel,
                 meta: e.meta,
-                units: e.units,
+                groups,
                 pristine: &pristine[e.target],
             });
         }
     }
-    let runs = run_functional(exec, &items);
+    let run_job = |j: usize| {
+        let (i, lo, hi) = jobs[j];
+        run_span(exec, &items[i], lo, hi)
+    };
 
-    // Phase 2: serial reduction in issue order — merge outputs, then
-    // replay each group's trace through the cost model in canonical order.
-    let mut best_measured: Option<Cycles> = None;
-    let mut outcomes = Vec::with_capacity(entries.len());
-    for (ei, e) in entries.iter().enumerate() {
-        let slow = match decisions[ei] {
-            Some(FaultKind::Hang(factor)) => factor.max(1),
-            _ => 1,
-        };
-        let corrupt = match decisions[ei] {
-            Some(kind @ (FaultKind::WrongOutput | FaultKind::Poison)) => {
-                Some(kind == FaultKind::Poison)
-            }
-            _ => None,
-        };
-        let outcome = match plan_of[ei] {
-            EntryPlan::Refused => {
-                // Failed launch: nothing ran, nothing advances. The host
-                // observes the failure once the stream would have started.
-                let at = streams.gate(e.stream, e.not_before + launch_overhead);
-                LaunchOutcome::Failed(LaunchFailure {
-                    at,
-                    transient: true,
-                })
-            }
-            EntryPlan::Fanned(i) => {
-                let spans = &runs[i];
-                merge_spans(targets[e.target], &pristine[e.target], spans, e.meta);
-                if let Some(poison) = corrupt {
+    // Phase 2: serial reduction in issue order, consuming span results as
+    // phase 1 produces them — merge each span's outputs, replay its groups'
+    // traces through the cost model in canonical order, then hand the trace
+    // straight back to the arena so the next span records into warm memory.
+    exec.ordered(jobs.len(), run_job, |spans| {
+        let mut best_measured: Option<Cycles> = None;
+        let mut outcomes = Vec::with_capacity(entries.len());
+        for (ei, e) in entries.iter().enumerate() {
+            let slow = match decisions[ei] {
+                Some(FaultKind::Hang(factor)) => factor.max(1),
+                _ => 1,
+            };
+            let corrupt = match decisions[ei] {
+                Some(kind @ (FaultKind::WrongOutput | FaultKind::Poison)) => {
+                    Some(kind == FaultKind::Poison)
+                }
+                _ => None,
+            };
+            let outcome = match plan_of[ei] {
+                EntryPlan::Refused => {
+                    // Failed launch: nothing ran, nothing advances. The host
+                    // observes the failure once the stream would have started.
+                    let at = streams.gate(e.stream, e.not_before + launch_overhead);
+                    LaunchOutcome::Failed(LaunchFailure {
+                        at,
+                        transient: true,
+                    })
+                }
+                EntryPlan::Fanned(span_count) => {
+                    let additive = e.meta.ir.has_global_atomics || !e.meta.ir.output_disjoint;
                     let outs = output_indices(e.meta, targets[e.target]);
-                    for span in spans {
+                    let gate = streams.gate(e.stream, e.not_before + launch_overhead);
+                    let mut first_start = Cycles::MAX;
+                    let mut last_end = Cycles::ZERO;
+                    let mut busy = Cycles::ZERO;
+                    let mut groups = 0u64;
+                    // Corruption tampers with what every span wrote, after
+                    // the entry's last merge, so its snapshots stay alive.
+                    let mut written: Vec<Args> = Vec::new();
+                    for span in spans.by_ref().take(span_count) {
                         targets[e.target]
-                            .corrupt_changed(&span.args, &pristine[e.target], &outs, poison)
+                            .merge_outputs(&span.args, &pristine[e.target], &outs, additive)
                             .expect("span snapshot has the target's arity");
+                        for view in span.trace.groups() {
+                            let unit = pool.earliest_unit();
+                            let cost =
+                                exec_noise.perturb(model.group_cost(unit, e.meta, view)) * slow;
+                            let p = pool.assign_to(unit, cost, gate);
+                            first_start = first_start.min(p.start);
+                            last_end = last_end.max(p.end);
+                            busy += cost;
+                            groups += 1;
+                        }
+                        exec.recycle_trace(span.trace);
+                        if corrupt.is_some() {
+                            written.push(span.args);
+                        }
                     }
-                }
-                let gate = streams.gate(e.stream, e.not_before + launch_overhead);
-                let mut first_start = Cycles::MAX;
-                let mut last_end = Cycles::ZERO;
-                let mut busy = Cycles::ZERO;
-                let mut groups = 0u64;
-                for span in spans {
-                    for view in span.trace.groups() {
-                        let unit = pool.earliest_unit();
-                        let cost = exec_noise.perturb(model.group_cost(unit, e.meta, view)) * slow;
-                        let p = pool.assign_to(unit, cost, gate);
-                        first_start = first_start.min(p.start);
-                        last_end = last_end.max(p.end);
-                        busy += cost;
-                        groups += 1;
+                    if let Some(poison) = corrupt {
+                        for args in &written {
+                            targets[e.target]
+                                .corrupt_changed(args, &pristine[e.target], &outs, poison)
+                                .expect("span snapshot has the target's arity");
+                        }
                     }
+                    if groups == 0 {
+                        first_start = gate;
+                        last_end = gate;
+                    }
+                    streams.record(e.stream, last_end);
+                    let measured = e.measured.then(|| meas_noise.perturb(busy));
+                    LaunchOutcome::Done(LaunchRecord {
+                        start: first_start,
+                        end: last_end,
+                        groups,
+                        busy,
+                        measured,
+                    })
                 }
-                if groups == 0 {
-                    first_start = gate;
-                    last_end = gate;
+                EntryPlan::Inline => {
+                    let budget = e.budget.or_else(|| match (budget_policy, best_measured) {
+                        (Some(p), Some(best)) if e.measured => Some(p.budget_for(best)),
+                        _ => None,
+                    });
+                    run_budgeted_entry(
+                        exec,
+                        e,
+                        targets,
+                        &pristine,
+                        streams,
+                        pool,
+                        exec_noise,
+                        meas_noise,
+                        launch_overhead,
+                        model,
+                        slow,
+                        corrupt,
+                        budget,
+                    )
                 }
-                streams.record(e.stream, last_end);
-                let measured = e.measured.then(|| meas_noise.perturb(busy));
-                LaunchOutcome::Done(LaunchRecord {
-                    start: first_start,
-                    end: last_end,
-                    groups,
-                    busy,
-                    measured,
-                })
+            };
+            if let LaunchOutcome::Done(LaunchRecord {
+                measured: Some(m), ..
+            }) = outcome
+            {
+                best_measured = Some(best_measured.map_or(m, |b| b.min(m)));
             }
-            EntryPlan::Inline => {
-                let budget = e.budget.or_else(|| match (budget_policy, best_measured) {
-                    (Some(p), Some(best)) if e.measured => Some(p.budget_for(best)),
-                    _ => None,
-                });
-                run_budgeted_entry(
-                    exec,
-                    e,
-                    targets,
-                    &pristine,
-                    streams,
-                    pool,
-                    exec_noise,
-                    meas_noise,
-                    launch_overhead,
-                    model,
-                    slow,
-                    corrupt,
-                    budget,
-                )
+            // Emission happens here, in the serial pricing pass, so device
+            // events carry canonical sequence numbers at any worker count.
+            if let Some(sink) = obs {
+                emit_outcome(sink, e, &outcome);
             }
-        };
-        if let LaunchOutcome::Done(LaunchRecord {
-            measured: Some(m), ..
-        }) = outcome
-        {
-            best_measured = Some(best_measured.map_or(m, |b| b.min(m)));
+            outcomes.push(outcome);
         }
-        // Emission happens here, in the serial pricing pass, so device
-        // events carry canonical sequence numbers at any worker count.
-        if let Some(sink) = obs {
-            emit_outcome(sink, e, &outcome);
-        }
-        outcomes.push(outcome);
-    }
-    // Priced traces go back to the arena: the next launch's span jobs
-    // record into these buffers instead of allocating fresh ones.
-    for item_runs in runs {
-        for span in item_runs {
-            exec.recycle_trace(span.trace);
-        }
-    }
-    outcomes
+        outcomes
+    })
 }
 
 /// Emits the device-level event for one priced launch outcome.
@@ -633,17 +685,72 @@ mod tests {
     }
 
     #[test]
-    fn empty_job_list_is_fine() {
-        let exec = Executor::new(4);
-        let got: Vec<u32> = exec.run_ordered(0, |_| unreachable!());
-        assert!(got.is_empty());
+    fn ordered_delivers_results_in_job_order() {
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            // Zero jobs, fewer jobs than workers, and more.
+            for n in [0, 1, 2, 3, 8, 9, 100] {
+                let seen = exec.ordered(
+                    n,
+                    |i| i * 3 + 1,
+                    |results| {
+                        assert_eq!(results.size_hint(), (n, Some(n)));
+                        results.enumerate().collect::<Vec<_>>()
+                    },
+                );
+                let want: Vec<_> = (0..n).map(|i| (i, i * 3 + 1)).collect();
+                assert_eq!(seen, want, "threads={threads} n={n}");
+            }
+        }
     }
 
     #[test]
-    fn pool_handles_more_jobs_than_workers() {
-        let exec = Executor::new(3);
-        let got = exec.run_ordered(100, |i| i + 1);
-        assert_eq!(got.len(), 100);
-        assert_eq!(got[99], 100);
+    fn ordered_parks_results_that_arrive_early() {
+        // Job 0 finishes last, so every other result reaches the caller
+        // first and must wait for its turn.
+        for threads in [2, 8] {
+            let n = 20;
+            let finished = AtomicUsize::new(0);
+            let got = Executor::new(threads).run_ordered(n, |i| {
+                if i == 0 {
+                    while finished.load(Ordering::Acquire) < n - 1 {
+                        thread::yield_now();
+                    }
+                }
+                finished.fetch_add(1, Ordering::Release);
+                i
+            });
+            assert_eq!(got, (0..n).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn ordered_with_one_worker_runs_each_job_on_demand() {
+        // Job i must not start before result i - 1 was consumed: the
+        // one-worker engine records every span into the same warm trace.
+        let log = Mutex::new(Vec::new());
+        Executor::new(1).ordered(
+            4,
+            |i| log.lock().unwrap().push(format!("run {i}")),
+            |results| {
+                for (i, ()) in results.enumerate() {
+                    log.lock().unwrap().push(format!("use {i}"));
+                }
+            },
+        );
+        let log = log.into_inner().unwrap();
+        assert_eq!(
+            log,
+            ["run 0", "use 0", "run 1", "use 1", "run 2", "use 2", "run 3", "use 3"]
+        );
+    }
+
+    #[test]
+    fn ordered_consumer_may_stop_early() {
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            let first: Vec<usize> = exec.ordered(50, |i| i, |results| results.take(5).collect());
+            assert_eq!(first, [0, 1, 2, 3, 4]);
+        }
     }
 }

@@ -4,9 +4,11 @@
 //! in-tree [`XorShiftRng`]: `cargo test -p dysel-device --features proptest`.
 #![cfg(feature = "proptest")]
 
+use std::collections::VecDeque;
+
 use dysel_device::gpu::{coalesced_segments, gather_segments, smem_conflict_degree};
 use dysel_device::{
-    CacheConfig, CacheHierarchy, Cycles, Executor, NoiseModel, SetAssocCache, UnitPool,
+    CacheConfig, CacheHierarchy, Cycles, Executor, GpuConfig, NoiseModel, SetAssocCache, UnitPool,
 };
 use dysel_kernel::XorShiftRng;
 
@@ -176,5 +178,113 @@ fn executor_order_invariant() {
         let got = exec.run_ordered(n, |i| i.wrapping_mul(2654435761));
         let want: Vec<usize> = (0..n).map(|i| i.wrapping_mul(2654435761)).collect();
         assert_eq!(got, want);
+    }
+}
+
+/// A naive LRU reference: one `VecDeque` per set, most recent at the front,
+/// sets indexed like the model (the low line bits, `line & (sets - 1)`).
+struct RefLru {
+    sets: Vec<VecDeque<u64>>,
+    ways: usize,
+    line_shift: u32,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefLru {
+    fn new(cfg: CacheConfig) -> Self {
+        RefLru {
+            sets: vec![VecDeque::new(); cfg.sets() as usize],
+            ways: cfg.ways as usize,
+            line_shift: cfg.line.trailing_zeros(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> bool {
+        let line = addr >> self.line_shift;
+        let mask = self.sets.len() as u64 - 1;
+        let set = &mut self.sets[(line & mask) as usize];
+        let hit = if let Some(pos) = set.iter().position(|&t| t == line) {
+            set.remove(pos);
+            true
+        } else {
+            set.truncate(self.ways - 1);
+            false
+        };
+        set.push_front(line);
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    fn reset(&mut self) {
+        self.sets.iter_mut().for_each(VecDeque::clear);
+        self.hits = 0;
+        self.misses = 0;
+    }
+}
+
+/// The flat-tag `SetAssocCache` agrees with the naive reference on every
+/// access, for every cache preset in the tree plus a 1-set, 2-way toy:
+/// random line streams with reuse and same-set conflicts, reset mid-stream.
+#[test]
+fn cache_matches_reference_lru() {
+    let configs = [
+        CacheConfig::l1d(),
+        CacheConfig::l2(),
+        CacheConfig::llc_share(),
+        GpuConfig::kepler_k20c().tex_cache,
+        GpuConfig::fermi().tex_cache,
+        GpuConfig::maxwell().tex_cache,
+        CacheConfig {
+            capacity: 128,
+            ways: 2,
+            line: 64,
+        },
+    ];
+    for (ci, cfg) in configs.into_iter().enumerate() {
+        let line = u64::from(cfg.line);
+        let capacity_lines = cfg.capacity / line;
+        let set_span = cfg.sets().next_power_of_two();
+        for case in 0..CASES / 8 {
+            let mut rng = rng_for(10 + ci as u64, case);
+            let mut cache = SetAssocCache::new(cfg);
+            let mut reference = RefLru::new(cfg);
+            let len = rng.gen_range_usize(1, 4000);
+            let reset_at = rng.gen_range_usize(0, len);
+            let mut recent: Vec<u64> = Vec::new();
+            for i in 0..len {
+                if i == reset_at {
+                    cache.reset();
+                    reference.reset();
+                    assert_eq!(cache.stats(), (0, 0));
+                }
+                let addr = match rng.gen_range_u32(0, 4) {
+                    // Reuse a recently touched address (any byte of its line).
+                    0 | 1 if !recent.is_empty() => {
+                        let a = recent[rng.gen_range_usize(0, recent.len())];
+                        a - a % line + rng.gen_range_u64(0, line)
+                    }
+                    // Pile lines onto one set to force LRU evictions.
+                    2 => (rng.gen_range_u64(0, 3 * u64::from(cfg.ways)) * set_span + 5) * line,
+                    _ => rng.gen_range_u64(0, 2 * capacity_lines * line),
+                };
+                assert_eq!(
+                    cache.access(addr),
+                    reference.access(addr),
+                    "config {ci} case {case} access {i} addr {addr}"
+                );
+                recent.push(addr);
+                if recent.len() > 64 {
+                    recent.remove(0);
+                }
+            }
+            assert_eq!(cache.stats(), (reference.hits, reference.misses));
+        }
     }
 }

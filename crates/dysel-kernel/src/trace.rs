@@ -330,7 +330,7 @@ impl<'a> TraceView<'a> {
     ///
     /// Gathers replay through [`TraceSink::gather`] with a pool slice, so a
     /// replay allocates nothing regardless of how the sink consumes it.
-    pub fn replay(&self, sink: &mut dyn TraceSink) {
+    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         for ev in self.events {
             match *ev {
                 TraceEvent::Warp {
@@ -488,7 +488,7 @@ impl RecordedTrace {
     }
 
     /// Feeds every recorded event into `sink`, in recording order.
-    pub fn replay(&self, sink: &mut dyn TraceSink) {
+    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
         self.view().replay(sink);
     }
 }
