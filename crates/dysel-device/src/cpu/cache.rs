@@ -220,8 +220,9 @@ impl CacheHierarchy {
         }
     }
 
-    /// Per-level (hits, misses) so far, L1 first (diagnostics).
-    pub fn stats(&self) -> [(u64, u64); 3] {
+    /// Per-level (hits, misses) so far, L1 first.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> [(u64, u64); 3] {
         [self.l1.stats(), self.l2.stats(), self.l3.stats()]
     }
 

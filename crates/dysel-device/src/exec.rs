@@ -24,7 +24,10 @@
 //!    group traces — in the launch's canonical group order — through the
 //!    device's cost sink, per-unit cache state, scheduler and noise model,
 //!    and returns the trace to the executor's arena at once. A one-worker
-//!    device therefore records every span into the same warm buffer.
+//!    device therefore records every span into the same warm buffer. With
+//!    more workers there is no run-ahead window: the workers keep executing
+//!    while the caller prices, and results that arrive before their turn
+//!    are parked, so their traces are bounded only by the batch.
 //!
 //! Because phase 2 consumes span results in canonical order regardless of
 //! which worker produced them when, the same seed yields bit-identical
@@ -184,16 +187,6 @@ impl Executor {
                 source: Source::Pool { rx, parked },
             })
         })
-    }
-
-    /// Runs jobs `0..n` across the pool and returns their results in job
-    /// order (a collecting [`Executor::ordered`]).
-    pub fn run_ordered<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.ordered(n, f, |results| results.collect())
     }
 }
 
@@ -671,10 +664,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_ordered_returns_results_in_job_order() {
+    fn ordered_collects_results_in_job_order() {
         for threads in [1, 2, 8] {
             let exec = Executor::new(threads);
-            let got = exec.run_ordered(37, |i| i * i);
+            let got: Vec<_> = exec.ordered(37, |i| i * i, |results| results.collect());
             assert_eq!(got, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -682,6 +675,23 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
         assert!(Executor::new(0).threads() >= 1);
+    }
+
+    #[test]
+    fn empty_job_list_is_fine() {
+        for threads in [1, 2, 4, 8] {
+            let exec = Executor::new(threads);
+            let got: Vec<u32> = exec.ordered(0, |_| unreachable!(), |results| results.collect());
+            assert!(got.is_empty(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn pool_handles_more_jobs_than_workers() {
+        let exec = Executor::new(3);
+        let got: Vec<_> = exec.ordered(100, |i| i + 1, |results| results.collect());
+        assert_eq!(got.len(), 100);
+        assert_eq!(got[99], 100);
     }
 
     #[test]
@@ -711,15 +721,19 @@ mod tests {
         for threads in [2, 8] {
             let n = 20;
             let finished = AtomicUsize::new(0);
-            let got = Executor::new(threads).run_ordered(n, |i| {
-                if i == 0 {
-                    while finished.load(Ordering::Acquire) < n - 1 {
-                        thread::yield_now();
+            let got: Vec<_> = Executor::new(threads).ordered(
+                n,
+                |i| {
+                    if i == 0 {
+                        while finished.load(Ordering::Acquire) < n - 1 {
+                            thread::yield_now();
+                        }
                     }
-                }
-                finished.fetch_add(1, Ordering::Release);
-                i
-            });
+                    finished.fetch_add(1, Ordering::Release);
+                    i
+                },
+                |results| results.collect(),
+            );
             assert_eq!(got, (0..n).collect::<Vec<_>>(), "threads={threads}");
         }
     }

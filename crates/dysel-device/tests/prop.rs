@@ -175,7 +175,7 @@ fn executor_order_invariant() {
         let n = rng.gen_range_usize(0, 200);
         let threads = rng.gen_range_usize(1, 12);
         let exec = Executor::new(threads);
-        let got = exec.run_ordered(n, |i| i.wrapping_mul(2654435761));
+        let got: Vec<_> = exec.ordered(n, |i| i.wrapping_mul(2654435761), |r| r.collect());
         let want: Vec<usize> = (0..n).map(|i| i.wrapping_mul(2654435761)).collect();
         assert_eq!(got, want);
     }
