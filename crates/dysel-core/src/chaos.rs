@@ -392,6 +392,25 @@ mod tests {
         assert!(first.iter().any(Option::is_none));
     }
 
+    /// Pins the probability draws bit for bit: a change to the stream
+    /// hash or to the index/rule mixing flips some of these decisions.
+    #[test]
+    fn probability_draws_are_pinned() {
+        let mut plan: ChaosPlan = "seed=7;s=panic?0.3;t@1=kill?0.5".parse().unwrap();
+        let got: String = (0..16)
+            .flat_map(|_| [(0, "s"), (0, "t"), (1, "s"), (1, "t")])
+            .map(|(tenant, sig)| match plan.decide(tenant, sig) {
+                None => '.',
+                Some(ChaosAction::Panic) => 'P',
+                Some(ChaosAction::Kill) => 'K',
+            })
+            .collect();
+        assert_eq!(
+            got,
+            ".......KPK.K.KPK..P..K.K......P.P.PK.K.KP.PK.K.K..PKP..K..P.PK.K"
+        );
+    }
+
     #[test]
     fn touched_signatures_names_perturbed_streams() {
         let plan: ChaosPlan = "seed=1;b=panic;a=kill;b@2=panic;journal@0=kill"

@@ -412,6 +412,26 @@ mod tests {
         assert_ne!(run(9), run(10));
     }
 
+    /// Pins the probability draws bit for bit: a change to the stream
+    /// hash or to the index/rule mixing flips some of these decisions.
+    #[test]
+    fn probability_draws_are_pinned() {
+        let mut plan: FaultPlan = "seed=7;v=wrong?0.3;w@2=hang*8?0.5".parse().unwrap();
+        let got: String = (0..32)
+            .flat_map(|_| [plan.decide("v"), plan.decide("w")])
+            .map(|d| match d {
+                None => '.',
+                Some(FaultKind::WrongOutput) => 'W',
+                Some(FaultKind::Hang(8)) => 'H',
+                Some(other) => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            got,
+            "......WH...........H..WH......WH.H.......H...H.HW..........H.H.."
+        );
+    }
+
     #[test]
     fn reset_replays_the_same_decisions() {
         let mut plan: FaultPlan = "seed=3;v=wrong?0.5".parse().unwrap();
