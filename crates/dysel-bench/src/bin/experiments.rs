@@ -53,8 +53,8 @@
 //! raw `VariantFeatures` integers plus the canonical encoding in hex.
 //! Given without experiment ids and without `--clients`, it writes the
 //! file and exits without running anything. The file is written atomically
-//! (tmp sibling + rename), so a crashed export never leaves a truncated
-//! corpus for the trainer to trip over.
+//! and durably (tmp sibling, fsync, rename, directory fsync), so a crashed
+//! export never leaves a truncated corpus for the trainer to trip over.
 //!
 //! `--predict LEVEL` (`off` | `shadow` | `on`) sets the runtime's
 //! trained-prediction level and `--predict-model PATH` loads the model the
@@ -74,24 +74,67 @@
 //! printed `service summary:` line ends in a canonical selection digest
 //! that is identical for every `N` — the concurrency smoke in
 //! `scripts/verify.sh` diffs `--clients 8` against `--clients 1`.
+//!
+//! Every value flag takes `--flag V` or `--flag=V`; a missing or malformed
+//! value exits with status 2. The flags build one `Harness` value that
+//! every experiment and the stress driver read. An experiment whose DySel
+//! launch fails or whose output is wrong prints the error and exits with
+//! status 1.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use dysel_bench::{experiments, harness, StressOpts};
+use dysel_bench::{experiments, Harness, StressOpts};
 use dysel_core::{ChaosPlan, FaultPlan, PredictLevel, PruneLevel};
 use dysel_obs::EventSink;
+
+/// Prints `msg` and exits with the usage status.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Every flag that takes a value, with what a missing value needs.
+const VALUE_FLAGS: [(&str, &str); 12] = [
+    ("--clients", "a positive number"),
+    ("--tenants", "a positive number"),
+    ("--threads", "a number (0 = all cores)"),
+    ("--state-file", "a path"),
+    ("--trace-out", "a path"),
+    ("--metrics-out", "a path"),
+    ("--prune", "a level (off|audit|on)"),
+    ("--predict", "a level (off|shadow|on)"),
+    ("--predict-model", "a path"),
+    ("--features-out", "a path"),
+    ("--fault-plan", "a plan spec"),
+    ("--chaos-plan", "a plan spec"),
+];
+
+/// Splits `--flag V` / `--flag=V` for the value flags: `None` when `arg`
+/// is not one, else the flag, what its value needs and the value (exit 2
+/// if the value is missing).
+fn value_flag(
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<(&'static str, &'static str, String)> {
+    let (name, inline) = match arg.split_once('=') {
+        Some((name, v)) => (name, Some(v.to_owned())),
+        None => (arg, None),
+    };
+    let &(flag, needs) = VALUE_FLAGS.iter().find(|(f, _)| *f == name)?;
+    let value = inline
+        .or_else(|| rest.next())
+        .unwrap_or_else(|| usage(&format!("{flag} needs {needs}")));
+    Some((flag, needs, value))
+}
 
 fn parse_prune(spec: &str) -> PruneLevel {
     match spec {
         "off" => PruneLevel::Off,
         "audit" => PruneLevel::Audit,
         "on" => PruneLevel::On,
-        other => {
-            eprintln!("--prune needs off|audit|on, got {other:?}");
-            std::process::exit(2);
-        }
+        other => usage(&format!("--prune needs off|audit|on, got {other:?}")),
     }
 }
 
@@ -100,65 +143,12 @@ fn parse_predict(spec: &str) -> PredictLevel {
         "off" => PredictLevel::Off,
         "shadow" => PredictLevel::Shadow,
         "on" => PredictLevel::On,
-        other => {
-            eprintln!("--predict needs off|shadow|on, got {other:?}");
-            std::process::exit(2);
-        }
+        other => usage(&format!("--predict needs off|shadow|on, got {other:?}")),
     }
-}
-
-fn install_predict_model(path: &str) {
-    match dysel_predict::load(std::path::Path::new(path)) {
-        Ok(model) => harness::set_predict_model(Some(Arc::new(model))),
-        Err(e) => {
-            eprintln!("--predict-model could not load {path:?}: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn install_fault_plan(spec: &str) {
-    match spec.parse::<FaultPlan>() {
-        Ok(plan) => harness::set_fault_plan(Some(plan)),
-        Err(e) => {
-            eprintln!("--fault-plan could not parse {spec:?}: {e}");
-            eprintln!("expected: seed=N;NAME[@FROM[+COUNT]]=KIND[*FACTOR][?PROB];...");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_chaos_plan(spec: &str) -> ChaosPlan {
-    match spec.parse::<ChaosPlan>() {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("--chaos-plan could not parse {spec:?}: {e}");
-            eprintln!("expected: seed=N;SIG[@FROM[+COUNT]]=panic|kill[?PROB];journal@N=kill;...");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Writes `bytes` to `path` through a same-directory tmp sibling and an
-/// atomic rename, so readers only ever see a complete file.
-fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let result = (|| {
-        {
-            use std::io::Write;
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 fn main() {
+    let mut h = Harness::default();
     let mut ids: Vec<String> = Vec::new();
     let mut list = false;
     let mut trace_out: Option<PathBuf> = None;
@@ -167,115 +157,49 @@ fn main() {
     let mut clients: Option<usize> = None;
     let mut tenants: u32 = 2;
     let mut chaos: Option<ChaosPlan> = None;
-    let parse_count = |flag: &str, v: Option<String>| -> usize {
-        v.and_then(|v| v.parse::<usize>().ok()).unwrap_or_else(|| {
-            eprintln!("{flag} needs a positive number");
-            std::process::exit(2);
-        })
-    };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--list" {
             list = true;
-        } else if a == "--clients" {
-            clients = Some(parse_count("--clients", args.next()));
-        } else if let Some(v) = a.strip_prefix("--clients=") {
-            clients = Some(parse_count("--clients", Some(v.to_owned())));
-        } else if a == "--tenants" {
-            tenants = parse_count("--tenants", args.next()) as u32;
-        } else if let Some(v) = a.strip_prefix("--tenants=") {
-            tenants = parse_count("--tenants", Some(v.to_owned())) as u32;
-        } else if a == "--threads" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--threads needs a number (0 = all cores)");
-                    std::process::exit(2);
-                });
-            harness::set_threads(n);
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            match v.parse::<usize>() {
-                Ok(n) => harness::set_threads(n),
-                Err(_) => {
-                    eprintln!("--threads needs a number (0 = all cores)");
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--state-file" {
-            let p = args.next().unwrap_or_else(|| {
-                eprintln!("--state-file needs a path");
-                std::process::exit(2);
-            });
-            harness::set_state_file(Some(PathBuf::from(p)));
-        } else if let Some(p) = a.strip_prefix("--state-file=") {
-            harness::set_state_file(Some(PathBuf::from(p)));
-        } else if a == "--trace-out" {
-            let p = args.next().unwrap_or_else(|| {
-                eprintln!("--trace-out needs a path");
-                std::process::exit(2);
-            });
-            trace_out = Some(PathBuf::from(p));
-        } else if let Some(p) = a.strip_prefix("--trace-out=") {
-            trace_out = Some(PathBuf::from(p));
-        } else if a == "--metrics-out" {
-            let p = args.next().unwrap_or_else(|| {
-                eprintln!("--metrics-out needs a path");
-                std::process::exit(2);
-            });
-            metrics_out = Some(PathBuf::from(p));
-        } else if let Some(p) = a.strip_prefix("--metrics-out=") {
-            metrics_out = Some(PathBuf::from(p));
-        } else if a == "--prune" {
-            let spec = args.next().unwrap_or_else(|| {
-                eprintln!("--prune needs a level (off|audit|on)");
-                std::process::exit(2);
-            });
-            harness::set_prune(parse_prune(&spec));
-        } else if let Some(spec) = a.strip_prefix("--prune=") {
-            harness::set_prune(parse_prune(spec));
-        } else if a == "--predict" {
-            let spec = args.next().unwrap_or_else(|| {
-                eprintln!("--predict needs a level (off|shadow|on)");
-                std::process::exit(2);
-            });
-            harness::set_predict(parse_predict(&spec));
-        } else if let Some(spec) = a.strip_prefix("--predict=") {
-            harness::set_predict(parse_predict(spec));
-        } else if a == "--predict-model" {
-            let p = args.next().unwrap_or_else(|| {
-                eprintln!("--predict-model needs a path");
-                std::process::exit(2);
-            });
-            install_predict_model(&p);
-        } else if let Some(p) = a.strip_prefix("--predict-model=") {
-            install_predict_model(p);
-        } else if a == "--features-out" {
-            let p = args.next().unwrap_or_else(|| {
-                eprintln!("--features-out needs a path");
-                std::process::exit(2);
-            });
-            features_out = Some(PathBuf::from(p));
-        } else if let Some(p) = a.strip_prefix("--features-out=") {
-            features_out = Some(PathBuf::from(p));
-        } else if a == "--fault-plan" {
-            let spec = args.next().unwrap_or_else(|| {
-                eprintln!("--fault-plan needs a plan spec");
-                std::process::exit(2);
-            });
-            install_fault_plan(&spec);
-        } else if let Some(spec) = a.strip_prefix("--fault-plan=") {
-            install_fault_plan(spec);
-        } else if a == "--chaos-plan" {
-            let spec = args.next().unwrap_or_else(|| {
-                eprintln!("--chaos-plan needs a plan spec");
-                std::process::exit(2);
-            });
-            chaos = Some(parse_chaos_plan(&spec));
-        } else if let Some(spec) = a.strip_prefix("--chaos-plan=") {
-            chaos = Some(parse_chaos_plan(spec));
-        } else {
+            continue;
+        }
+        let Some((flag, needs, v)) = value_flag(&a, &mut args) else {
             ids.push(a);
+            continue;
+        };
+        let count = || {
+            v.parse::<usize>()
+                .unwrap_or_else(|_| usage(&format!("{flag} needs {needs}")))
+        };
+        match flag {
+            "--clients" => clients = Some(count()),
+            "--tenants" => tenants = count() as u32,
+            "--threads" => h.threads = count(),
+            "--state-file" => h.state_file = Some(PathBuf::from(v)),
+            "--trace-out" => trace_out = Some(PathBuf::from(v)),
+            "--metrics-out" => metrics_out = Some(PathBuf::from(v)),
+            "--features-out" => features_out = Some(PathBuf::from(v)),
+            "--prune" => h.prune = parse_prune(&v),
+            "--predict" => h.predict = parse_predict(&v),
+            "--predict-model" => match dysel_predict::load(std::path::Path::new(&v)) {
+                Ok(model) => h.predict_model = Some(Arc::new(model)),
+                Err(e) => usage(&format!("--predict-model could not load {v:?}: {e}")),
+            },
+            "--fault-plan" => match v.parse::<FaultPlan>() {
+                Ok(plan) => h.fault_plan = Some(plan),
+                Err(e) => usage(&format!(
+                    "--fault-plan could not parse {v:?}: {e}\n\
+                     expected: seed=N;NAME[@FROM[+COUNT]]=KIND[*FACTOR][?PROB];..."
+                )),
+            },
+            "--chaos-plan" => match v.parse::<ChaosPlan>() {
+                Ok(plan) => chaos = Some(plan),
+                Err(e) => usage(&format!(
+                    "--chaos-plan could not parse {v:?}: {e}\n\
+                     expected: seed=N;SIG[@FROM[+COUNT]]=panic|kill[?PROB];journal@N=kill;..."
+                )),
+            },
+            _ => unreachable!("{flag} is in VALUE_FLAGS"),
         }
     }
     if list {
@@ -286,23 +210,17 @@ fn main() {
     }
     if let Some(path) = &features_out {
         let mut buf = Vec::new();
-        let records = match dysel_bench::write_features_jsonl(&mut buf) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("--features-out failed to build records: {e}");
-                std::process::exit(2);
-            }
-        };
-        // Atomic tmp-sibling + rename: a crash mid-write must never leave
-        // a truncated corpus behind — the trainer treats torn records as
-        // hard errors, not noise to skip.
-        match write_atomic(path, &buf) {
-            Ok(()) => println!("features: {} records -> {}", records, path.display()),
-            Err(e) => {
-                eprintln!("--features-out could not write {}: {e}", path.display());
-                std::process::exit(2);
-            }
+        let records = dysel_bench::write_features_jsonl(&mut buf)
+            .unwrap_or_else(|e| usage(&format!("--features-out failed to build records: {e}")));
+        // A crash mid-write must never leave a truncated corpus behind —
+        // the trainer treats torn records as hard errors, not noise.
+        if let Err((_, e)) = dysel_kernel::write_atomic(path, &buf) {
+            usage(&format!(
+                "--features-out could not write {}: {e}",
+                path.display()
+            ));
         }
+        println!("features: {} records -> {}", records, path.display());
         if ids.is_empty() && clients.is_none() {
             return;
         }
@@ -313,18 +231,13 @@ fn main() {
             println!("chaos: {plan}");
         }
         let t0 = Instant::now();
-        let opts = StressOpts {
-            chaos,
-            state_file: harness::state_file(),
-        };
-        let outcome = dysel_bench::run_service_stress_with(clients, tenants, opts);
+        let outcome = dysel_bench::run_service_stress(&h, clients, tenants, StressOpts { chaos });
         println!("{}", outcome.line());
         println!("total: {:.1}s", t0.elapsed().as_secs_f64());
         return;
     }
     if chaos.is_some() {
-        eprintln!("--chaos-plan targets the service stress driver; add --clients N");
-        std::process::exit(2);
+        usage("--chaos-plan targets the service stress driver; add --clients N");
     }
     let ids: Vec<String> = if ids.is_empty() || ids.iter().any(|a| a == "all") {
         experiments::all()
@@ -334,26 +247,24 @@ fn main() {
     } else {
         ids
     };
-    let sink = if trace_out.is_some() || metrics_out.is_some() {
-        let sink = Arc::new(EventSink::new());
-        harness::set_observer(Some(sink.clone()));
-        Some(sink)
-    } else {
-        None
-    };
+    let sink = (trace_out.is_some() || metrics_out.is_some()).then(|| Arc::new(EventSink::new()));
+    h.observer = sink.clone();
     println!("DySel experiment harness (deterministic; seeds fixed)\n");
     let t0 = Instant::now();
     for id in &ids {
         match experiments::by_id(id) {
             Some(f) => {
                 let t = Instant::now();
-                let fig = f();
+                let fig = f(&h).unwrap_or_else(|e| {
+                    eprintln!("{id} failed: {e}");
+                    std::process::exit(1);
+                });
                 println!("{fig}   [{:.1}s]\n", t.elapsed().as_secs_f64());
             }
             None => eprintln!("unknown experiment {id:?}; try --list"),
         }
     }
-    println!("{}", harness::run_summary().line());
+    println!("{}", h.summary().line());
     if let Some(sink) = sink {
         if let Some(path) = trace_out {
             let events = sink.events();

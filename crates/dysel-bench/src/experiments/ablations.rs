@@ -1,32 +1,30 @@
 //! Ablations of the engineering knobs §2.4/§5 discusses qualitatively:
 //! eager chunk size, host query latency, and noise/repetition tradeoffs.
 
-use dysel_baselines::exhaustive_sweep;
 use dysel_core::{LaunchOptions, Runtime};
 use dysel_device::{Device, GpuConfig, GpuDevice};
 use dysel_workloads::Target;
 
-use crate::harness::{cpu_factory, run_dysel, suite};
+use crate::harness::{suite, CaseError, Harness};
 use crate::{Bar, Figure};
 
 /// Eager-chunk-size sweep: too-small chunks pay launch overhead per chunk
 /// ("imposing associated kernel launch overhead", §2.4); too-large chunks
 /// commit more work to a possibly-suboptimal best-so-far variant.
-pub fn abl_chunk() -> Figure {
+pub fn abl_chunk(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "abl_chunk",
         "ablation: eager chunk size (async CPU, sgemm)",
         "relative execution time over oracle / eager chunks",
     );
     let w = suite::sgemm_schedules();
-    let oracle = exhaustive_sweep(&w, Target::Cpu, cpu_factory).best().1;
+    let oracle = h.sweep(&w, Target::Cpu).best().1;
     for chunk in [1u64, 2, 4, 8, 16] {
-        let report = run_dysel(
+        let report = h.run_dysel(
             &w,
             Target::Cpu,
-            &(cpu_factory as fn() -> _),
             &LaunchOptions::new().with_chunk_groups_per_unit(chunk),
-        );
+        )?;
         fig.push_row(
             format!("chunk={chunk} groups/unit"),
             vec![
@@ -36,13 +34,13 @@ pub fn abl_chunk() -> Figure {
             ],
         );
     }
-    fig
+    Ok(fig)
 }
 
 /// Host query-latency sweep on the GPU: with realistic `cudaStreamQuery`
 /// latencies the async flow gets few or zero eager dispatches, which is
 /// why sync and async DySel only differ marginally on GPUs (§5.1).
-pub fn abl_query() -> Figure {
+pub fn abl_query(_: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "abl_query",
         "ablation: host stream-query latency (async GPU, sgemm)",
@@ -86,26 +84,25 @@ pub fn abl_query() -> Figure {
         );
     }
     fig.note("paper §5.1: querying often takes longer than micro-profiling itself, so GPUs see few or zero eager dispatches");
-    fig
+    Ok(fig)
 }
 
 /// Noise-vs-repetition grid (extends §5.2): per-launch DySel overhead as
 /// profiling repetitions grow.
-pub fn abl_noise() -> Figure {
+pub fn abl_noise(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "abl_noise",
         "ablation: profiling repetitions vs overhead (CPU, kmeans)",
         "relative execution time over oracle",
     );
     let w = suite::kmeans_std();
-    let oracle = exhaustive_sweep(&w, Target::Cpu, cpu_factory).best().1;
+    let oracle = h.sweep(&w, Target::Cpu).best().1;
     for reps in [1u32, 2, 4, 8] {
-        let report = run_dysel(
+        let report = h.run_dysel(
             &w,
             Target::Cpu,
-            &(cpu_factory as fn() -> _),
             &LaunchOptions::new().with_profile_reps(reps),
-        );
+        )?;
         fig.push_row(
             format!("reps={reps}"),
             vec![
@@ -115,7 +112,7 @@ pub fn abl_noise() -> Figure {
         );
     }
     fig.note("repetitions buy accuracy under noise (see sec52) at extra profiling cost — the §5.2 tradeoff");
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]
@@ -124,7 +121,7 @@ mod tests {
 
     #[test]
     fn more_reps_cost_more() {
-        let fig = abl_noise();
+        let fig = abl_noise(&Harness::default()).unwrap();
         let rel = |i: usize| fig.rows[i].bars[0].value;
         // Overhead grows (weakly) with repetitions.
         assert!(rel(3) >= rel(0) * 0.99, "{} vs {}", rel(3), rel(0));

@@ -4,7 +4,7 @@ use dysel_baselines::{heuristic_select, lc_select, porple_select};
 use dysel_device::GpuConfig;
 use dysel_workloads::{Target, Workload};
 
-use crate::harness::{cpu_factory, gpu_factory, run_case, suite, CaseResult};
+use crate::harness::{suite, CaseError, CaseResult, Harness};
 use crate::{Bar, Figure};
 
 fn dysel_bars(case: &CaseResult) -> Vec<Bar> {
@@ -18,7 +18,7 @@ fn dysel_bars(case: &CaseResult) -> Vec<Bar> {
 
 /// Fig. 8 — Case I: DySel vs locality-centric scheduling on the CPU for
 /// the six OpenCL benchmarks (relative execution time over oracle).
-pub fn fig8() -> Figure {
+pub fn fig8(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "fig8",
         "Case I: locality-centric scheduling on CPU",
@@ -34,7 +34,7 @@ pub fn fig8() -> Figure {
         suite::stencil_std(),
     ];
     for w in workloads {
-        let case = run_case(&w, Target::Cpu, cpu_factory);
+        let case = h.run_case(&w, Target::Cpu)?;
         let lc = lc_select(w.variants(Target::Cpu));
         let mut bars = dysel_bars(&case);
         bars.push(Bar::new("LC", case.rel(case.sweep.time_of(lc))));
@@ -43,19 +43,19 @@ pub fn fig8() -> Figure {
     }
     fig.push_geomean();
     fig.note("paper: DySel near-oracle everywhere; LC wrong on spmv-csr(diagonal) by ~1.15x; worst bars 2.95-117.74x");
-    fig
+    Ok(fig)
 }
 
 /// Fig. 9 — Case II: DySel vs PORPLE and the rule-based heuristic for GPU
 /// data placement.
-pub fn fig9() -> Figure {
+pub fn fig9(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "fig9",
         "Case II: data placement on GPU",
         "relative execution time over oracle (lower is better)",
     );
     for w in [suite::spmv_csr_placements(), suite::particlefilter_std()] {
-        let case = run_case(&w, Target::Gpu, gpu_factory);
+        let case = h.run_case(&w, Target::Gpu)?;
         let variants = w.variants(Target::Gpu);
         let args = w.fresh_args();
         let porple = porple_select(&GpuConfig::kepler_k20c(), variants, &args);
@@ -70,23 +70,25 @@ pub fn fig9() -> Figure {
         fig.push_row(w.name.clone(), bars);
     }
     fig.note("paper: spmv-csr — PORPLE 1.29x, heuristic 2.29x, DySel negligible overhead; particlefilter — both baselines optimal, Rodinia original 1.17x, DySel <= 4%");
-    fig
+    Ok(fig)
 }
 
-fn mixed_case(fig: &mut Figure, w: &Workload, target: Target) {
-    let factory = match target {
-        Target::Cpu => cpu_factory as fn() -> _,
-        Target::Gpu => gpu_factory as fn() -> _,
-    };
-    let case = run_case(w, target, factory);
+fn mixed_case(
+    h: &Harness,
+    fig: &mut Figure,
+    w: &Workload,
+    target: Target,
+) -> Result<(), CaseError> {
+    let case = h.run_case(w, target)?;
     let mut bars = dysel_bars(&case);
     bars.push(Bar::new("Worst", case.sweep.spread()));
     let selected = &case.dysel.sync_report.selected_name;
     fig.push_row(format!("{} (pick: {selected})", w.name), bars);
+    Ok(())
 }
 
 /// Fig. 10(a) — Case III: mixed compile-time optimizations, CPU.
-pub fn fig10a() -> Figure {
+pub fn fig10a(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "fig10a",
         "Case III: mixed compile-time optimizations, CPU",
@@ -98,15 +100,15 @@ pub fn fig10a() -> Figure {
         suite::spmv_jds_std(),
         suite::stencil_std(),
     ] {
-        mixed_case(&mut fig, &w, Target::Cpu);
+        mixed_case(h, &mut fig, &w, Target::Cpu)?;
     }
     fig.push_geomean();
     fig.note("paper: ~2% average overhead; naive base versions win on CPU (scratchpad tiling is a 1.23x average slowdown there)");
-    fig
+    Ok(fig)
 }
 
 /// Fig. 10(b) — Case III: mixed compile-time optimizations, GPU.
-pub fn fig10b() -> Figure {
+pub fn fig10b(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "fig10b",
         "Case III: mixed compile-time optimizations, GPU",
@@ -118,17 +120,17 @@ pub fn fig10b() -> Figure {
         suite::spmv_jds_std(),
         suite::stencil_std(),
     ] {
-        mixed_case(&mut fig, &w, Target::Gpu);
+        mixed_case(h, &mut fig, &w, Target::Gpu)?;
     }
     fig.push_geomean();
     fig.note("paper: DySel optimal except spmv-jds, where it picks the 2nd-best (unroll+prefetch+texture) at 0.8% loss; worst bars up to 7.74x");
-    fig
+    Ok(fig)
 }
 
-fn input_dependent(target: Target) -> Figure {
-    let (id, factory, label) = match target {
-        Target::Cpu => ("fig11a", cpu_factory as fn() -> _, "CPU"),
-        Target::Gpu => ("fig11b", gpu_factory as fn() -> _, "GPU"),
+fn input_dependent(h: &Harness, target: Target) -> Result<Figure, CaseError> {
+    let (id, label) = match target {
+        Target::Cpu => ("fig11a", "CPU"),
+        Target::Gpu => ("fig11b", "GPU"),
     };
     let mut fig = Figure::new(
         id,
@@ -136,7 +138,7 @@ fn input_dependent(target: Target) -> Figure {
         "relative execution time over oracle (lower is better)",
     );
     for w in [suite::spmv_csr_random(), suite::spmv_csr_diagonal()] {
-        let case = run_case(&w, target, factory);
+        let case = h.run_case(&w, target)?;
         let mut bars = dysel_bars(&case);
         for name in case.names.clone() {
             bars.push(Bar::new(name.clone(), case.rel_variant(&name)));
@@ -145,23 +147,23 @@ fn input_dependent(target: Target) -> Figure {
         let selected = &case.dysel.sync_report.selected_name;
         fig.push_row(format!("{} (pick: {selected})", w.name), bars);
     }
-    fig
+    Ok(fig)
 }
 
 /// Fig. 11(a) — Case IV: input-dependent selection, CPU (scalar/vector x
 /// DFO/BFO schedules on random vs diagonal matrices).
-pub fn fig11a() -> Figure {
-    let mut fig = input_dependent(Target::Cpu);
+pub fn fig11a(h: &Harness) -> Result<Figure, CaseError> {
+    let mut fig = input_dependent(h, Target::Cpu)?;
     fig.note("paper: DySel recovers 2.98x (random) and 8.63x (diagonal) over the worst choice; LC's unconditional DFO misses the diagonal case");
-    fig
+    Ok(fig)
 }
 
 /// Fig. 11(b) — Case IV: input-dependent selection, GPU (scalar vs vector
 /// kernels on random vs diagonal matrices).
-pub fn fig11b() -> Figure {
-    let mut fig = input_dependent(Target::Gpu);
+pub fn fig11b(h: &Harness) -> Result<Figure, CaseError> {
+    let mut fig = input_dependent(h, Target::Gpu)?;
     fig.note("paper: vector wins on random (scalar 4.73x slower); scalar wins on diagonal (vector 22.73x slower); DySel <= 0.8% overhead");
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]
@@ -174,7 +176,7 @@ mod tests {
     #[test]
     fn dysel_is_near_oracle_for_kmeans() {
         let w = suite::kmeans_std();
-        let case = run_case(&w, Target::Cpu, cpu_factory);
+        let case = Harness::default().run_case(&w, Target::Cpu).unwrap();
         assert!(case.rel(case.dysel.sync) < 1.15, "{:?}", case.dysel.sync);
         assert!(case.rel(case.dysel.async_best) < 1.15);
         assert!(case.sweep.spread() > 1.3);
@@ -183,7 +185,7 @@ mod tests {
     #[test]
     fn gpu_case_is_near_oracle_for_particlefilter() {
         let w = suite::particlefilter_std();
-        let case = run_case(&w, Target::Gpu, gpu_factory);
+        let case = Harness::default().run_case(&w, Target::Gpu).unwrap();
         assert!(
             case.rel(case.dysel.sync) < 1.10,
             "sync rel {}",

@@ -15,7 +15,7 @@ use dysel_device::{Device, GpuConfig, GpuDevice, GpuGeneration};
 use dysel_kernel::Orchestration;
 use dysel_workloads::{histogram, spmv_csr, spmv_ell, CsrMatrix, Target};
 
-use crate::harness::{gpu_factory, run_case, suite};
+use crate::harness::{suite, CaseError, Harness};
 use crate::{Bar, Figure};
 
 /// A matrix whose first `random_rows` rows follow the SHOC random pattern
@@ -48,7 +48,7 @@ fn heterogeneous_matrix(random_rows: usize, diag_rows: usize, seed: u64) -> CsrM
 /// DySel picks the vector kernel for the random half and the scalar kernel
 /// for the diagonal half, beating both pure versions *and* whole-workload
 /// DySel.
-pub fn ext_mixed() -> Figure {
+pub fn ext_mixed(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "ext_mixed",
         "extension: mixed-version execution (paper's future work)",
@@ -60,11 +60,11 @@ pub fn ext_mixed() -> Figure {
     let m = heterogeneous_matrix(8192, 262_144, suite::SEED);
     let cut = (8192 / spmv_csr::ROW_BLOCK) as u64;
     let w = spmv_csr::case4_workload("spmv-csr(heterogeneous)", &m, suite::SEED);
-    let sweep = exhaustive_sweep(&w, Target::Gpu, gpu_factory);
+    let sweep = h.sweep(&w, Target::Gpu);
     let best_pure = sweep.best().1;
 
     // Whole-workload DySel (one selection).
-    let mut rt = Runtime::new(gpu_factory());
+    let mut rt = Runtime::new(h.device(Target::Gpu));
     rt.add_kernels(&w.signature, w.variants(Target::Gpu).to_vec());
     let mut args = w.fresh_args();
     let single = rt
@@ -78,7 +78,7 @@ pub fn ext_mixed() -> Figure {
     w.verify(&args).expect("single-selection output");
 
     // Mixed-version DySel: one selection per half.
-    let mut rt = Runtime::new(gpu_factory());
+    let mut rt = Runtime::new(h.device(Target::Gpu));
     rt.add_kernels(&w.signature, w.variants(Target::Gpu).to_vec());
     let mut args = w.fresh_args();
     let mixed = rt
@@ -117,13 +117,13 @@ pub fn ext_mixed() -> Figure {
         bars,
     );
     fig.note("the paper (§4.1): 'a mixed version ... could potentially outperform the oracle. ... we consider it as the future work'");
-    fig
+    Ok(fig)
 }
 
 /// Swap-based profiling end to end: histogram with global atomics. Side
 /// effect analysis forces swap mode (and downgrades async to sync); the
 /// winner is input-dependent.
-pub fn ext_swap() -> Figure {
+pub fn ext_swap(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "ext_swap",
         "extension: swap-based profiling on an atomics workload",
@@ -134,7 +134,7 @@ pub fn ext_swap() -> Figure {
         histogram::Distribution::Skewed,
     ] {
         let w = histogram::workload(512 * histogram::ELEMS_PER_UNIT, dist, suite::SEED);
-        let case = run_case(&w, Target::Gpu, gpu_factory);
+        let case = h.run_case(&w, Target::Gpu)?;
         let report = &case.dysel.sync_report;
         // The forced mode is observable only when profiling actually ran
         // (a trained-prediction skip runs the winner without profiling).
@@ -159,12 +159,12 @@ pub fn ext_swap() -> Figure {
         fig.push_row(format!("{} (pick: {})", w.name, report.selected_name), bars);
     }
     fig.note("swap mode keeps K private output copies and cannot run asynchronously (Table 1); correctness under overlapping atomic outputs is verified against the host reference");
-    fig
+    Ok(fig)
 }
 
 /// Re-selection across GPU generations: the same kernel pools, profiled on
 /// Fermi/Kepler/Maxwell parameter sets, can pick different winners.
-pub fn ext_portability() -> Figure {
+pub fn ext_portability(_: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "ext_portability",
         "extension: selection portability across GPU generations",
@@ -198,14 +198,14 @@ pub fn ext_portability() -> Figure {
         }
     }
     fig.note("no code changes: the same pools re-profile on each device (the paper's performance-portability motivation, §1)");
-    fig
+    Ok(fig)
 }
 
 /// Input-format selection (§2.3's "input format transformation" with
 /// duplicated inputs): CSR-scalar vs CSR-vector vs ELL over the same
 /// matrices. ELL's padding makes the winner input-dependent: great for
 /// uniform row lengths, catastrophic when one long row pads everything.
-pub fn ext_formats() -> Figure {
+pub fn ext_formats(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "ext_formats",
         "extension: input-format selection (CSR vs ELL)",
@@ -259,7 +259,7 @@ pub fn ext_formats() -> Figure {
     };
     for (label, m) in [("banded (8/row)", banded), ("skewed (1 dense row)", skewed)] {
         let w = spmv_ell::workload("spmv-formats", &m, suite::SEED);
-        let case = run_case(&w, Target::Gpu, gpu_factory);
+        let case = h.run_case(&w, Target::Gpu)?;
         let mut bars = vec![
             Bar::new("Oracle", 1.0),
             Bar::new("DySel", case.rel(case.dysel.sync)),
@@ -273,7 +273,7 @@ pub fn ext_formats() -> Figure {
         );
     }
     fig.note("the ELL variant reads duplicated (format-transformed) inputs, the mechanism §2.3 describes for input format transformation");
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn format_selection_flips_with_the_input() {
-        let fig = ext_formats();
+        let fig = ext_formats(&Harness::default()).unwrap();
         assert!(
             fig.rows[0].workload.contains("pick: ell"),
             "{}",
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn mixed_execution_beats_pure_on_heterogeneous_input() {
-        let fig = ext_mixed();
+        let fig = ext_mixed(&Harness::default()).unwrap();
         let bars = &fig.rows[0].bars;
         let value = |label: &str| {
             bars.iter()

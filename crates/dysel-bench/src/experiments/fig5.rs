@@ -8,6 +8,7 @@ use dysel_core::{InitialSelection, LaunchOptions, Runtime};
 use dysel_device::{CpuConfig, CpuDevice, Device};
 use dysel_kernel::{Buffer, KernelIr, Orchestration, Space, Variant, VariantMeta};
 
+use crate::harness::{CaseError, Harness};
 use crate::{Bar, Figure};
 
 const N: u64 = 4096;
@@ -44,7 +45,7 @@ fn run(orch: Orchestration) -> (dysel_core::LaunchReport, String, u64) {
 }
 
 /// Regenerates Fig. 5 from recorded schedules.
-pub fn fig5() -> Figure {
+pub fn fig5(_: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "fig5",
         "sync vs async timing (recorded schedules, Fig. 5)",
@@ -71,7 +72,7 @@ pub fn fig5() -> Figure {
     fig.note(format!("sync schedule:\n{sync_gantt}"));
     fig.note(format!("async schedule:\n{async_gantt}"));
     fig.note("async eager chunks run during the slow variant's profiling tail, so async total <= sync total (Fig. 5(b)/(c))");
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]

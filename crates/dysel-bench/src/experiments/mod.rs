@@ -15,15 +15,17 @@ pub use fig5::fig5;
 pub use motivation::{fig1, fig2, table1};
 pub use overhead::{sec51, sec52};
 
+use crate::harness::{CaseError, Harness};
 use crate::Figure;
 
-/// An experiment entry point.
-pub type ExperimentFn = fn() -> Figure;
+/// An experiment entry point: the figure it regenerates under the
+/// harness's settings.
+pub type ExperimentFn = fn(&Harness) -> Result<Figure, CaseError>;
 
 /// All experiments in presentation order, with their ids.
 pub fn all() -> Vec<(&'static str, ExperimentFn)> {
     vec![
-        ("fig1", fig1 as fn() -> Figure),
+        ("fig1", fig1 as ExperimentFn),
         ("fig2", fig2),
         ("table1", table1),
         ("fig5", fig5),

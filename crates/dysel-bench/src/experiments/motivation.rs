@@ -1,19 +1,19 @@
 //! Fig. 1 (vectorization motivation), Fig. 2 (work-group distribution) and
 //! Table 1 (productive-mode properties).
 
-use dysel_baselines::{exhaustive_sweep, intel_vec_select};
+use dysel_baselines::intel_vec_select;
 use dysel_core::{LaunchOptions, LaunchStats};
 use dysel_kernel::{Orchestration, ProfilingMode};
 use dysel_workloads::Target;
 
-use crate::harness::{cpu_factory, run_dysel, suite};
+use crate::harness::{suite, CaseError, Harness};
 use crate::{Bar, Figure};
 
 /// Fig. 1 — "Performance of Intel CPU OpenCL stack with different
 /// vectorization strategies": speedup over the heuristic's choice (higher
 /// is better) for `sgemm` and `spmv-jds` under scalar / 4-way / 8-way
 /// SIMD.
-pub fn fig1() -> Figure {
+pub fn fig1(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "fig1",
         "vectorization strategies on the CPU model",
@@ -21,7 +21,7 @@ pub fn fig1() -> Figure {
     );
     for w in [suite::sgemm_vec(), suite::spmv_jds_vec()] {
         let variants = w.variants(Target::Cpu);
-        let sweep = exhaustive_sweep(&w, Target::Cpu, cpu_factory);
+        let sweep = h.sweep(&w, Target::Cpu);
         let pick = intel_vec_select(variants);
         let t_heuristic = sweep.time_of(pick);
         let mut bars = vec![Bar::new("heuristic", 1.0)];
@@ -34,12 +34,12 @@ pub fn fig1() -> Figure {
         );
     }
     fig.note("paper: heuristic falls short of the best by 2.13x (sgemm, picked 4-way) and 1.24x (spmv-jds, picked 8-way)");
-    fig
+    Ok(fig)
 }
 
 /// Fig. 2 — distribution of base work-group counts among kernel launches
 /// across the benchmark suite (iterative solvers launch every iteration).
-pub fn fig2() -> Figure {
+pub fn fig2(_: &Harness) -> Result<Figure, CaseError> {
     let mut stats = LaunchStats::new();
     // (workload, iterations a real application would launch).
     let launches: Vec<(u64, u64)> = vec![
@@ -73,13 +73,13 @@ pub fn fig2() -> Figure {
         stats.launches_at_least(128),
         stats.launches()
     ));
-    fig
+    Ok(fig)
 }
 
 /// Table 1 — measured properties of the three productive profiling modes
 /// on a live workload: productive/wasted units, extra space, async
 /// support.
-pub fn table1() -> Figure {
+pub fn table1(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "table1",
         "productive profiling mode properties (measured)",
@@ -91,14 +91,13 @@ pub fn table1() -> Figure {
         ProfilingMode::HybridPartial,
         ProfilingMode::SwapPartial,
     ] {
-        let report = run_dysel(
+        let report = h.run_dysel(
             &w,
             Target::Cpu,
-            &(cpu_factory as fn() -> _),
             &LaunchOptions::new()
                 .with_mode(mode)
                 .with_orchestration(Orchestration::Async),
-        );
+        )?;
         fig.push_row(
             mode.to_string(),
             vec![
@@ -114,7 +113,7 @@ pub fn table1() -> Figure {
         );
     }
     fig.note("paper Table 1: productive output K / 1 / 1; extra space 0 / <=K-1 / <=K; async yes / yes / no");
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]
@@ -123,7 +122,7 @@ mod tests {
 
     #[test]
     fn table1_matches_paper_claims() {
-        let fig = table1();
+        let fig = table1(&Harness::default()).unwrap();
         assert_eq!(fig.rows.len(), 3);
         let get = |r: usize, l: &str| {
             fig.rows[r]

@@ -1,26 +1,25 @@
 //! §5.1 (sync vs async) and §5.2 (profiling overhead, selection accuracy).
 
-use dysel_baselines::exhaustive_sweep;
 use dysel_core::{LaunchOptions, Runtime};
 use dysel_device::{CpuConfig, CpuDevice, Cycles, Device};
 use dysel_kernel::Orchestration;
 use dysel_workloads::{Target, Workload};
 
-use crate::harness::{cpu_factory, run_case, suite};
+use crate::harness::{suite, CaseError, Harness};
 use crate::{Bar, Figure};
 
 /// §5.1 — synchronous vs asynchronous overhead on the pathological
 /// `sgemm` schedule set (the paper's 117x oracle/worst disparity case):
 /// overheads over oracle, plus the eager-chunk counts that show async
 /// scattering the profiling latency.
-pub fn sec51() -> Figure {
+pub fn sec51(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "sec51",
         "sync vs async DySel on the pathological sgemm (§5.1)",
         "percent overhead over oracle / eager chunk count",
     );
     let w = suite::sgemm_schedules();
-    let case = run_case(&w, Target::Cpu, cpu_factory);
+    let case = h.run_case(&w, Target::Cpu)?;
     let pct = |v: f64| (v - 1.0) * 100.0;
     fig.push_row(
         "sgemm (CPU)",
@@ -40,19 +39,19 @@ pub fn sec51() -> Figure {
         ],
     );
     fig.note("paper: 117x disparity; sync overhead 8%, async scatters it below 5%");
-    fig
+    Ok(fig)
 }
 
 /// Runs `iters` iterative launches, profiling every iteration, and
 /// compares against `iters` oracle launches.
-fn per_iteration_overhead(w: &Workload, iters: u32) -> f64 {
-    let sweep = exhaustive_sweep(w, Target::Cpu, cpu_factory);
+fn per_iteration_overhead(h: &Harness, w: &Workload, iters: u32) -> f64 {
+    let sweep = h.sweep(w, Target::Cpu);
     let best = sweep.best().0;
 
     // Oracle: the best pure variant run for the same iterations on one
     // runtime, so both sides enjoy the same cross-iteration cache warmth.
     let oracle_total = {
-        let mut rt = Runtime::new(cpu_factory());
+        let mut rt = Runtime::new(h.device(Target::Cpu));
         rt.add_kernel(&w.signature, w.variants(Target::Cpu)[best.0].clone());
         let mut total = Cycles::ZERO;
         for _ in 0..iters {
@@ -70,7 +69,7 @@ fn per_iteration_overhead(w: &Workload, iters: u32) -> f64 {
         total
     };
 
-    let mut rt = Runtime::new(cpu_factory());
+    let mut rt = Runtime::new(h.device(Target::Cpu));
     rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
     let mut total = Cycles::ZERO;
     for _ in 0..iters {
@@ -89,8 +88,8 @@ fn per_iteration_overhead(w: &Workload, iters: u32) -> f64 {
 }
 
 /// Selection accuracy of `runs` differently-seeded profiled launches.
-fn selection_accuracy(w: &Workload, noise_sigma: f64, reps: u32, runs: u32) -> f64 {
-    let sweep = exhaustive_sweep(w, Target::Cpu, cpu_factory);
+fn selection_accuracy(h: &Harness, w: &Workload, noise_sigma: f64, reps: u32, runs: u32) -> f64 {
+    let sweep = h.sweep(w, Target::Cpu);
     let truth = sweep.best().0;
     let mut hits = 0u32;
     for seed in 0..runs {
@@ -118,7 +117,7 @@ fn selection_accuracy(w: &Workload, noise_sigma: f64, reps: u32, runs: u32) -> f
 /// §5.2 — profiling overhead with profiling re-enabled *every* iteration
 /// of the iterative benchmarks, plus selection accuracy under measurement
 /// noise for the small-workload `spmv-csr` case.
-pub fn sec52() -> Figure {
+pub fn sec52(h: &Harness) -> Result<Figure, CaseError> {
     let mut fig = Figure::new(
         "sec52",
         "per-iteration profiling overhead and selection accuracy (§5.2)",
@@ -130,7 +129,7 @@ pub fn sec52() -> Figure {
         (suite::kmeans_std(), 8),
         (suite::spmv_csr_sched_random(), 8),
     ] {
-        let rel = per_iteration_overhead(&w, iters);
+        let rel = per_iteration_overhead(h, &w, iters);
         fig.push_row(
             w.name.clone(),
             vec![
@@ -144,14 +143,14 @@ pub fn sec52() -> Figure {
     // spmv-csr case); repetitions recover accuracy at extra cost.
     let w = suite::kmeans_std();
     for (sigma, reps) in [(0.02, 1u32), (0.15, 1), (0.15, 4)] {
-        let acc = selection_accuracy(&w, sigma, reps, 40);
+        let acc = selection_accuracy(h, &w, sigma, reps, 40);
         fig.push_row(
             format!("accuracy sigma={sigma} reps={reps}"),
             vec![Bar::new("accuracy", acc)],
         );
     }
     fig.note("paper: most CPU benchmarks <6% per-iteration overhead (88% worst case); spmv-csr selection accuracy 95%, recoverable by repeating profiling executions");
-    fig
+    Ok(fig)
 }
 
 #[cfg(test)]
@@ -161,8 +160,9 @@ mod tests {
     #[test]
     fn repeating_profiling_recovers_accuracy() {
         let w = suite::kmeans_std();
-        let noisy = selection_accuracy(&w, 0.25, 1, 48);
-        let repeated = selection_accuracy(&w, 0.25, 6, 48);
+        let h = Harness::default();
+        let noisy = selection_accuracy(&h, &w, 0.25, 1, 48);
+        let repeated = selection_accuracy(&h, &w, 0.25, 6, 48);
         assert!(
             repeated >= noisy,
             "reps should not hurt accuracy ({repeated} vs {noisy})"
@@ -172,6 +172,6 @@ mod tests {
     #[test]
     fn zero_noise_is_perfectly_accurate() {
         let w = suite::kmeans_std();
-        assert_eq!(selection_accuracy(&w, 0.0, 1, 4), 1.0);
+        assert_eq!(selection_accuracy(&Harness::default(), &w, 0.0, 1, 4), 1.0);
     }
 }

@@ -1,145 +1,236 @@
-//! Shared experiment machinery: device factories, the standard workload
+//! Shared experiment machinery: the [`Harness`] that carries the
+//! command-line settings into every experiment, the standard workload
 //! suite (paper §4.1 inputs, scaled to simulator-friendly sizes), and the
 //! oracle/DySel case runner behind Figs. 8-11.
 
+use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dysel_baselines::{exhaustive_sweep, SweepResult};
 use dysel_core::{
-    FaultPlan, InitialSelection, LaunchOptions, LaunchReport, PredictLevel, PruneLevel, Runtime,
-    RuntimeConfig, SkipReason,
+    DyselError, FaultPlan, InitialSelection, LaunchOptions, LaunchReport, PredictLevel, PruneLevel,
+    Runtime, RuntimeConfig, SkipReason,
 };
 use dysel_device::{CpuConfig, CpuDevice, Cycles, Device, GpuConfig, GpuDevice};
-use dysel_kernel::Orchestration;
+use dysel_kernel::{fnv1a, Orchestration, FNV_OFFSET};
 use dysel_obs::EventSink;
 use dysel_predict::Model;
 use dysel_workloads::{Target, Workload};
 
-/// Worker threads the factories give each fresh device's functional
-/// executor; `0` means auto (`std::thread::available_parallelism`).
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Fault-injection plan installed on every device the factories build
-/// (the `--fault-plan` flag); `None` (the default) injects nothing.
-static FAULT_PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-
-/// Installs (or clears, with `None`) the fault plan used by
-/// [`cpu_factory`] / [`gpu_factory`]. Each fresh device gets its own clone
-/// with zeroed launch counters, so runs stay independent and reproducible.
-pub fn set_fault_plan(plan: Option<FaultPlan>) {
-    *FAULT_PLAN.lock().unwrap() = plan;
+/// The settings every experiment runs under (the `experiments` flags),
+/// plus the run's launch ledger. The default is the plain paper setup:
+/// auto threads, no faults, stateless, unobserved, no pruning or
+/// prediction.
+#[derive(Debug, Default)]
+pub struct Harness {
+    /// Worker threads of each fresh device's functional executor
+    /// (`--threads`; `0` = auto). Virtual-time results are identical for
+    /// every count — this trades host wall-clock only.
+    pub threads: usize,
+    /// Fault plan installed on every device the harness builds
+    /// (`--fault-plan`). Each device gets its own clone with zeroed launch
+    /// counters, so runs stay independent and reproducible.
+    pub fault_plan: Option<FaultPlan>,
+    /// Selection-state file (`--state-file`): every
+    /// [`run_dysel`](Harness::run_dysel) runtime warm-starts from it and
+    /// saves the merged state back after its launch; the stress driver's
+    /// service persists to it.
+    pub state_file: Option<PathBuf>,
+    /// Dominance-pruning level of every [`run_dysel`](Harness::run_dysel)
+    /// runtime (`--prune`).
+    pub prune: PruneLevel,
+    /// Prediction level of every [`run_dysel`](Harness::run_dysel) runtime
+    /// (`--predict`).
+    pub predict: PredictLevel,
+    /// Trained model of every [`run_dysel`](Harness::run_dysel) runtime
+    /// (`--predict-model`); without one nothing is predicted.
+    pub predict_model: Option<Arc<Model>>,
+    /// Event sink every [`run_dysel`](Harness::run_dysel) runtime emits
+    /// into (`--trace-out` / `--metrics-out`). One sink spans the run, so
+    /// the exported trace holds every launch in execution order; without
+    /// one the runs are bit-identical to an unobserved build.
+    pub observer: Option<Arc<EventSink>>,
+    /// Whether a state-file problem was already reported (warn once).
+    state_warned: AtomicBool,
+    /// Launch ledger: every [`run_dysel`](Harness::run_dysel) records here.
+    summary: Mutex<RunSummary>,
 }
 
-/// The currently installed factory fault plan, if any.
-pub fn fault_plan() -> Option<FaultPlan> {
-    FAULT_PLAN.lock().unwrap().clone()
+/// Why a case could not produce its figure.
+#[derive(Debug)]
+pub enum CaseError {
+    /// The DySel launch itself failed.
+    LaunchFailed {
+        /// Workload name.
+        workload: String,
+        /// The runtime's error.
+        error: DyselError,
+    },
+    /// The DySel launch completed but its output failed verification.
+    WrongOutput {
+        /// Workload name.
+        workload: String,
+        /// What the verifier found.
+        detail: String,
+    },
 }
 
-/// Sets the worker-thread count used by [`cpu_factory`] / [`gpu_factory`]
-/// (the `--threads` flag). Only affects devices created afterwards; the
-/// virtual-time results are identical for every thread count — this knob
-/// trades host wall-clock only.
-pub fn set_threads(threads: usize) {
-    THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The current worker-thread setting (`0` = auto).
-pub fn threads() -> usize {
-    THREADS.load(Ordering::Relaxed)
-}
-
-/// Selection-state file used by every [`run_dysel`] runtime (the
-/// `--state-file` flag); `None` (the default) keeps runs stateless.
-static STATE_FILE: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Whether a state-file problem was already reported (warn once per run).
-static STATE_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// Installs (or clears, with `None`) the selection-state file path used by
-/// [`run_dysel`]. With a path set, every runtime warm-starts from the file
-/// (skipping micro-profiling for signatures it already names) and saves
-/// the merged state back after each launch.
-pub fn set_state_file(path: Option<PathBuf>) {
-    *STATE_FILE.lock().unwrap() = path;
-}
-
-/// The currently installed selection-state file path, if any.
-pub fn state_file() -> Option<PathBuf> {
-    STATE_FILE.lock().unwrap().clone()
-}
-
-fn warn_state_once(msg: &str) {
-    if !STATE_WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!("warning: {msg}");
+impl fmt::Display for CaseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CaseError::LaunchFailed { workload, error } => {
+                write!(f, "DySel launch of {workload} failed: {error}")
+            }
+            CaseError::WrongOutput { workload, detail } => {
+                write!(f, "DySel output of {workload} is wrong: {detail}")
+            }
+        }
     }
 }
 
-/// Dominance-pruning level installed on every [`run_dysel`] runtime (the
-/// `--prune` flag); [`PruneLevel::Off`] by default.
-static PRUNE: Mutex<PruneLevel> = Mutex::new(PruneLevel::Off);
+impl std::error::Error for CaseError {}
 
-/// Sets the dominance-pruning level used by [`run_dysel`].
-pub fn set_prune(level: PruneLevel) {
-    *PRUNE.lock().unwrap() = level;
+/// A fresh default device for `target` (4-core i7-3820-like CPU or Kepler
+/// K20c-like GPU, seeded noise) with `threads` workers and `plan`.
+fn new_device(target: Target, threads: usize, plan: Option<FaultPlan>) -> Box<dyn Device> {
+    let mut dev: Box<dyn Device> = match target {
+        Target::Cpu => Box::new(CpuDevice::new(CpuConfig {
+            threads,
+            ..CpuConfig::default()
+        })),
+        Target::Gpu => Box::new(GpuDevice::new(GpuConfig {
+            threads,
+            ..GpuConfig::kepler_k20c()
+        })),
+    };
+    dev.set_fault_plan(plan);
+    dev
 }
 
-/// The currently installed pruning level.
-pub fn prune() -> PruneLevel {
-    *PRUNE.lock().unwrap()
+impl Harness {
+    /// A fresh default device for `target` under the harness's thread
+    /// count and fault plan.
+    pub fn device(&self, target: Target) -> Box<dyn Device> {
+        new_device(target, self.threads, self.fault_plan.clone())
+    }
+
+    /// [`Harness::device`] as a factory that owns its settings, for
+    /// owners that outlive the harness borrow (the launch service).
+    pub fn factory(&self, target: Target) -> impl Fn() -> Box<dyn Device> + Send + Sync + 'static {
+        let (threads, plan) = (self.threads, self.fault_plan.clone());
+        move || new_device(target, threads, plan.clone())
+    }
+
+    /// The exhaustive pure-variant sweep over [`Harness::device`]s.
+    pub fn sweep(&self, w: &Workload, target: Target) -> SweepResult {
+        exhaustive_sweep(w, target, || self.device(target))
+    }
+
+    /// Snapshot of the run's launch/fault/selection summary so far.
+    pub fn summary(&self) -> RunSummary {
+        self.summary
+            .lock()
+            .expect("a run_dysel call panicked mid-record")
+            .clone()
+    }
+
+    fn warn_state_once(&self, msg: &str) {
+        if !self.state_warned.swap(true, Ordering::Relaxed) {
+            eprintln!("warning: {msg}");
+        }
+    }
+
+    /// Runs one DySel launch on a fresh device, verifying the output.
+    ///
+    /// # Errors
+    ///
+    /// [`CaseError`] when the launch fails or its output is wrong.
+    pub fn run_dysel(
+        &self,
+        w: &Workload,
+        target: Target,
+        opts: &LaunchOptions,
+    ) -> Result<LaunchReport, CaseError> {
+        let mut rt = Runtime::with_config(
+            self.device(target),
+            RuntimeConfig {
+                state_path: self.state_file.clone(),
+                observe: self.observer.clone(),
+                prune: self.prune,
+                predict: self.predict,
+                predict_model: self.predict_model.clone(),
+                ..RuntimeConfig::default()
+            },
+        );
+        if let Some(e) = rt.state_load_error() {
+            self.warn_state_once(&format!("selection state ignored, cold start: {e}"));
+        }
+        rt.add_kernels(&w.signature, w.variants(target).to_vec());
+        let mut args = w.fresh_args();
+        let report = rt
+            .launch(&w.signature, &mut args, w.total_units, opts)
+            .map_err(|error| CaseError::LaunchFailed {
+                workload: w.name.clone(),
+                error,
+            })?;
+        w.verify(&args).map_err(|detail| CaseError::WrongOutput {
+            workload: w.name.clone(),
+            detail,
+        })?;
+        self.summary
+            .lock()
+            .expect("a run_dysel call panicked mid-record")
+            .record(&report);
+        if self.state_file.is_some() {
+            // Load-merge-save per launch: the fresh runtime warm-started
+            // from the file above, so saving writes the union of every
+            // signature seen so far, atomically.
+            if let Err(e) = rt.save_state() {
+                self.warn_state_once(&format!("selection state not saved: {e}"));
+            }
+        }
+        Ok(report)
+    }
+
+    /// Runs the full case: exhaustive sweep plus DySel under sync and
+    /// async (best/worst initial) orchestrations.
+    ///
+    /// # Errors
+    ///
+    /// The first DySel run's [`CaseError`].
+    pub fn run_case(&self, w: &Workload, target: Target) -> Result<CaseResult, CaseError> {
+        let sweep = self.sweep(w, target);
+        let names = w
+            .variants(target)
+            .iter()
+            .map(|v| v.name().to_owned())
+            .collect();
+        let (best, worst) = (sweep.best().0, sweep.worst().0);
+        let run = |opts: LaunchOptions| self.run_dysel(w, target, &opts);
+        let sync_report = run(LaunchOptions::new().with_orchestration(Orchestration::Sync))?;
+        let async_best_report =
+            run(LaunchOptions::new().with_initial(InitialSelection::Index(best.0)))?;
+        let async_worst_report =
+            run(LaunchOptions::new().with_initial(InitialSelection::Index(worst.0)))?;
+        Ok(CaseResult {
+            sweep,
+            names,
+            dysel: DyselTimes {
+                sync: sync_report.total_time,
+                async_best: async_best_report.total_time,
+                async_worst: async_worst_report.total_time,
+                sync_report,
+                async_best_report,
+            },
+        })
+    }
 }
 
-/// Prediction level installed on every [`run_dysel`] runtime (the
-/// `--predict` flag); [`PredictLevel::Off`] by default.
-static PREDICT: Mutex<PredictLevel> = Mutex::new(PredictLevel::Off);
-
-/// Sets the prediction level used by [`run_dysel`].
-pub fn set_predict(level: PredictLevel) {
-    *PREDICT.lock().unwrap() = level;
-}
-
-/// The currently installed prediction level.
-pub fn predict() -> PredictLevel {
-    *PREDICT.lock().unwrap()
-}
-
-/// Trained model installed on every [`run_dysel`] runtime (the
-/// `--predict-model` flag); `None` (the default) predicts nothing even
-/// with prediction enabled.
-static PREDICT_MODEL: Mutex<Option<Arc<Model>>> = Mutex::new(None);
-
-/// Installs (or clears, with `None`) the trained model used by
-/// [`run_dysel`].
-pub fn set_predict_model(model: Option<Arc<Model>>) {
-    *PREDICT_MODEL.lock().unwrap() = model;
-}
-
-/// The currently installed trained model, if any.
-pub fn predict_model() -> Option<Arc<Model>> {
-    PREDICT_MODEL.lock().unwrap().clone()
-}
-
-/// Event sink installed on every [`run_dysel`] runtime (the `--trace-out`
-/// / `--metrics-out` flags); `None` (the default) observes nothing — the
-/// runs are then bit-identical to an unobserved build.
-static OBSERVER: Mutex<Option<Arc<EventSink>>> = Mutex::new(None);
-
-/// Installs (or clears, with `None`) the shared event sink that every
-/// subsequent [`run_dysel`] runtime emits launch-lifecycle events and
-/// metrics into. One sink spans the whole run, so the exported trace holds
-/// every launch in execution order.
-pub fn set_observer(obs: Option<Arc<EventSink>>) {
-    *OBSERVER.lock().unwrap() = obs;
-}
-
-/// The currently installed event sink, if any.
-pub fn observer() -> Option<Arc<EventSink>> {
-    OBSERVER.lock().unwrap().clone()
-}
-
-/// Aggregate over every DySel launch a run performed via [`run_dysel`]:
-/// the numbers behind the one-line end-of-run summary.
+/// Aggregate over every DySel launch a run performed via
+/// [`Harness::run_dysel`]: the numbers behind the one-line end-of-run
+/// summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSummary {
     /// DySel launches performed.
@@ -186,11 +277,8 @@ pub struct RunSummary {
     pub selections_digest: u64,
 }
 
-impl RunSummary {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    const fn new() -> Self {
+impl Default for RunSummary {
+    fn default() -> Self {
         RunSummary {
             launches: 0,
             profiled: 0,
@@ -208,15 +296,14 @@ impl RunSummary {
             predict_hits: 0,
             predict_misses: 0,
             drift_reprofiles: 0,
-            selections_digest: Self::FNV_OFFSET,
+            selections_digest: FNV_OFFSET,
         }
     }
+}
 
+impl RunSummary {
     fn fold(&mut self, bytes: &[u8]) {
-        for b in bytes.iter().chain(&[0u8]) {
-            self.selections_digest ^= u64::from(*b);
-            self.selections_digest = self.selections_digest.wrapping_mul(Self::FNV_PRIME);
-        }
+        self.selections_digest = fnv1a(fnv1a(self.selections_digest, bytes), &[0]);
     }
 
     fn record(&mut self, report: &LaunchReport) {
@@ -281,47 +368,6 @@ impl RunSummary {
     }
 }
 
-impl Default for RunSummary {
-    fn default() -> Self {
-        RunSummary::new()
-    }
-}
-
-/// Launch ledger of the current run (every [`run_dysel`] call records into
-/// it).
-static SUMMARY: Mutex<RunSummary> = Mutex::new(RunSummary::new());
-
-/// Snapshot of the run's launch/fault/selection summary so far.
-pub fn run_summary() -> RunSummary {
-    SUMMARY.lock().unwrap().clone()
-}
-
-/// Resets the run summary (tests; a fresh `experiments` process starts
-/// clean anyway).
-pub fn reset_run_summary() {
-    *SUMMARY.lock().unwrap() = RunSummary::new();
-}
-
-/// Fresh default CPU device (4 cores, i7-3820-like, seeded noise).
-pub fn cpu_factory() -> Box<dyn Device> {
-    let mut dev = Box::new(CpuDevice::new(CpuConfig {
-        threads: threads(),
-        ..CpuConfig::default()
-    }));
-    dev.set_fault_plan(fault_plan());
-    dev
-}
-
-/// Fresh default GPU device (Kepler K20c-like, seeded noise).
-pub fn gpu_factory() -> Box<dyn Device> {
-    let mut dev = Box::new(GpuDevice::new(GpuConfig {
-        threads: threads(),
-        ..GpuConfig::kepler_k20c()
-    }));
-    dev.set_fault_plan(fault_plan());
-    dev
-}
-
 /// DySel execution times for the three orchestration bars of the figures.
 #[derive(Debug, Clone)]
 pub struct DyselTimes {
@@ -363,88 +409,6 @@ impl CaseResult {
             .position(|n| n == name)
             .unwrap_or_else(|| panic!("unknown variant {name}"));
         self.sweep.times[idx].1.ratio_over(self.sweep.best().1)
-    }
-}
-
-/// Runs one DySel launch on a fresh device, verifying the output.
-pub fn run_dysel(
-    w: &Workload,
-    target: Target,
-    factory: &dyn Fn() -> Box<dyn Device>,
-    opts: &LaunchOptions,
-) -> LaunchReport {
-    let state_path = state_file();
-    let mut rt = Runtime::with_config(
-        factory(),
-        RuntimeConfig {
-            state_path: state_path.clone(),
-            observe: observer(),
-            prune: prune(),
-            predict: predict(),
-            predict_model: predict_model(),
-            ..RuntimeConfig::default()
-        },
-    );
-    if let Some(e) = rt.state_load_error() {
-        warn_state_once(&format!("selection state ignored, cold start: {e}"));
-    }
-    rt.add_kernels(&w.signature, w.variants(target).to_vec());
-    let mut args = w.fresh_args();
-    let report = rt
-        .launch(&w.signature, &mut args, w.total_units, opts)
-        .unwrap_or_else(|e| panic!("DySel launch of {} failed: {e}", w.name));
-    w.verify(&args)
-        .unwrap_or_else(|e| panic!("DySel output of {} is wrong: {e}", w.name));
-    SUMMARY.lock().unwrap().record(&report);
-    if state_path.is_some() {
-        // Load-merge-save per launch: the fresh runtime warm-started from
-        // the file above, so saving writes the union of every signature
-        // seen so far, atomically.
-        if let Err(e) = rt.save_state() {
-            warn_state_once(&format!("selection state not saved: {e}"));
-        }
-    }
-    report
-}
-
-/// Runs the full case: exhaustive sweep plus DySel under sync and async
-/// (best/worst initial) orchestrations.
-pub fn run_case(w: &Workload, target: Target, factory: fn() -> Box<dyn Device>) -> CaseResult {
-    let sweep = exhaustive_sweep(w, target, factory);
-    let names = w
-        .variants(target)
-        .iter()
-        .map(|v| v.name().to_owned())
-        .collect();
-    let (best, worst) = (sweep.best().0, sweep.worst().0);
-    let sync_report = run_dysel(
-        w,
-        target,
-        &factory,
-        &LaunchOptions::new().with_orchestration(Orchestration::Sync),
-    );
-    let async_best_report = run_dysel(
-        w,
-        target,
-        &factory,
-        &LaunchOptions::new().with_initial(InitialSelection::Index(best.0)),
-    );
-    let async_worst_report = run_dysel(
-        w,
-        target,
-        &factory,
-        &LaunchOptions::new().with_initial(InitialSelection::Index(worst.0)),
-    );
-    CaseResult {
-        sweep,
-        names,
-        dysel: DyselTimes {
-            sync: sync_report.total_time,
-            async_best: async_best_report.total_time,
-            async_worst: async_worst_report.total_time,
-            sync_report,
-            async_best_report,
-        },
     }
 }
 
@@ -631,7 +595,7 @@ mod tests {
     #[test]
     fn run_case_produces_consistent_relatives() {
         let w = suite::kmeans_std();
-        let case = run_case(&w, Target::Cpu, cpu_factory);
+        let case = Harness::default().run_case(&w, Target::Cpu).unwrap();
         assert_eq!(case.names.len(), 3);
         // Oracle relative is 1.0 by definition.
         let best_name = case.names[case.sweep.best().0 .0].clone();

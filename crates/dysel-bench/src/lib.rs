@@ -21,5 +21,5 @@ pub mod stress;
 
 pub use features_export::write_features_jsonl;
 pub use figure::{Bar, Figure, FigureRow};
-pub use harness::{cpu_factory, gpu_factory, run_case, suite, CaseResult, DyselTimes};
-pub use stress::{run_service_stress, run_service_stress_with, Backoff, StressOpts, StressOutcome};
+pub use harness::{suite, CaseError, CaseResult, DyselTimes, Harness, RunSummary};
+pub use stress::{run_service_stress, Backoff, StressOpts, StressOutcome};

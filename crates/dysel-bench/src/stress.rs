@@ -12,16 +12,15 @@
 //! reference on every launch; [`SubmitError::Busy`] backpressure is
 //! absorbed with a seeded-jitter [`Backoff`] retry loop (and counted).
 //!
-//! The driver composes with the harness knobs: `--threads` sizes each
-//! lane device's functional executor and `--fault-plan` injects the same
-//! deterministic fault plan into every lane device. On top of that,
-//! [`StressOpts`] (the `--chaos-plan` / `--state-file` path through
-//! `experiments`) arms service-layer chaos — injected lane panics,
-//! worker kills and journal kill-points — and persistence; under a chaos
-//! plan the driver counts typed per-stream failures instead of treating
-//! them as fatal.
+//! The driver runs under the [`Harness`] settings: `--threads` sizes each
+//! lane device's functional executor, `--fault-plan` injects the same
+//! deterministic fault plan into every lane device and `--state-file`
+//! persists the service's learned state. On top of that, [`StressOpts`]
+//! (the `--chaos-plan` path through `experiments`) arms service-layer
+//! chaos — injected lane panics, worker kills and journal kill-points;
+//! under a chaos plan the driver counts typed per-stream failures instead
+//! of treating them as fatal.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +32,7 @@ use dysel_workloads::{
     CsrMatrix, JdsMatrix, Target, Workload,
 };
 
-use crate::harness::cpu_factory;
+use crate::harness::Harness;
 
 /// Input seed of the stress suite (same as the pricing differential's).
 pub const SEED: u64 = 7;
@@ -105,9 +104,7 @@ impl Backoff {
     }
 }
 
-/// Optional knobs for [`run_service_stress_with`].
-///
-/// The plain [`run_service_stress`] is this with everything off.
+/// Optional knobs for [`run_service_stress`]; the default arms nothing.
 #[derive(Debug, Clone, Default)]
 pub struct StressOpts {
     /// Service-layer chaos schedule (injected lane panics, worker kills,
@@ -118,11 +115,6 @@ pub struct StressOpts {
     /// instead of aborting the run. Streams the plan never touches still
     /// verify bit-identically.
     pub chaos: Option<ChaosPlan>,
-    /// Persist the service's selection/quarantine cache at this path:
-    /// checkpoint file plus `<path>.journal` write-ahead log, replayed on
-    /// the next run (the crash-recovery smoke in `scripts/verify.sh`
-    /// SIGKILLs a run mid-journal and diffs the recovered digest).
-    pub state_file: Option<PathBuf>,
 }
 
 /// The full workload suite at differential-test scale — every family
@@ -229,24 +221,29 @@ impl StressOutcome {
 
 /// Runs the stress matrix: `clients` threads submit `ROUNDS` launches for
 /// each of `tenants x workloads` streams through one shared service, with
-/// bounded queues (so Busy backpressure actually fires under load).
-/// Panics on a wrong output — bit-identity is the point of the exercise.
-pub fn run_service_stress(clients: usize, tenants: u32) -> StressOutcome {
-    run_service_stress_with(clients, tenants, StressOpts::default())
-}
-
-/// [`run_service_stress`] with chaos injection and/or persistence armed.
-pub fn run_service_stress_with(clients: usize, tenants: u32, opts: StressOpts) -> StressOutcome {
+/// bounded queues (so Busy backpressure actually fires under load). Lane
+/// devices come from the harness's CPU factory; with a harness state file
+/// the service persists its selection/quarantine cache there (checkpoint
+/// plus `<path>.journal` write-ahead log, replayed on the next run — the
+/// crash-recovery smoke in `scripts/verify.sh` SIGKILLs a run mid-journal
+/// and diffs the recovered digest). Panics on a wrong output —
+/// bit-identity is the point of the exercise.
+pub fn run_service_stress(
+    h: &Harness,
+    clients: usize,
+    tenants: u32,
+    opts: StressOpts,
+) -> StressOutcome {
     let clients = clients.max(1);
     let tenants = tenants.max(1);
     let chaos = opts.chaos.as_ref().is_some_and(|p| !p.is_empty());
     let suite = scaled_suite();
     let service = Arc::new(LaunchService::new(
-        Arc::new(cpu_factory),
+        Arc::new(h.factory(Target::Cpu)),
         ServiceConfig {
             shards: 4,
             queue_capacity: 8,
-            state_path: opts.state_file,
+            state_path: h.state_file.clone(),
             chaos: opts.chaos,
             // Chaos kills workers on purpose; restart them briskly so a
             // killed shard's queue drains within the run.
@@ -386,8 +383,9 @@ mod tests {
     fn digest_is_client_count_invariant() {
         // The conformance suite covers the full matrix; this keeps the
         // driver itself honest at a reduced tenant count.
-        let serial = run_service_stress(1, 1);
-        let parallel = run_service_stress(4, 1);
+        let h = Harness::default();
+        let serial = run_service_stress(&h, 1, 1, StressOpts::default());
+        let parallel = run_service_stress(&h, 4, 1, StressOpts::default());
         assert_eq!(serial.digest, parallel.digest);
         assert_eq!(serial.launches, parallel.launches);
         assert_eq!(serial.errors, 0);

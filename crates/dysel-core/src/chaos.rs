@@ -4,12 +4,14 @@
 //! [`crate::FaultPlan`]: a seeded, serializable schedule of *process*
 //! faults — kernel panics, worker-thread deaths and persistence
 //! kill-points — that the shard workers consult once per submission,
-//! keyed by `(tenant, signature, per-stream launch index)`. Decisions are
-//! a pure function of `(plan seed, stream, index, rule position)`, so a
-//! chaotic run is bit-identical at any client count: `tests/chaos.rs`
-//! leans on that to assert the three containment invariants (every ticket
-//! resolves typed, surviving streams replay bit-identically, recovery
-//! matches the journaled prefix).
+//! keyed by `(tenant, signature, per-stream launch index)`. Both plans run
+//! on the same seeded [`RuleSet`] engine (rules, grammar, probability
+//! draw); this module adds the chaos actions, the per-stream counters and
+//! the journal kill-point. Decisions are a pure function of `(plan seed,
+//! stream, index, rule position)`, so a chaotic run is bit-identical at
+//! any client count: `tests/chaos.rs` leans on that to assert the three
+//! containment invariants (every ticket resolves typed, surviving streams
+//! replay bit-identically, recovery matches the journaled prefix).
 //!
 //! Three actions cover the service's failure domains:
 //!
@@ -24,8 +26,8 @@
 //!   journal silently stops persisting after `N` appends, simulating a
 //!   crash of the persistence layer mid-run.
 //!
-//! Plans have a compact text form for the `--chaos-plan` CLI flag,
-//! mirroring the fault-plan grammar:
+//! Plans have a compact text form for the `--chaos-plan` CLI flag, the
+//! fault-plan grammar with `panic|kill` actions:
 //!
 //! ```text
 //! seed=7;spmv@1+1=panic;sgemm=kill?0.25;journal@5=kill
@@ -35,14 +37,14 @@
 //! optional leading `seed=N`. `FROM` is the first per-stream launch index
 //! covered, `COUNT` the window length (unbounded if omitted) and `?PROB`
 //! an independent firing probability. The reserved name `journal` sets
-//! the persistence kill-point; its `FROM` is the append index.
+//! the persistence kill-point; its `FROM` is the append index, and it
+//! takes no `+COUNT` and no `?PROB`.
 
 use std::collections::HashMap;
-use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::persist::{fnv1a, fnv1a_step, FNV_OFFSET};
+use dysel_device::{PlanParseError, Rule, RuleSet};
 
 /// The process-level fault a chaos rule injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,75 +64,26 @@ impl fmt::Display for ChaosAction {
     }
 }
 
-/// One chaos rule: which signature, which per-stream launch-index window,
-/// what action, with what probability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosRule {
-    /// Kernel signature the rule applies to (exact match, every tenant).
-    pub signature: String,
-    /// First per-stream launch index covered.
-    pub from: u64,
-    /// Number of launch indexes covered (`u64::MAX` = unbounded).
-    pub count: u64,
-    /// The action to inject.
-    pub action: ChaosAction,
-    /// Independent firing probability in `[0, 1]`; `1.0` fires always.
-    pub probability: f64,
-}
+impl FromStr for ChaosAction {
+    type Err = ();
 
-impl ChaosRule {
-    /// A rule covering every launch of `signature`, firing always.
-    pub fn new(signature: impl Into<String>, action: ChaosAction) -> ChaosRule {
-        ChaosRule {
-            signature: signature.into(),
-            from: 0,
-            count: u64::MAX,
-            action,
-            probability: 1.0,
+    fn from_str(s: &str) -> Result<ChaosAction, ()> {
+        match s {
+            "panic" => Ok(ChaosAction::Panic),
+            "kill" => Ok(ChaosAction::Kill),
+            _ => Err(()),
         }
-    }
-
-    /// Restricts the rule to launch indexes `[from, from + count)`.
-    #[must_use]
-    pub fn window(mut self, from: u64, count: u64) -> ChaosRule {
-        self.from = from;
-        self.count = count;
-        self
-    }
-
-    /// Makes the rule fire with probability `p` (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn with_probability(mut self, p: f64) -> ChaosRule {
-        self.probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    fn covers(&self, index: u64) -> bool {
-        index >= self.from && index.wrapping_sub(self.from) < self.count
     }
 }
 
-impl fmt::Display for ChaosRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.signature)?;
-        if self.count != u64::MAX {
-            write!(f, "@{}+{}", self.from, self.count)?;
-        } else if self.from != 0 {
-            write!(f, "@{}", self.from)?;
-        }
-        write!(f, "={}", self.action)?;
-        if self.probability < 1.0 {
-            write!(f, "?{}", self.probability)?;
-        }
-        Ok(())
-    }
-}
+/// One chaos rule: which signature (every tenant), which per-stream
+/// launch-index window, what action, with what probability.
+pub type ChaosRule = Rule<ChaosAction>;
 
 /// A seeded, deterministic chaos schedule for a launch service.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosPlan {
-    seed: u64,
-    rules: Vec<ChaosRule>,
+    rules: RuleSet<ChaosAction>,
     /// Journal appends allowed before the persistence kill-point fires;
     /// `None` never kills the journal.
     journal_kill_after: Option<u64>,
@@ -143,16 +96,15 @@ pub struct ChaosPlan {
 impl ChaosPlan {
     /// An empty plan with the given probability seed.
     pub fn new(seed: u64) -> ChaosPlan {
-        ChaosPlan {
-            seed,
-            ..ChaosPlan::default()
-        }
+        let mut plan = ChaosPlan::default();
+        plan.rules.seed = seed;
+        plan
     }
 
     /// Adds a rule (builder form).
     #[must_use]
     pub fn with(mut self, rule: ChaosRule) -> ChaosPlan {
-        self.rules.push(rule);
+        self.rules.rules.push(rule);
         self
     }
 
@@ -166,12 +118,12 @@ impl ChaosPlan {
 
     /// The plan's probability seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.rules.seed
     }
 
     /// The rules, in evaluation order.
     pub fn rules(&self) -> &[ChaosRule] {
-        &self.rules
+        &self.rules.rules
     }
 
     /// The journal kill-point, if any.
@@ -181,14 +133,14 @@ impl ChaosPlan {
 
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.journal_kill_after.is_none()
+        self.rules.rules.is_empty() && self.journal_kill_after.is_none()
     }
 
     /// Every signature named by a rule — the streams a chaotic run may
     /// have perturbed (the complement is the "surviving" set the chaos
     /// harness compares bit-for-bit against serial replay).
     pub fn touched_signatures(&self) -> Vec<&str> {
-        let mut sigs: Vec<&str> = self.rules.iter().map(|r| r.signature.as_str()).collect();
+        let mut sigs: Vec<&str> = self.rules().iter().map(|r| r.name.as_str()).collect();
         sigs.sort_unstable();
         sigs.dedup();
         sigs
@@ -205,18 +157,7 @@ impl ChaosPlan {
             .or_insert(0);
         let index = *counter;
         *counter += 1;
-        for (r, rule) in self.rules.iter().enumerate() {
-            if rule.signature != signature || !rule.covers(index) {
-                continue;
-            }
-            if rule.probability < 1.0
-                && draw(self.seed, tenant, signature, index, r) >= rule.probability
-            {
-                continue;
-            }
-            return Some(rule.action);
-        }
-        None
+        self.rules.decide(&[u64::from(tenant)], signature, index)
     }
 
     /// Rewinds the per-stream counters, keeping the rules — a reset plan
@@ -226,27 +167,9 @@ impl ChaosPlan {
     }
 }
 
-/// A stateless probability draw: pure in its inputs, so decisions are
-/// independent of client count and submission interleaving.
-fn draw(seed: u64, tenant: u32, signature: &str, index: u64, rule: usize) -> f64 {
-    let mut h = fnv1a(
-        fnv1a_step(FNV_OFFSET ^ seed, u64::from(tenant)),
-        signature.as_bytes(),
-    );
-    h ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= (rule as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl fmt::Display for ChaosPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}", self.seed)?;
-        for rule in &self.rules {
-            write!(f, ";{rule}")?;
-        }
+        write!(f, "{}", self.rules)?;
         if let Some(after) = self.journal_kill_after {
             write!(f, ";journal@{after}=kill")?;
         }
@@ -254,86 +177,27 @@ impl fmt::Display for ChaosPlan {
     }
 }
 
-/// Error from parsing a chaos-plan string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosPlanParseError(String);
-
-impl fmt::Display for ChaosPlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad chaos plan: {}", self.0)
-    }
-}
-
-impl Error for ChaosPlanParseError {}
-
 impl FromStr for ChaosPlan {
-    type Err = ChaosPlanParseError;
+    type Err = PlanParseError;
 
-    fn from_str(s: &str) -> Result<ChaosPlan, ChaosPlanParseError> {
-        let mut plan = ChaosPlan::new(0);
-        for (i, part) in s.split(';').enumerate() {
-            let part = part.trim();
-            if part.is_empty() {
+    fn from_str(s: &str) -> Result<ChaosPlan, PlanParseError> {
+        let parsed: RuleSet<ChaosAction> = s.parse()?;
+        let mut plan = ChaosPlan::new(parsed.seed);
+        for rule in parsed.rules {
+            if rule.name != "journal" {
+                plan.rules.rules.push(rule);
                 continue;
             }
-            if i == 0 {
-                if let Some(seed) = part.strip_prefix("seed=") {
-                    plan.seed = seed
-                        .parse()
-                        .map_err(|_| ChaosPlanParseError(format!("seed {seed:?}")))?;
-                    continue;
-                }
+            // The reserved name sets the persistence kill-point: a `kill`
+            // at one append index that always fires.
+            if rule.action != ChaosAction::Kill || rule.count != u64::MAX || rule.probability != 1.0
+            {
+                return Err(PlanParseError(format!("rule {:?}", rule.to_string())));
             }
-            parse_rule(part, &mut plan)?;
+            plan.journal_kill_after = Some(rule.from);
         }
         Ok(plan)
     }
-}
-
-fn parse_rule(s: &str, plan: &mut ChaosPlan) -> Result<(), ChaosPlanParseError> {
-    let err = || ChaosPlanParseError(format!("rule {s:?}"));
-    let (lhs, rhs) = s.split_once('=').ok_or_else(err)?;
-    // Left side: SIG[@FROM[+COUNT]].
-    let (name, from, count) = match lhs.split_once('@') {
-        None => (lhs, 0, u64::MAX),
-        Some((name, window)) => {
-            let (from, count) = match window.split_once('+') {
-                None => (window.parse().map_err(|_| err())?, u64::MAX),
-                Some((f, c)) => (f.parse().map_err(|_| err())?, c.parse().map_err(|_| err())?),
-            };
-            (name, from, count)
-        }
-    };
-    if name.is_empty() {
-        return Err(err());
-    }
-    // Right side: ACTION[?PROB].
-    let (action_str, probability) = match rhs.split_once('?') {
-        None => (rhs, 1.0),
-        Some((a, p)) => (a, p.parse::<f64>().map_err(|_| err())?),
-    };
-    if !(0.0..=1.0).contains(&probability) {
-        return Err(err());
-    }
-    // The reserved name `journal` sets the persistence kill-point.
-    if name == "journal" {
-        if action_str != "kill" || count != u64::MAX || probability != 1.0 {
-            return Err(err());
-        }
-        plan.journal_kill_after = Some(from);
-        return Ok(());
-    }
-    let action = match action_str {
-        "panic" => ChaosAction::Panic,
-        "kill" => ChaosAction::Kill,
-        _ => return Err(err()),
-    };
-    plan.rules.push(
-        ChaosRule::new(name, action)
-            .window(from, count)
-            .with_probability(probability),
-    );
-    Ok(())
 }
 
 #[cfg(test)]

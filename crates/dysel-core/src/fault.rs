@@ -26,7 +26,7 @@ use dysel_kernel::VariantId;
 // this re-export makes `dysel-core` the one user-facing home for all
 // fault-handling types, so callers never import `dysel_device` directly.
 pub use dysel_device::{
-    FaultKind, FaultPlan, FaultPlanParseError, FaultRule, InjectedFault, DEFAULT_HANG_FACTOR,
+    FaultKind, FaultPlan, FaultRule, InjectedFault, PlanParseError, DEFAULT_HANG_FACTOR,
 };
 
 /// Why a variant was excluded from selection.
@@ -127,8 +127,10 @@ mod tests {
     #[test]
     fn clean_means_default() {
         assert!(FaultReport::default().is_clean());
-        let mut r = FaultReport::default();
-        r.retries = 1;
+        let r = FaultReport {
+            retries: 1,
+            ..FaultReport::default()
+        };
         assert!(!r.is_clean());
     }
 

@@ -34,10 +34,10 @@ use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use dysel_kernel::VariantId;
+use dysel_kernel::{fnv1a, VariantId, FNV_OFFSET};
 
 use crate::fault::QuarantineReason;
-use crate::persist::{fnv1a, reason_code, reason_from_code, StateError, FNV_OFFSET};
+use crate::persist::{reason_code, reason_from_code, StateError};
 
 /// File magic: identifies a DySel selection journal.
 const MAGIC: [u8; 8] = *b"DYSELJL\n";

@@ -42,11 +42,11 @@ mod stats;
 mod store;
 mod timeline;
 
-pub use chaos::{ChaosAction, ChaosPlan, ChaosPlanParseError, ChaosRule};
+pub use chaos::{ChaosAction, ChaosPlan, ChaosRule};
 pub use error::DyselError;
 pub use fault::{
-    FaultKind, FaultPlan, FaultPlanParseError, FaultReport, FaultRule, InjectedFault,
-    QuarantineReason, DEFAULT_HANG_FACTOR,
+    FaultKind, FaultPlan, FaultReport, FaultRule, InjectedFault, PlanParseError, QuarantineReason,
+    DEFAULT_HANG_FACTOR,
 };
 pub use journal::journal_path;
 pub use mixed::MixedReport;

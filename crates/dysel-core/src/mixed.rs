@@ -198,8 +198,8 @@ mod tests {
         );
         // Output still complete and correct.
         let out = args.f32(0).unwrap();
-        for i in 0..N as usize {
-            assert_eq!(out[i], i as f32);
+        for (i, &x) in out[..N as usize].iter().enumerate() {
+            assert_eq!(x, i as f32);
         }
     }
 

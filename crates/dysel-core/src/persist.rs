@@ -34,10 +34,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use dysel_kernel::VariantId;
+use dysel_kernel::{fnv1a, write_atomic, VariantId, FNV_OFFSET};
 
 use crate::fault::QuarantineReason;
 use crate::journal::{self, JournalRecord};
@@ -221,21 +220,6 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// The 64-bit FNV-1a offset basis: the hash of no input.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One 64-bit FNV-1a step: the crate's one FNV-1a, behind file and record
-/// checksums, shard assignment, service digests and chaos draws.
-pub(crate) fn fnv1a_step(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// Folds `bytes` into the running FNV-1a hash `h` (start from
-/// [`FNV_OFFSET`]).
-pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| fnv1a_step(h, u64::from(b)))
-}
-
 pub(crate) fn reason_code(r: QuarantineReason) -> u8 {
     match r {
         QuarantineReason::LaunchFailed => 0,
@@ -339,44 +323,14 @@ pub(crate) fn load(path: &Path) -> Result<(u64, Vec<JournalRecord>), StateError>
     decode(&bytes, path)
 }
 
-/// The directory holding `path`; a bare file name lives in `.`.
-fn parent_dir(path: &Path) -> &Path {
-    match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    }
-}
-
-/// Atomically writes a state file: the image goes to a sibling temp file,
-/// is synced to disk, and is renamed over `path`, and then the directory
-/// is synced so the rename itself is durable. A crash at any point leaves
-/// either the previous file or the new one intact.
+/// Atomically and durably writes a state file (see
+/// [`dysel_kernel::write_atomic`]): a crash at any point leaves either the
+/// previous file or the new one intact.
 pub(crate) fn save(seq: u64, records: &[JournalRecord], path: &Path) -> Result<(), StateError> {
-    let io_err = |p: &Path, e: std::io::Error| StateError::Io {
-        path: p.to_path_buf(),
+    write_atomic(path, &encode(seq, records)).map_err(|(path, e)| StateError::Io {
+        path,
         detail: e.to_string(),
-    };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    let image = encode(seq, records);
-    let write = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&image)?;
-        f.sync_all()
-    })();
-    if let Err(e) = write {
-        let _ = fs::remove_file(&tmp);
-        return Err(io_err(&tmp, e));
-    }
-    fs::rename(&tmp, path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        io_err(path, e)
-    })?;
-    let dir = parent_dir(path);
-    fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| io_err(dir, e))
+    })
 }
 
 #[cfg(test)]
@@ -538,21 +492,6 @@ mod tests {
         save(seq, &records, &path).unwrap();
         assert_eq!(load(&path).unwrap(), sample());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bare_file_name_syncs_the_current_directory() {
-        assert_eq!(parent_dir(Path::new("state")), Path::new("."));
-        assert_eq!(parent_dir(Path::new("dir/state")), Path::new("dir"));
-        assert_eq!(parent_dir(Path::new("/state")), Path::new("/"));
-        // A save to a bare file name syncs `.`, not an empty path.
-        let path = PathBuf::from(format!("dysel-persist-bare-{}.state", std::process::id()));
-        let (seq, records) = sample();
-        let saved = save(seq, &records, &path);
-        let loaded = load(&path);
-        let _ = fs::remove_file(&path);
-        saved.unwrap();
-        assert_eq!(loaded.unwrap(), sample());
     }
 
     #[test]

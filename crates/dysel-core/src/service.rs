@@ -112,13 +112,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dysel_device::Device;
-use dysel_kernel::{Args, Variant};
+use dysel_kernel::{Args, Variant, FNV_OFFSET};
 use dysel_obs::{names, Event, EventSink, MetricsSnapshot, Stage};
 
 use crate::chaos::{ChaosAction, ChaosPlan};
 use crate::journal::{self, Journal};
 use crate::options::{RuntimeConfig, TenantId};
-use crate::persist::{self, RuntimeState, StateError, FNV_OFFSET};
+use crate::persist::{self, RuntimeState, StateError};
 use crate::pool::KernelPool;
 use crate::report::LaunchReport;
 use crate::runtime::Runtime;

@@ -16,13 +16,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use dysel_kernel::VariantId;
+use dysel_kernel::{fnv1a, VariantId, FNV_OFFSET};
 use dysel_obs::{names, Event, EventSink, Stage};
 
 use crate::fault::QuarantineReason;
 use crate::journal::{Journal, JournalRecord};
 use crate::options::TenantId;
-use crate::persist::{self, fnv1a, RuntimeState, StateError, FNV_OFFSET};
+use crate::persist::{self, RuntimeState, StateError};
 
 /// Folds `bytes` and a terminating zero into an FNV-1a `digest`.
 pub(crate) fn fnv_fold(digest: &mut u64, bytes: &[u8]) {

@@ -49,8 +49,8 @@ fn fresh_args(n: u64) -> Args {
 
 fn assert_output_complete(args: &Args, n: u64) {
     let out = args.f32(0).unwrap();
-    for i in 0..n as usize {
-        assert_eq!(out[i], 2.0 * i as f32, "output wrong at {i}");
+    for (i, &x) in out[..n as usize].iter().enumerate() {
+        assert_eq!(x, 2.0 * i as f32, "output wrong at {i}");
     }
 }
 

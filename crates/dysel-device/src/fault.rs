@@ -14,12 +14,15 @@
 //! * [`FaultKind::Hang`] — the launch completes functionally but each
 //!   work-group is priced at ×N cycles, blowing any profiling deadline.
 //!
-//! Decisions are a pure function of `(plan seed, variant name, launch
-//! index, rule position)` — independent of worker-thread count and host
-//! scheduling — so faulted runs replay bit-identically, preserving the
-//! determinism contract. [`FaultPlan::reset`] rewinds the launch counters
-//! (keeping the rules), which is what `Device::reset` calls so a reset
-//! device replays the same faults.
+//! Rules, parsing and the probability draw are the shared seeded
+//! [`RuleSet`] engine; this module adds the fault kinds, the
+//! per-variant launch counters and the injection log. Decisions are a pure
+//! function of `(plan seed, variant name, launch index, rule position)` —
+//! independent of worker-thread count and host scheduling — so faulted
+//! runs replay bit-identically, preserving the determinism contract.
+//! [`FaultPlan::reset`] rewinds the launch counters (keeping the rules),
+//! which is what `Device::reset` calls so a reset device replays the same
+//! faults.
 //!
 //! Plans have a compact text form for the `--fault-plan` CLI flag:
 //!
@@ -27,16 +30,15 @@
 //! seed=7;scalar=error;vector@2+1=wrong;texture=hang*64;padded@0+4=poison?0.5
 //! ```
 //!
-//! i.e. `;`-separated rules `NAME[@FROM[+COUNT]]=KIND[*FACTOR][?PROB]`,
-//! with an optional leading `seed=N`. `FROM` is the first per-variant
-//! launch index the rule covers, `COUNT` the window length (unbounded if
-//! omitted), `*FACTOR` the hang multiplier and `?PROB` an independent
-//! firing probability.
+//! i.e. the engine's `seed=N;NAME[@FROM[+COUNT]]=KIND[?PROB]` grammar, with
+//! `KIND` one of `error`, `wrong`, `poison` or `hang[*FACTOR]` and `NAME`
+//! a variant name.
 
 use std::collections::HashMap;
-use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
+
+use crate::rules::{PlanParseError, Rule, RuleSet};
 
 /// Hang multiplier used when a `hang` rule does not name one.
 pub const DEFAULT_HANG_FACTOR: u64 = 32;
@@ -65,69 +67,27 @@ impl fmt::Display for FaultKind {
     }
 }
 
+impl FromStr for FaultKind {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<FaultKind, ()> {
+        match s.split_once('*') {
+            None => match s {
+                "error" => Ok(FaultKind::LaunchError),
+                "wrong" => Ok(FaultKind::WrongOutput),
+                "poison" => Ok(FaultKind::Poison),
+                "hang" => Ok(FaultKind::Hang(DEFAULT_HANG_FACTOR)),
+                _ => Err(()),
+            },
+            Some(("hang", n)) => n.parse().map(FaultKind::Hang).map_err(drop),
+            Some(_) => Err(()),
+        }
+    }
+}
+
 /// One injection rule: which variant, which launch-index window, what
 /// fault, and with what probability.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRule {
-    /// Variant name the rule applies to (exact match).
-    pub variant: String,
-    /// First per-variant launch index the rule covers.
-    pub from: u64,
-    /// Number of launch indexes covered (`u64::MAX` = unbounded).
-    pub count: u64,
-    /// The fault to inject.
-    pub kind: FaultKind,
-    /// Independent firing probability in `[0, 1]`; `1.0` fires always.
-    pub probability: f64,
-}
-
-impl FaultRule {
-    /// A rule covering every launch of `variant`, firing always.
-    pub fn new(variant: impl Into<String>, kind: FaultKind) -> FaultRule {
-        FaultRule {
-            variant: variant.into(),
-            from: 0,
-            count: u64::MAX,
-            kind,
-            probability: 1.0,
-        }
-    }
-
-    /// Restricts the rule to launch indexes `[from, from + count)`.
-    #[must_use]
-    pub fn window(mut self, from: u64, count: u64) -> FaultRule {
-        self.from = from;
-        self.count = count;
-        self
-    }
-
-    /// Makes the rule fire with probability `p` (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn with_probability(mut self, p: f64) -> FaultRule {
-        self.probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    fn covers(&self, index: u64) -> bool {
-        index >= self.from && index.wrapping_sub(self.from) < self.count
-    }
-}
-
-impl fmt::Display for FaultRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.variant)?;
-        if self.count != u64::MAX {
-            write!(f, "@{}+{}", self.from, self.count)?;
-        } else if self.from != 0 {
-            write!(f, "@{}", self.from)?;
-        }
-        write!(f, "={}", self.kind)?;
-        if self.probability < 1.0 {
-            write!(f, "?{}", self.probability)?;
-        }
-        Ok(())
-    }
-}
+pub type FaultRule = Rule<FaultKind>;
 
 /// One fault the plan actually injected, for post-run accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,8 +103,7 @@ pub struct InjectedFault {
 /// A seeded, deterministic fault-injection plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
-    rules: Vec<FaultRule>,
+    rules: RuleSet<FaultKind>,
     counters: HashMap<String, u64>,
     injected: Vec<InjectedFault>,
 }
@@ -152,37 +111,36 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// An empty plan with the given probability seed.
     pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        }
+        let mut plan = FaultPlan::default();
+        plan.rules.seed = seed;
+        plan
     }
 
     /// Adds a rule (builder form).
     #[must_use]
     pub fn with(mut self, rule: FaultRule) -> FaultPlan {
-        self.rules.push(rule);
+        self.push(rule);
         self
     }
 
     /// Adds a rule.
     pub fn push(&mut self, rule: FaultRule) {
-        self.rules.push(rule);
+        self.rules.rules.push(rule);
     }
 
     /// The plan's probability seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.rules.seed
     }
 
     /// The rules, in evaluation order.
     pub fn rules(&self) -> &[FaultRule] {
-        &self.rules
+        &self.rules.rules
     }
 
     /// True when the plan holds no rules (it then never injects).
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.rules.rules.is_empty()
     }
 
     /// Decides the fault (if any) for the next launch of `variant`,
@@ -193,21 +151,13 @@ impl FaultPlan {
         let counter = self.counters.entry(variant.to_owned()).or_insert(0);
         let index = *counter;
         *counter += 1;
-        for (r, rule) in self.rules.iter().enumerate() {
-            if rule.variant != variant || !rule.covers(index) {
-                continue;
-            }
-            if rule.probability < 1.0 && draw(self.seed, variant, index, r) >= rule.probability {
-                continue;
-            }
-            self.injected.push(InjectedFault {
-                variant: variant.to_owned(),
-                launch_index: index,
-                kind: rule.kind,
-            });
-            return Some(rule.kind);
-        }
-        None
+        let kind = self.rules.decide(&[], variant, index)?;
+        self.injected.push(InjectedFault {
+            variant: variant.to_owned(),
+            launch_index: index,
+            kind,
+        });
+        Some(kind)
     }
 
     /// Number of launches of `variant` the plan has seen so far.
@@ -238,106 +188,21 @@ impl FaultPlan {
     }
 }
 
-/// A stateless probability draw: pure in `(seed, variant, index, rule)`,
-/// so it is independent of thread count and evaluation order.
-fn draw(seed: u64, variant: &str, index: u64, rule: usize) -> f64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for b in variant.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= (rule as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    h ^= h >> 33;
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}", self.seed)?;
-        for rule in &self.rules {
-            write!(f, ";{rule}")?;
-        }
-        Ok(())
+        write!(f, "{}", self.rules)
     }
 }
-
-/// Error from parsing a fault-plan string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlanParseError(String);
-
-impl fmt::Display for FaultPlanParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad fault plan: {}", self.0)
-    }
-}
-
-impl Error for FaultPlanParseError {}
 
 impl FromStr for FaultPlan {
-    type Err = FaultPlanParseError;
+    type Err = PlanParseError;
 
-    fn from_str(s: &str) -> Result<FaultPlan, FaultPlanParseError> {
-        let mut plan = FaultPlan::new(0);
-        for (i, part) in s.split(';').enumerate() {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if i == 0 {
-                if let Some(seed) = part.strip_prefix("seed=") {
-                    plan.seed = seed
-                        .parse()
-                        .map_err(|_| FaultPlanParseError(format!("seed {seed:?}")))?;
-                    continue;
-                }
-            }
-            plan.push(parse_rule(part)?);
-        }
-        Ok(plan)
+    fn from_str(s: &str) -> Result<FaultPlan, PlanParseError> {
+        Ok(FaultPlan {
+            rules: s.parse()?,
+            ..FaultPlan::default()
+        })
     }
-}
-
-fn parse_rule(s: &str) -> Result<FaultRule, FaultPlanParseError> {
-    let err = || FaultPlanParseError(format!("rule {s:?}"));
-    let (lhs, rhs) = s.split_once('=').ok_or_else(err)?;
-    // Left side: NAME[@FROM[+COUNT]].
-    let (name, from, count) = match lhs.split_once('@') {
-        None => (lhs, 0, u64::MAX),
-        Some((name, window)) => {
-            let (from, count) = match window.split_once('+') {
-                None => (window.parse().map_err(|_| err())?, u64::MAX),
-                Some((f, c)) => (f.parse().map_err(|_| err())?, c.parse().map_err(|_| err())?),
-            };
-            (name, from, count)
-        }
-    };
-    if name.is_empty() {
-        return Err(err());
-    }
-    // Right side: KIND[*FACTOR][?PROB].
-    let (kind_str, probability) = match rhs.split_once('?') {
-        None => (rhs, 1.0),
-        Some((k, p)) => (k, p.parse::<f64>().map_err(|_| err())?),
-    };
-    let kind = match kind_str.split_once('*') {
-        None => match kind_str {
-            "error" => FaultKind::LaunchError,
-            "wrong" => FaultKind::WrongOutput,
-            "poison" => FaultKind::Poison,
-            "hang" => FaultKind::Hang(DEFAULT_HANG_FACTOR),
-            _ => return Err(err()),
-        },
-        Some(("hang", n)) => FaultKind::Hang(n.parse().map_err(|_| err())?),
-        Some(_) => return Err(err()),
-    };
-    if !(0.0..=1.0).contains(&probability) {
-        return Err(err());
-    }
-    Ok(FaultRule::new(name, kind)
-        .window(from, count)
-        .with_probability(probability))
 }
 
 #[cfg(test)]
@@ -359,7 +224,7 @@ mod tests {
     fn parse_defaults_and_shorthands() {
         let plan: FaultPlan = "v=hang;w@3=error".parse().unwrap();
         assert_eq!(plan.seed(), 0);
-        assert_eq!(plan.rules()[0].kind, FaultKind::Hang(DEFAULT_HANG_FACTOR));
+        assert_eq!(plan.rules()[0].action, FaultKind::Hang(DEFAULT_HANG_FACTOR));
         assert_eq!(plan.rules()[1].from, 3);
         assert_eq!(plan.rules()[1].count, u64::MAX);
     }

@@ -44,6 +44,7 @@ mod exec;
 mod fault;
 pub mod gpu;
 mod noise;
+mod rules;
 mod sched;
 
 pub use cpu::{CacheConfig, CacheHierarchy, CpuConfig, CpuDevice, SetAssocCache};
@@ -54,9 +55,8 @@ pub use device::{
     LaunchRecord, LaunchSpec, StreamId,
 };
 pub use exec::Executor;
-pub use fault::{
-    FaultKind, FaultPlan, FaultPlanParseError, FaultRule, InjectedFault, DEFAULT_HANG_FACTOR,
-};
+pub use fault::{FaultKind, FaultPlan, FaultRule, InjectedFault, DEFAULT_HANG_FACTOR};
 pub use gpu::{GpuConfig, GpuDevice, GpuGeneration};
 pub use noise::NoiseModel;
+pub use rules::{PlanParseError, Rule, RuleSet};
 pub use sched::{Placement, UnitPool};

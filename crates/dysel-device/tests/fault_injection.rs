@@ -126,16 +126,17 @@ fn wrong_output_tampers_exactly_the_written_elements() {
     let rec = launch(&mut dev, &v, &mut a, UnitRange::new(0, half));
     assert!(rec.done().is_some(), "wrong-output launches still complete");
     let out = a.f32(0).unwrap();
-    for i in 0..half as usize {
+    let written = half as usize;
+    for (i, (&o, &h)) in out[..written].iter().zip(&healthy[..written]).enumerate() {
         assert_ne!(
-            out[i].to_bits(),
-            healthy[i].to_bits(),
+            o.to_bits(),
+            h.to_bits(),
             "written element {i} must be tampered"
         );
-        assert_ne!(out[i], 0.0, "tampering must not silently erase the write");
+        assert_ne!(o, 0.0, "tampering must not silently erase the write");
     }
-    for i in half as usize..N as usize {
-        assert_eq!(out[i], 0.0, "unwritten element {i} must stay pristine");
+    for (i, &o) in out[..N as usize].iter().enumerate().skip(written) {
+        assert_eq!(o, 0.0, "unwritten element {i} must stay pristine");
     }
     // Non-output arguments are never touched.
     for (i, x) in a.f32(1).unwrap().iter().enumerate() {
@@ -198,14 +199,15 @@ fn windowed_rule_hits_only_its_launch_indexes_in_a_batch() {
     assert!(outcomes[1].is_failed(), "launch index 1 is the faulted one");
     assert!(outcomes[2].done().is_some());
     let out = a.f32(0).unwrap();
-    for i in 0..third as usize {
-        assert_ne!(out[i], 0.0, "entry 0's slice executed");
+    let third = third as usize;
+    for &x in &out[..third] {
+        assert_ne!(x, 0.0, "entry 0's slice executed");
     }
-    for i in third as usize..(2 * third) as usize {
-        assert_eq!(out[i], 0.0, "the failed entry's slice stayed unwritten");
+    for &x in &out[third..2 * third] {
+        assert_eq!(x, 0.0, "the failed entry's slice stayed unwritten");
     }
-    for i in (2 * third) as usize..(3 * third) as usize {
-        assert_ne!(out[i], 0.0, "entry 2's slice executed");
+    for &x in &out[2 * third..3 * third] {
+        assert_ne!(x, 0.0, "entry 2's slice executed");
     }
     // The failed entry never occupied its stream.
     assert_eq!(dev.stream_end(StreamId(1)), Cycles::ZERO);

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::dirty::DirtyRanges;
+use crate::fnv::{fnv1a, fnv1a_step, FNV_OFFSET};
 use crate::{KernelError, Space};
 
 /// Virtual-address bump allocator. Buffers never share cache lines.
@@ -475,21 +476,17 @@ impl Buffer {
     ///
     /// Fails if the buffers disagree on element type.
     pub fn changed_digest(&self, pristine: &Buffer) -> Result<u64, KernelError> {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         if self.shares_payload_with(pristine) {
-            return Ok(OFFSET); // no writes: digest of the empty change set.
+            return Ok(FNV_OFFSET); // no writes: digest of the empty change set.
         }
         // Dirty-range narrowing: the fold only visits the changed window,
         // with indices kept global so the digest value is unchanged.
         let Some((w0, w1)) = self.dirty_window(pristine)? else {
-            return Ok(OFFSET);
+            return Ok(FNV_OFFSET);
         };
-        let mut h = OFFSET;
+        let mut h = FNV_OFFSET;
         let mut fold = |i: u64, bits: u64| {
-            for b in i.to_le_bytes().into_iter().chain(bits.to_le_bytes()) {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
+            h = fnv1a(fnv1a(h, &i.to_le_bytes()), &bits.to_le_bytes());
         };
         match (self.data(), pristine.data()) {
             (BufferData::F32(a), BufferData::F32(p)) => {
@@ -1144,10 +1141,9 @@ impl Args {
         pristine: &Args,
         output_args: &[usize],
     ) -> Result<u64, KernelError> {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_OFFSET;
         for &i in output_args {
-            let d = self.buffer(i)?.changed_digest(pristine.buffer(i)?)?;
-            h = (h ^ d).wrapping_mul(0x0000_0100_0000_01b3);
+            h = fnv1a_step(h, self.buffer(i)?.changed_digest(pristine.buffer(i)?)?);
         }
         Ok(h)
     }
@@ -1264,10 +1260,10 @@ mod tests {
         let mut target = pristine.clone();
         target.merge_span(&span_a, &pristine, false).unwrap();
         target.merge_span(&span_b, &pristine, false).unwrap();
-        assert_eq!(
-            matches!(target.data(), BufferData::F32(v) if v == &vec![1.0, 20.0, 3.0, 40.0]),
-            true
-        );
+        assert!(matches!(
+            target.data(),
+            BufferData::F32(v) if v == &vec![1.0, 20.0, 3.0, 40.0]
+        ));
     }
 
     #[test]
@@ -1416,13 +1412,13 @@ mod tests {
             BufferData::F32(v) => v,
             _ => unreachable!(),
         };
-        for i in 0..32 {
+        for (i, &got) in v[..32].iter().enumerate() {
             let expect = if (4..12).contains(&i) || (30..32).contains(&i) {
                 i as f32
             } else {
                 -1.0
             };
-            assert_eq!(v[i], expect, "element {i}");
+            assert_eq!(got, expect, "element {i}");
         }
     }
 

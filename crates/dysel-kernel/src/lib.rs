@@ -61,6 +61,8 @@ mod buffer;
 mod ctx;
 mod dirty;
 mod error;
+mod file;
+mod fnv;
 mod ir;
 mod kernel;
 mod profile;
@@ -73,6 +75,8 @@ pub use buffer::{AddrSpace, Args, Buffer, BufferData, ElemType};
 pub use ctx::GroupCtx;
 pub use dirty::DirtyRanges;
 pub use error::KernelError;
+pub use file::write_atomic;
+pub use fnv::{fnv1a, fnv1a_step, FNV_OFFSET};
 pub use ir::{AccessIr, AccessPattern, KernelIr, LoopBound, LoopIr, LoopKind};
 pub use kernel::{Kernel, Variant, VariantId, VariantMeta};
 pub use profile::{Orchestration, ProfilingMode};

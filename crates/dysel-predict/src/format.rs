@@ -9,8 +9,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+
+use dysel_kernel::{fnv1a, write_atomic, FNV_OFFSET};
 
 use crate::model::{Model, VariantStats, FEATURE_DIM};
 
@@ -100,16 +101,6 @@ impl fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-/// 64-bit FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -153,7 +144,7 @@ pub fn encode(model: &Model) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&MODEL_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    out.extend_from_slice(&fnv1a(FNV_OFFSET, &payload).to_le_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -240,7 +231,7 @@ pub fn decode(bytes: &[u8], path: &Path) -> Result<Model, ModelError> {
             path: path.to_path_buf(),
         });
     }
-    if fnv1a(payload) != checksum {
+    if fnv1a(FNV_OFFSET, payload) != checksum {
         return Err(ModelError::ChecksumMismatch {
             path: path.to_path_buf(),
         });
@@ -298,30 +289,13 @@ pub fn load(path: &Path) -> Result<Model, ModelError> {
     decode(&bytes, path)
 }
 
-/// Atomically writes a model file: the image goes to a sibling temp file,
-/// is synced to disk, and is renamed over `path`. A crash at any point
-/// leaves either the previous file or the new one intact.
+/// Atomically and durably writes a model file (see
+/// [`dysel_kernel::write_atomic`]): a crash at any point leaves either the
+/// previous file or the new one intact.
 pub fn save(model: &Model, path: &Path) -> Result<(), ModelError> {
-    let io_err = |p: &Path, e: std::io::Error| ModelError::Io {
-        path: p.to_path_buf(),
+    write_atomic(path, &encode(model)).map_err(|(path, e)| ModelError::Io {
+        path,
         detail: e.to_string(),
-    };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    let image = encode(model);
-    let write = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&image)?;
-        f.sync_all()
-    })();
-    if let Err(e) = write {
-        let _ = fs::remove_file(&tmp);
-        return Err(io_err(&tmp, e));
-    }
-    fs::rename(&tmp, path).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        io_err(path, e)
     })
 }
 

@@ -305,12 +305,14 @@ mod tests {
 
     #[test]
     fn centroid_tier_ranks_unknown_signatures_with_zero_margin() {
-        let mut model = Model::default();
         // Winners look coalesced, losers look strided.
-        model.winner_centroid = feature_vector(&features(3, 0)).map(|v| v * CENTROID_SCALE);
-        model.loser_centroid = feature_vector(&features(0, 3)).map(|v| v * CENTROID_SCALE);
-        model.winner_examples = 4;
-        model.loser_examples = 4;
+        let model = Model {
+            winner_centroid: feature_vector(&features(3, 0)).map(|v| v * CENTROID_SCALE),
+            loser_centroid: feature_vector(&features(0, 3)).map(|v| v * CENTROID_SCALE),
+            winner_examples: 4,
+            loser_examples: 4,
+            ..Model::default()
+        };
         let (fa, fb) = (features(0, 3), features(3, 0));
         let cands = [
             Candidate {

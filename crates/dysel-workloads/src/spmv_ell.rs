@@ -205,10 +205,10 @@ mod tests {
         let x: Vec<f32> = (0..100).map(|i| (i as f32 * 0.1).cos()).collect();
         let want = m.spmv_ref(&x);
         let mut got = vec![0.0f32; 100];
-        for r in 0..100 {
+        for (r, g) in got.iter_mut().enumerate() {
             for k in 0..ell.width {
                 let j = k * 100 + r;
-                got[r] += ell.vals[j] * x[ell.col_idx[j] as usize];
+                *g += ell.vals[j] * x[ell.col_idx[j] as usize];
             }
         }
         for (g, w) in got.iter().zip(&want) {

@@ -25,8 +25,8 @@ cargo build --release --workspace
 echo "==> rustfmt check"
 cargo fmt --all --check
 
-echo "==> clippy, warnings as errors (all targets: lib, tests, examples)"
-cargo clippy --all-targets -- -D warnings
+echo "==> clippy, warnings as errors (whole workspace, all targets: lib, tests, examples)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> full test matrix (unit + integration + end-to-end)"
 cargo test --release --workspace -q
