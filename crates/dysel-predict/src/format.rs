@@ -2,7 +2,7 @@
 //! selection-state format (`dysel-core::persist`): 8-byte magic, format
 //! version, explicit payload length, FNV-1a checksum, little-endian
 //! length-prefixed strings, `BTreeMap`-ordered entries (so encoding the
-//! same model twice is byte-identical), atomic tmp+rename saves, and a
+//! same model twice is byte-identical), durable atomic saves, and a
 //! typed error for every way a file can be wrong. A corrupt model file
 //! never panics the consumer — prediction just stays disabled.
 

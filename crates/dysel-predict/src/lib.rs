@@ -23,8 +23,9 @@
 //!   corpus always trains to byte-identical model files;
 //! * serialization ([`save`]/[`load`]) mirrors the runtime's state-file
 //!   format: versioned magic, explicit payload length, FNV-1a checksum,
-//!   atomic tmp+rename writes, and typed [`ModelError`]s — a corrupt
-//!   model never panics, it just disables prediction.
+//!   durable atomic writes (tmp, fsync, rename, directory fsync), and
+//!   typed [`ModelError`]s — a corrupt model never panics, it just
+//!   disables prediction.
 //!
 //! The centroid fallback always reports a **zero confidence margin**: it
 //! generalizes (useful in shadow mode and for warm-starting), but it is
