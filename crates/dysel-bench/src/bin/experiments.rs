@@ -7,12 +7,15 @@
 //! experiments --list        # list experiment ids
 //! ```
 //!
-//! `--threads N` sets the worker-thread count of every device's functional
-//! executor (default: all available cores). The virtual-time results are
+//! `--threads N` sets the worker-thread count of every DySel device's
+//! functional executor (default: all available cores). The oracle sweep's
+//! devices always use one worker each, since the sweep already runs
+//! `available_parallelism` variants at once. The virtual-time results are
 //! bit-identical at any `N` — the flag trades host wall-clock only.
 //!
 //! `--fault-plan SPEC` installs a deterministic fault-injection plan on
-//! every device the experiments build, e.g.
+//! every DySel device the experiments build (never on the oracle side:
+//! the oracle is the best pure variant on a healthy machine), e.g.
 //! `--fault-plan "seed=7;ctas@0+1=error;coarse=hang*64?0.5"`, to watch the
 //! runtime's graceful-degradation machinery (retries, quarantine, repair)
 //! under the full workload suite. Off by default.

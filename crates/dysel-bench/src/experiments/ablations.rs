@@ -57,14 +57,17 @@ pub fn abl_query(_: &Harness) -> Result<Figure, CaseError> {
             ),
             ..base
         };
-        let factory = move || Box::new(GpuDevice::new(cfg.clone())) as Box<dyn Device>;
-        let oracle = {
-            let mut dev = factory();
-            let sweep = dysel_baselines::exhaustive_sweep(&w, Target::Gpu, &factory);
-            dev.reset();
-            sweep.best().1
+        // The sweep already runs variants in parallel: one worker each.
+        let sweep_cfg = GpuConfig {
+            threads: 1,
+            ..cfg.clone()
         };
-        let mut rt = Runtime::new(factory());
+        let oracle = dysel_baselines::exhaustive_sweep(&w, Target::Gpu, || {
+            Box::new(GpuDevice::new(sweep_cfg.clone())) as Box<dyn Device>
+        })
+        .best()
+        .1;
+        let mut rt = Runtime::new(Box::new(GpuDevice::new(cfg)));
         rt.add_kernels(&w.signature, w.variants(Target::Gpu).to_vec());
         let mut args = w.fresh_args();
         let report = rt

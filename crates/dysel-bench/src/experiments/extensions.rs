@@ -171,12 +171,16 @@ pub fn ext_portability(_: &Harness) -> Result<Figure, CaseError> {
         "DySel's pick and its relative time over that generation's oracle",
     );
     for generation in GpuGeneration::all() {
-        let factory = move || {
-            Box::new(GpuDevice::new(GpuConfig::for_generation(generation))) as Box<dyn Device>
+        let device = move |threads| {
+            Box::new(GpuDevice::new(GpuConfig {
+                threads,
+                ..GpuConfig::for_generation(generation)
+            })) as Box<dyn Device>
         };
         for w in [suite::spmv_jds_std(), suite::sgemm_mixed_gpu()] {
-            let sweep = exhaustive_sweep(&w, Target::Gpu, factory);
-            let mut rt = Runtime::new(factory());
+            // The sweep already runs variants in parallel: one worker each.
+            let sweep = exhaustive_sweep(&w, Target::Gpu, || device(1));
+            let mut rt = Runtime::new(device(0));
             rt.add_kernels(&w.signature, w.variants(Target::Gpu).to_vec());
             let mut args = w.fresh_args();
             let report = rt

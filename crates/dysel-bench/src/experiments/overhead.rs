@@ -51,7 +51,7 @@ fn per_iteration_overhead(h: &Harness, w: &Workload, iters: u32) -> f64 {
     // Oracle: the best pure variant run for the same iterations on one
     // runtime, so both sides enjoy the same cross-iteration cache warmth.
     let oracle_total = {
-        let mut rt = Runtime::new(h.device(Target::Cpu));
+        let mut rt = Runtime::new(h.oracle_device(Target::Cpu));
         rt.add_kernel(&w.signature, w.variants(Target::Cpu)[best.0].clone());
         let mut total = Cycles::ZERO;
         for _ in 0..iters {

@@ -25,13 +25,14 @@ use dysel_workloads::{Target, Workload};
 /// prediction.
 #[derive(Debug, Default)]
 pub struct Harness {
-    /// Worker threads of each fresh device's functional executor
-    /// (`--threads`; `0` = auto). Virtual-time results are identical for
-    /// every count — this trades host wall-clock only.
+    /// Worker threads of each fresh [`Harness::device`]'s functional
+    /// executor (`--threads`; `0` = auto). Virtual-time results are
+    /// identical for every count — this trades host wall-clock only.
     pub threads: usize,
-    /// Fault plan installed on every device the harness builds
-    /// (`--fault-plan`). Each device gets its own clone with zeroed launch
-    /// counters, so runs stay independent and reproducible.
+    /// Fault plan installed on every [`Harness::device`] (`--fault-plan`),
+    /// never on an [`Harness::oracle_device`]. Each device gets its own
+    /// clone with zeroed launch counters, so runs stay independent and
+    /// reproducible.
     pub fault_plan: Option<FaultPlan>,
     /// Selection-state file (`--state-file`): every
     /// [`run_dysel`](Harness::run_dysel) runtime warm-starts from it and
@@ -123,9 +124,17 @@ impl Harness {
         move || new_device(target, threads, plan.clone())
     }
 
-    /// The exhaustive pure-variant sweep over [`Harness::device`]s.
+    /// A fresh default device for `target` on the oracle side: no fault
+    /// plan, since the paper's oracle is the best pure variant on a healthy
+    /// machine, and one worker, since [`exhaustive_sweep`] already runs
+    /// `available_parallelism` of these devices at once.
+    pub fn oracle_device(&self, target: Target) -> Box<dyn Device> {
+        new_device(target, 1, None)
+    }
+
+    /// The exhaustive pure-variant sweep over [`Harness::oracle_device`]s.
     pub fn sweep(&self, w: &Workload, target: Target) -> SweepResult {
-        exhaustive_sweep(w, target, || self.device(target))
+        exhaustive_sweep(w, target, || self.oracle_device(target))
     }
 
     /// Snapshot of the run's launch/fault/selection summary so far.

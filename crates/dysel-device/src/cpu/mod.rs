@@ -13,14 +13,14 @@ pub use cache::{CacheConfig, CacheHierarchy, SetAssocCache};
 
 use std::sync::Arc;
 
-use dysel_kernel::{Args, MemOp, Space, TraceSink, TraceView, VariantMeta};
+use dysel_kernel::{Args, MemOp, Space, TraceSink, VariantMeta};
 use dysel_obs::EventSink;
 
 use crate::cycles::{lanes, path::PricingPath};
 use crate::device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
 };
-use crate::exec::{launch_batch_engine, Executor, PriceModel};
+use crate::exec::{launch_batch_engine, Executor, PriceModel, Pricer};
 use crate::fault::FaultPlan;
 use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
@@ -437,7 +437,7 @@ impl CpuDevice {
     }
 }
 
-/// Prices recorded traces against per-core cache state for the engine.
+/// Prices work-groups against per-core cache state for the engine.
 struct CpuPriceModel<'a> {
     cfg: &'a CpuConfig,
     caches: &'a mut [CacheHierarchy],
@@ -446,9 +446,14 @@ struct CpuPriceModel<'a> {
 }
 
 impl PriceModel for CpuPriceModel<'_> {
-    fn group_cost(&mut self, unit: usize, _meta: &VariantMeta, trace: TraceView<'_>) -> Cycles {
+    fn price_group(
+        &mut self,
+        unit: usize,
+        _meta: &VariantMeta,
+        feed: impl FnOnce(&mut dyn TraceSink),
+    ) -> Cycles {
         let mut sink = CpuCostSink::new(self.cfg, &mut self.caches[unit], self.path);
-        trace.replay(&mut sink);
+        feed(&mut sink);
         sink.total()
     }
 }
@@ -503,21 +508,23 @@ impl Device for CpuDevice {
     ) -> Vec<LaunchOutcome> {
         // Launch overhead overlaps execution of earlier work in the same
         // stream (pipelined enqueue): only the issue side pays it.
-        let mut model = CpuPriceModel {
-            cfg: &self.cfg,
-            caches: &mut self.caches,
-            path: crate::cycles::path::pricing_path(),
+        let pricer = Pricer {
+            streams: &mut self.streams,
+            pool: &mut self.pool,
+            exec_noise: &mut self.exec_noise,
+            meas_noise: &mut self.noise,
+            launch_overhead: self.cfg.launch_overhead,
+            model: CpuPriceModel {
+                cfg: &self.cfg,
+                caches: &mut self.caches,
+                path: crate::cycles::path::pricing_path(),
+            },
         };
         launch_batch_engine(
             &self.exec,
             entries,
             targets,
-            &mut self.streams,
-            &mut self.pool,
-            &mut self.exec_noise,
-            &mut self.noise,
-            self.cfg.launch_overhead,
-            &mut model,
+            pricer,
             self.fault.as_mut(),
             self.budget,
             self.obs.as_deref(),

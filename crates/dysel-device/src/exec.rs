@@ -7,38 +7,42 @@
 //! depend only on the pre-launch buffer contents and the group's unit
 //! range. The engine exploits exactly that split:
 //!
-//! 1. **Functional phase (parallel).** A launch's groups are partitioned
-//!    into a fixed number of contiguous *spans* (independent of the worker
-//!    count). Each span job clones the pre-launch argument snapshot
-//!    (copy-on-write, so inputs are shared), executes its groups, and
-//!    records each group's cost trace with a
-//!    [`dysel_kernel::RecordingSink`]. Jobs run through
-//!    [`Executor::ordered`]: `std::thread` workers pull span indexes from a
-//!    shared counter and return results over an `mpsc` channel, or, with
-//!    one worker, each span runs on the caller thread when phase 2 asks
-//!    for it.
+//! 1. **Functional phase.** A launch's groups are partitioned into a fixed
+//!    number of contiguous *spans* (independent of the worker count). Each
+//!    span clones the pre-launch argument snapshot (copy-on-write, so
+//!    inputs are shared) and executes its groups against it.
 //! 2. **Reduction + pricing phase (serial, canonical order).** Phase 2
-//!    consumes span results in canonical (entry, span) order as they are
-//!    produced; it never waits for the whole batch. For each span it merges
-//!    the output deltas into the real argument buffers, replays the span's
-//!    group traces — in the launch's canonical group order — through the
-//!    device's cost sink, per-unit cache state, scheduler and noise model,
-//!    and returns the trace to the executor's arena at once. A one-worker
-//!    device therefore records every span into the same warm buffer. With
-//!    more workers there is no run-ahead window: the workers keep executing
-//!    while the caller prices, and results that arrive before their turn
-//!    are parked, so their traces are bounded only by the batch.
+//!    walks the spans in canonical (entry, span) order. For each span it
+//!    prices the span's groups — in the launch's canonical group order —
+//!    through the device's cost sink, per-unit cache state, scheduler and
+//!    noise model, and merges the span's output deltas into the real
+//!    argument buffers.
 //!
-//! Because phase 2 consumes span results in canonical order regardless of
-//! which worker produced them when, the same seed yields bit-identical
-//! outputs, measurements and schedules at any thread count — the
-//! determinism contract the test suite pins at 1, 2 and 8 workers.
+//! How a group's trace reaches its cost sink depends on whether the
+//! executor runs ahead ([`Executor::runs_ahead`]):
+//!
+//! * **Live (one worker, or a single span).** Nothing runs ahead, so phase
+//!   2 executes each span itself when its turn comes, and every group
+//!   emits its trace straight into the cost sink of the unit it is placed
+//!   on. No trace is stored.
+//! * **Recorded (more workers).** Span jobs run ahead on the
+//!   [`Executor::ordered`] pool and record each group's trace with a
+//!   [`dysel_kernel::RecordingSink`]; phase 2 replays the recorded groups
+//!   into the same cost sinks and returns the trace to the executor's
+//!   arena. At most `2 x threads` span jobs start beyond the spans phase 2
+//!   has taken, so parked results and their traces stay bounded.
+//!
+//! Either way the cost sinks see the same events in the same order, and
+//! because phase 2 handles spans in canonical order regardless of which
+//! worker produced them when, the same seed yields bit-identical outputs,
+//! measurements and schedules at any thread count — the determinism
+//! contract the test suite pins at 1, 2 and 8 workers.
 //!
 //! ## Output-merge strategies
 //!
-//! Workers execute against a snapshot, so every group observes the
+//! Spans execute against a snapshot, so every group observes the
 //! *pre-launch* buffer state (the same guarantee a real accelerator gives
-//! concurrent work-groups). Worker writes are folded back by comparing the
+//! concurrent work-groups). Span writes are folded back by comparing the
 //! executed snapshot against the pristine one, per declared output
 //! argument:
 //!
@@ -49,13 +53,15 @@
 //!   wrapping arithmetic, which composes exactly for the commutative
 //!   accumulations (e.g. histogram bin counts) such kernels perform.
 
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 use dysel_kernel::{
-    span_bounds, Args, GroupCtx, Kernel, RecordedTrace, RecordingSink, TraceView, UnitRange,
+    span_bounds, Args, GroupCtx, Kernel, RecordedTrace, RecordingSink, TraceSink, UnitRange,
     VariantMeta,
 };
 use dysel_obs::{Event, EventSink, Stage};
@@ -80,6 +86,10 @@ const SPANS_PER_LAUNCH: usize = 16;
 /// one-off giant batch pin memory forever.
 const MAX_POOLED_TRACES: usize = 64;
 
+/// Jobs each pool worker may start beyond the results the consumer has
+/// taken (see [`Executor::ordered`]).
+const RUN_AHEAD_PER_WORKER: usize = 2;
+
 /// A std-only work pool: `threads` workers executing indexed jobs pulled
 /// from a shared queue, with results reduced in index order.
 ///
@@ -88,7 +98,7 @@ const MAX_POOLED_TRACES: usize = 64;
 ///
 /// The executor also owns the launch engine's *trace arena*: each recorded
 /// span trace is returned here as soon as it is priced and handed to the
-/// next span job, so the profile→price→discard cycle stops hitting the
+/// next span job, so the record→price→discard cycle stops hitting the
 /// allocator once the pool is warm.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -134,17 +144,27 @@ impl Executor {
         self.threads
     }
 
+    /// Whether [`Executor::ordered`] runs `n` jobs ahead of their consumer
+    /// on pool workers: only with more than one worker and more than one
+    /// job. When it does not, each job runs on the caller thread when it
+    /// is asked for, so the launch engine runs such spans live.
+    pub fn runs_ahead(&self, n: usize) -> bool {
+        self.threads > 1 && n > 1
+    }
+
     /// Runs jobs `0..n` and lets `consume` take their results in job order,
     /// as they become available — the ordered-consumption primitive the
-    /// launch engine streams span results through.
+    /// launch engine streams recorded spans through.
     ///
-    /// With one worker (or at most one job) nothing runs ahead: each job
-    /// executes on the caller thread when [`InOrder::next`] asks for it.
-    /// With more workers, the workers pull job indexes off a shared counter
-    /// and run ahead while the caller consumes; results that arrive early
-    /// are parked until their turn. Either way `consume` sees job `i`
-    /// before job `i + 1`, so everything downstream is canonical. Jobs the
-    /// caller leaves unconsumed still run (their results are dropped).
+    /// Without run-ahead ([`Executor::runs_ahead`]) each job executes on
+    /// the caller thread when [`InOrder::next`] asks for it. Otherwise the
+    /// workers pull job indexes off a shared counter and run ahead while
+    /// the caller consumes, but start no job more than `2 x threads`
+    /// beyond the results already taken; results that arrive early are
+    /// parked until their turn. Either way `consume` sees job `i` before
+    /// job `i + 1`, so everything downstream is canonical. Once `consume`
+    /// returns, the workers stop at their next job; results still in
+    /// flight are dropped.
     pub fn ordered<T, F, R>(
         &self,
         n: usize,
@@ -155,7 +175,7 @@ impl Executor {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.threads <= 1 || n <= 1 {
+        if !self.runs_ahead(n) {
             return consume(&mut InOrder {
                 next: 0,
                 n,
@@ -164,29 +184,89 @@ impl Executor {
         }
         let workers = self.threads.min(n);
         let claimed = AtomicUsize::new(0);
+        let window = Window::new(RUN_AHEAD_PER_WORKER * self.threads);
         thread::scope(|scope| {
             let (tx, rx) = mpsc::channel::<(usize, T)>();
             for _ in 0..workers {
                 let tx = tx.clone();
-                let (claimed, job) = (&claimed, &job);
-                scope.spawn(move || loop {
+                let (claimed, job, window) = (&claimed, &job, &window);
+                let work = move || loop {
                     let i = claimed.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || tx.send((i, job(i))).is_err() {
+                    if i >= n || !window.admit(i) || tx.send((i, job(i))).is_err() {
                         break;
+                    }
+                };
+                scope.spawn(move || {
+                    // A panicking job closes the window, so no other worker
+                    // waits for progress that will never come and the
+                    // consumer sees the channel close.
+                    if let Err(panic) = panic::catch_unwind(AssertUnwindSafe(work)) {
+                        window.close();
+                        panic::resume_unwind(panic);
                     }
                 });
             }
             drop(tx);
             let mut parked = Vec::with_capacity(n);
             parked.resize_with(n, || None);
-            // Dropping the iterator (and its receiver) before the scope
-            // joins lets workers stop at their next send.
+            // Dropping the iterator before the scope joins closes the
+            // window and the channel, so the workers stop.
             consume(&mut InOrder {
                 next: 0,
                 n,
-                source: Source::Pool { rx, parked },
+                source: Source::Pool {
+                    rx,
+                    parked,
+                    window: &window,
+                },
             })
         })
+    }
+}
+
+/// The run-ahead bound of an [`Executor::ordered`] pool: a worker may
+/// start job `i` only while `i < taken + size`, where `taken` counts the
+/// results the consumer has been handed.
+struct Window {
+    size: usize,
+    /// Results handed to the consumer; `usize::MAX` once it is gone.
+    taken: Mutex<usize>,
+    moved: Condvar,
+}
+
+impl Window {
+    fn new(size: usize) -> Self {
+        Window {
+            size,
+            taken: Mutex::new(0),
+            moved: Condvar::new(),
+        }
+    }
+
+    /// Blocks until job `i` is inside the window. `false` means the
+    /// consumer is gone and the job should not run.
+    fn admit(&self, i: usize) -> bool {
+        let mut taken = self.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        while i >= taken.saturating_add(self.size) {
+            taken = self
+                .moved
+                .wait(taken)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *taken != usize::MAX
+    }
+
+    /// Records that `taken` results were handed out, waking the workers.
+    /// A closed window stays closed.
+    fn advance(&self, taken: usize) {
+        let mut was = self.taken.lock().unwrap_or_else(PoisonError::into_inner);
+        *was = (*was).max(taken);
+        self.moved.notify_all();
+    }
+
+    /// Admits no further job: the consumer is gone.
+    fn close(&self) {
+        self.advance(usize::MAX);
     }
 }
 
@@ -199,13 +279,14 @@ pub struct InOrder<'a, T, F> {
 
 /// Where [`InOrder`] takes each job's result from.
 enum Source<'a, T, F> {
-    /// One worker: run the job on the caller thread when it is asked for.
+    /// No run-ahead: run the job on the caller thread when it is asked for.
     OnDemand(&'a F),
-    /// Pool workers: their result channel, and the results that arrived
-    /// before their turn, parked by job index.
+    /// Pool workers: their result channel, the results that arrived before
+    /// their turn (parked by job index), and the run-ahead window.
     Pool {
         rx: mpsc::Receiver<(usize, T)>,
         parked: Vec<Option<T>>,
+        window: &'a Window,
     },
 }
 
@@ -220,7 +301,8 @@ impl<T, F: Fn(usize) -> T> Iterator for InOrder<'_, T, F> {
         self.next += 1;
         match &mut self.source {
             Source::OnDemand(job) => Some(job(i)),
-            Source::Pool { rx, parked } => {
+            Source::Pool { rx, parked, window } => {
+                window.advance(i);
                 while parked[i].is_none() {
                     let (j, v) = rx.recv().expect("a pool worker panicked");
                     parked[j] = Some(v);
@@ -236,15 +318,23 @@ impl<T, F: Fn(usize) -> T> Iterator for InOrder<'_, T, F> {
     }
 }
 
+impl<T, F> Drop for InOrder<'_, T, F> {
+    fn drop(&mut self) {
+        if let Source::Pool { window, .. } = &self.source {
+            window.close();
+        }
+    }
+}
+
 impl Default for Executor {
     fn default() -> Self {
         Executor::new(0)
     }
 }
 
-/// One span's worth of functional execution: the mutated snapshot and the
-/// span's recorded trace, with one closed group per executed work-group
-/// (walk them in order with [`RecordedTrace::groups`]).
+/// One recorded span: the mutated snapshot and the span's trace, with one
+/// closed group per executed work-group (walk them in order with
+/// [`RecordedTrace::groups`]).
 struct SpanRun {
     args: Args,
     trace: RecordedTrace,
@@ -259,23 +349,27 @@ struct FunctionalItem<'a> {
     pristine: &'a Args,
 }
 
-/// Executes groups `lo..hi` of `item` against a snapshot of its pristine
-/// arguments (one phase-1 job). One recycled trace records the whole span;
-/// group boundaries mark the per-group slices for the pricing pass.
-fn run_span(exec: &Executor, item: &FunctionalItem<'_>, lo: usize, hi: usize) -> SpanRun {
+/// Runs one work-group functionally against `args`, emitting its cost
+/// trace into `sink`.
+fn run_group(
+    kernel: &dyn Kernel,
+    meta: &VariantMeta,
+    (group, units): (u64, UnitRange),
+    args: &mut Args,
+    sink: &mut dyn TraceSink,
+) {
+    let mut ctx = GroupCtx::new(group, units, meta.group_size, args, &meta.placements, sink);
+    kernel.run_group(&mut ctx, args);
+}
+
+/// Records groups `lo..hi` of `item` against a snapshot of its pristine
+/// arguments (one run-ahead job). One recycled trace records the whole
+/// span; group boundaries mark the per-group slices for phase 2.
+fn record_span(exec: &Executor, item: &FunctionalItem<'_>, lo: usize, hi: usize) -> SpanRun {
     let mut args = item.pristine.clone();
     let mut sink = RecordingSink::reusing(exec.take_trace());
-    for &(g, gu) in &item.groups[lo..hi] {
-        let mut ctx = GroupCtx::new(
-            g,
-            gu,
-            item.meta.group_size,
-            &args,
-            &item.meta.placements,
-            &mut sink,
-        );
-        item.kernel.run_group(&mut ctx, &mut args);
-        drop(ctx);
+    for &group in &item.groups[lo..hi] {
+        run_group(item.kernel, item.meta, group, &mut args, &mut sink);
         sink.end_group();
     }
     SpanRun {
@@ -294,27 +388,130 @@ fn output_indices(meta: &VariantMeta, target: &Args) -> Vec<usize> {
         .collect()
 }
 
-/// Device-specific trace pricing: one work-group's recorded trace against
-/// the stateful cost model of execution unit `unit`.
+/// Device-specific pricing: the stateful cost model of each execution unit.
 pub(crate) trait PriceModel {
-    /// The group's execution cost on `unit`.
-    fn group_cost(&mut self, unit: usize, meta: &VariantMeta, trace: TraceView<'_>) -> Cycles;
+    /// The cost on `unit` of one work-group of `meta`, whose trace `feed`
+    /// emits into the sink it is handed: live from the kernel, or replayed
+    /// from a recorded span.
+    fn price_group(
+        &mut self,
+        unit: usize,
+        meta: &VariantMeta,
+        feed: impl FnOnce(&mut dyn TraceSink),
+    ) -> Cycles;
+}
+
+/// The device state phase 2 prices a batch against, in issue order.
+pub(crate) struct Pricer<'a, M> {
+    pub(crate) streams: &'a mut StreamTable,
+    pub(crate) pool: &'a mut UnitPool,
+    /// Per-group execution noise.
+    pub(crate) exec_noise: &'a mut NoiseModel,
+    /// Noise on the busy time a measured launch reports.
+    pub(crate) meas_noise: &'a mut NoiseModel,
+    pub(crate) launch_overhead: Cycles,
+    pub(crate) model: M,
+}
+
+impl<M> Pricer<'_, M> {
+    /// When `e` may start: its stream's gate after the issue overhead.
+    fn gate(&self, e: &BatchEntry<'_>) -> Cycles {
+        self.streams
+            .gate(e.stream, e.not_before + self.launch_overhead)
+    }
+}
+
+/// One entry's committed work-groups: where they ran and what they cost.
+struct Tally {
+    gate: Cycles,
+    first_start: Cycles,
+    last_end: Cycles,
+    busy: Cycles,
+    groups: u64,
+    /// Hang-fault cost multiplier (1 when healthy).
+    slow: u64,
+}
+
+impl Tally {
+    fn new(gate: Cycles, slow: u64) -> Self {
+        Tally {
+            gate,
+            first_start: Cycles::MAX,
+            last_end: Cycles::ZERO,
+            busy: Cycles::ZERO,
+            groups: 0,
+            slow,
+        }
+    }
+
+    /// Prices the next group of `meta` (trace from `feed`) on the
+    /// earliest-free unit, applies execution noise and the hang factor,
+    /// and places it on that unit — unless the spend would then exceed
+    /// `budget`, in which case nothing is placed and `false` is returned.
+    fn place<M: PriceModel>(
+        &mut self,
+        p: &mut Pricer<'_, M>,
+        meta: &VariantMeta,
+        budget: Option<Cycles>,
+        feed: impl FnOnce(&mut dyn TraceSink),
+    ) -> bool {
+        let unit = p.pool.earliest_unit();
+        let cost = p.exec_noise.perturb(p.model.price_group(unit, meta, feed)) * self.slow;
+        if budget.is_some_and(|b| self.busy + cost > b) {
+            return false;
+        }
+        let placed = p.pool.assign_to(unit, cost, self.gate);
+        self.first_start = self.first_start.min(placed.start);
+        self.last_end = self.last_end.max(placed.end);
+        self.busy += cost;
+        self.groups += 1;
+        true
+    }
+
+    /// The last committed group's end (the gate if none ran).
+    fn end(&self) -> Cycles {
+        if self.groups == 0 {
+            self.gate
+        } else {
+            self.last_end
+        }
+    }
+
+    /// Completes `e`: advances its stream and reports the launch.
+    fn done<M>(self, p: &mut Pricer<'_, M>, e: &BatchEntry<'_>) -> LaunchOutcome {
+        let start = if self.groups == 0 {
+            self.gate
+        } else {
+            self.first_start
+        };
+        let end = self.end();
+        p.streams.record(e.stream, end);
+        let measured = e.measured.then(|| p.meas_noise.perturb(self.busy));
+        LaunchOutcome::Done(LaunchRecord {
+            start,
+            end,
+            groups: self.groups,
+            busy: self.busy,
+            measured,
+        })
+    }
 }
 
 /// How phase 2 will handle one batch entry.
 enum EntryPlan {
-    /// Functionally executed by the phase-1 fan-out, in this many spans.
-    Fanned(usize),
-    /// Budget-eligible: executed lazily, group by group, inside phase 2 so
-    /// a preemption really stops the functional execution.
-    Inline,
+    /// Executed span by span; the range indexes the batch's span jobs.
+    Spans(Range<usize>),
+    /// Budget-eligible: executed group by group inside phase 2 so a
+    /// preemption really stops the functional execution.
+    Budgeted,
     /// Injected `LaunchError`: never executes.
     Refused,
 }
 
-/// The full two-phase batch launch shared by the device models: parallel
-/// functional execution of every entry's spans, streamed into a serial
-/// in-order merge, pricing, scheduling and measurement.
+/// The full two-phase batch launch shared by the device models: functional
+/// execution of every entry's spans — live, or recorded ahead by the
+/// executor's workers — streamed into a serial in-order merge, pricing,
+/// scheduling and measurement.
 ///
 /// When a [`FaultPlan`] is installed, each entry consults it — in issue
 /// order, so decisions are independent of the worker-thread count — before
@@ -330,32 +527,25 @@ enum EntryPlan {
 /// [`BatchEntry::budget`], or when a [`BudgetPolicy`] is installed, the
 /// entry is measured, and an earlier measured entry of this batch already
 /// established a best-so-far baseline (`budget = deadline_factor x best`,
-/// tightening as better measurements arrive). Budget-eligible entries skip
-/// the phase-1 fan-out and execute *inline* during phase 2: each group is
-/// run functionally against a private snapshot, priced, and committed only
-/// if the accumulated spend stays within budget — the first group that
-/// would overflow preempts the launch ([`LaunchOutcome::Preempted`])
-/// before executing any further work, so `cycles_spent <= budget` holds
-/// strictly and a `hang*64` variant costs at most the budget instead of
-/// 64x the slice. A preempted entry discards its snapshot (target buffers
+/// tightening as better measurements arrive). Budget-eligible entries are
+/// never recorded ahead: phase 2 runs each of their groups live against
+/// one private snapshot, prices it, and commits it only if the
+/// accumulated spend stays within budget — the first group that would
+/// overflow preempts the launch ([`LaunchOutcome::Preempted`]) before
+/// executing any further work, so `cycles_spent <= budget` holds strictly
+/// and a `hang*64` variant costs at most the budget instead of 64x the
+/// slice. A preempted entry discards its snapshot (target buffers
 /// untouched) and does not advance its stream; the unit pool keeps only
-/// the committed groups' occupancy. The inline path walks the same
-/// [`span_bounds`] partition in the same canonical group order and draws
-/// noise identically, so an entry that *completes* within budget is
-/// bit-identical to the fanned path — and every budget decision is made in
-/// priced virtual cycles, keeping outcomes independent of the worker
-/// count.
-#[allow(clippy::too_many_arguments)]
+/// the committed groups' occupancy. The budgeted path walks the same
+/// canonical group order and draws noise identically, so an entry that
+/// *completes* within budget is bit-identical to the span path — and every
+/// budget decision is made in priced virtual cycles, keeping outcomes
+/// independent of the worker count.
 pub(crate) fn launch_batch_engine<M: PriceModel>(
     exec: &Executor,
     entries: &[BatchEntry<'_>],
     targets: &mut [&mut Args],
-    streams: &mut StreamTable,
-    pool: &mut UnitPool,
-    exec_noise: &mut NoiseModel,
-    meas_noise: &mut NoiseModel,
-    launch_overhead: Cycles,
-    model: &mut M,
+    mut p: Pricer<'_, M>,
     faults: Option<&mut FaultPlan>,
     budget_policy: Option<BudgetPolicy>,
     obs: Option<&EventSink>,
@@ -367,18 +557,17 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
     };
 
     // Phase 0: one pristine snapshot per distinct target (cheap: payloads
-    // are shared copy-on-write until a worker writes).
+    // are shared copy-on-write until a span writes).
     let pristine: Vec<Args> = targets.iter().map(|t| (**t).clone()).collect();
 
-    // Phase 1: functional execution of every entry across the pool —
-    // except refused entries (which never execute) and budget-eligible
-    // ones (which must be able to stop mid-launch, so they run inline in
-    // phase 2). Eligibility must be decidable before pricing, so any
-    // measured entry is kept inline while a policy is installed, whether
-    // or not a baseline ends up binding it.
+    // Split every entry that runs span by span — all but refused entries
+    // (which never execute) and budget-eligible ones (which must be able
+    // to stop mid-launch). Eligibility must be decidable before pricing,
+    // so any measured entry is budgeted while a policy is installed,
+    // whether or not a baseline ends up binding it.
     let mut plan_of: Vec<EntryPlan> = Vec::with_capacity(entries.len());
     let mut items: Vec<FunctionalItem<'_>> = Vec::with_capacity(entries.len());
-    // Span jobs of *all* fanned entries, item-major: (item, group range).
+    // Span jobs of *all* span entries, item-major: (item, group range).
     // Fanning them out together lets a batch of K small profiling launches
     // saturate the workers.
     let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
@@ -386,7 +575,7 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
         if *decision == Some(FaultKind::LaunchError) {
             plan_of.push(EntryPlan::Refused);
         } else if e.budget.is_some() || (budget_policy.is_some() && e.measured) {
-            plan_of.push(EntryPlan::Inline);
+            plan_of.push(EntryPlan::Budgeted);
         } else {
             let groups: Vec<(u64, UnitRange)> =
                 e.units.groups(u64::from(e.meta.wa_factor)).collect();
@@ -394,7 +583,7 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
             jobs.extend(
                 span_bounds(groups.len(), SPANS_PER_LAUNCH).map(|(lo, hi)| (items.len(), lo, hi)),
             );
-            plan_of.push(EntryPlan::Fanned(jobs.len() - first));
+            plan_of.push(EntryPlan::Spans(first..jobs.len()));
             items.push(FunctionalItem {
                 kernel: e.kernel,
                 meta: e.meta,
@@ -403,16 +592,13 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
             });
         }
     }
-    let run_job = |j: usize| {
-        let (i, lo, hi) = jobs[j];
-        run_span(exec, &items[i], lo, hi)
-    };
+    let live = !exec.runs_ahead(jobs.len());
 
-    // Phase 2: serial reduction in issue order, consuming span results as
-    // phase 1 produces them — merge each span's outputs, replay its groups'
-    // traces through the cost model in canonical order, then hand the trace
-    // straight back to the arena so the next span records into warm memory.
-    exec.ordered(jobs.len(), run_job, |spans| {
+    // Phase 2: serial reduction in issue order. A live span runs its
+    // groups here, each straight into the cost sink of the unit it is
+    // placed on; a recorded span is taken from the workers as it arrives,
+    // its groups replayed, and its trace handed straight back to the arena.
+    let mut price = |spans: &mut dyn Iterator<Item = SpanRun>| {
         let mut best_measured: Option<Cycles> = None;
         let mut outcomes = Vec::with_capacity(entries.len());
         for (ei, e) in entries.iter().enumerate() {
@@ -426,44 +612,45 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
                 }
                 _ => None,
             };
-            let outcome = match plan_of[ei] {
+            let outcome = match &plan_of[ei] {
                 EntryPlan::Refused => {
                     // Failed launch: nothing ran, nothing advances. The host
                     // observes the failure once the stream would have started.
-                    let at = streams.gate(e.stream, e.not_before + launch_overhead);
                     LaunchOutcome::Failed(LaunchFailure {
-                        at,
+                        at: p.gate(e),
                         transient: true,
                     })
                 }
-                EntryPlan::Fanned(span_count) => {
+                EntryPlan::Spans(span_jobs) => {
                     let additive = e.meta.ir.has_global_atomics || !e.meta.ir.output_disjoint;
                     let outs = output_indices(e.meta, targets[e.target]);
-                    let gate = streams.gate(e.stream, e.not_before + launch_overhead);
-                    let mut first_start = Cycles::MAX;
-                    let mut last_end = Cycles::ZERO;
-                    let mut busy = Cycles::ZERO;
-                    let mut groups = 0u64;
+                    let mut tally = Tally::new(p.gate(e), slow);
                     // Corruption tampers with what every span wrote, after
                     // the entry's last merge, so its snapshots stay alive.
                     let mut written: Vec<Args> = Vec::new();
-                    for span in spans.by_ref().take(span_count) {
+                    for &(item, lo, hi) in &jobs[span_jobs.clone()] {
+                        let args = if live {
+                            let item = &items[item];
+                            let mut args = item.pristine.clone();
+                            for &group in &item.groups[lo..hi] {
+                                tally.place(&mut p, e.meta, None, |sink| {
+                                    run_group(item.kernel, e.meta, group, &mut args, sink)
+                                });
+                            }
+                            args
+                        } else {
+                            let span = spans.next().expect("one result per span job");
+                            for view in span.trace.groups() {
+                                tally.place(&mut p, e.meta, None, |sink| view.replay(sink));
+                            }
+                            exec.recycle_trace(span.trace);
+                            span.args
+                        };
                         targets[e.target]
-                            .merge_outputs(&span.args, &pristine[e.target], &outs, additive)
+                            .merge_outputs(&args, &pristine[e.target], &outs, additive)
                             .expect("span snapshot has the target's arity");
-                        for view in span.trace.groups() {
-                            let unit = pool.earliest_unit();
-                            let cost =
-                                exec_noise.perturb(model.group_cost(unit, e.meta, view)) * slow;
-                            let p = pool.assign_to(unit, cost, gate);
-                            first_start = first_start.min(p.start);
-                            last_end = last_end.max(p.end);
-                            busy += cost;
-                            groups += 1;
-                        }
-                        exec.recycle_trace(span.trace);
                         if corrupt.is_some() {
-                            written.push(span.args);
+                            written.push(args);
                         }
                     }
                     if let Some(poison) = corrupt {
@@ -473,36 +660,18 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
                                 .expect("span snapshot has the target's arity");
                         }
                     }
-                    if groups == 0 {
-                        first_start = gate;
-                        last_end = gate;
-                    }
-                    streams.record(e.stream, last_end);
-                    let measured = e.measured.then(|| meas_noise.perturb(busy));
-                    LaunchOutcome::Done(LaunchRecord {
-                        start: first_start,
-                        end: last_end,
-                        groups,
-                        busy,
-                        measured,
-                    })
+                    tally.done(&mut p, e)
                 }
-                EntryPlan::Inline => {
+                EntryPlan::Budgeted => {
                     let budget = e.budget.or_else(|| match (budget_policy, best_measured) {
-                        (Some(p), Some(best)) if e.measured => Some(p.budget_for(best)),
+                        (Some(policy), Some(best)) if e.measured => Some(policy.budget_for(best)),
                         _ => None,
                     });
                     run_budgeted_entry(
-                        exec,
                         e,
-                        targets,
-                        &pristine,
-                        streams,
-                        pool,
-                        exec_noise,
-                        meas_noise,
-                        launch_overhead,
-                        model,
+                        targets[e.target],
+                        &pristine[e.target],
+                        &mut p,
                         slow,
                         corrupt,
                         budget,
@@ -523,7 +692,16 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
             outcomes.push(outcome);
         }
         outcomes
-    })
+    };
+    if live {
+        price(&mut std::iter::empty())
+    } else {
+        let record_job = |j: usize| {
+            let (i, lo, hi) = jobs[j];
+            record_span(exec, &items[i], lo, hi)
+        };
+        exec.ordered(jobs.len(), record_job, |spans| price(spans))
+    }
 }
 
 /// Emits the device-level event for one priced launch outcome.
@@ -563,100 +741,48 @@ fn emit_outcome(sink: &EventSink, e: &BatchEntry<'_>, outcome: &LaunchOutcome) {
     }
 }
 
-/// Executes one budget-eligible entry inline (see the budget section of
-/// [`launch_batch_engine`]): groups run functionally against a private
-/// snapshot in the canonical [`span_bounds`] order, each priced and then
-/// committed only if the accumulated spend stays within `budget`.
-#[allow(clippy::too_many_arguments)]
+/// Executes one budget-eligible entry (see the budget section of
+/// [`launch_batch_engine`]): groups run live against a private snapshot in
+/// canonical order, each priced and then committed only if the accumulated
+/// spend stays within `budget`.
 fn run_budgeted_entry<M: PriceModel>(
-    exec: &Executor,
     e: &BatchEntry<'_>,
-    targets: &mut [&mut Args],
-    pristine: &[Args],
-    streams: &mut StreamTable,
-    pool: &mut UnitPool,
-    exec_noise: &mut NoiseModel,
-    meas_noise: &mut NoiseModel,
-    launch_overhead: Cycles,
-    model: &mut M,
+    target: &mut Args,
+    pristine: &Args,
+    p: &mut Pricer<'_, M>,
     slow: u64,
     corrupt: Option<bool>,
     budget: Option<Cycles>,
 ) -> LaunchOutcome {
-    let groups: Vec<(u64, UnitRange)> = e.units.groups(u64::from(e.meta.wa_factor)).collect();
-    let gate = streams.gate(e.stream, e.not_before + launch_overhead);
-    let mut work = pristine[e.target].clone();
-    let mut first_start = Cycles::MAX;
-    let mut last_end = Cycles::ZERO;
-    let mut busy = Cycles::ZERO;
-    let mut groups_done = 0u64;
-    let mut preempted = false;
-    // One recycled trace, cleared per group: record → price → reuse.
-    let mut trace = exec.take_trace();
-    'spans: for (lo, hi) in span_bounds(groups.len(), SPANS_PER_LAUNCH) {
-        for &(g, gu) in &groups[lo..hi] {
-            let mut sink = RecordingSink::reusing(std::mem::take(&mut trace));
-            let mut ctx = GroupCtx::new(
-                g,
-                gu,
-                e.meta.group_size,
-                &work,
-                &e.meta.placements,
-                &mut sink,
-            );
-            e.kernel.run_group(&mut ctx, &mut work);
-            drop(ctx);
-            trace = sink.into_trace();
-            let unit = pool.earliest_unit();
-            let cost = exec_noise.perturb(model.group_cost(unit, e.meta, trace.view())) * slow;
-            if let Some(b) = budget {
-                if busy + cost > b {
-                    // Committing this group would blow the budget: preempt
-                    // before it occupies a unit or writes become visible.
-                    preempted = true;
-                    break 'spans;
-                }
-            }
-            let p = pool.assign_to(unit, cost, gate);
-            first_start = first_start.min(p.start);
-            last_end = last_end.max(p.end);
-            busy += cost;
-            groups_done += 1;
+    let mut work = pristine.clone();
+    let mut tally = Tally::new(p.gate(e), slow);
+    for group in e.units.groups(u64::from(e.meta.wa_factor)) {
+        let placed = tally.place(p, e.meta, budget, |sink| {
+            run_group(e.kernel, e.meta, group, &mut work, sink)
+        });
+        if !placed {
+            // Committing this group would blow the budget: preempt before
+            // it occupies a unit or any write becomes visible. The snapshot
+            // (and with it every partial write) is discarded; the stream
+            // does not advance, exactly like a failed launch.
+            return LaunchOutcome::Preempted(LaunchPreemption {
+                at: tally.end(),
+                cycles_spent: tally.busy,
+                groups_done: tally.groups,
+            });
         }
     }
-    exec.recycle_trace(trace);
-    if preempted {
-        // The snapshot (and with it every partial write) is discarded; the
-        // stream does not advance, exactly like a failed launch.
-        return LaunchOutcome::Preempted(LaunchPreemption {
-            at: if groups_done == 0 { gate } else { last_end },
-            cycles_spent: busy,
-            groups_done,
-        });
-    }
-    let outs = output_indices(e.meta, targets[e.target]);
+    let outs = output_indices(e.meta, target);
     let additive = e.meta.ir.has_global_atomics || !e.meta.ir.output_disjoint;
-    targets[e.target]
-        .merge_outputs(&work, &pristine[e.target], &outs, additive)
+    target
+        .merge_outputs(&work, pristine, &outs, additive)
         .expect("work snapshot has the target's arity");
     if let Some(poison) = corrupt {
-        targets[e.target]
-            .corrupt_changed(&work, &pristine[e.target], &outs, poison)
+        target
+            .corrupt_changed(&work, pristine, &outs, poison)
             .expect("work snapshot has the target's arity");
     }
-    if groups_done == 0 {
-        first_start = gate;
-        last_end = gate;
-    }
-    streams.record(e.stream, last_end);
-    let measured = e.measured.then(|| meas_noise.perturb(busy));
-    LaunchOutcome::Done(LaunchRecord {
-        start: first_start,
-        end: last_end,
-        groups: groups_done,
-        busy,
-        measured,
-    })
+    tally.done(p, e)
 }
 
 #[cfg(test)]
@@ -716,16 +842,18 @@ mod tests {
 
     #[test]
     fn ordered_parks_results_that_arrive_early() {
-        // Job 0 finishes last, so every other result reaches the caller
-        // first and must wait for its turn.
+        // Job 0 finishes after every job the window lets run ahead of it,
+        // so their results reach the caller first and must wait for their
+        // turn.
         for threads in [2, 8] {
             let n = 20;
+            let ahead = (RUN_AHEAD_PER_WORKER * threads).min(n) - 1;
             let finished = AtomicUsize::new(0);
             let got: Vec<_> = Executor::new(threads).ordered(
                 n,
                 |i| {
                     if i == 0 {
-                        while finished.load(Ordering::Acquire) < n - 1 {
+                        while finished.load(Ordering::Acquire) < ahead {
                             thread::yield_now();
                         }
                     }
@@ -740,8 +868,9 @@ mod tests {
 
     #[test]
     fn ordered_with_one_worker_runs_each_job_on_demand() {
-        // Job i must not start before result i - 1 was consumed: the
-        // one-worker engine records every span into the same warm trace.
+        // Job i must not start before result i - 1 was consumed: without
+        // run-ahead the launch engine runs each span live when its turn
+        // comes.
         let log = Mutex::new(Vec::new());
         Executor::new(1).ordered(
             4,
@@ -757,6 +886,58 @@ mod tests {
             log,
             ["run 0", "use 0", "run 1", "use 1", "run 2", "use 2", "run 3", "use 3"]
         );
+    }
+
+    #[test]
+    fn ordered_bounds_how_far_workers_run_ahead() {
+        // No job may start more than `window` places past the results
+        // taken. The consumer's pause only gives a missing bound the time
+        // to show; the assertion holds at any timing.
+        for threads in [2, 8] {
+            let window = RUN_AHEAD_PER_WORKER * threads;
+            let n = 8 * window;
+            let taken = AtomicUsize::new(0);
+            let ahead = AtomicUsize::new(0);
+            let got: Vec<usize> = Executor::new(threads).ordered(
+                n,
+                |i| {
+                    let beyond = (i + 1).saturating_sub(taken.load(Ordering::SeqCst));
+                    ahead.fetch_max(beyond, Ordering::SeqCst);
+                    i
+                },
+                |results| {
+                    results
+                        .inspect(|&i| {
+                            thread::sleep(std::time::Duration::from_micros(200));
+                            taken.store(i + 1, Ordering::SeqCst);
+                        })
+                        .collect()
+                },
+            );
+            assert_eq!(got, (0..n).collect::<Vec<_>>(), "threads={threads}");
+            let ahead = ahead.into_inner();
+            assert!(
+                ahead <= window,
+                "threads={threads}: a job started {ahead} places past the taken results \
+                 (window {window})"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_survives_a_panicking_job() {
+        // The other workers must not wait forever in the window: the panic
+        // reaches the caller.
+        for threads in [2, 8] {
+            let run = std::panic::catch_unwind(|| {
+                Executor::new(threads).ordered(
+                    64,
+                    |i| assert!(i != 3, "job 3 fails"),
+                    |results| results.count(),
+                )
+            });
+            assert!(run.is_err(), "threads={threads}");
+        }
     }
 
     #[test]

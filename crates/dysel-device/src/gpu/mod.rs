@@ -12,7 +12,7 @@ pub use cost::{coalesced_segments, gather_segments, smem_conflict_degree};
 
 use std::sync::Arc;
 
-use dysel_kernel::{Args, TraceView, VariantMeta};
+use dysel_kernel::{Args, TraceSink, VariantMeta};
 
 use crate::cycles::path::PricingPath;
 use dysel_obs::EventSink;
@@ -21,7 +21,7 @@ use crate::cpu::{CacheConfig, SetAssocCache};
 use crate::device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
 };
-use crate::exec::{launch_batch_engine, Executor, PriceModel};
+use crate::exec::{launch_batch_engine, Executor, PriceModel, Pricer};
 use crate::fault::FaultPlan;
 use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
@@ -288,7 +288,7 @@ impl GpuDevice {
     }
 }
 
-/// Prices recorded traces against per-SM texture-cache state.
+/// Prices work-groups against per-SM texture-cache state.
 struct GpuPriceModel<'a> {
     cfg: &'a GpuConfig,
     tex_caches: &'a mut [SetAssocCache],
@@ -300,7 +300,12 @@ struct GpuPriceModel<'a> {
 }
 
 impl PriceModel for GpuPriceModel<'_> {
-    fn group_cost(&mut self, sm: usize, meta: &VariantMeta, trace: TraceView<'_>) -> Cycles {
+    fn price_group(
+        &mut self,
+        sm: usize,
+        meta: &VariantMeta,
+        feed: impl FnOnce(&mut dyn TraceSink),
+    ) -> Cycles {
         let occ = self
             .cfg
             .occupancy(meta.group_size, meta.ir.scratchpad_bytes);
@@ -311,7 +316,7 @@ impl PriceModel for GpuPriceModel<'_> {
             self.path,
             &mut self.scratch,
         );
-        trace.replay(&mut sink);
+        feed(&mut sink);
         sink.total(lat_factor)
     }
 }
@@ -369,22 +374,24 @@ impl Device for GpuDevice {
         // measured value is the in-kernel clock readout (Fig. 7): atomicMin
         // of first block start / atomicMax-ish of last block end, summed as
         // busy time and read back by the host.
-        let mut model = GpuPriceModel {
-            cfg: &self.cfg,
-            tex_caches: &mut self.tex_caches,
-            path: crate::cycles::path::pricing_path(),
-            scratch: Vec::new(),
+        let pricer = Pricer {
+            streams: &mut self.streams,
+            pool: &mut self.pool,
+            exec_noise: &mut self.exec_noise,
+            meas_noise: &mut self.noise,
+            launch_overhead: self.cfg.launch_overhead,
+            model: GpuPriceModel {
+                cfg: &self.cfg,
+                tex_caches: &mut self.tex_caches,
+                path: crate::cycles::path::pricing_path(),
+                scratch: Vec::new(),
+            },
         };
         launch_batch_engine(
             &self.exec,
             entries,
             targets,
-            &mut self.streams,
-            &mut self.pool,
-            &mut self.exec_noise,
-            &mut self.noise,
-            self.cfg.launch_overhead,
-            &mut model,
+            pricer,
             self.fault.as_mut(),
             self.budget,
             self.obs.as_deref(),

@@ -19,10 +19,11 @@
 //! paper's evaluation regenerates bit-identically.
 //!
 //! Functional execution of work-groups runs on a std-only work pool (the
-//! [`Executor`]); the virtual-time pricing pass stays serial and consumes
-//! results in canonical work-group order, so outputs, measurements and
-//! selections are bit-identical at any worker-thread count (the two-phase
-//! launch engine in `exec.rs`).
+//! [`Executor`]), or live inside the pricing pass on a one-worker device;
+//! the virtual-time pricing pass stays serial and prices work-groups in
+//! canonical order, so outputs, measurements and selections are
+//! bit-identical at any worker-thread count (the two-phase launch engine
+//! in `exec.rs`).
 //!
 //! # Example
 //!

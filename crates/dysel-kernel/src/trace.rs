@@ -5,7 +5,7 @@
 //! descriptors. Device timing models implement [`TraceSink`] and price the
 //! descriptors as they arrive, so no trace is ever materialized — except
 //! by [`RecordingSink`], which captures a replayable [`RecordedTrace`] for
-//! the two-phase launch engine.
+//! the launch engine's run-ahead workers.
 //!
 //! ## Allocation discipline
 //!
@@ -422,11 +422,12 @@ impl<'a> TraceView<'a> {
 /// The cost trace of one or more work-groups, captured by a
 /// [`RecordingSink`].
 ///
-/// Recorded traces are what lets the parallel executor split a launch into
-/// two phases: worker threads run the kernels functionally and *record*
-/// their traces, then a single serial pass replays every trace in canonical
-/// work-group order against the stateful device cost models — so the priced
-/// timeline is bit-identical no matter how many workers executed phase one.
+/// Recorded traces are what lets the parallel executor run a launch's
+/// spans ahead of pricing: worker threads run the kernels functionally and
+/// *record* their traces, then a single serial pass replays every trace in
+/// canonical work-group order against the stateful device cost models — so
+/// the priced timeline is bit-identical to a one-worker device, which
+/// prices each group live as it runs.
 ///
 /// A trace can hold several groups back to back (one span's worth): the
 /// recorder marks group boundaries with [`RecordingSink::end_group`] and

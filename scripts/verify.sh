@@ -47,13 +47,17 @@ fi
 echo "    rejected"
 
 echo "==> determinism: --threads 1 vs --threads 4 must be bit-identical"
+# One worker prices each work-group live; four workers record span traces
+# ahead and replay them. fig11a covers the CPU model, fig11b the GPU one.
 strip_wallclock() { sed -E 's/\[[0-9.]+s\]//g; s/total: [0-9.]+s//'; }
 bin=target/release/experiments
 cargo build --release -p dysel-bench --bin experiments -q
-"$bin" --threads 1 fig11a | strip_wallclock > /tmp/dysel-verify-t1.txt
-"$bin" --threads 4 fig11a | strip_wallclock > /tmp/dysel-verify-t4.txt
-grep -q "fig11a" /tmp/dysel-verify-t1.txt  # guard against an empty run
-diff /tmp/dysel-verify-t1.txt /tmp/dysel-verify-t4.txt
+for id in fig11a fig11b; do
+    "$bin" --threads 1 "$id" | strip_wallclock > "/tmp/dysel-verify-t1-$id.txt"
+    "$bin" --threads 4 "$id" | strip_wallclock > "/tmp/dysel-verify-t4-$id.txt"
+    grep -q "$id" "/tmp/dysel-verify-t1-$id.txt"  # guard against an empty run
+    diff "/tmp/dysel-verify-t1-$id.txt" "/tmp/dysel-verify-t4-$id.txt"
+done
 echo "    identical"
 
 echo "==> trace smoke: --trace-out must write non-empty, parseable JSON"
@@ -80,7 +84,7 @@ echo "==> overhead guard: observation must not change results"
 # The observed fig11a run's output (modulo wall-clock and the two export
 # notice lines) must equal the unobserved --threads 1 run byte for byte:
 # same figures, same selection digest, same fault counters.
-diff /tmp/dysel-verify-t1.txt /tmp/dysel-verify-obs.txt
+diff /tmp/dysel-verify-t1-fig11a.txt /tmp/dysel-verify-obs.txt
 echo "    identical"
 
 echo "==> warm restart: second --state-file run must skip all profiling"
