@@ -124,17 +124,19 @@ impl Harness {
         move || new_device(target, threads, plan.clone())
     }
 
-    /// A fresh default device for `target` on the oracle side: no fault
-    /// plan, since the paper's oracle is the best pure variant on a healthy
-    /// machine, and one worker, since [`exhaustive_sweep`] already runs
-    /// `available_parallelism` of these devices at once.
+    /// A fresh default device for `target` on the oracle side: the
+    /// harness's thread count but no fault plan, since the paper's oracle
+    /// is the best pure variant on a healthy machine.
     pub fn oracle_device(&self, target: Target) -> Box<dyn Device> {
-        new_device(target, 1, None)
+        new_device(target, self.threads, None)
     }
 
-    /// The exhaustive pure-variant sweep over [`Harness::oracle_device`]s.
+    /// The exhaustive pure-variant sweep over fault-free devices like
+    /// [`Harness::oracle_device`], but with one worker each:
+    /// [`exhaustive_sweep`] already runs `available_parallelism` of them at
+    /// once.
     pub fn sweep(&self, w: &Workload, target: Target) -> SweepResult {
-        exhaustive_sweep(w, target, || self.oracle_device(target))
+        exhaustive_sweep(w, target, || new_device(target, 1, None))
     }
 
     /// Snapshot of the run's launch/fault/selection summary so far.

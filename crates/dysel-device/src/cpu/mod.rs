@@ -20,7 +20,7 @@ use crate::cycles::{lanes, path::PricingPath};
 use crate::device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
 };
-use crate::exec::{launch_batch_engine, Executor, PriceModel, Pricer};
+use crate::exec::{launch_batch_engine, Executor, Feed, PriceModel, Pricer};
 use crate::fault::FaultPlan;
 use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
@@ -446,14 +446,9 @@ struct CpuPriceModel<'a> {
 }
 
 impl PriceModel for CpuPriceModel<'_> {
-    fn price_group(
-        &mut self,
-        unit: usize,
-        _meta: &VariantMeta,
-        feed: impl FnOnce(&mut dyn TraceSink),
-    ) -> Cycles {
+    fn price_group(&mut self, unit: usize, meta: &VariantMeta, feed: Feed<'_>) -> Cycles {
         let mut sink = CpuCostSink::new(self.cfg, &mut self.caches[unit], self.path);
-        feed(&mut sink);
+        feed.emit(meta, &mut sink);
         sink.total()
     }
 }

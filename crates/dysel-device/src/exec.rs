@@ -61,8 +61,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 use dysel_kernel::{
-    span_bounds, Args, GroupCtx, Kernel, RecordedTrace, RecordingSink, TraceSink, UnitRange,
-    VariantMeta,
+    span_bounds, Args, GroupCtx, Kernel, RecordedTrace, RecordingSink, TraceSink, TraceView,
+    UnitRange, VariantMeta,
 };
 use dysel_obs::{Event, EventSink, Stage};
 
@@ -93,8 +93,7 @@ const RUN_AHEAD_PER_WORKER: usize = 2;
 /// A std-only work pool: `threads` workers executing indexed jobs pulled
 /// from a shared queue, with results reduced in index order.
 ///
-/// `threads == 0` resolves to [`std::thread::available_parallelism`];
-/// `threads == 1` runs jobs inline on the caller thread (no spawning).
+/// `threads == 0` resolves to [`std::thread::available_parallelism`].
 ///
 /// The executor also owns the launch engine's *trace arena*: each recorded
 /// span trace is returned here as soon as it is priced and handed to the
@@ -144,44 +143,34 @@ impl Executor {
         self.threads
     }
 
-    /// Whether [`Executor::ordered`] runs `n` jobs ahead of their consumer
-    /// on pool workers: only with more than one worker and more than one
-    /// job. When it does not, each job runs on the caller thread when it
-    /// is asked for, so the launch engine runs such spans live.
+    /// Whether the launch engine should run `n` span jobs ahead of their
+    /// pricing on [`Executor::ordered`]'s workers: only with more than one
+    /// worker and more than one job. Otherwise it runs each span live, on
+    /// the caller thread, when its turn comes.
     pub fn runs_ahead(&self, n: usize) -> bool {
         self.threads > 1 && n > 1
     }
 
-    /// Runs jobs `0..n` and lets `consume` take their results in job order,
-    /// as they become available — the ordered-consumption primitive the
-    /// launch engine streams recorded spans through.
+    /// Runs jobs `0..n` on `threads` pool workers and lets `consume` take
+    /// their results in job order, as they become available — the
+    /// ordered-consumption primitive the launch engine streams recorded
+    /// spans through when it runs ahead ([`Executor::runs_ahead`]).
     ///
-    /// Without run-ahead ([`Executor::runs_ahead`]) each job executes on
-    /// the caller thread when [`InOrder::next`] asks for it. Otherwise the
-    /// workers pull job indexes off a shared counter and run ahead while
-    /// the caller consumes, but start no job more than `2 x threads`
+    /// The workers pull job indexes off a shared counter and run ahead
+    /// while the caller consumes, but start no job more than `2 x threads`
     /// beyond the results already taken; results that arrive early are
-    /// parked until their turn. Either way `consume` sees job `i` before
-    /// job `i + 1`, so everything downstream is canonical. Once `consume`
-    /// returns, the workers stop at their next job; results still in
-    /// flight are dropped.
-    pub fn ordered<T, F, R>(
+    /// parked until their turn. `consume` sees job `i` before job `i + 1`,
+    /// so everything downstream is canonical. Once `consume` returns, the
+    /// workers stop at their next job; results still in flight are dropped.
+    pub fn ordered<T, R>(
         &self,
         n: usize,
-        job: F,
-        consume: impl FnOnce(&mut InOrder<'_, T, F>) -> R,
+        job: impl Fn(usize) -> T + Sync,
+        consume: impl FnOnce(&mut InOrder<'_, T>) -> R,
     ) -> R
     where
         T: Send,
-        F: Fn(usize) -> T + Sync,
     {
-        if !self.runs_ahead(n) {
-            return consume(&mut InOrder {
-                next: 0,
-                n,
-                source: Source::OnDemand(&job),
-            });
-        }
         let workers = self.threads.min(n);
         let claimed = AtomicUsize::new(0);
         let window = Window::new(RUN_AHEAD_PER_WORKER * self.threads);
@@ -214,11 +203,9 @@ impl Executor {
             consume(&mut InOrder {
                 next: 0,
                 n,
-                source: Source::Pool {
-                    rx,
-                    parked,
-                    window: &window,
-                },
+                rx,
+                parked,
+                window: &window,
             })
         })
     }
@@ -271,26 +258,17 @@ impl Window {
 }
 
 /// The job results of one [`Executor::ordered`] call, yielded in job order.
-pub struct InOrder<'a, T, F> {
+pub struct InOrder<'a, T> {
     next: usize,
     n: usize,
-    source: Source<'a, T, F>,
+    /// The workers' result channel.
+    rx: mpsc::Receiver<(usize, T)>,
+    /// Results that arrived before their turn, by job index.
+    parked: Vec<Option<T>>,
+    window: &'a Window,
 }
 
-/// Where [`InOrder`] takes each job's result from.
-enum Source<'a, T, F> {
-    /// No run-ahead: run the job on the caller thread when it is asked for.
-    OnDemand(&'a F),
-    /// Pool workers: their result channel, the results that arrived before
-    /// their turn (parked by job index), and the run-ahead window.
-    Pool {
-        rx: mpsc::Receiver<(usize, T)>,
-        parked: Vec<Option<T>>,
-        window: &'a Window,
-    },
-}
-
-impl<T, F: Fn(usize) -> T> Iterator for InOrder<'_, T, F> {
+impl<T> Iterator for InOrder<'_, T> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
@@ -299,17 +277,12 @@ impl<T, F: Fn(usize) -> T> Iterator for InOrder<'_, T, F> {
         }
         let i = self.next;
         self.next += 1;
-        match &mut self.source {
-            Source::OnDemand(job) => Some(job(i)),
-            Source::Pool { rx, parked, window } => {
-                window.advance(i);
-                while parked[i].is_none() {
-                    let (j, v) = rx.recv().expect("a pool worker panicked");
-                    parked[j] = Some(v);
-                }
-                parked[i].take()
-            }
+        self.window.advance(i);
+        while self.parked[i].is_none() {
+            let (j, v) = self.rx.recv().expect("a pool worker panicked");
+            self.parked[j] = Some(v);
         }
+        self.parked[i].take()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -318,11 +291,9 @@ impl<T, F: Fn(usize) -> T> Iterator for InOrder<'_, T, F> {
     }
 }
 
-impl<T, F> Drop for InOrder<'_, T, F> {
+impl<T> Drop for InOrder<'_, T> {
     fn drop(&mut self) {
-        if let Source::Pool { window, .. } = &self.source {
-            window.close();
-        }
+        self.window.close();
     }
 }
 
@@ -362,6 +333,35 @@ fn run_group(
     kernel.run_group(&mut ctx, args);
 }
 
+/// Where the trace of a work-group being priced comes from.
+pub(crate) enum Feed<'a> {
+    /// Run the group now against `args`; its events go straight into the
+    /// cost sink.
+    Live {
+        kernel: &'a dyn Kernel,
+        group: (u64, UnitRange),
+        args: &'a mut Args,
+    },
+    /// Replay a group a run-ahead worker recorded.
+    Replay(TraceView<'a>),
+}
+
+impl Feed<'_> {
+    /// Emits the group's trace of `meta` into `sink`. The replay is
+    /// monomorphized over the device's cost sink; a live kernel reaches
+    /// it through [`GroupCtx`]'s `&mut dyn TraceSink`.
+    pub(crate) fn emit<S: TraceSink>(self, meta: &VariantMeta, sink: &mut S) {
+        match self {
+            Feed::Live {
+                kernel,
+                group,
+                args,
+            } => run_group(kernel, meta, group, args, sink),
+            Feed::Replay(view) => view.replay(sink),
+        }
+    }
+}
+
 /// Records groups `lo..hi` of `item` against a snapshot of its pristine
 /// arguments (one run-ahead job). One recycled trace records the whole
 /// span; group boundaries mark the per-group slices for phase 2.
@@ -391,14 +391,9 @@ fn output_indices(meta: &VariantMeta, target: &Args) -> Vec<usize> {
 /// Device-specific pricing: the stateful cost model of each execution unit.
 pub(crate) trait PriceModel {
     /// The cost on `unit` of one work-group of `meta`, whose trace `feed`
-    /// emits into the sink it is handed: live from the kernel, or replayed
-    /// from a recorded span.
-    fn price_group(
-        &mut self,
-        unit: usize,
-        meta: &VariantMeta,
-        feed: impl FnOnce(&mut dyn TraceSink),
-    ) -> Cycles;
+    /// emits ([`Feed::emit`]) into the unit's cost sink: live from the
+    /// kernel, or replayed from a recorded span.
+    fn price_group(&mut self, unit: usize, meta: &VariantMeta, feed: Feed<'_>) -> Cycles;
 }
 
 /// The device state phase 2 prices a batch against, in issue order.
@@ -453,7 +448,7 @@ impl Tally {
         p: &mut Pricer<'_, M>,
         meta: &VariantMeta,
         budget: Option<Cycles>,
-        feed: impl FnOnce(&mut dyn TraceSink),
+        feed: Feed<'_>,
     ) -> bool {
         let unit = p.pool.earliest_unit();
         let cost = p.exec_noise.perturb(p.model.price_group(unit, meta, feed)) * self.slow;
@@ -633,15 +628,18 @@ pub(crate) fn launch_batch_engine<M: PriceModel>(
                             let item = &items[item];
                             let mut args = item.pristine.clone();
                             for &group in &item.groups[lo..hi] {
-                                tally.place(&mut p, e.meta, None, |sink| {
-                                    run_group(item.kernel, e.meta, group, &mut args, sink)
-                                });
+                                let feed = Feed::Live {
+                                    kernel: item.kernel,
+                                    group,
+                                    args: &mut args,
+                                };
+                                tally.place(&mut p, e.meta, None, feed);
                             }
                             args
                         } else {
                             let span = spans.next().expect("one result per span job");
                             for view in span.trace.groups() {
-                                tally.place(&mut p, e.meta, None, |sink| view.replay(sink));
+                                tally.place(&mut p, e.meta, None, Feed::Replay(view));
                             }
                             exec.recycle_trace(span.trace);
                             span.args
@@ -757,9 +755,12 @@ fn run_budgeted_entry<M: PriceModel>(
     let mut work = pristine.clone();
     let mut tally = Tally::new(p.gate(e), slow);
     for group in e.units.groups(u64::from(e.meta.wa_factor)) {
-        let placed = tally.place(p, e.meta, budget, |sink| {
-            run_group(e.kernel, e.meta, group, &mut work, sink)
-        });
+        let feed = Feed::Live {
+            kernel: e.kernel,
+            group,
+            args: &mut work,
+        };
+        let placed = tally.place(p, e.meta, budget, feed);
         if !placed {
             // Committing this group would blow the budget: preempt before
             // it occupies a unit or any write becomes visible. The snapshot
@@ -864,28 +865,6 @@ mod tests {
             );
             assert_eq!(got, (0..n).collect::<Vec<_>>(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn ordered_with_one_worker_runs_each_job_on_demand() {
-        // Job i must not start before result i - 1 was consumed: without
-        // run-ahead the launch engine runs each span live when its turn
-        // comes.
-        let log = Mutex::new(Vec::new());
-        Executor::new(1).ordered(
-            4,
-            |i| log.lock().unwrap().push(format!("run {i}")),
-            |results| {
-                for (i, ()) in results.enumerate() {
-                    log.lock().unwrap().push(format!("use {i}"));
-                }
-            },
-        );
-        let log = log.into_inner().unwrap();
-        assert_eq!(
-            log,
-            ["run 0", "use 0", "run 1", "use 1", "run 2", "use 2", "run 3", "use 3"]
-        );
     }
 
     #[test]

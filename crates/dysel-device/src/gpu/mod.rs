@@ -12,7 +12,7 @@ pub use cost::{coalesced_segments, gather_segments, smem_conflict_degree};
 
 use std::sync::Arc;
 
-use dysel_kernel::{Args, TraceSink, VariantMeta};
+use dysel_kernel::{Args, VariantMeta};
 
 use crate::cycles::path::PricingPath;
 use dysel_obs::EventSink;
@@ -21,7 +21,7 @@ use crate::cpu::{CacheConfig, SetAssocCache};
 use crate::device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
 };
-use crate::exec::{launch_batch_engine, Executor, PriceModel, Pricer};
+use crate::exec::{launch_batch_engine, Executor, Feed, PriceModel, Pricer};
 use crate::fault::FaultPlan;
 use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
@@ -300,12 +300,7 @@ struct GpuPriceModel<'a> {
 }
 
 impl PriceModel for GpuPriceModel<'_> {
-    fn price_group(
-        &mut self,
-        sm: usize,
-        meta: &VariantMeta,
-        feed: impl FnOnce(&mut dyn TraceSink),
-    ) -> Cycles {
+    fn price_group(&mut self, sm: usize, meta: &VariantMeta, feed: Feed<'_>) -> Cycles {
         let occ = self
             .cfg
             .occupancy(meta.group_size, meta.ir.scratchpad_bytes);
@@ -316,7 +311,7 @@ impl PriceModel for GpuPriceModel<'_> {
             self.path,
             &mut self.scratch,
         );
-        feed(&mut sink);
+        feed.emit(meta, &mut sink);
         sink.total(lat_factor)
     }
 }
