@@ -32,7 +32,8 @@ pub struct Harness {
     /// Fault plan installed on every [`Harness::device`] (`--fault-plan`),
     /// never on an [`Harness::oracle_device`]. Each device gets its own
     /// clone with zeroed launch counters, so runs stay independent and
-    /// reproducible.
+    /// reproducible. A plan also turns on output validation in
+    /// [`run_dysel`](Harness::run_dysel).
     pub fault_plan: Option<FaultPlan>,
     /// Selection-state file (`--state-file`): every
     /// [`run_dysel`](Harness::run_dysel) runtime warm-starts from it and
@@ -154,6 +155,9 @@ impl Harness {
     }
 
     /// Runs one DySel launch on a fresh device, verifying the output.
+    /// Under a fault plan the runtime validates profiled outputs, so
+    /// outputs a `wrong` or `poison` rule corrupts are caught and
+    /// repaired before the verify.
     ///
     /// # Errors
     ///
@@ -172,6 +176,7 @@ impl Harness {
                 prune: self.prune,
                 predict: self.predict,
                 predict_model: self.predict_model.clone(),
+                validate_outputs: self.fault_plan.is_some(),
                 ..RuntimeConfig::default()
             },
         );
@@ -613,5 +618,36 @@ mod tests {
         assert!((case.rel_variant(&best_name) - 1.0).abs() < 1e-9);
         // DySel lands near the oracle (well under the worst variant).
         assert!(case.rel(case.dysel.sync) < case.sweep.spread());
+    }
+
+    /// A plan that corrupts a profiled variant's output must be caught
+    /// and repaired by the runtime, not surface as a wrong case output.
+    #[test]
+    fn corrupting_plans_are_caught_and_repaired() {
+        let w = suite::spmv_csr_random();
+        for spec in [
+            "seed=1;scalar-dfo@0+1=wrong",
+            "seed=1;scalar-dfo@0+1=poison",
+        ] {
+            let h = Harness {
+                threads: 1,
+                fault_plan: Some(spec.parse().unwrap()),
+                ..Harness::default()
+            };
+            let opts = LaunchOptions::new().with_orchestration(Orchestration::Sync);
+            let report = h
+                .run_dysel(&w, Target::Cpu, &opts)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert!(
+                report.faults.validation_failures > 0,
+                "{spec}: nothing caught"
+            );
+            let summary = h.summary();
+            assert!(summary.repaired_slices > 0, "{spec}: nothing repaired");
+            assert_eq!(
+                summary.validation_failures,
+                report.faults.validation_failures
+            );
+        }
     }
 }

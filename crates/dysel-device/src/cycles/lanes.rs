@@ -6,80 +6,84 @@
 //! exact drop-in for a scalar reduction in the device cost models: it must
 //! return the *same integer* the scalar code computes (the batched-pricing
 //! determinism contract, DESIGN.md §4.15), it is just allowed to get there
-//! without allocating or sorting when the structure of the address set
-//! permits.
+//! without dividing, allocating or sorting when the structure of the
+//! address set permits.
 
 /// Fixed chunk width for lane-parallel loops (eight 64-bit lanes = one
 /// 512-bit vector, two 256-bit ops, or four 128-bit ops — all common).
 pub const LANES: usize = 8;
 
-/// Computes both memory-segment bounds `a / seg` and `(a + elem - 1) / seg`
-/// for every address, appending them to `out` (cleared first). Chunked
-/// counterpart of the `flat_map` in the scalar `gather_segments`; the
-/// caller still sorts/counts, but reuses `out` across calls so the hot
-/// path performs no allocation once warm.
-pub fn seg_bounds_u64(addrs: &[u64], elem: u32, seg: u64, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(addrs.len() * 2);
-    let e = u64::from(elem);
-    let mut chunks = addrs.chunks_exact(LANES);
-    for c in &mut chunks {
-        let mut first = [0u64; LANES];
-        let mut last = [0u64; LANES];
-        for i in 0..LANES {
-            first[i] = c[i] / seg;
-            last[i] = (c[i] + e - 1) / seg;
+/// Number of distinct `1 << shift`-byte segments touched by `elem`-byte
+/// accesses at `addrs`: exactly the scalar `gather_segments` count (with
+/// its wrapping `a + elem - 1` in release builds), computed with shifts
+/// instead of divisions and without sorting.
+///
+/// Each access contributes its `first` and `last` bound. While those
+/// bounds arrive non-decreasing (lane by lane, `first` then `last`), one
+/// pass counts the runs of equal ids and touches no memory. At the first
+/// descent the count restarts over all lanes with an open-addressing set
+/// laid out in `scratch` (`u64::MAX` marks an empty slot; a real
+/// `u64::MAX` id is tracked beside the table).
+pub fn gather_distinct_segments(
+    addrs: &[u64],
+    elem: u32,
+    shift: u32,
+    scratch: &mut Vec<u64>,
+) -> u32 {
+    let span = u64::from(elem).wrapping_sub(1);
+    let bounds = |a: u64| (a >> shift, a.wrapping_add(span) >> shift);
+    let Some(&a0) = addrs.first() else {
+        return 0;
+    };
+    let mut prev = a0 >> shift;
+    let mut count = 1u32;
+    let mut ordered = true;
+    for &a in addrs {
+        let (first, last) = bounds(a);
+        if first < prev || last < first {
+            ordered = false;
+            break;
         }
-        for i in 0..LANES {
-            out.push(first[i]);
-            out.push(last[i]);
+        count += u32::from(first != prev) + u32::from(last != first);
+        prev = last;
+    }
+    if ordered {
+        return count;
+    }
+    // Load factor at most 1/2: 2 bounds per lane into 4 slots per lane.
+    let slots = (4 * addrs.len()).next_power_of_two();
+    let hash_shift = 64 - slots.trailing_zeros();
+    scratch.clear();
+    scratch.resize(slots, u64::MAX);
+    let mut count = 0u32;
+    let mut saw_max = false;
+    let mut insert = |id: u64| {
+        if id == u64::MAX {
+            saw_max = true;
+            return;
         }
-    }
-    for &a in chunks.remainder() {
-        out.push(a / seg);
-        out.push((a + e - 1) / seg);
-    }
-}
-
-/// Sorts `vals` and returns the number of distinct values. Equivalent to
-/// `sort_unstable(); dedup(); len()` without the dedup compaction pass.
-pub fn distinct_sorted_u64(vals: &mut [u64]) -> u32 {
-    vals.sort_unstable();
-    count_runs(vals).expect("sorted input has no descent")
-}
-
-/// Number of runs of equal values in a non-decreasing `vals` (its
-/// distinct count), or `None` at the first descent.
-fn count_runs(vals: &[u64]) -> Option<u32> {
-    let mut n = 0u32;
-    let mut last = None;
-    for &v in vals {
-        match last {
-            Some(p) if v == p => {}
-            Some(p) if v < p => return None,
-            _ => {
-                n += 1;
-                last = Some(v);
+        // Fibonacci hashing: the high bits of the product index the table.
+        let mut i = (id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> hash_shift) as usize;
+        loop {
+            match scratch[i] {
+                u64::MAX => {
+                    scratch[i] = id;
+                    count += 1;
+                    return;
+                }
+                v if v == id => return,
+                _ => i = (i + 1) & (slots - 1),
             }
         }
+    };
+    for &a in addrs {
+        let (first, last) = bounds(a);
+        insert(first);
+        if last != first {
+            insert(last);
+        }
     }
-    Some(n)
-}
-
-/// Number of distinct `seg`-byte segments touched by `elem`-byte accesses
-/// at `addrs`: exactly the scalar `gather_segments` count, with `scratch`
-/// reused for the segment ids. When no access straddles a segment
-/// boundary only the `a / seg` bound is pushed (the other is equal), and
-/// ids that already arrive non-decreasing are counted without a sort.
-pub fn gather_distinct_segments(addrs: &[u64], elem: u32, seg: u64, scratch: &mut Vec<u64>) -> u32 {
-    let e = u64::from(elem);
-    if e > 0 && addrs.iter().all(|&a| a % seg + e <= seg) {
-        scratch.clear();
-        scratch.extend(addrs.iter().map(|&a| a / seg));
-    } else {
-        seg_bounds_u64(addrs, elem, seg, scratch);
-    }
-    count_runs(scratch).unwrap_or_else(|| distinct_sorted_u64(scratch))
+    count + u32::from(saw_max)
 }
 
 /// Number of distinct values in the multiset
@@ -232,26 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn seg_bounds_match_flat_map() {
-        let addrs: Vec<u64> = (0..37)
-            .map(|i| 1_000_003u64.wrapping_mul(i) % 65536)
-            .collect();
-        let mut out = Vec::new();
-        seg_bounds_u64(&addrs, 4, 128, &mut out);
-        let mut expect: Vec<u64> = addrs
-            .iter()
-            .flat_map(|&a| [a / 128, (a + 3) / 128])
-            .collect();
-        let mut got = out.clone();
-        got.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-        // Reuse keeps capacity and clears old contents.
-        seg_bounds_u64(&addrs[..3], 4, 128, &mut out);
-        assert_eq!(out.len(), 6);
-    }
-
-    #[test]
     fn gather_helper_matches_reference() {
         let aligned: Vec<u64> = (0..32).map(|l| l * 4).collect();
         let unaligned: Vec<u64> = (0..32).map(|l| 126 + l * 12).collect();
@@ -279,26 +263,59 @@ mod tests {
             for elem in [4u32, 8] {
                 for seg in [32u32, 128] {
                     assert_eq!(
-                        gather_distinct_segments(addrs, elem, u64::from(seg), &mut scratch),
+                        gather_distinct_segments(addrs, elem, seg.trailing_zeros(), &mut scratch),
                         gather_segments(addrs, elem, seg),
                         "addrs={addrs:?} elem={elem} seg={seg}"
                     );
                 }
             }
         }
-        assert_eq!(gather_distinct_segments(&[], 4, 128, &mut scratch), 0);
+        assert_eq!(gather_distinct_segments(&[], 4, 7, &mut scratch), 0);
         // A zero-width access's `last` bound is the byte before it.
         assert_eq!(
-            gather_distinct_segments(&edge, 0, 128, &mut scratch),
+            gather_distinct_segments(&edge, 0, 7, &mut scratch),
             gather_segments(&edge, 0, 128)
         );
+        // One-byte segments count distinct addresses (constant-space words),
+        // including an id equal to the table's empty marker.
+        let words = [u64::MAX, 3, u64::MAX, 3, 0, 9];
+        assert_eq!(gather_distinct_segments(&words, 1, 0, &mut scratch), 4);
+        assert_eq!(gather_distinct_segments(&[u64::MAX], 1, 0, &mut scratch), 1);
     }
 
     #[test]
-    fn distinct_sorted_counts_like_dedup() {
-        let mut v = vec![5u64, 1, 5, 3, 3, 3, 9];
-        assert_eq!(distinct_sorted_u64(&mut v), 4);
-        let mut empty: Vec<u64> = vec![];
-        assert_eq!(distinct_sorted_u64(&mut empty), 0);
+    fn gather_random_differential() {
+        let mut rng = XorShiftRng::seed_from_u64(0x6a7e_5e95);
+        let mut scratch = Vec::new();
+        let mut addrs = Vec::new();
+        for case in 0..3000 {
+            let seg = [1u32, 32, 128][rng.gen_range_usize(0, 3)];
+            let elem = [0u32, 4, 8][rng.gen_range_usize(0, 3)];
+            let n = rng.gen_range_usize(0, 513);
+            // Narrow ranges make duplicates and shared segments common;
+            // wide ones scatter. Addresses start at 1 so the reference's
+            // zero-width `a - 1` bound cannot underflow.
+            let range = [64u64, 1 << 10, 1 << 16, 1 << 40][rng.gen_range_usize(0, 4)];
+            // Element-aligned or byte-granular, so accesses may straddle.
+            let align = [1u64, 4][rng.gen_range_usize(0, 2)];
+            addrs.clear();
+            addrs.extend((0..n).map(|_| 1 + rng.gen_range_u64(0, range) * align));
+            match case % 4 {
+                0 => addrs.sort_unstable(),
+                1 => addrs.sort_unstable_by(|a, b| b.cmp(a)),
+                2 => {
+                    // Duplicate-heavy: every lane reuses an earlier address.
+                    for i in 1..n {
+                        addrs[i] = addrs[rng.gen_range_usize(0, i)];
+                    }
+                }
+                _ => {} // shuffled
+            }
+            assert_eq!(
+                gather_distinct_segments(&addrs, elem, seg.trailing_zeros(), &mut scratch),
+                gather_segments(&addrs, elem, seg),
+                "case={case} n={n} elem={elem} seg={seg} range={range} align={align}"
+            );
+        }
     }
 }

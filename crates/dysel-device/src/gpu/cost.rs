@@ -91,8 +91,9 @@ pub(super) struct GpuCostSink<'a> {
     /// Use the chunked fast path for integer-count trace reductions. Both
     /// paths must produce identical counts (DESIGN.md §4.15).
     batched: bool,
-    /// Launch-lifetime segment-id buffer lent by the price model, so the
-    /// batched path sorts in place instead of allocating per gather.
+    /// Launch-lifetime buffer lent by the price model: the batched path's
+    /// distinct-id set for unordered gathers, so it never allocates per
+    /// gather.
     scratch: &'a mut Vec<u64>,
     mem_cycles: f64,
     compute_cycles: f64,
@@ -146,7 +147,6 @@ impl<'a> GpuCostSink<'a> {
     fn price_texture(&mut self, addrs: impl IntoIterator<Item = u64>) {
         // Texture path: per 32-byte texture line, hit in the per-SM cache
         // or pay a global segment fetch.
-        let line = u64::from(self.tex.config().line);
         let mut hits = 0u32;
         let mut misses = 0u32;
         if self.batched {
@@ -156,7 +156,7 @@ impl<'a> GpuCostSink<'a> {
             // hit/miss counts — is identical to the reference form.
             let mut prev = None;
             for a in addrs {
-                let l = a / line;
+                let l = self.tex.line_of(a);
                 if prev == Some(l) {
                     continue;
                 }
@@ -170,6 +170,7 @@ impl<'a> GpuCostSink<'a> {
         } else {
             // Reference form: materialize line ids, drop consecutive
             // duplicates, then probe the cache.
+            let line = u64::from(self.tex.config().line);
             let mut lines: Vec<u64> = addrs.into_iter().map(|a| a / line).collect();
             lines.dedup();
             for l in lines {
@@ -200,7 +201,7 @@ impl<'a> GpuCostSink<'a> {
                     lanes::gather_distinct_segments(
                         addrs,
                         elem,
-                        u64::from(self.cfg.segment_bytes),
+                        self.cfg.segment_bytes.trailing_zeros(),
                         self.scratch,
                     )
                 } else {
@@ -213,9 +214,8 @@ impl<'a> GpuCostSink<'a> {
             }
             Space::Constant => {
                 let distinct = if self.batched {
-                    self.scratch.clear();
-                    self.scratch.extend_from_slice(addrs);
-                    lanes::distinct_sorted_u64(self.scratch)
+                    // One-byte segments of one-byte accesses: distinct words.
+                    lanes::gather_distinct_segments(addrs, 1, 0, self.scratch)
                 } else {
                     let mut d = addrs.to_vec();
                     d.sort_unstable();

@@ -81,7 +81,7 @@ pub struct GpuConfig {
     pub smem_per_sm: u32,
     /// Issue cycles per warp instruction.
     pub issue_cycles: f64,
-    /// Coalescing segment size in bytes.
+    /// Coalescing segment size in bytes (a power of two).
     pub segment_bytes: u32,
     /// Throughput cost per global-memory segment per warp access.
     pub gmem_segment_cycles: f64,
@@ -259,7 +259,15 @@ pub struct GpuDevice {
 
 impl GpuDevice {
     /// Builds a GPU device from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.segment_bytes` is not a power of two.
     pub fn new(cfg: GpuConfig) -> Self {
+        assert!(
+            cfg.segment_bytes.is_power_of_two(),
+            "segment size must be a power of 2"
+        );
         let tex_caches = (0..cfg.sms)
             .map(|_| SetAssocCache::new(cfg.tex_cache))
             .collect();
@@ -294,7 +302,7 @@ struct GpuPriceModel<'a> {
     tex_caches: &'a mut [SetAssocCache],
     /// Scalar reference vs batched fast path, pinned for the launch.
     path: PricingPath,
-    /// Segment-id scratch lent to the cost sinks (lives for the launch, so
+    /// Distinct-id scratch lent to the cost sinks (lives for the launch, so
     /// the batched path allocates at most once per launch batch).
     scratch: Vec<u64>,
 }
@@ -554,6 +562,15 @@ mod tests {
         assert!(k.tex_cache.capacity > f.tex_cache.capacity);
         assert!(f.global_loads_cached && !k.global_loads_cached);
         assert!(m.global_loads_cached);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment size must be a power of 2")]
+    fn non_power_of_two_segment_is_rejected() {
+        GpuDevice::new(GpuConfig {
+            segment_bytes: 96,
+            ..GpuConfig::kepler_k20c()
+        });
     }
 
     #[test]

@@ -46,6 +46,16 @@ if target/release/experiments --fault-plan "bogus spec" --list >/dev/null 2>&1; 
 fi
 echo "    rejected"
 
+echo "==> fault-plan runs: a faulted fig11a must exit 0, wrong outputs repaired"
+for kind in error wrong; do
+    target/release/experiments --threads 1 --fault-plan "seed=1;scalar-dfo@0+1=$kind" fig11a \
+        | grep "^run summary" > "/tmp/dysel-verify-fault-$kind.txt"
+done
+wrong=$(grep -o "wrong-output=[0-9]*" /tmp/dysel-verify-fault-wrong.txt | cut -d= -f2)
+repaired=$(grep -o "repaired=[0-9]*" /tmp/dysel-verify-fault-wrong.txt | cut -d= -f2)
+test -n "$wrong" && test "$wrong" -gt 0 && test "$wrong" = "$repaired"
+echo "    both exited 0, wrong-output=$wrong repaired=$repaired"
+
 echo "==> determinism: --threads 1 vs --threads 4 must be bit-identical"
 # One worker prices each work-group live; four workers record span traces
 # ahead and replay them. fig11a covers the CPU model, fig11b the GPU one.
