@@ -289,15 +289,19 @@ pub struct RuntimeConfig {
     pub predict_model: Option<std::sync::Arc<dysel_predict::Model>>,
     /// When `true`, the runtime re-addresses every launch's buffers — and
     /// allocates sandbox copies — from its own private
-    /// [`dysel_kernel::AddrSpace`] instead of the process-global virtual
-    /// allocator. The device cache models hash buffer addresses into
-    /// lines and sets, so with the global allocator a runtime's virtual
-    /// timeline is (weakly) sensitive to unrelated concurrent
-    /// allocations; with private addresses it is a pure function of the
-    /// runtime's own launch history. A [`crate::LaunchService`] lane sets
-    /// this so every stream replays bit-identically to a serial run at
-    /// any client count. Off by default: a single-runtime process keeps
-    /// the allocator behaviour (and timings) it always had.
+    /// [`dysel_kernel::AddrSpace`] instead of the calling thread's
+    /// virtual-address region. The device cache models hash buffer
+    /// addresses into lines and sets. Each thread allocates from its own
+    /// region, so other threads' concurrent allocations never move a
+    /// runtime's timeline; but without private addresses that timeline
+    /// still depends on everything the launching thread (and the thread
+    /// that built the arguments) allocated before. With private
+    /// addresses it is a pure function of the runtime's own launch
+    /// history. A [`crate::LaunchService`] lane sets this so every stream
+    /// replays bit-identically to a serial run at any client count, since
+    /// client threads build the arguments and a shard worker runs many
+    /// lanes. Off by default: a single-runtime process keeps the
+    /// allocator behaviour (and timings) it always had.
     pub private_addrs: bool,
 }
 

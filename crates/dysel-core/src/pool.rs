@@ -140,7 +140,7 @@ impl SandboxPool {
     }
 
     /// Re-addresses `args` from the private address space; a no-op when
-    /// the pool allocates from the process-global allocator.
+    /// the pool allocates from the calling thread's address region.
     pub(crate) fn rebase(&mut self, args: &mut Args) {
         if let Some(space) = &mut self.addrs {
             args.rebase_in(space);

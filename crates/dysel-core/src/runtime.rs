@@ -496,8 +496,8 @@ impl Runtime {
     ) -> Result<LaunchReport, DyselError> {
         // Private-address mode: re-address the incoming buffers from this
         // runtime's own address space before anything observes them, so
-        // the priced timeline is independent of where concurrent threads
-        // happened to push the global allocator (see
+        // the priced timeline is independent of which thread allocated
+        // them and what else that thread allocated (see
         // [`RuntimeConfig::private_addrs`]).
         self.sandboxes.rebase(args);
         let variants = self.pool.variants(signature)?;

@@ -16,8 +16,9 @@
 //!   *lane*: a private [`Runtime`] on a private device (from the service's
 //!   device factory) with a private event sink and a private virtual
 //!   address space ([`crate::RuntimeConfig::private_addrs`] — the device
-//!   cache models price buffer addresses, so lanes must not share the
-//!   process-global allocator). Virtual clocks, fault-plan counters,
+//!   cache models price buffer addresses, and a shard worker thread's
+//!   address region is shared by every lane it runs while client
+//!   threads build the arguments). Virtual clocks, fault-plan counters,
 //!   event sequence numbers and buffer addresses are therefore never
 //!   shared across streams — each stream's reports, selection digest and
 //!   exported trace bytes are bit-identical to the same submissions
@@ -1445,8 +1446,9 @@ fn new_lane(inner: &Inner, key: &StreamKey, sink: Option<Arc<EventSink>>) -> Lan
     config.state_path = None;
     config.observe = sink;
     // Lane determinism: buffer addresses must be a pure function of this
-    // stream's own launch history, not of which other lanes allocated
-    // concurrently (the device cache models price addresses).
+    // stream's own launch history, not of which client thread built the
+    // arguments or which other lanes share the shard worker (the device
+    // cache models price addresses).
     config.private_addrs = true;
     let mut runtime = Runtime::with_store((inner.factory)(), config, inner.cache.clone());
     if let Ok(variants) = lock(&inner.registry).variants(&key.signature) {

@@ -1,5 +1,7 @@
 //! Set-associative cache simulation for the CPU model.
 
+use dysel_kernel::ADDR_REGION_BITS;
+
 /// Configuration of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -65,13 +67,27 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// If the line size is not a power of two, or if the set index reads
+    /// an address bit at or above [`ADDR_REGION_BITS`]: then a buffer's
+    /// hit pattern would depend on which thread's address region holds
+    /// it, not only on its offset there.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line.is_power_of_two(), "line size must be a power of 2");
         let sets = cfg.sets();
+        let set_mask = sets - 1;
+        let line_shift = cfg.line.trailing_zeros();
+        let index_bits = u64::BITS - set_mask.leading_zeros() + line_shift;
+        assert!(
+            index_bits <= ADDR_REGION_BITS,
+            "set index reads {index_bits} address bits, more than an address region's {ADDR_REGION_BITS}"
+        );
         SetAssocCache {
             cfg,
-            line_shift: cfg.line.trailing_zeros(),
-            set_mask: sets - 1,
+            line_shift,
+            set_mask,
             tags: vec![0; (sets * u64::from(cfg.ways)) as usize],
             hits: 0,
             misses: 0,
@@ -296,6 +312,17 @@ mod tests {
         c.access(128); // C miss, evicts B
         assert!(c.access(0)); // A still resident
         assert!(!c.access(64)); // B gone
+    }
+
+    #[test]
+    #[should_panic(expected = "set index reads 41 address bits")]
+    fn set_index_above_the_address_region_is_refused() {
+        // 2 GiB lines x 1024 sets: the index reads address bits 31..41.
+        SetAssocCache::new(CacheConfig {
+            capacity: 1 << 41,
+            ways: 1,
+            line: 1 << 31,
+        });
     }
 
     #[test]

@@ -12,7 +12,7 @@ pub use cost::{coalesced_segments, gather_segments, smem_conflict_degree};
 
 use std::sync::Arc;
 
-use dysel_kernel::{Args, VariantMeta};
+use dysel_kernel::{Args, VariantMeta, ADDR_REGION_BYTES};
 
 use crate::cycles::path::PricingPath;
 use dysel_obs::EventSink;
@@ -262,11 +262,18 @@ impl GpuDevice {
     ///
     /// # Panics
     ///
-    /// If `cfg.segment_bytes` is not a power of two.
+    /// If `cfg.segment_bytes` is not a power of two, or exceeds one
+    /// thread's address region (segment bounds would then depend on which
+    /// region holds a buffer, not only on its offset there). The texture
+    /// caches check their own set index in [`SetAssocCache::new`].
     pub fn new(cfg: GpuConfig) -> Self {
         assert!(
             cfg.segment_bytes.is_power_of_two(),
             "segment size must be a power of 2"
+        );
+        assert!(
+            u64::from(cfg.segment_bytes) <= ADDR_REGION_BYTES,
+            "segment size exceeds an address region"
         );
         let tex_caches = (0..cfg.sms)
             .map(|_| SetAssocCache::new(cfg.tex_cache))

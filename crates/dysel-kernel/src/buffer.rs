@@ -7,6 +7,7 @@
 //! every input buffer with the original and only the written output buffers
 //! are actually duplicated.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,8 +16,35 @@ use crate::dirty::DirtyRanges;
 use crate::fnv::{fnv1a, fnv1a_step, FNV_OFFSET};
 use crate::{KernelError, Space};
 
-/// Virtual-address bump allocator. Buffers never share cache lines.
-static NEXT_ADDR: AtomicU64 = AtomicU64::new(0x1000);
+/// `log2` of the span of one thread's virtual-address region (1 TiB).
+///
+/// Every address the device models read for set indices or segment
+/// bounds lies below this bit, so moving a buffer to another region
+/// never changes its priced cost; `SetAssocCache::new` and
+/// `GpuDevice::new` assert that of their geometry.
+pub const ADDR_REGION_BITS: u32 = 40;
+
+/// Bytes in one thread's virtual-address region.
+pub const ADDR_REGION_BYTES: u64 = 1 << ADDR_REGION_BITS;
+
+/// Offset of the first buffer in every region (and in every
+/// [`AddrSpace`]).
+const REGION_FIRST: u64 = 0x1000;
+
+/// Regions there are: every address stays below 2^63, because the pricing
+/// models do signed lane-address arithmetic on it.
+const MAX_REGIONS: u64 = 1 << (63 - ADDR_REGION_BITS);
+
+/// Index of the next unclaimed region. Only region indices are shared
+/// between threads; addresses within a region are handed out by its
+/// owning thread alone.
+static NEXT_REGION: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's bump cursor: (next address, end of its region).
+    /// `(0, 0)` until the thread first allocates.
+    static CURSOR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
 
 // 256-byte alignment mirrors typical device allocator granularity and
 // keeps distinct buffers in distinct 128-byte coalescing segments.
@@ -24,32 +52,73 @@ fn aligned_size(bytes: u64) -> u64 {
     bytes.div_ceil(256).max(1) * 256
 }
 
+/// Virtual-address bump allocator with one region per thread. Buffers
+/// never share cache lines.
+///
+/// The device cache models hash buffer addresses into lines and sets, so
+/// a launch's priced cost depends on where its buffers sit. Each thread
+/// bumps a cursor inside a region of [`ADDR_REGION_BYTES`] it owns; the
+/// first thread to allocate gets region 0, starting at `0x1000`, so a
+/// single-threaded process sees the addresses one global counter would
+/// give it. An address's offset within its region is therefore a
+/// function of the calling thread's own allocation history alone: other
+/// threads allocating at the same time cannot shift a runtime's timeline.
+///
+/// # Panics
+///
+/// Neither exhaustion case aliases. A thread whose region cannot fit the
+/// next buffer moves on to a fresh region (its offsets restart at
+/// `0x1000`, still a function of its own history). A single buffer
+/// larger than a region, or a claim past the last region, panics — the
+/// region index never wraps.
 fn alloc_addr(bytes: u64) -> u64 {
-    NEXT_ADDR.fetch_add(aligned_size(bytes), Ordering::Relaxed)
+    let size = aligned_size(bytes);
+    CURSOR.with(|cursor| {
+        let (mut next, mut end) = cursor.get();
+        if size > end - next {
+            (next, end) = claim_region(size);
+        }
+        cursor.set((next + size, end));
+        next
+    })
 }
 
-/// A private virtual-address space: the same bump allocation the global
-/// allocator performs, but owned by one caller instead of the process.
+/// Claims the next unused region for the calling thread; returns its
+/// (first address, end).
+fn claim_region(size: u64) -> (u64, u64) {
+    assert!(
+        size <= ADDR_REGION_BYTES - REGION_FIRST,
+        "a {size}-byte buffer does not fit one {ADDR_REGION_BYTES}-byte address region"
+    );
+    let region = NEXT_REGION.fetch_add(1, Ordering::Relaxed);
+    assert!(
+        region < MAX_REGIONS,
+        "virtual address space exhausted: all {MAX_REGIONS} regions claimed"
+    );
+    let start = region << ADDR_REGION_BITS;
+    (start + REGION_FIRST, start + ADDR_REGION_BYTES)
+}
+
+/// A private virtual-address space: the same bump allocation a thread's
+/// region performs, but owned by one caller instead of a thread.
 ///
-/// The device cache models hash buffer base addresses into lines and
-/// sets, so a launch's priced cost depends on where its buffers sit.
-/// With the process-global allocator, those addresses are a function of
-/// every allocation any thread has performed so far — harmless for a
-/// single-threaded run, but it makes one runtime's virtual timeline
-/// sensitive to unrelated concurrent allocations. Re-addressing a
-/// launch's buffers from a private `AddrSpace` (see
-/// [`Args::rebase_in`]) makes the timeline a pure function of that
-/// space's own allocation history, which is what lets a shared launch
-/// service replay bit-identically to a serial run.
+/// The per-thread regions already keep other threads' allocations out
+/// of a runtime's timeline, but that timeline still depends on
+/// everything its own thread allocated before. Re-addressing a launch's
+/// buffers from a private `AddrSpace` (see [`Args::rebase_in`]) makes it
+/// a pure function of that space's own allocation history, which is what
+/// lets a shared launch service replay bit-identically to a serial run
+/// whichever client thread built the arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddrSpace {
     next: u64,
 }
 
 impl AddrSpace {
-    /// A fresh address space, starting where the global allocator starts.
+    /// A fresh address space, starting at the offset every thread's
+    /// region starts at.
     pub fn new() -> Self {
-        AddrSpace { next: 0x1000 }
+        AddrSpace { next: REGION_FIRST }
     }
 
     /// Allocates `bytes` (256-byte aligned) and returns the base address.
@@ -273,7 +342,7 @@ impl Buffer {
     }
 
     /// [`Buffer::sandbox_clone`], allocating from a private [`AddrSpace`]
-    /// instead of the process-global allocator.
+    /// instead of the calling thread's region.
     pub fn sandbox_clone_in(&self, space: &mut AddrSpace) -> Buffer {
         let mut b = self.clone();
         b.addr = space.alloc(b.size_bytes());
@@ -1002,7 +1071,7 @@ impl Args {
     }
 
     /// [`Args::sandbox_view`], drawing the sandbox copies' addresses from
-    /// a private [`AddrSpace`] instead of the process-global allocator.
+    /// a private [`AddrSpace`] instead of the calling thread's region.
     ///
     /// # Errors
     ///
@@ -1196,6 +1265,38 @@ mod tests {
         let b = Buffer::f32("b", vec![0.0; 100], Space::Global);
         assert_ne!(a.addr(), b.addr());
         assert_eq!(a.addr() % 256, 0);
+    }
+
+    #[test]
+    fn fresh_threads_get_distinct_regions_at_equal_offsets() {
+        let first_addr = || {
+            std::thread::spawn(|| Buffer::f32("a", vec![0.0; 100], Space::Global).addr())
+                .join()
+                .unwrap()
+        };
+        let (a, b) = (first_addr(), first_addr());
+        assert_ne!(a, b);
+        assert_eq!(a % ADDR_REGION_BYTES, REGION_FIRST);
+        assert_eq!(b % ADDR_REGION_BYTES, REGION_FIRST);
+    }
+
+    #[test]
+    fn a_full_region_moves_on_to_a_fresh_one() {
+        std::thread::spawn(|| {
+            let half = ADDR_REGION_BYTES / 2;
+            let a = alloc_addr(half);
+            let b = alloc_addr(half);
+            assert_ne!(a / ADDR_REGION_BYTES, b / ADDR_REGION_BYTES);
+            assert_eq!(b % ADDR_REGION_BYTES, REGION_FIRST);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit one")]
+    fn a_buffer_larger_than_a_region_is_refused() {
+        alloc_addr(ADDR_REGION_BYTES);
     }
 
     #[test]

@@ -71,7 +71,9 @@ mod rng;
 mod space;
 mod trace;
 
-pub use buffer::{AddrSpace, Args, Buffer, BufferData, ElemType};
+pub use buffer::{
+    AddrSpace, Args, Buffer, BufferData, ElemType, ADDR_REGION_BITS, ADDR_REGION_BYTES,
+};
 pub use ctx::GroupCtx;
 pub use dirty::DirtyRanges;
 pub use error::KernelError;

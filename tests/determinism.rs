@@ -2,10 +2,14 @@
 //! schedules, measurements and selections — the property that makes every
 //! figure in EXPERIMENTS.md regenerate bit-identically.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
 use dysel::core::{LaunchOptions, LaunchReport, Runtime, RuntimeConfig};
 use dysel::device::{
     CpuConfig, CpuDevice, Cycles, Device, FaultKind, FaultPlan, FaultRule, GpuConfig, GpuDevice,
 };
+use dysel::kernel::{Buffer, Space};
 use dysel::workloads::{spmv_csr, CsrMatrix, Target, Workload};
 
 fn workload() -> Workload {
@@ -293,6 +297,86 @@ fn budget_preemption_is_bit_identical_across_worker_threads() {
     // healthy run bit for bit.
     let healthy = run(Box::new(CpuDevice::new(CpuConfig::default())), Target::Cpu);
     assert_eq!(baseline.1, healthy.1, "preempted run's output diverged");
+}
+
+/// The budget-preemption case of
+/// [`budget_preemption_is_bit_identical_across_worker_threads`] on a
+/// single-worker device: report and output bits.
+fn preempted_run() -> (LaunchReport, Vec<u32>) {
+    let w = workload();
+    let hung = w.variants(Target::Cpu)[2].name().to_owned();
+    let mut dev = CpuDevice::new(CpuConfig {
+        threads: 1,
+        ..CpuConfig::default()
+    });
+    dev.set_fault_plan(Some(
+        FaultPlan::new(7).with(FaultRule::new(&hung, FaultKind::Hang(64))),
+    ));
+    let mut rt = Runtime::with_config(
+        Box::new(dev),
+        RuntimeConfig {
+            profile_threshold_groups: 16,
+            profile_deadline_factor: Some(8.0),
+            ..RuntimeConfig::default()
+        },
+    );
+    rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
+    let mut args = w.fresh_args();
+    let report = rt
+        .launch(
+            &w.signature,
+            &mut args,
+            w.total_units,
+            &LaunchOptions::new(),
+        )
+        .unwrap();
+    assert!(report.faults.preemptions >= 1, "plan inert");
+    let bits = args
+        .f32(spmv_csr::arg::Y)
+        .unwrap()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    (report, bits)
+}
+
+/// Buffer addresses come from a region owned by the allocating thread, so
+/// a runtime's priced timeline cannot move when other threads allocate at
+/// the same time. The preempted run goes on a fresh thread (an empty
+/// allocation history) twice: once alone, once while two other threads
+/// allocate buffers in a tight loop, bounded by a stop flag and a cap.
+#[test]
+fn concurrent_allocations_never_change_a_report() {
+    const NOISE_THREADS: usize = 2;
+    const NOISE_CAP: usize = 50_000_000;
+    let alone = std::thread::spawn(preempted_run).join().unwrap();
+    let started = Barrier::new(NOISE_THREADS + 1);
+    let stop = AtomicBool::new(false);
+    let contended = std::thread::scope(|scope| {
+        for _ in 0..NOISE_THREADS {
+            scope.spawn(|| {
+                started.wait();
+                for i in 0..NOISE_CAP {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    std::hint::black_box(Buffer::u32("noise", vec![0; i % 64], Space::Global));
+                }
+            });
+        }
+        started.wait();
+        let run = std::thread::spawn(preempted_run).join();
+        stop.store(true, Ordering::Relaxed);
+        run.unwrap()
+    });
+    assert_eq!(
+        contended.0, alone.0,
+        "concurrent allocations moved the report"
+    );
+    assert_eq!(
+        contended.1, alone.1,
+        "concurrent allocations moved the output"
+    );
 }
 
 /// `Device::reset` replays budgeted runs too: the same preemption at the
