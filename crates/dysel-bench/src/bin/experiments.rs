@@ -16,9 +16,11 @@
 //! `--fault-plan SPEC` installs a deterministic fault-injection plan on
 //! every DySel device the experiments build (never on the oracle side:
 //! the oracle is the best pure variant on a healthy machine), e.g.
-//! `--fault-plan "seed=7;ctas@0+1=error;coarse=hang*64?0.5"`, to watch the
-//! runtime's graceful-degradation machinery (retries, quarantine, repair)
-//! under the full workload suite. Off by default.
+//! `--fault-plan "seed=7;lc-xyzba@0+1=error;lc-ikj=hang*64?0.5" fig8`
+//! (cutcp's `lc-xyzba` fails its first launch once, sgemm's `lc-ikj`
+//! hangs 64x half the time), to watch the runtime's graceful-degradation
+//! machinery (retries, quarantine, repair) under the full workload suite.
+//! Rule names match variant names exactly. Off by default.
 //!
 //! `--chaos-plan SPEC` (service stress only; requires `--clients N`)
 //! installs a deterministic *service-layer* chaos schedule, e.g.

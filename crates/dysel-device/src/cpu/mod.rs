@@ -99,15 +99,54 @@ impl CpuConfig {
     }
 }
 
+/// [`CpuConfig`]'s cost constants in integer half-cycles.
+///
+/// Every term the CPU model charges is a whole or half cycle: the cache
+/// latencies, `1 / ipc` per op, and the config's per-lane and per-event
+/// constants. The cost sink therefore sums exact `u64` half-cycles, and
+/// the order in which it adds them cannot change a total.
+#[derive(Debug, Clone, Copy)]
+struct HalfCycles {
+    per_op: u64,
+    gather_pack: u64,
+    mask_per_lane: u64,
+    atomic_extra: u64,
+    barrier: u64,
+}
+
+impl HalfCycles {
+    /// # Panics
+    ///
+    /// If a cost constant is negative or not a whole number of
+    /// half-cycles (`ipc: 3.0` is one: an op would cost 1/3 cycle).
+    fn of(cfg: &CpuConfig) -> Self {
+        let half = |field: &str, cycles: f64| {
+            let h = 2.0 * cycles;
+            assert!(
+                h >= 0.0 && h.fract() == 0.0 && h < 2f64.powi(53),
+                "CpuConfig::{field} must price a whole number of half-cycles, got {cycles} cycles"
+            );
+            h as u64
+        };
+        HalfCycles {
+            per_op: half("ipc", 1.0 / cfg.ipc),
+            gather_pack: half("gather_pack_cycles", cfg.gather_pack_cycles),
+            mask_per_lane: half("mask_cycles_per_lane", cfg.mask_cycles_per_lane),
+            atomic_extra: half("atomic_extra_cycles", cfg.atomic_extra_cycles),
+            barrier: half("barrier_cycles", cfg.barrier_cycles),
+        }
+    }
+}
+
 /// Prices one work-group's trace against a core's cache hierarchy.
 struct CpuCostSink<'a> {
-    cfg: &'a CpuConfig,
+    costs: HalfCycles,
     cache: &'a mut CacheHierarchy,
     /// Use the chunked fast path for lane address/line-id computation.
     /// Both paths must produce identical cost streams (DESIGN.md §4.15).
     batched: bool,
-    mem_cycles: f64,
-    compute_cycles: f64,
+    /// Memory and compute cost so far, in half-cycles.
+    half_cycles: u64,
     /// Last line touched by recent vector accesses: the hardware
     /// prefetcher tracks a few streams, so a warp/vector op that continues
     /// one of them gets its line fetches largely hidden.
@@ -116,23 +155,32 @@ struct CpuCostSink<'a> {
 }
 
 impl<'a> CpuCostSink<'a> {
-    fn new(cfg: &'a CpuConfig, cache: &'a mut CacheHierarchy, path: PricingPath) -> Self {
+    fn new(costs: HalfCycles, cache: &'a mut CacheHierarchy, path: PricingPath) -> Self {
         CpuCostSink {
-            cfg,
+            costs,
             cache,
             batched: path == PricingPath::Batched,
-            mem_cycles: 0.0,
-            compute_cycles: 0.0,
+            half_cycles: 0,
             stream_tails: [i64::MIN; 4],
             next_tail: 0,
         }
+    }
+
+    /// Accesses `addr`, returning the latency in half-cycles.
+    fn access(&mut self, addr: u64) -> u64 {
+        2 * self.cache.access(addr)
+    }
+
+    /// The cost of a line fetch the prefetcher hides, in half-cycles.
+    fn prefetched(&self) -> u64 {
+        2 * (self.cache.l1_lat + 2)
     }
 
     /// One vector load/store issue: a hierarchy access per distinct
     /// consecutive line among the lanes.
     fn warp_lanes(&mut self, base: i64, stride: i64, lanes_n: u32) {
         if stride == 0 {
-            self.mem_cycles += self.cache.access(base as u64) as f64;
+            self.half_cycles += self.access(base as u64);
             return;
         }
         let line = i64::from(self.cache.line());
@@ -144,15 +192,15 @@ impl<'a> CpuCostSink<'a> {
                 // so the lanes' distinct consecutive lines are exactly the
                 // line ids from the first lane's to the last lane's. Walking
                 // them issues the scalar form's `vector_line_access`
-                // sequence, so the f64 accumulation is bit-exact.
+                // sequence, so cache state and stream tails evolve alike.
                 let (first, last) = ((base >> shift) as u64, (last >> shift) as u64);
                 if stride > 0 {
                     for ln in first..=last {
-                        self.mem_cycles += self.vector_line(ln);
+                        self.half_cycles += self.vector_line(ln);
                     }
                 } else {
                     for ln in (last..=first).rev() {
-                        self.mem_cycles += self.vector_line(ln);
+                        self.half_cycles += self.vector_line(ln);
                     }
                 }
                 return;
@@ -176,7 +224,7 @@ impl<'a> CpuCostSink<'a> {
                 }
                 for k in 0..c {
                     if lns[k] != prev_line {
-                        self.mem_cycles += self.vector_line_access(addrs[k] as u64);
+                        self.half_cycles += self.vector_line_access(addrs[k] as u64);
                         prev_line = lns[k];
                     }
                 }
@@ -189,7 +237,7 @@ impl<'a> CpuCostSink<'a> {
                 let addr = base + i64::from(l) * stride;
                 let ln = addr / line;
                 if ln != prev_line {
-                    self.mem_cycles += self.vector_line_access(addr as u64);
+                    self.half_cycles += self.vector_line_access(addr as u64);
                     prev_line = ln;
                 }
             }
@@ -197,14 +245,15 @@ impl<'a> CpuCostSink<'a> {
     }
 
     /// Accesses `addr`'s line; see [`CpuCostSink::vector_line`].
-    fn vector_line_access(&mut self, addr: u64) -> f64 {
+    fn vector_line_access(&mut self, addr: u64) -> u64 {
         self.vector_line(addr >> self.cache.line_shift())
     }
 
     /// Accesses line `line`, charging a prefetched cost if it continues a
     /// tracked stream (and recording it as a stream tail either way).
-    fn vector_line(&mut self, line: u64) -> f64 {
-        let lat = self.cache.access_line(line) as f64;
+    /// Returns half-cycles.
+    fn vector_line(&mut self, line: u64) -> u64 {
+        let lat = 2 * self.cache.access_line(line);
         let line = line as i64;
         let continued = self
             .stream_tails
@@ -213,7 +262,7 @@ impl<'a> CpuCostSink<'a> {
         match continued {
             Some(slot) => {
                 *slot = line;
-                lat.min(self.cache.l1_lat as f64 + 2.0)
+                lat.min(self.prefetched())
             }
             None => {
                 self.stream_tails[self.next_tail] = line;
@@ -223,8 +272,9 @@ impl<'a> CpuCostSink<'a> {
         }
     }
 
+    /// Whole cycles, rounded up.
     fn total(&self) -> Cycles {
-        Cycles::from_f64(self.mem_cycles + self.compute_cycles)
+        Cycles(self.half_cycles.div_ceil(2))
     }
 
     /// Shared pricing for gathers, whether they arrive as an owned
@@ -236,68 +286,49 @@ impl<'a> CpuCostSink<'a> {
     /// overhead that "gets larger with wider SIMD datapath width" (§1).
     fn price_gather(&mut self, addrs: &[u64]) {
         for &a in addrs {
-            self.mem_cycles += self.cache.access(a) as f64;
+            self.half_cycles += self.access(a);
         }
         // A single-lane "gather" is just a scalar load with a computed
         // address: no packing work.
         if addrs.len() > 1 {
-            let lanes = addrs.len() as f64;
-            let widen = if addrs.len() > 4 { 3.0 } else { 1.0 };
-            self.mem_cycles += lanes * self.cfg.gather_pack_cycles * widen;
+            let widen = if addrs.len() > 4 { 3 } else { 1 };
+            self.half_cycles += addrs.len() as u64 * self.costs.gather_pack * widen;
         }
     }
 
-    /// Walk a strided stream through the hierarchy, charging a full cache
-    /// access per distinct line and an L1-hit latency for same-line reuse.
+    /// Walks a strided stream through the hierarchy, in half-cycles: one
+    /// cache access per chunk of elements that share a line, and an L1-hit
+    /// latency for every other element.
     ///
-    /// Constant-stride streams engage the hardware prefetcher: after a
-    /// two-line ramp-up, line fetches are charged a small prefetched cost
-    /// (the data still moves through the cache model, so capacity effects
-    /// remain). Strides beyond 256 bytes defeat the streamer.
-    fn stream_cost(&mut self, base: u64, count: u64, stride: i64) -> f64 {
-        if count == 0 {
-            return 0.0;
+    /// A chunk is `line / |stride|` consecutive elements when the stride
+    /// is shorter than a line, one element when it is not, and the whole
+    /// stream when it is 0. Constant-stride streams engage the hardware
+    /// prefetcher: every chunk after the first is charged at most a small
+    /// prefetched cost (the data still moves through the cache model, so
+    /// capacity effects remain). Strides beyond 256 bytes defeat the
+    /// streamer.
+    fn stream_cost(&mut self, base: u64, count: u64, stride: i64) -> u64 {
+        if count <= 1 {
+            return if count == 0 { 0 } else { self.access(base) };
         }
-        let line = i64::from(self.cache.line());
-        let l1 = self.cache.l1_lat as f64;
-        let prefetched = l1 + 2.0;
-        let prefetchable = stride != 0 && stride.unsigned_abs() <= 256;
-        let mut lines_seen = 0u64;
-        let mut cost = 0.0;
-        if stride == 0 {
-            cost += self.cache.access(base) as f64;
-            cost += (count - 1) as f64 * l1;
-            return cost;
-        }
-        let mut line_access = |cache: &mut CacheHierarchy, addr: u64| -> f64 {
-            let lat = cache.access(addr) as f64;
-            lines_seen += 1;
-            if prefetchable && lines_seen > 1 {
-                lat.min(prefetched)
-            } else {
-                lat
-            }
+        let l1 = 2 * self.cache.l1_lat;
+        let line = u64::from(self.cache.line());
+        let per_line = match stride.unsigned_abs() {
+            0 => count,
+            s if s < line => line / s,
+            _ => 1,
         };
-        if stride.unsigned_abs() < line as u64 {
-            // Several consecutive elements share a line: charge the line
-            // once, the rest are L1 hits.
-            let per_line = (line / stride.abs()).max(1) as u64;
-            let mut i = 0u64;
-            let mut addr = base as i64;
-            while i < count {
-                let n = per_line.min(count - i);
-                cost += line_access(self.cache, addr as u64);
-                cost += (n - 1) as f64 * l1;
-                addr += stride * n as i64;
-                i += n;
-            }
+        let chunks = count.div_ceil(per_line);
+        let prefetched = if stride.unsigned_abs() <= 256 {
+            self.prefetched()
         } else {
-            // Every access touches a fresh line.
-            let mut addr = base as i64;
-            for _ in 0..count {
-                cost += line_access(self.cache, addr as u64);
-                addr += stride;
-            }
+            u64::MAX
+        };
+        let mut cost = (count - chunks) * l1 + self.access(base);
+        let mut addr = base as i64;
+        for _ in 1..chunks {
+            addr += stride * per_line as i64;
+            cost += self.access(addr as u64).min(prefetched);
         }
         cost
     }
@@ -342,17 +373,17 @@ impl TraceSink for CpuCostSink<'_> {
                 stride,
                 ..
             } => {
-                self.mem_cycles += self.stream_cost(*base, *count, *stride);
+                self.half_cycles += self.stream_cost(*base, *count, *stride);
             }
             MemOp::Atomic { base, lanes, .. } => {
-                self.mem_cycles += self.cache.access(*base) as f64
-                    + f64::from(*lanes) * self.cfg.atomic_extra_cycles;
+                self.half_cycles +=
+                    self.access(*base) + u64::from(*lanes) * self.costs.atomic_extra;
             }
             MemOp::Scratchpad { lanes, .. } => {
                 // Scratchpad lowers to ordinary (hot, but real) memory:
                 // roughly one L1-resident access per lane, slightly
-                // amortized by vectorization.
-                self.mem_cycles += f64::from(*lanes) * 1.0;
+                // amortized by vectorization: one cycle per lane.
+                self.half_cycles += u64::from(*lanes) * 2;
             }
         }
     }
@@ -364,22 +395,22 @@ impl TraceSink for CpuCostSink<'_> {
     }
 
     fn compute(&mut self, ops: u64) {
-        self.compute_cycles += ops as f64 / self.cfg.ipc;
+        self.half_cycles += ops * self.costs.per_op;
     }
 
     fn vector_compute(&mut self, iters: u64, width: u32, active: u32, ops_per_iter: u64) {
         // One vector iteration retires `ops_per_iter` vector instructions at
         // scalar-issue throughput; divergence adds masking/blending work
         // that grows with the SIMD width (§1, Fig. 1 discussion).
-        let mut per_iter = ops_per_iter as f64 / self.cfg.ipc;
+        let mut per_iter = ops_per_iter * self.costs.per_op;
         if active < width {
-            per_iter += self.cfg.mask_cycles_per_lane * f64::from(width);
+            per_iter += self.costs.mask_per_lane * u64::from(width);
         }
-        self.compute_cycles += iters as f64 * per_iter;
+        self.half_cycles += iters * per_iter;
     }
 
     fn barrier(&mut self) {
-        self.compute_cycles += self.cfg.barrier_cycles;
+        self.half_cycles += self.costs.barrier;
     }
 }
 
@@ -395,6 +426,7 @@ impl TraceSink for CpuCostSink<'_> {
 #[derive(Debug)]
 pub struct CpuDevice {
     cfg: CpuConfig,
+    costs: HalfCycles,
     pool: UnitPool,
     caches: Vec<CacheHierarchy>,
     streams: StreamTable,
@@ -408,6 +440,13 @@ pub struct CpuDevice {
 
 impl CpuDevice {
     /// Builds a CPU device from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// If a cost constant of `cfg` (`ipc`, `gather_pack_cycles`,
+    /// `mask_cycles_per_lane`, `atomic_extra_cycles`, `barrier_cycles`)
+    /// does not price a whole number of half-cycles: the cost model sums
+    /// exact integer half-cycles.
     pub fn new(cfg: CpuConfig) -> Self {
         let caches = (0..cfg.cores)
             .map(|_| CacheHierarchy::new(cfg.l1, cfg.l2, cfg.l3))
@@ -422,6 +461,7 @@ impl CpuDevice {
             fault: None,
             budget: None,
             obs: None,
+            costs: HalfCycles::of(&cfg),
             cfg,
         }
     }
@@ -439,7 +479,7 @@ impl CpuDevice {
 
 /// Prices work-groups against per-core cache state for the engine.
 struct CpuPriceModel<'a> {
-    cfg: &'a CpuConfig,
+    costs: HalfCycles,
     caches: &'a mut [CacheHierarchy],
     /// Scalar reference vs batched fast path, pinned for the launch.
     path: PricingPath,
@@ -447,7 +487,7 @@ struct CpuPriceModel<'a> {
 
 impl PriceModel for CpuPriceModel<'_> {
     fn price_group(&mut self, unit: usize, meta: &VariantMeta, feed: Feed<'_>) -> Cycles {
-        let mut sink = CpuCostSink::new(self.cfg, &mut self.caches[unit], self.path);
+        let mut sink = CpuCostSink::new(self.costs, &mut self.caches[unit], self.path);
         feed.emit(meta, &mut sink);
         sink.total()
     }
@@ -510,7 +550,7 @@ impl Device for CpuDevice {
             meas_noise: &mut self.noise,
             launch_overhead: self.cfg.launch_overhead,
             model: CpuPriceModel {
-                cfg: &self.cfg,
+                costs: self.costs,
                 caches: &mut self.caches,
                 path: crate::cycles::path::pricing_path(),
             },
@@ -575,9 +615,6 @@ impl Device for CpuDevice {
         }
     }
 }
-
-// Spaces are intentionally ignored by the CPU model; keep the import used.
-const _: fn(Space) -> bool = Space::is_writable;
 
 #[cfg(test)]
 mod tests {
@@ -710,16 +747,16 @@ mod tests {
     }
 
     /// Prices `ops` through one path on a fresh hierarchy: the memory
-    /// cycles (as bits) and the per-level cache stats.
+    /// half-cycles and the per-level cache stats.
     fn price_ops(path: PricingPath, ops: &[MemOp]) -> (u64, [(u64, u64); 3]) {
         let cfg = CpuConfig::noiseless();
         let mut cache = CacheHierarchy::new(cfg.l1, cfg.l2, cfg.l3);
-        let mut sink = CpuCostSink::new(&cfg, &mut cache, path);
+        let mut sink = CpuCostSink::new(HalfCycles::of(&cfg), &mut cache, path);
         for op in ops {
             sink.mem(op);
         }
-        let cycles = sink.mem_cycles.to_bits();
-        (cycles, cache.stats())
+        let half_cycles = sink.half_cycles;
+        (half_cycles, cache.stats())
     }
 
     /// Prices a warp, a sequence continuing it (prefetch tails) and a
@@ -776,5 +813,110 @@ mod tests {
                 assert_warp_paths_agree(line as u64, stride, lanes);
             }
         }
+    }
+
+    /// `stream_cost` as a loop over chunks in `f64` cycles, the form the
+    /// closed form replaced: the reference it must match.
+    fn loop_stream_cost(cache: &mut CacheHierarchy, base: u64, count: u64, stride: i64) -> f64 {
+        if count == 0 {
+            return 0.0;
+        }
+        let line = i64::from(cache.line());
+        let l1 = cache.l1_lat as f64;
+        let prefetched = l1 + 2.0;
+        let prefetchable = stride != 0 && stride.unsigned_abs() <= 256;
+        let mut lines_seen = 0u64;
+        let mut cost = 0.0;
+        if stride == 0 {
+            cost += cache.access(base) as f64;
+            cost += (count - 1) as f64 * l1;
+            return cost;
+        }
+        let mut line_access = |cache: &mut CacheHierarchy, addr: u64| -> f64 {
+            let lat = cache.access(addr) as f64;
+            lines_seen += 1;
+            if prefetchable && lines_seen > 1 {
+                lat.min(prefetched)
+            } else {
+                lat
+            }
+        };
+        if stride.unsigned_abs() < line as u64 {
+            let per_line = (line / stride.abs()).max(1) as u64;
+            let mut i = 0u64;
+            let mut addr = base as i64;
+            while i < count {
+                let n = per_line.min(count - i);
+                cost += line_access(cache, addr as u64);
+                cost += (n - 1) as f64 * l1;
+                addr += stride * n as i64;
+                i += n;
+            }
+        } else {
+            let mut addr = base as i64;
+            for _ in 0..count {
+                cost += line_access(cache, addr as u64);
+                addr += stride;
+            }
+        }
+        cost
+    }
+
+    #[test]
+    fn closed_form_stream_cost_matches_the_loop() {
+        let cfg = CpuConfig::noiseless();
+        let line = u64::from(cfg.l1.line);
+        let boundary = 1000 * line;
+        let mut strides = vec![0i64];
+        for s in [1, 4, 63, 64, 65, 256, 257, 768] {
+            strides.extend([s, -s]);
+        }
+        for warm in [false, true] {
+            for base in [boundary - 1, boundary, boundary + 1] {
+                let mut fresh = CacheHierarchy::new(cfg.l1, cfg.l2, cfg.l3);
+                if warm {
+                    // 64 KiB of lines around the base: the later half
+                    // stays in L1, the earlier half falls back to L2.
+                    for k in 0..1024 {
+                        fresh.access(base - 512 * line + k * line);
+                    }
+                }
+                for &stride in &strides {
+                    for count in 0..=40 {
+                        let mut reference = fresh.clone();
+                        let mut cache = fresh.clone();
+                        let mut sink = CpuCostSink::new(
+                            HalfCycles::of(&cfg),
+                            &mut cache,
+                            PricingPath::Batched,
+                        );
+                        // Twice: the second stream meets the lines the
+                        // first one left behind.
+                        for pass in 0..2 {
+                            let want = loop_stream_cost(&mut reference, base, count, stride);
+                            assert_eq!(
+                                sink.stream_cost(base, count, stride) as f64,
+                                2.0 * want,
+                                "warm={warm} base={base} stride={stride} count={count} pass={pass}"
+                            );
+                        }
+                        assert_eq!(
+                            cache.stats(),
+                            reference.stats(),
+                            "warm={warm} base={base} stride={stride} count={count}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CpuConfig::ipc must price a whole number of half-cycles")]
+    fn a_cost_off_the_half_cycle_grid_is_refused() {
+        CpuDevice::new(CpuConfig {
+            ipc: 3.0,
+            ..CpuConfig::noiseless()
+        });
     }
 }

@@ -4,7 +4,9 @@
 //! Both paths are required to produce **bit-identical** timelines (see
 //! DESIGN.md §4.15): integer-count trace reductions (segment counts,
 //! distinct lines, conflict degrees) may be computed by any algorithm as
-//! long as the counts agree, while every `f64` accumulation keeps the
+//! long as the counts agree. The CPU cost sink sums integer half-cycles,
+//! so only the order of its cache accesses is bound; the GPU cost sink
+//! sums `f64` cycles, and every one of its `f64` accumulations keeps the
 //! scalar path's exact operation order. The switch therefore exists for
 //! two reasons only: to keep the simple scalar code as the executable
 //! reference that the `pricing_diff` differential suite compares against,

@@ -70,8 +70,11 @@ fn brick_coords(n: usize, unit: u64) -> (usize, usize, usize) {
     (u % c, (u / c) % c, u / (c * c))
 }
 
-/// Neighbour cell ids of a brick (3^3 window, clipped at the boundary).
-fn neighbour_bins(n: usize, unit: u64) -> Vec<usize> {
+/// Neighbour cell ids of a brick that hold at least one atom (3^3
+/// window, clipped at the boundary, in window order). An empty cell adds
+/// nothing to the potential and emits no trace event, so no caller needs
+/// to visit it.
+fn neighbour_bins(n: usize, unit: u64, bin_start: &[u32]) -> Vec<usize> {
     let c = cells_per_dim(n) as i64;
     let (bx, by, bz) = brick_coords(n, unit);
     let mut out = Vec::with_capacity(27);
@@ -80,7 +83,10 @@ fn neighbour_bins(n: usize, unit: u64) -> Vec<usize> {
             for dx in -1i64..=1 {
                 let (x, y, z) = (bx as i64 + dx, by as i64 + dy, bz as i64 + dz);
                 if (0..c).contains(&x) && (0..c).contains(&y) && (0..c).contains(&z) {
-                    out.push(cell_id(n, x as usize, y as usize, z as usize));
+                    let cell = cell_id(n, x as usize, y as usize, z as usize);
+                    if bin_start[cell + 1] > bin_start[cell] {
+                        out.push(cell);
+                    }
                 }
             }
         }
@@ -98,16 +104,15 @@ fn potential(px: f32, py: f32, pz: f32, ax: f32, ay: f32, az: f32, q: f32) -> f3
     }
 }
 
-/// Functional computation of one brick.
-fn compute_brick(args: &mut Args, shape: Shape, unit: u64) {
+/// Functional computation of one brick over its [`neighbour_bins`].
+fn compute_brick(args: &mut Args, shape: Shape, unit: u64, bins: &[usize]) {
     let n = shape.n;
     let (bx, by, bz) = brick_coords(n, unit);
-    let bins = neighbour_bins(n, unit);
     let mut acc = [0.0f32; BRICK * BRICK * BRICK];
     {
         let atoms = args.f32(arg::ATOMS).expect("atoms");
         let bin_start = args.u32(arg::BIN_START).expect("bin_start");
-        for &b in &bins {
+        for &b in bins {
             let (s, e) = (bin_start[b] as usize, bin_start[b + 1] as usize);
             for a in s..e {
                 let (ax, ay, az, q) = (
@@ -203,17 +208,48 @@ pub fn schedule_name(s: &[Lp; 5]) -> String {
 }
 
 /// Recursive trace emission for one brick under an arbitrary schedule.
-/// The innermost loop is batched into one descriptor per visit.
+/// The innermost loop is batched into one descriptor per visit. The bin
+/// loop runs over the brick's non-empty bins only: under an empty bin the
+/// atom loop is empty, so no leaf below it would emit anything.
 struct Walker<'w, 'c> {
     ctx: &'w mut GroupCtx<'c>,
-    n: usize,
-    brick: (usize, usize, usize),
+    n: u64,
+    /// `OUT` index of the brick's first lattice point.
+    origin: u64,
+    /// The brick's [`neighbour_bins`]; the bin loop indexes into it.
     bins: &'w [usize],
     bin_start: &'w [u32],
     sched: [Lp; 5],
+    /// Schedule position of each loop, indexed by `Lp as usize`.
+    depth_of: [usize; 5],
 }
 
-impl Walker<'_, '_> {
+impl<'w, 'c> Walker<'w, 'c> {
+    fn new(
+        ctx: &'w mut GroupCtx<'c>,
+        n: usize,
+        unit: u64,
+        bins: &'w [usize],
+        bin_start: &'w [u32],
+        sched: [Lp; 5],
+    ) -> Self {
+        let mut depth_of = [0; 5];
+        for (depth, &l) in sched.iter().enumerate() {
+            depth_of[l as usize] = depth;
+        }
+        let (bx, by, bz) = brick_coords(n, unit);
+        let (n, b) = (n as u64, BRICK as u64);
+        Walker {
+            ctx,
+            n,
+            origin: ((bz as u64 * b) * n + by as u64 * b) * n + bx as u64 * b,
+            bins,
+            bin_start,
+            sched,
+            depth_of,
+        }
+    }
+
     fn run(&mut self) {
         self.recurse(0, [0usize; 5]);
     }
@@ -225,94 +261,62 @@ impl Walker<'_, '_> {
             self.emit_leaf(var, &vals);
             return;
         }
-        let range = self.range_of(var, &vals, depth);
-        for i in range {
+        for i in self.range_of(var, &vals) {
             vals[depth] = i;
-            // Skip empty atom ranges early.
-            if self.sched[depth] == Lp::B && self.bin_len(i) == 0 && self.a_depth() > depth {
-                // Still recurse: inner work-item loops may be inside; only
-                // the atom loop is empty. Cheap to skip if A is immediate.
-                if self.sched[depth + 1..].iter().all(|&l| l == Lp::A) {
-                    continue;
-                }
-            }
             self.recurse(depth + 1, vals);
         }
     }
 
-    fn a_depth(&self) -> usize {
-        self.sched.iter().position(|&l| l == Lp::A).expect("A")
+    /// Current index of loop `l`.
+    fn at(&self, vals: &[usize; 5], l: Lp) -> usize {
+        vals[self.depth_of[l as usize]]
     }
 
-    fn b_index(&self, vals: &[usize; 5]) -> usize {
-        let bd = self.sched.iter().position(|&l| l == Lp::B).expect("B");
-        vals[bd]
+    /// Cell of the current bin.
+    fn cell(&self, vals: &[usize; 5]) -> usize {
+        self.bins[self.at(vals, Lp::B)]
     }
 
-    fn bin_len(&self, b: usize) -> usize {
-        let cell = self.bins[b];
+    fn bin_len(&self, cell: usize) -> usize {
         (self.bin_start[cell + 1] - self.bin_start[cell]) as usize
     }
 
-    fn range_of(&self, var: Lp, vals: &[usize; 5], _depth: usize) -> std::ops::Range<usize> {
+    fn range_of(&self, var: Lp, vals: &[usize; 5]) -> std::ops::Range<usize> {
         match var {
             Lp::X | Lp::Y | Lp::Z => 0..BRICK,
             Lp::B => 0..self.bins.len(),
-            Lp::A => 0..self.bin_len(self.b_index(vals)),
+            Lp::A => 0..self.bin_len(self.cell(vals)),
         }
     }
 
-    fn point_addr(&self, vals: &[usize; 5]) -> (u64, u64, u64) {
-        let n = self.n as u64;
-        let mut d = [0u64; 3];
-        for (i, &l) in self.sched.iter().enumerate() {
-            match l {
-                Lp::X => d[0] = vals[i] as u64,
-                Lp::Y => d[1] = vals[i] as u64,
-                Lp::Z => d[2] = vals[i] as u64,
-                _ => {}
-            }
-        }
-        let (bx, by, bz) = self.brick;
-        let x = bx as u64 * BRICK as u64 + d[0];
-        let y = by as u64 * BRICK as u64 + d[1];
-        let z = bz as u64 * BRICK as u64 + d[2];
-        ((z * n + y) * n + x, n, n * n)
+    /// `OUT` index of the current lattice point.
+    fn point_addr(&self, vals: &[usize; 5]) -> u64 {
+        let d = |l| self.at(vals, l) as u64;
+        self.origin + (d(Lp::Z) * self.n + d(Lp::Y)) * self.n + d(Lp::X)
     }
 
     fn emit_leaf(&mut self, var: Lp, vals: &[usize; 5]) {
+        let cell = self.cell(vals);
+        let first_atom = u64::from(self.bin_start[cell]);
+        let addr = self.point_addr(vals);
         match var {
             Lp::A => {
                 // Stream the whole bin's atoms for the fixed lattice point.
-                let b = self.b_index(vals);
-                let cell = self.bins[b];
-                let len = self.bin_len(b) as u64;
-                if len == 0 {
-                    return;
-                }
-                let start = u64::from(self.bin_start[cell]) * 4;
-                self.ctx.stream_load(arg::ATOMS, start, len * 4, 1);
+                let len = self.bin_len(cell) as u64;
+                self.ctx.stream_load(arg::ATOMS, first_atom * 4, len * 4, 1);
                 self.ctx.compute(12 * len);
-                let (addr, _, _) = self.point_addr(vals);
                 self.ctx.stream_load(arg::OUT, addr, 1, 1);
                 self.ctx.stream_store(arg::OUT, addr, 1, 1);
             }
             Lp::X | Lp::Y | Lp::Z => {
                 // One atom fixed; sweep 4 lattice points along the axis.
-                let ad = self.a_depth();
-                let b = self.b_index(vals);
-                let cell = self.bins[b];
-                if self.bin_len(b) == 0 {
-                    return;
-                }
-                let atom = u64::from(self.bin_start[cell]) + vals[ad] as u64;
+                let atom = first_atom + self.at(vals, Lp::A) as u64;
                 self.ctx.stream_load(arg::ATOMS, atom * 4, 4, 1);
-                let (addr, ny, nz) = self.point_addr(vals);
                 let stride = match var {
-                    Lp::X => 1i64,
-                    Lp::Y => ny as i64,
-                    _ => nz as i64,
-                };
+                    Lp::X => 1,
+                    Lp::Y => self.n,
+                    _ => self.n * self.n,
+                } as i64;
                 self.ctx.stream_load(arg::OUT, addr, BRICK as u64, stride);
                 self.ctx.stream_store(arg::OUT, addr, BRICK as u64, stride);
                 self.ctx.compute(12 * BRICK as u64);
@@ -371,25 +375,13 @@ pub fn cpu_variant(shape: Shape, sched: [Lp; 5]) -> Variant {
     )
     .with_group_size((BRICK * BRICK * BRICK) as u32);
     Variant::from_fn(meta, move |ctx, args| {
-        // Functional phase first: `bin_start` is read-only, so the walkers
-        // below borrow it once for the whole span instead of cloning per
-        // brick. `compute_brick` emits no trace events, so the recorded
-        // event stream is unchanged.
         for u in ctx.units().iter() {
-            compute_brick(args, shape, u);
-        }
-        let bin_start = args.u32(arg::BIN_START).expect("bin_start");
-        for u in ctx.units().iter() {
-            let bins = neighbour_bins(shape.n, u);
-            let mut w = Walker {
-                ctx: &mut *ctx,
-                n: shape.n,
-                brick: brick_coords(shape.n, u),
-                bins: &bins,
-                bin_start,
-                sched,
-            };
-            w.run();
+            let bins = neighbour_bins(shape.n, u, args.u32(arg::BIN_START).expect("bin_start"));
+            // `compute_brick` emits no trace events, so running it before
+            // each brick's walk leaves the event stream as the walk emits it.
+            compute_brick(args, shape, u, &bins);
+            let bin_start = args.u32(arg::BIN_START).expect("bin_start");
+            Walker::new(ctx, shape.n, u, &bins, bin_start, sched).run();
         }
     })
 }
@@ -431,14 +423,11 @@ pub fn gpu_variants(shape: Shape) -> Vec<Variant> {
             .with_group_size(64);
         Variant::from_fn(meta, move |ctx, args| {
             for u in ctx.units().iter() {
-                compute_brick(args, shape, u);
-                let bins = neighbour_bins(shape.n, u);
+                let bins = neighbour_bins(shape.n, u, args.u32(arg::BIN_START).expect("bin_start"));
+                compute_brick(args, shape, u, &bins);
                 let bin_start = args.u32(arg::BIN_START).expect("bin_start");
                 for &cell in &bins {
                     let len = u64::from(bin_start[cell + 1] - bin_start[cell]);
-                    if len == 0 {
-                        continue;
-                    }
                     // Both warps of the brick read each atom (broadcast)
                     // and evaluate 32 lattice points per instruction.
                     for a in 0..len {
@@ -463,18 +452,15 @@ pub fn gpu_variants(shape: Shape) -> Vec<Variant> {
         Variant::from_fn(meta, move |ctx, args| {
             let units: Vec<u64> = ctx.units().iter().collect();
             for &u in &units {
-                compute_brick(args, shape, u);
+                let bins = neighbour_bins(shape.n, u, args.u32(arg::BIN_START).expect("bin_start"));
+                compute_brick(args, shape, u, &bins);
             }
             // Bin atoms are staged once into scratchpad and reused across
             // the group's bricks (approximately shared neighbourhoods).
             if let Some(&u0) = units.first() {
-                let bins = neighbour_bins(shape.n, u0);
                 let bin_start = args.u32(arg::BIN_START).expect("bin_start");
-                for &cell in &bins {
+                for cell in neighbour_bins(shape.n, u0, bin_start) {
                     let len = u64::from(bin_start[cell + 1] - bin_start[cell]);
-                    if len == 0 {
-                        continue;
-                    }
                     ctx.warp_load(
                         arg::ATOMS,
                         u64::from(bin_start[cell]) * 4,
@@ -483,8 +469,7 @@ pub fn gpu_variants(shape: Shape) -> Vec<Variant> {
                     );
                     ctx.scratchpad(32, 1, true);
                     ctx.barrier();
-                    for a in 0..len {
-                        let _ = a;
+                    for _ in 0..len {
                         ctx.scratchpad(32, 1, false);
                         // 12 ops per point, 32 points per warp instruction,
                         // for every brick in the group.

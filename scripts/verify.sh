@@ -56,6 +56,13 @@ repaired=$(grep -o "repaired=[0-9]*" /tmp/dysel-verify-fault-wrong.txt | cut -d=
 test -n "$wrong" && test "$wrong" -gt 0 && test "$wrong" = "$repaired"
 echo "    both exited 0, wrong-output=$wrong repaired=$repaired"
 
+echo "==> documented fault plan (README, experiments docs) must inject faults"
+target/release/experiments --fault-plan "seed=7;lc-xyzba@0+1=error;lc-ikj=hang*64?0.5" fig8 \
+    | grep "^run summary" > /tmp/dysel-verify-fault-doc.txt
+errors=$(grep -o "errors=[0-9]*" /tmp/dysel-verify-fault-doc.txt | cut -d= -f2)
+test -n "$errors" && test "$errors" -gt 0
+echo "    errors=$errors"
+
 echo "==> determinism: --threads 1 vs --threads 4 must be bit-identical"
 # One worker prices each work-group live; four workers record span traces
 # ahead and replay them. fig11a covers the CPU model, fig11b the GPU one.
