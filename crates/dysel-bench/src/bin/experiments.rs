@@ -3,15 +3,8 @@
 //! ```text
 //! experiments                # run everything, in paper order
 //! experiments fig8 fig9     # run specific experiments
-//! experiments --threads 4   # fan functional execution over 4 workers
 //! experiments --list        # list experiment ids
 //! ```
-//!
-//! `--threads N` sets the worker-thread count of every DySel device's
-//! functional executor (default: all available cores). The oracle sweep's
-//! devices always use one worker each, since the sweep already runs
-//! `available_parallelism` variants at once. The virtual-time results are
-//! bit-identical at any `N` — the flag trades host wall-clock only.
 //!
 //! `--fault-plan SPEC` installs a deterministic fault-injection plan on
 //! every DySel device the experiments build (never on the oracle side:
@@ -41,7 +34,7 @@
 //! writes them as Chrome `trace_event` JSON — open the file at
 //! `chrome://tracing` or <https://ui.perfetto.dev>. `--metrics-out PATH`
 //! writes the end-of-run counter/histogram snapshot as plain text. Both
-//! exports are deterministic: bit-identical at any `--threads` count.
+//! exports are deterministic: bit-identical on every run.
 //! Without these flags nothing is observed and the runs are bit-identical
 //! to builds without the observability layer.
 //!
@@ -101,10 +94,9 @@ fn usage(msg: &str) -> ! {
 }
 
 /// Every flag that takes a value, with what a missing value needs.
-const VALUE_FLAGS: [(&str, &str); 12] = [
+const VALUE_FLAGS: [(&str, &str); 11] = [
     ("--clients", "a positive number"),
     ("--tenants", "a positive number"),
-    ("--threads", "a number (0 = all cores)"),
     ("--state-file", "a path"),
     ("--trace-out", "a path"),
     ("--metrics-out", "a path"),
@@ -179,7 +171,6 @@ fn main() {
         match flag {
             "--clients" => clients = Some(count()),
             "--tenants" => tenants = count() as u32,
-            "--threads" => h.threads = count(),
             "--state-file" => h.state_file = Some(PathBuf::from(v)),
             "--trace-out" => trace_out = Some(PathBuf::from(v)),
             "--metrics-out" => metrics_out = Some(PathBuf::from(v)),

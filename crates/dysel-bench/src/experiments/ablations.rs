@@ -57,13 +57,8 @@ pub fn abl_query(_: &Harness) -> Result<Figure, CaseError> {
             ),
             ..base
         };
-        // The sweep already runs variants in parallel: one worker each.
-        let sweep_cfg = GpuConfig {
-            threads: 1,
-            ..cfg.clone()
-        };
         let oracle = dysel_baselines::exhaustive_sweep(&w, Target::Gpu, || {
-            Box::new(GpuDevice::new(sweep_cfg.clone())) as Box<dyn Device>
+            Box::new(GpuDevice::new(cfg.clone())) as Box<dyn Device>
         })
         .best()
         .1;

@@ -21,14 +21,9 @@ use dysel_workloads::{Target, Workload};
 
 /// The settings every experiment runs under (the `experiments` flags),
 /// plus the run's launch ledger. The default is the plain paper setup:
-/// auto threads, no faults, stateless, unobserved, no pruning or
-/// prediction.
+/// no faults, stateless, unobserved, no pruning or prediction.
 #[derive(Debug, Default)]
 pub struct Harness {
-    /// Worker threads of each fresh [`Harness::device`]'s functional
-    /// executor (`--threads`; `0` = auto). Virtual-time results are
-    /// identical for every count — this trades host wall-clock only.
-    pub threads: usize,
     /// Fault plan installed on every [`Harness::device`] (`--fault-plan`),
     /// never on an [`Harness::oracle_device`]. Each device gets its own
     /// clone with zeroed launch counters, so runs stay independent and
@@ -95,49 +90,41 @@ impl fmt::Display for CaseError {
 impl std::error::Error for CaseError {}
 
 /// A fresh default device for `target` (4-core i7-3820-like CPU or Kepler
-/// K20c-like GPU, seeded noise) with `threads` workers and `plan`.
-fn new_device(target: Target, threads: usize, plan: Option<FaultPlan>) -> Box<dyn Device> {
+/// K20c-like GPU, seeded noise) with `plan`.
+fn new_device(target: Target, plan: Option<FaultPlan>) -> Box<dyn Device> {
     let mut dev: Box<dyn Device> = match target {
-        Target::Cpu => Box::new(CpuDevice::new(CpuConfig {
-            threads,
-            ..CpuConfig::default()
-        })),
-        Target::Gpu => Box::new(GpuDevice::new(GpuConfig {
-            threads,
-            ..GpuConfig::kepler_k20c()
-        })),
+        Target::Cpu => Box::new(CpuDevice::new(CpuConfig::default())),
+        Target::Gpu => Box::new(GpuDevice::new(GpuConfig::kepler_k20c())),
     };
     dev.set_fault_plan(plan);
     dev
 }
 
 impl Harness {
-    /// A fresh default device for `target` under the harness's thread
-    /// count and fault plan.
+    /// A fresh default device for `target` under the harness's fault
+    /// plan.
     pub fn device(&self, target: Target) -> Box<dyn Device> {
-        new_device(target, self.threads, self.fault_plan.clone())
+        new_device(target, self.fault_plan.clone())
     }
 
     /// [`Harness::device`] as a factory that owns its settings, for
     /// owners that outlive the harness borrow (the launch service).
     pub fn factory(&self, target: Target) -> impl Fn() -> Box<dyn Device> + Send + Sync + 'static {
-        let (threads, plan) = (self.threads, self.fault_plan.clone());
-        move || new_device(target, threads, plan.clone())
+        let plan = self.fault_plan.clone();
+        move || new_device(target, plan.clone())
     }
 
-    /// A fresh default device for `target` on the oracle side: the
-    /// harness's thread count but no fault plan, since the paper's oracle
-    /// is the best pure variant on a healthy machine.
+    /// A fresh default device for `target` on the oracle side: no fault
+    /// plan, since the paper's oracle is the best pure variant on a
+    /// healthy machine.
     pub fn oracle_device(&self, target: Target) -> Box<dyn Device> {
-        new_device(target, self.threads, None)
+        new_device(target, None)
     }
 
     /// The exhaustive pure-variant sweep over fault-free devices like
-    /// [`Harness::oracle_device`], but with one worker each:
-    /// [`exhaustive_sweep`] already runs `available_parallelism` of them at
-    /// once.
+    /// [`Harness::oracle_device`].
     pub fn sweep(&self, w: &Workload, target: Target) -> SweepResult {
-        exhaustive_sweep(w, target, || new_device(target, 1, None))
+        exhaustive_sweep(w, target, || new_device(target, None))
     }
 
     /// Snapshot of the run's launch/fault/selection summary so far.
@@ -630,7 +617,6 @@ mod tests {
             "seed=1;scalar-dfo@0+1=poison",
         ] {
             let h = Harness {
-                threads: 1,
                 fault_plan: Some(spec.parse().unwrap()),
                 ..Harness::default()
             };

@@ -12,10 +12,9 @@
 //! reference on every launch; [`SubmitError::Busy`] backpressure is
 //! absorbed with a seeded-jitter [`Backoff`] retry loop (and counted).
 //!
-//! The driver runs under the [`Harness`] settings: `--threads` sizes each
-//! lane device's functional executor, `--fault-plan` injects the same
-//! deterministic fault plan into every lane device and `--state-file`
-//! persists the service's learned state. On top of that, [`StressOpts`]
+//! The driver runs under the [`Harness`] settings: `--fault-plan` injects
+//! the same deterministic fault plan into every lane device and
+//! `--state-file` persists the service's learned state. On top of that, [`StressOpts`]
 //! (the `--chaos-plan` path through `experiments`) arms service-layer
 //! chaos — injected lane panics, worker kills and journal kill-points;
 //! under a chaos plan the driver counts typed per-stream failures instead

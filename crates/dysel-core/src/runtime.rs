@@ -1474,8 +1474,8 @@ impl Launch<'_> {
 
     /// Issues all K × reps profiling launches as ONE device batch: they are
     /// mutually independent (disjoint productive slices, or private
-    /// sandboxes), so the device may fan their functional execution out
-    /// across worker threads while scheduling them in issue order. A failed
+    /// sandboxes), so each may read its target as it was before the batch
+    /// while the device schedules them in issue order. A failed
     /// entry is retried serially — its slot in the batch schedule is gone,
     /// but a profiling slice is small and the stream otherwise idle.
     fn profile_batch(&mut self, plan: &Plan) -> Vec<ProfiledLaunch> {

@@ -1492,22 +1492,6 @@ mod tests {
         svc
     }
 
-    /// Like [`service`], but with a single-threaded functional executor so
-    /// kernel panics carry their payload to the shard worker unchanged.
-    fn inline_service(config: ServiceConfig) -> LaunchService {
-        let svc = LaunchService::with_factory(
-            || {
-                Box::new(CpuDevice::new(CpuConfig {
-                    threads: 1,
-                    ..CpuConfig::noiseless()
-                }))
-            },
-            config,
-        );
-        svc.register("pair", [writer("slow", 9), writer("fast", 3)]);
-        svc
-    }
-
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "dysel-service-{tag}-{}-{:?}",
@@ -1692,7 +1676,7 @@ mod tests {
         // Keep the breaker open once tripped so the fail-fast assertion
         // below is timing-independent.
         config.breaker.cooldown = Duration::from_secs(3600);
-        let svc = inline_service(config);
+        let svc = service(config);
         svc.register(
             "boom",
             [Variant::from_fn(
@@ -1738,7 +1722,7 @@ mod tests {
     fn breaker_half_open_probe_recloses_after_recovery() {
         let mut config = ServiceConfig::default();
         config.breaker.cooldown = Duration::ZERO;
-        let svc = inline_service(config);
+        let svc = service(config);
         let once = Arc::new(TestFlag::new(true));
         let trip = once.clone();
         svc.register(

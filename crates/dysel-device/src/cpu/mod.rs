@@ -13,14 +13,14 @@ pub use cache::{CacheConfig, CacheHierarchy, SetAssocCache};
 
 use std::sync::Arc;
 
-use dysel_kernel::{Args, MemOp, Space, TraceSink, VariantMeta};
+use dysel_kernel::{Args, Kernel, MemOp, Space, TraceSink, UnitRange, VariantMeta};
 use dysel_obs::EventSink;
 
 use crate::cycles::{lanes, path::PricingPath};
 use crate::device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
 };
-use crate::exec::{launch_batch_engine, Executor, Feed, PriceModel, Pricer};
+use crate::exec::{launch_batch_engine, run_group, PriceModel, Pricer};
 use crate::fault::FaultPlan;
 use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
@@ -60,9 +60,9 @@ pub struct CpuConfig {
     pub exec_sigma: f64,
     /// Noise seed.
     pub seed: u64,
-    /// Worker threads for the functional phase of launches (0 = one per
-    /// available host core). Any value yields bit-identical results; see
-    /// [`crate::Executor`].
+    /// Ignored. Every launch runs its work-groups on the calling thread,
+    /// priced as they run; the field remains only so that existing
+    /// configurations still build, and is slated for removal.
     pub threads: usize,
 }
 
@@ -432,7 +432,6 @@ pub struct CpuDevice {
     streams: StreamTable,
     noise: NoiseModel,
     exec_noise: NoiseModel,
-    exec: Executor,
     fault: Option<FaultPlan>,
     budget: Option<BudgetPolicy>,
     obs: Option<Arc<EventSink>>,
@@ -457,7 +456,6 @@ impl CpuDevice {
             noise: NoiseModel::new(cfg.noise_sigma, cfg.seed),
             exec_noise: NoiseModel::new(cfg.exec_sigma, cfg.seed ^ 0x9E37_79B9),
             streams: StreamTable::default(),
-            exec: Executor::new(cfg.threads),
             fault: None,
             budget: None,
             obs: None,
@@ -470,11 +468,6 @@ impl CpuDevice {
     pub fn config(&self) -> &CpuConfig {
         &self.cfg
     }
-
-    /// The functional-phase executor (exposes the resolved worker count).
-    pub fn executor(&self) -> &Executor {
-        &self.exec
-    }
 }
 
 /// Prices work-groups against per-core cache state for the engine.
@@ -486,9 +479,16 @@ struct CpuPriceModel<'a> {
 }
 
 impl PriceModel for CpuPriceModel<'_> {
-    fn price_group(&mut self, unit: usize, meta: &VariantMeta, feed: Feed<'_>) -> Cycles {
+    fn price_group(
+        &mut self,
+        unit: usize,
+        kernel: &dyn Kernel,
+        meta: &VariantMeta,
+        group: (u64, UnitRange),
+        args: &mut Args,
+    ) -> Cycles {
         let mut sink = CpuCostSink::new(self.costs, &mut self.caches[unit], self.path);
-        feed.emit(meta, &mut sink);
+        run_group(kernel, meta, group, args, &mut sink);
         sink.total()
     }
 }
@@ -556,7 +556,6 @@ impl Device for CpuDevice {
             },
         };
         launch_batch_engine(
-            &self.exec,
             entries,
             targets,
             pricer,

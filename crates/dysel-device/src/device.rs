@@ -300,12 +300,12 @@ pub trait Device: Send {
     /// Executes a batch of launches as if issued back-to-back in entry
     /// order, returning one outcome per entry (same order).
     ///
-    /// Semantically identical to looping [`Device::launch`] — stream
-    /// gating, unit scheduling and the noise sequence all advance exactly
-    /// as in the serial issue order — but device models may overlap the
-    /// *functional* execution of all entries across worker threads. The
-    /// runtime hands its K independent micro-profiling launches to this
-    /// method so they fan out together.
+    /// Schedules like looping [`Device::launch`] (the default
+    /// implementation): stream gating, unit scheduling and the noise
+    /// sequence all advance exactly as in the serial issue order. On the
+    /// CPU and GPU models every entry reads its target as it was before the
+    /// batch, never another entry's writes. The runtime hands its K
+    /// independent micro-profiling launches to this method as one batch.
     ///
     /// Every `entry.target` must index into `targets`.
     fn launch_batch(

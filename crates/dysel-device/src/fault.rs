@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the device models.
 //!
 //! A [`FaultPlan`] is a seeded, serializable list of [`FaultRule`]s the
-//! two-phase launch engine consults once per launch, keyed by
+//! launch engine consults once per launch, keyed by
 //! `(variant name, per-variant launch index)`. Four fault classes cover
 //! the failure modes a production selector must survive:
 //!

@@ -12,7 +12,7 @@ pub use cost::{coalesced_segments, gather_segments, smem_conflict_degree};
 
 use std::sync::Arc;
 
-use dysel_kernel::{Args, VariantMeta, ADDR_REGION_BYTES};
+use dysel_kernel::{Args, Kernel, UnitRange, VariantMeta, ADDR_REGION_BYTES};
 
 use crate::cycles::path::PricingPath;
 use dysel_obs::EventSink;
@@ -21,7 +21,7 @@ use crate::cpu::{CacheConfig, SetAssocCache};
 use crate::device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
 };
-use crate::exec::{launch_batch_engine, Executor, Feed, PriceModel, Pricer};
+use crate::exec::{launch_batch_engine, run_group, PriceModel, Pricer};
 use crate::fault::FaultPlan;
 use crate::noise::NoiseModel;
 use crate::sched::UnitPool;
@@ -113,9 +113,9 @@ pub struct GpuConfig {
     pub exec_sigma: f64,
     /// Noise seed.
     pub seed: u64,
-    /// Worker threads for the functional phase of launches (0 = one per
-    /// available host core). Any value yields bit-identical results; see
-    /// [`crate::Executor`].
+    /// Ignored. Every launch runs its work-groups on the calling thread,
+    /// priced as they run; the field remains only so that existing
+    /// configurations still build, and is slated for removal.
     pub threads: usize,
 }
 
@@ -251,7 +251,6 @@ pub struct GpuDevice {
     streams: StreamTable,
     noise: NoiseModel,
     exec_noise: NoiseModel,
-    exec: Executor,
     fault: Option<FaultPlan>,
     budget: Option<BudgetPolicy>,
     obs: Option<Arc<EventSink>>,
@@ -284,7 +283,6 @@ impl GpuDevice {
             streams: StreamTable::default(),
             noise: NoiseModel::new(cfg.noise_sigma, cfg.seed),
             exec_noise: NoiseModel::new(cfg.exec_sigma, cfg.seed ^ 0x9E37_79B9),
-            exec: Executor::new(cfg.threads),
             fault: None,
             budget: None,
             obs: None,
@@ -295,11 +293,6 @@ impl GpuDevice {
     /// The active configuration.
     pub fn config(&self) -> &GpuConfig {
         &self.cfg
-    }
-
-    /// The functional-phase executor (exposes the resolved worker count).
-    pub fn executor(&self) -> &Executor {
-        &self.exec
     }
 }
 
@@ -315,7 +308,14 @@ struct GpuPriceModel<'a> {
 }
 
 impl PriceModel for GpuPriceModel<'_> {
-    fn price_group(&mut self, sm: usize, meta: &VariantMeta, feed: Feed<'_>) -> Cycles {
+    fn price_group(
+        &mut self,
+        sm: usize,
+        kernel: &dyn Kernel,
+        meta: &VariantMeta,
+        group: (u64, UnitRange),
+        args: &mut Args,
+    ) -> Cycles {
         let occ = self
             .cfg
             .occupancy(meta.group_size, meta.ir.scratchpad_bytes);
@@ -326,7 +326,7 @@ impl PriceModel for GpuPriceModel<'_> {
             self.path,
             &mut self.scratch,
         );
-        feed.emit(meta, &mut sink);
+        run_group(kernel, meta, group, args, &mut sink);
         sink.total(lat_factor)
     }
 }
@@ -398,7 +398,6 @@ impl Device for GpuDevice {
             },
         };
         launch_batch_engine(
-            &self.exec,
             entries,
             targets,
             pricer,

@@ -18,12 +18,9 @@
 //! randomness (measurement noise) is seeded, so every experiment in the
 //! paper's evaluation regenerates bit-identically.
 //!
-//! Functional execution of work-groups runs on a std-only work pool (the
-//! [`Executor`]), or live inside the pricing pass on a one-worker device;
-//! the virtual-time pricing pass stays serial and prices work-groups in
-//! canonical order, so outputs, measurements and selections are
-//! bit-identical at any worker-thread count (the two-phase launch engine
-//! in `exec.rs`).
+//! Every launch runs its work-groups on the calling thread, in canonical
+//! order, each priced as it runs (the launch engine in `exec.rs`), so
+//! outputs, measurements and selections are bit-identical on every run.
 //!
 //! # Example
 //!
@@ -55,7 +52,6 @@ pub use device::{
     BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchFailure, LaunchOutcome, LaunchPreemption,
     LaunchRecord, LaunchSpec, StreamId,
 };
-pub use exec::Executor;
 pub use fault::{FaultKind, FaultPlan, FaultRule, InjectedFault, DEFAULT_HANG_FACTOR};
 pub use gpu::{GpuConfig, GpuDevice, GpuGeneration};
 pub use noise::NoiseModel;

@@ -5,9 +5,7 @@
 //!   stops executing work-groups, spends at most `budget` priced cycles,
 //!   leaves the target buffers untouched and advances no stream;
 //! * a budget generous enough to finish changes nothing — the outcome is
-//!   bit-identical to the unbudgeted launch;
-//! * preemption points are priced-cycle watermarks, so the preemption
-//!   itself is bit-identical at any worker-thread count.
+//!   bit-identical to the unbudgeted launch.
 
 use dysel_device::{
     CpuConfig, CpuDevice, Cycles, Device, FaultKind, FaultPlan, FaultRule, LaunchOutcome,
@@ -43,11 +41,8 @@ fn fresh_args() -> Args {
     a
 }
 
-fn device(threads: usize, plan: Option<FaultPlan>) -> CpuDevice {
-    let mut dev = CpuDevice::new(CpuConfig {
-        threads,
-        ..CpuConfig::noiseless()
-    });
+fn device(plan: Option<FaultPlan>) -> CpuDevice {
+    let mut dev = CpuDevice::new(CpuConfig::noiseless());
     dev.set_fault_plan(plan);
     dev
 }
@@ -72,7 +67,7 @@ fn launch(
 
 /// The unbudgeted healthy reference: record plus output bits.
 fn healthy_run() -> (LaunchRecord, Vec<u32>) {
-    let mut dev = device(1, None);
+    let mut dev = device(None);
     let v = writer("w");
     let mut a = fresh_args();
     let rec = launch(&mut dev, &v, &mut a, None).unwrap_done();
@@ -89,7 +84,7 @@ fn budget_preempts_a_hung_launch_and_rolls_everything_back() {
     // under an eighth of the groups.
     let budget = Cycles::from_f64(healthy.busy.as_f64() * 8.0);
     let plan = FaultPlan::new(0).with(FaultRule::new("w", FaultKind::Hang(64)));
-    let mut dev = device(1, Some(plan));
+    let mut dev = device(Some(plan));
     let v = writer("w");
     let mut a = fresh_args();
     let p = launch(&mut dev, &v, &mut a, Some(budget))
@@ -123,7 +118,7 @@ fn budget_preempts_a_hung_launch_and_rolls_everything_back() {
 #[test]
 fn zero_budget_preempts_before_the_first_group() {
     let plan = FaultPlan::new(0).with(FaultRule::new("w", FaultKind::Hang(64)));
-    let mut dev = device(1, Some(plan));
+    let mut dev = device(Some(plan));
     let v = writer("w");
     let mut a = fresh_args();
     let p = launch(&mut dev, &v, &mut a, Some(Cycles::ZERO))
@@ -138,7 +133,7 @@ fn zero_budget_preempts_before_the_first_group() {
 fn generous_budget_is_bit_identical_to_unbudgeted() {
     let (healthy, bits) = healthy_run();
     let budget = Cycles::from_f64(healthy.busy.as_f64() * 1000.0);
-    let mut dev = device(1, None);
+    let mut dev = device(None);
     let v = writer("w");
     let mut a = fresh_args();
     let rec = launch(&mut dev, &v, &mut a, Some(budget)).unwrap_done();
@@ -146,23 +141,4 @@ fn generous_budget_is_bit_identical_to_unbudgeted() {
     let budgeted: Vec<u32> = a.f32(0).unwrap().iter().map(|y| y.to_bits()).collect();
     assert_eq!(budgeted, bits);
     assert_eq!(dev.stream_end(StreamId(0)), rec.end);
-}
-
-#[test]
-fn preemption_is_bit_identical_across_worker_threads() {
-    let (healthy, _) = healthy_run();
-    let budget = Cycles::from_f64(healthy.busy.as_f64() * 8.0);
-    let run = |threads: usize| {
-        let plan = FaultPlan::new(0).with(FaultRule::new("w", FaultKind::Hang(64)));
-        let mut dev = device(threads, Some(plan));
-        let v = writer("w");
-        let mut a = fresh_args();
-        launch(&mut dev, &v, &mut a, Some(budget))
-            .preempted()
-            .expect("hang*64 under an 8x budget must preempt")
-    };
-    let baseline = run(1);
-    for threads in [2usize, 8] {
-        assert_eq!(run(threads), baseline, "{threads} threads diverged");
-    }
 }

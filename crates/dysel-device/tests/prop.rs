@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 use dysel_device::gpu::{coalesced_segments, gather_segments, smem_conflict_degree};
 use dysel_device::{
-    CacheConfig, CacheHierarchy, Cycles, Executor, GpuConfig, NoiseModel, SetAssocCache, UnitPool,
+    CacheConfig, CacheHierarchy, Cycles, GpuConfig, NoiseModel, SetAssocCache, UnitPool,
 };
 use dysel_kernel::XorShiftRng;
 
@@ -163,21 +163,6 @@ fn noise_deterministic() {
         n1.reset();
         let mut n3 = NoiseModel::new(sigma, seed);
         assert_eq!(n1.perturb(Cycles(123_456)), n3.perturb(Cycles(123_456)));
-    }
-}
-
-/// The work pool returns results in job order for any job count and any
-/// worker count, including workers > jobs and jobs > workers.
-#[test]
-fn executor_order_invariant() {
-    for case in 0..CASES / 4 {
-        let mut rng = rng_for(9, case);
-        let n = rng.gen_range_usize(0, 200);
-        let threads = rng.gen_range_usize(1, 12);
-        let exec = Executor::new(threads);
-        let got: Vec<_> = exec.ordered(n, |i| i.wrapping_mul(2654435761), |r| r.collect());
-        let want: Vec<usize> = (0..n).map(|i| i.wrapping_mul(2654435761)).collect();
-        assert_eq!(got, want);
     }
 }
 

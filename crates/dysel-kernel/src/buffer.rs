@@ -374,17 +374,17 @@ impl Buffer {
         self.data = Arc::clone(&src.data);
     }
 
-    /// Merges a worker's writes into this buffer.
+    /// Merges the writes of an executed copy into this buffer.
     ///
-    /// `executed` is a worker-side copy that started from `pristine` (the
-    /// pre-launch snapshot) and was mutated by running some work-groups.
-    /// With `additive = false` every element whose bits differ from the
-    /// pristine value overwrites the target (disjoint-output kernels: each
-    /// element is written by at most one span, so span order is last-wins
-    /// and matches serial execution). With `additive = true` the *delta*
-    /// `executed - pristine` is added onto the target (accumulating kernels
-    /// such as histogram: integer deltas compose exactly under wrapping
-    /// arithmetic regardless of span order).
+    /// `executed` is a copy that started from `pristine` (the pre-launch
+    /// snapshot) and was mutated by running a launch's work-groups. With
+    /// `additive = false` every element whose bits differ from the pristine
+    /// value overwrites the target (disjoint-output kernels: each element
+    /// is written by at most one work-group). With `additive = true` the
+    /// *delta* `executed - pristine` is added onto the target (accumulating
+    /// kernels such as histogram: integer deltas compose exactly under
+    /// wrapping arithmetic, so the writes of earlier launches merged into
+    /// the target are kept).
     ///
     /// # Errors
     ///
@@ -400,7 +400,7 @@ impl Buffer {
         }
         // Dirty-range narrowing: locate the changed window once with the
         // chunked scan, then run the per-element merge over it alone — a
-        // span that wrote 32 rows of a megabyte buffer merges 32 rows.
+        // launch that wrote 32 rows of a megabyte buffer merges 32 rows.
         let Some((w0, w1)) = executed.dirty_window(pristine)? else {
             return Ok(()); // written, but with bit-identical values
         };
@@ -615,7 +615,7 @@ impl Buffer {
     /// `pristine` are bit-identical, or `None` when they agree everywhere.
     /// Found by a chunked OR-of-XOR scan from both ends; the expensive
     /// per-element paths (merge, digest, corruption) only walk this window
-    /// — i.e. the bytes a span actually touched.
+    /// — i.e. the bytes a launch actually touched.
     ///
     /// # Errors
     ///
@@ -1109,12 +1109,12 @@ impl Args {
             .try_fold(0u64, |acc, &i| Ok(acc + self.buffer(i)?.size_bytes()))
     }
 
-    /// Merges a worker-side execution of some work-groups back into this
-    /// argument set (see [`Buffer::merge_span`]).
+    /// Merges an executed copy of this argument set back into it (see
+    /// [`Buffer::merge_span`]).
     ///
     /// Only the listed `output_args` are inspected; every other argument is
     /// read-only by contract (the kernel IR declares its outputs). Buffers
-    /// the worker never wrote still share their payload with `pristine` and
+    /// the launch never wrote still share their payload with `pristine` and
     /// are skipped without touching a single element.
     ///
     /// # Errors

@@ -1,7 +1,7 @@
-//! Dirty-range bookkeeping for span-sized buffer restores.
+//! Dirty-range bookkeeping for partial buffer restores.
 //!
 //! The launch engine's repair/rollback paths historically treated every
-//! buffer as all-or-nothing: a span that wrote 32 rows of a megabyte
+//! buffer as all-or-nothing: a launch that wrote 32 rows of a megabyte
 //! output still paid full-buffer scans (and copies) to merge, digest or
 //! restore it. [`DirtyRanges`] is the explicit alternative: a sorted,
 //! coalesced set of half-open element ranges that some writer touched,

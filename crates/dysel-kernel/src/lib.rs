@@ -82,9 +82,7 @@ pub use fnv::{fnv1a, fnv1a_step, FNV_OFFSET};
 pub use ir::{AccessIr, AccessPattern, KernelIr, LoopBound, LoopIr, LoopKind};
 pub use kernel::{Kernel, Variant, VariantId, VariantMeta};
 pub use profile::{Orchestration, ProfilingMode};
-pub use range::{span_bounds, UnitRange};
+pub use range::UnitRange;
 pub use rng::XorShiftRng;
 pub use space::Space;
-pub use trace::{
-    CountingSink, MemOp, NullSink, RecordedTrace, RecordingSink, TraceEvent, TraceSink, TraceView,
-};
+pub use trace::{CountingSink, MemOp, NullSink, TraceSink};

@@ -85,32 +85,6 @@ impl fmt::Display for UnitRange {
     }
 }
 
-/// Partitions `len` items into at most `max_spans` contiguous half-open
-/// index spans, yielding `(lo, hi)` bounds in order.
-///
-/// This is the canonical span geometry of the two-phase launch engine:
-/// the parallel functional phase fans each launch's work-groups out span
-/// by span, and the budgeted (cooperatively preemptible) execution path
-/// walks the *same* spans as its checkpoint structure — so the two paths
-/// agree on group ordering and a launch's observable results never depend
-/// on which path ran it. The partition depends only on `len` and
-/// `max_spans` (never on worker count), and spans are balanced to within
-/// one item.
-///
-/// # Example
-///
-/// ```
-/// use dysel_kernel::span_bounds;
-/// let spans: Vec<_> = span_bounds(10, 4).collect();
-/// assert_eq!(spans, vec![(0, 2), (2, 5), (5, 7), (7, 10)]);
-/// // Fewer items than spans: one span per item.
-/// assert_eq!(span_bounds(2, 4).count(), 2);
-/// ```
-pub fn span_bounds(len: usize, max_spans: usize) -> impl Iterator<Item = (usize, usize)> {
-    let spans = len.min(max_spans);
-    (0..spans).map(move |s| (s * len / spans, (s + 1) * len / spans))
-}
-
 impl From<std::ops::Range<u64>> for UnitRange {
     fn from(r: std::ops::Range<u64>) -> Self {
         UnitRange::new(r.start, r.end)
@@ -145,23 +119,6 @@ mod tests {
     #[should_panic(expected = "invalid unit range")]
     fn reversed_range_panics() {
         let _ = UnitRange::new(5, 1);
-    }
-
-    #[test]
-    fn span_bounds_cover_exactly_once() {
-        for len in [0usize, 1, 2, 15, 16, 17, 100] {
-            for max_spans in [1usize, 4, 16] {
-                let spans: Vec<_> = span_bounds(len, max_spans).collect();
-                assert_eq!(spans.len(), len.min(max_spans));
-                let mut cursor = 0;
-                for (lo, hi) in spans {
-                    assert_eq!(lo, cursor, "spans must be contiguous");
-                    assert!(hi >= lo);
-                    cursor = hi;
-                }
-                assert_eq!(cursor, len, "spans must cover every item");
-            }
-        }
     }
 
     #[test]

@@ -3,24 +3,12 @@
 //! Kernels compute real results through [`crate::Args`] and, in parallel,
 //! describe *what the hardware would have done* through batched memory-op
 //! descriptors. Device timing models implement [`TraceSink`] and price the
-//! descriptors as they arrive, so no trace is ever materialized — except
-//! by [`RecordingSink`], which captures a replayable [`RecordedTrace`] for
-//! the launch engine's run-ahead workers.
+//! descriptors as they arrive, so no trace is ever materialized.
 //!
-//! ## Allocation discipline
-//!
-//! The recording path is the launch engine's hottest loop (a gather-heavy
-//! workload emits one descriptor per non-zero), so the trace layer is
-//! designed to stay off the allocator:
-//!
-//! * [`TraceSink::gather`] passes per-lane addresses as a borrowed slice;
-//!   sinks price or copy it without ever building an owned [`MemOp`];
-//! * [`TraceEvent`] is a compact `Copy` record — gathers store an
-//!   `(offset, len)` window into the trace's shared address pool instead
-//!   of a per-event `Vec`;
-//! * [`RecordedTrace`] is reusable: [`RecordedTrace::clear`] keeps the
-//!   event and address capacity, so the engine can recycle span traces
-//!   across launches through an arena instead of reallocating them.
+//! Pricing a work-group's trace is the launch engine's hottest loop (a
+//! gather-heavy workload emits one descriptor per non-zero), so
+//! [`TraceSink::gather`] passes per-lane addresses as a borrowed slice:
+//! sinks price it without ever building an owned [`MemOp`].
 
 use crate::Space;
 
@@ -176,7 +164,7 @@ pub trait TraceSink {
     /// (`store == true`): each active lane accesses its own byte address.
     ///
     /// This is the allocation-free twin of [`MemOp::Gather`]: the emitter
-    /// keeps ownership of the address slice, so hot sinks (recorders, cost
+    /// keeps ownership of the address slice, so hot sinks (the cost
     /// models) can consume it without an owned `Vec` ever being built. The
     /// default forwards to [`TraceSink::mem`] for sinks that only pattern
     /// match on `MemOp`.
@@ -203,442 +191,6 @@ pub trait TraceSink {
 
     /// Work-group barrier.
     fn barrier(&mut self) {}
-}
-
-/// One recorded trace event: a compact, `Copy` mirror of the sink calls.
-///
-/// Gather address lists live in the owning [`RecordedTrace`]'s shared
-/// address pool; the event stores only an `(offset, len)` window into it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent {
-    /// A strided warp access; see [`MemOp::Warp`].
-    Warp {
-        /// Memory space being accessed.
-        space: Space,
-        /// Byte address touched by lane 0.
-        base: u64,
-        /// Byte distance between consecutive lanes.
-        stride: i64,
-        /// Number of active lanes.
-        lanes: u32,
-        /// Element size in bytes.
-        elem: u32,
-        /// Whether this is a store.
-        store: bool,
-    },
-    /// A gather/scatter; addresses are `addrs[offset..offset + len]` of the
-    /// owning trace's address pool.
-    Gather {
-        /// Memory space being accessed.
-        space: Space,
-        /// Start of the address window in the trace's pool.
-        offset: u32,
-        /// Number of active lanes.
-        len: u32,
-        /// Element size in bytes.
-        elem: u32,
-        /// Whether this is a store (scatter).
-        store: bool,
-    },
-    /// A repeated warp access sequence; see [`MemOp::WarpSeq`].
-    WarpSeq {
-        /// Memory space being accessed.
-        space: Space,
-        /// Byte address touched by lane 0 of the first access.
-        base: u64,
-        /// Byte distance between consecutive lanes.
-        stride: i64,
-        /// Number of active lanes.
-        lanes: u32,
-        /// Element size in bytes.
-        elem: u32,
-        /// Whether this is a store.
-        store: bool,
-        /// Number of accesses in the sequence.
-        repeat: u32,
-        /// Byte advance of lane 0 between consecutive accesses.
-        step: i64,
-    },
-    /// A sequential stream; see [`MemOp::Stream`].
-    Stream {
-        /// Memory space being accessed.
-        space: Space,
-        /// Starting byte address.
-        base: u64,
-        /// Number of elements accessed.
-        count: u64,
-        /// Byte distance between consecutive accesses.
-        stride: i64,
-        /// Element size in bytes.
-        elem: u32,
-        /// Whether this is a store.
-        store: bool,
-    },
-    /// An atomic RMW; see [`MemOp::Atomic`].
-    Atomic {
-        /// Memory space being accessed.
-        space: Space,
-        /// Byte address of the contended word.
-        base: u64,
-        /// Number of participating lanes.
-        lanes: u32,
-        /// Number of *distinct* words touched.
-        distinct: u32,
-    },
-    /// A scratchpad access; see [`MemOp::Scratchpad`].
-    Scratchpad {
-        /// Number of active lanes.
-        lanes: u32,
-        /// Max number of lanes hitting the same bank.
-        conflict: u32,
-        /// Whether this is a store.
-        store: bool,
-    },
-    /// Scalar compute ops.
-    Compute(u64),
-    /// A SIMD/vector loop: `(iters, width, active, ops_per_iter)`.
-    VectorCompute(u64, u32, u32, u64),
-    /// A work-group barrier.
-    Barrier,
-}
-
-/// A borrowed view of one work-group's slice of a [`RecordedTrace`]: the
-/// group's events plus the trace-wide address pool its gathers index into.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceView<'a> {
-    events: &'a [TraceEvent],
-    addrs: &'a [u64],
-}
-
-impl<'a> TraceView<'a> {
-    /// Number of events in the view.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the view holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The address window of a gather event.
-    pub fn gather_addrs(&self, offset: u32, len: u32) -> &'a [u64] {
-        &self.addrs[offset as usize..offset as usize + len as usize]
-    }
-
-    /// Feeds every event of the view into `sink`, in recording order.
-    ///
-    /// Gathers replay through [`TraceSink::gather`] with a pool slice, so a
-    /// replay allocates nothing regardless of how the sink consumes it.
-    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        for ev in self.events {
-            match *ev {
-                TraceEvent::Warp {
-                    space,
-                    base,
-                    stride,
-                    lanes,
-                    elem,
-                    store,
-                } => sink.mem(&MemOp::Warp {
-                    space,
-                    base,
-                    stride,
-                    lanes,
-                    elem,
-                    store,
-                }),
-                TraceEvent::Gather {
-                    space,
-                    offset,
-                    len,
-                    elem,
-                    store,
-                } => sink.gather(space, self.gather_addrs(offset, len), elem, store),
-                TraceEvent::WarpSeq {
-                    space,
-                    base,
-                    stride,
-                    lanes,
-                    elem,
-                    store,
-                    repeat,
-                    step,
-                } => sink.mem(&MemOp::WarpSeq {
-                    space,
-                    base,
-                    stride,
-                    lanes,
-                    elem,
-                    store,
-                    repeat,
-                    step,
-                }),
-                TraceEvent::Stream {
-                    space,
-                    base,
-                    count,
-                    stride,
-                    elem,
-                    store,
-                } => sink.mem(&MemOp::Stream {
-                    space,
-                    base,
-                    count,
-                    stride,
-                    elem,
-                    store,
-                }),
-                TraceEvent::Atomic {
-                    space,
-                    base,
-                    lanes,
-                    distinct,
-                } => sink.mem(&MemOp::Atomic {
-                    space,
-                    base,
-                    lanes,
-                    distinct,
-                }),
-                TraceEvent::Scratchpad {
-                    lanes,
-                    conflict,
-                    store,
-                } => sink.mem(&MemOp::Scratchpad {
-                    lanes,
-                    conflict,
-                    store,
-                }),
-                TraceEvent::Compute(ops) => sink.compute(ops),
-                TraceEvent::VectorCompute(iters, width, active, ops) => {
-                    sink.vector_compute(iters, width, active, ops)
-                }
-                TraceEvent::Barrier => sink.barrier(),
-            }
-        }
-    }
-}
-
-/// The cost trace of one or more work-groups, captured by a
-/// [`RecordingSink`].
-///
-/// Recorded traces are what lets the parallel executor run a launch's
-/// spans ahead of pricing: worker threads run the kernels functionally and
-/// *record* their traces, then a single serial pass replays every trace in
-/// canonical work-group order against the stateful device cost models — so
-/// the priced timeline is bit-identical to a one-worker device, which
-/// prices each group live as it runs.
-///
-/// A trace can hold several groups back to back (one span's worth): the
-/// recorder marks group boundaries with [`RecordingSink::end_group`] and
-/// the pricing pass walks them with [`RecordedTrace::groups`]. Events live
-/// in one flat buffer and gather addresses in one shared pool, so a span's
-/// recording costs two amortized allocations total — and zero once the
-/// trace is recycled through [`RecordedTrace::clear`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecordedTrace {
-    events: Vec<TraceEvent>,
-    addrs: Vec<u64>,
-    /// End offset (exclusive) of each closed group in `events`.
-    group_ends: Vec<u32>,
-}
-
-impl RecordedTrace {
-    /// Number of recorded events (all groups).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of closed groups ([`RecordingSink::end_group`] calls).
-    pub fn group_count(&self) -> usize {
-        self.group_ends.len()
-    }
-
-    /// Drops all recorded content but keeps the allocated capacity, so the
-    /// trace can be reused for another span without touching the allocator.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.addrs.clear();
-        self.group_ends.clear();
-    }
-
-    /// A view over the whole trace (all groups plus any open tail).
-    pub fn view(&self) -> TraceView<'_> {
-        TraceView {
-            events: &self.events,
-            addrs: &self.addrs,
-        }
-    }
-
-    /// Views over the closed groups, in recording order.
-    pub fn groups(&self) -> impl Iterator<Item = TraceView<'_>> + '_ {
-        let mut start = 0usize;
-        self.group_ends.iter().map(move |&end| {
-            let v = TraceView {
-                events: &self.events[start..end as usize],
-                addrs: &self.addrs,
-            };
-            start = end as usize;
-            v
-        })
-    }
-
-    /// Feeds every recorded event into `sink`, in recording order.
-    pub fn replay<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        self.view().replay(sink);
-    }
-}
-
-/// A sink that materializes the trace instead of pricing it.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecordingSink {
-    trace: RecordedTrace,
-}
-
-impl RecordingSink {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        RecordingSink::default()
-    }
-
-    /// Creates a recorder that records into `trace`'s existing buffers
-    /// (cleared first) — the arena path: a recycled trace records a fresh
-    /// span without new allocations.
-    pub fn reusing(mut trace: RecordedTrace) -> Self {
-        trace.clear();
-        RecordingSink { trace }
-    }
-
-    /// Closes the current group: events recorded since the last boundary
-    /// form one work-group's trace in [`RecordedTrace::groups`] order.
-    pub fn end_group(&mut self) {
-        self.trace.group_ends.push(self.trace.events.len() as u32);
-    }
-
-    /// Consumes the recorder, yielding the captured trace.
-    pub fn into_trace(self) -> RecordedTrace {
-        self.trace
-    }
-}
-
-impl TraceSink for RecordingSink {
-    fn mem(&mut self, op: &MemOp) {
-        let ev = match *op {
-            MemOp::Warp {
-                space,
-                base,
-                stride,
-                lanes,
-                elem,
-                store,
-            } => TraceEvent::Warp {
-                space,
-                base,
-                stride,
-                lanes,
-                elem,
-                store,
-            },
-            MemOp::Gather {
-                space,
-                ref addrs,
-                elem,
-                store,
-            } => {
-                self.gather(space, addrs, elem, store);
-                return;
-            }
-            MemOp::WarpSeq {
-                space,
-                base,
-                stride,
-                lanes,
-                elem,
-                store,
-                repeat,
-                step,
-            } => TraceEvent::WarpSeq {
-                space,
-                base,
-                stride,
-                lanes,
-                elem,
-                store,
-                repeat,
-                step,
-            },
-            MemOp::Stream {
-                space,
-                base,
-                count,
-                stride,
-                elem,
-                store,
-            } => TraceEvent::Stream {
-                space,
-                base,
-                count,
-                stride,
-                elem,
-                store,
-            },
-            MemOp::Atomic {
-                space,
-                base,
-                lanes,
-                distinct,
-            } => TraceEvent::Atomic {
-                space,
-                base,
-                lanes,
-                distinct,
-            },
-            MemOp::Scratchpad {
-                lanes,
-                conflict,
-                store,
-            } => TraceEvent::Scratchpad {
-                lanes,
-                conflict,
-                store,
-            },
-        };
-        self.trace.events.push(ev);
-    }
-
-    fn gather(&mut self, space: Space, addrs: &[u64], elem: u32, store: bool) {
-        let offset = self.trace.addrs.len() as u32;
-        self.trace.addrs.extend_from_slice(addrs);
-        self.trace.events.push(TraceEvent::Gather {
-            space,
-            offset,
-            len: addrs.len() as u32,
-            elem,
-            store,
-        });
-    }
-
-    fn compute(&mut self, ops: u64) {
-        self.trace.events.push(TraceEvent::Compute(ops));
-    }
-
-    fn vector_compute(&mut self, iters: u64, width: u32, active: u32, ops_per_iter: u64) {
-        self.trace.events.push(TraceEvent::VectorCompute(
-            iters,
-            width,
-            active,
-            ops_per_iter,
-        ));
-    }
-
-    fn barrier(&mut self) {
-        self.trace.events.push(TraceEvent::Barrier);
-    }
 }
 
 /// A sink that ignores everything (functional-only execution).
@@ -744,86 +296,18 @@ mod tests {
     }
 
     #[test]
-    fn recording_then_replaying_matches_direct_emission() {
-        let emit = |sink: &mut dyn TraceSink| {
-            sink.mem(&MemOp::Warp {
-                space: Space::Global,
-                base: 128,
-                stride: 4,
-                lanes: 32,
-                elem: 4,
-                store: false,
-            });
-            sink.gather(Space::Texture, &[0, 64, 4096], 4, false);
-            sink.compute(17);
-            sink.vector_compute(4, 8, 6, 3);
-            sink.barrier();
-        };
-        let mut direct = CountingSink::default();
-        emit(&mut direct);
-        let mut rec = RecordingSink::new();
-        emit(&mut rec);
-        let trace = rec.into_trace();
-        assert_eq!(trace.len(), 5);
-        let mut replayed = CountingSink::default();
-        trace.replay(&mut replayed);
-        assert_eq!(direct, replayed);
-    }
-
-    #[test]
-    fn gather_via_mem_and_via_slice_record_identically() {
-        let mut a = RecordingSink::new();
+    fn gather_via_mem_and_via_slice_count_identically() {
+        let mut a = CountingSink::default();
         a.mem(&MemOp::Gather {
             space: Space::Global,
             addrs: vec![8, 16, 1024],
             elem: 4,
             store: true,
         });
-        let mut b = RecordingSink::new();
+        let mut b = CountingSink::default();
         b.gather(Space::Global, &[8, 16, 1024], 4, true);
-        assert_eq!(a.into_trace(), b.into_trace());
-    }
-
-    #[test]
-    fn group_boundaries_partition_the_trace() {
-        let mut rec = RecordingSink::new();
-        rec.compute(1);
-        rec.gather(Space::Global, &[0, 4], 4, false);
-        rec.end_group();
-        rec.compute(2);
-        rec.end_group();
-        let trace = rec.into_trace();
-        assert_eq!(trace.group_count(), 2);
-        let views: Vec<_> = trace.groups().collect();
-        assert_eq!(views[0].len(), 2);
-        assert_eq!(views[1].len(), 1);
-        let mut g0 = CountingSink::default();
-        views[0].replay(&mut g0);
-        assert_eq!(g0.accesses, 2);
-        assert_eq!(g0.compute_ops, 1);
-        let mut g1 = CountingSink::default();
-        views[1].replay(&mut g1);
-        assert_eq!(g1.compute_ops, 2);
-        assert_eq!(g1.mem_ops, 0);
-    }
-
-    #[test]
-    fn cleared_trace_reuses_capacity() {
-        let mut rec = RecordingSink::new();
-        rec.gather(Space::Global, &[0; 64], 4, false);
-        rec.end_group();
-        let mut trace = rec.into_trace();
-        let cap = (trace.events.capacity(), trace.addrs.capacity());
-        trace.clear();
-        assert!(trace.is_empty());
-        assert_eq!(trace.group_count(), 0);
-        assert_eq!((trace.events.capacity(), trace.addrs.capacity()), cap);
-        let mut rec = RecordingSink::reusing(trace);
-        rec.compute(3);
-        rec.end_group();
-        let trace = rec.into_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.group_count(), 1);
+        assert_eq!(a, b);
+        assert_eq!((a.accesses, a.bytes, a.stores), (3, 12, 1));
     }
 
     #[test]

@@ -182,7 +182,7 @@ fn merge_outputs_matches_direct_execution() {
         let mut target = Args::new();
         target.push(Buffer::u32("h", base.clone(), Space::Global));
         let pristine = target.clone();
-        // Two spans each increment a random subset (overlaps allowed).
+        // Two launches each increment a random subset (overlaps allowed).
         let mut expect = base.clone();
         let mut spans = Vec::new();
         for _ in 0..2 {

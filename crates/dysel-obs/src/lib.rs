@@ -14,10 +14,10 @@
 //! Events are ordered by the **canonical serial-replay timeline**, not
 //! wall clock: the runtime and the device models emit them from their
 //! serial pricing/orchestration passes, and the sink assigns sequence
-//! numbers in emission order. Because that serial order is itself
-//! independent of the worker-thread count (the two-phase launch engine's
-//! contract), a trace is bit-identical at `--threads 1/2/8` — which makes
-//! traces usable as golden test fixtures.
+//! numbers in emission order. Because that order is a function of the
+//! seed alone (the launch engine prices every entry in issue order), a
+//! trace is bit-identical on every run — which makes traces usable as
+//! golden test fixtures.
 //!
 //! ## Exporters
 //!

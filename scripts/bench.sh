@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end experiments-suite benchmark: runs the full deterministic suite
-# at --threads 1, records per-experiment and total wall-clock seconds plus
+# End-to-end experiments-suite benchmark: runs the full deterministic suite,
+# records per-experiment and total wall-clock seconds plus
 # the selections digest as BENCH_<rev>.json, and (with --check) compares
 # against the checked-in BENCH_baseline.json:
 #
@@ -41,8 +41,8 @@ cargo build --release -p dysel-bench --bin experiments -q
 
 # Runs the suite once; sets $digest and $total.
 run_suite() {
-    echo "==> running the full experiments suite (--threads 1)"
-    target/release/experiments --threads 1 >"$raw"
+    echo "==> running the full experiments suite"
+    target/release/experiments >"$raw"
     digest=$(grep -o 'selections=[0-9a-f]*' "$raw" | cut -d= -f2)
     total=$(grep '^total: ' "$raw" | sed -E 's/total: ([0-9.]+)s/\1/')
     test -n "$digest" && test -n "$total"
@@ -64,7 +64,6 @@ write_json() {
             printf "{\n"
             printf "  \"schema\": 1,\n"
             printf "  \"rev\": \"%s\",\n", rev
-            printf "  \"threads\": 1,\n"
             printf "  \"selections_digest\": \"%s\",\n", digest
             printf "  \"total_seconds\": %s,\n", total
             printf "  \"experiments\": {\n"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: offline build, full test matrix, and the
-# thread-count determinism contract of the parallel executor.
+# run-to-run determinism contract of the experiments.
 #
 # Everything here runs with no network access and no external crates —
 # including the optional extras:
@@ -48,7 +48,7 @@ echo "    rejected"
 
 echo "==> fault-plan runs: a faulted fig11a must exit 0, wrong outputs repaired"
 for kind in error wrong; do
-    target/release/experiments --threads 1 --fault-plan "seed=1;scalar-dfo@0+1=$kind" fig11a \
+    target/release/experiments --fault-plan "seed=1;scalar-dfo@0+1=$kind" fig11a \
         | grep "^run summary" > "/tmp/dysel-verify-fault-$kind.txt"
 done
 wrong=$(grep -o "wrong-output=[0-9]*" /tmp/dysel-verify-fault-wrong.txt | cut -d= -f2)
@@ -63,17 +63,16 @@ errors=$(grep -o "errors=[0-9]*" /tmp/dysel-verify-fault-doc.txt | cut -d= -f2)
 test -n "$errors" && test "$errors" -gt 0
 echo "    errors=$errors"
 
-echo "==> determinism: --threads 1 vs --threads 4 must be bit-identical"
-# One worker prices each work-group live; four workers record span traces
-# ahead and replay them. fig11a covers the CPU model, fig11b the GPU one.
+echo "==> determinism: two runs of the same ids must print identical output"
+# fig11a covers the CPU model, fig11b the GPU one.
 strip_wallclock() { sed -E 's/\[[0-9.]+s\]//g; s/total: [0-9.]+s//'; }
 bin=target/release/experiments
 cargo build --release -p dysel-bench --bin experiments -q
 for id in fig11a fig11b; do
-    "$bin" --threads 1 "$id" | strip_wallclock > "/tmp/dysel-verify-t1-$id.txt"
-    "$bin" --threads 4 "$id" | strip_wallclock > "/tmp/dysel-verify-t4-$id.txt"
-    grep -q "$id" "/tmp/dysel-verify-t1-$id.txt"  # guard against an empty run
-    diff "/tmp/dysel-verify-t1-$id.txt" "/tmp/dysel-verify-t4-$id.txt"
+    "$bin" "$id" | strip_wallclock > "/tmp/dysel-verify-run1-$id.txt"
+    "$bin" "$id" | strip_wallclock > "/tmp/dysel-verify-run2-$id.txt"
+    grep -q "$id" "/tmp/dysel-verify-run1-$id.txt"  # guard against an empty run
+    diff "/tmp/dysel-verify-run1-$id.txt" "/tmp/dysel-verify-run2-$id.txt"
 done
 echo "    identical"
 
@@ -81,7 +80,7 @@ echo "==> trace smoke: --trace-out must write non-empty, parseable JSON"
 trace=/tmp/dysel-verify-trace.json
 metrics=/tmp/dysel-verify-metrics.txt
 rm -f "$trace" "$metrics"
-"$bin" --threads 1 --trace-out "$trace" --metrics-out "$metrics" fig11a \
+"$bin" --trace-out "$trace" --metrics-out "$metrics" fig11a \
     | strip_wallclock | grep -v "^trace: \|^metrics " > /tmp/dysel-verify-obs.txt
 test -s "$trace" && test -s "$metrics"
 if command -v python3 >/dev/null 2>&1; then
@@ -99,9 +98,9 @@ echo "    $(grep -c '"ph"' "$trace") event line(s), metrics present"
 
 echo "==> overhead guard: observation must not change results"
 # The observed fig11a run's output (modulo wall-clock and the two export
-# notice lines) must equal the unobserved --threads 1 run byte for byte:
+# notice lines) must equal the unobserved run byte for byte:
 # same figures, same selection digest, same fault counters.
-diff /tmp/dysel-verify-t1-fig11a.txt /tmp/dysel-verify-obs.txt
+diff /tmp/dysel-verify-run1-fig11a.txt /tmp/dysel-verify-obs.txt
 echo "    identical"
 
 echo "==> warm restart: second --state-file run must skip all profiling"
@@ -187,15 +186,13 @@ test -n "$sel_shadow" && test "$sel_shadow" = "$sel_off"
 hits=$(grep -o "predict-hits=[0-9]*" /tmp/dysel-verify-predict-shadow.txt | cut -d= -f2)
 misses=$(grep -o "predict-misses=[0-9]*" /tmp/dysel-verify-predict-shadow.txt | cut -d= -f2)
 test "$hits" -gt 0 && test "$hits" -gt "$misses"
-# Shadow parity must also hold per thread count (cheap subset id).
-"$bin" --threads 1 fig11a | grep "^run summary" > /tmp/dysel-verify-p-base.txt
+# Shadow parity must also hold on a cheap subset id.
+"$bin" fig11a | grep "^run summary" > /tmp/dysel-verify-p-base.txt
 sel_base=$(grep -o "selections=[0-9a-f]*" /tmp/dysel-verify-p-base.txt)
-for t in 1 2 8; do
-    "$bin" --threads "$t" --predict shadow --predict-model "$model" fig11a \
-        | grep "^run summary" > /tmp/dysel-verify-p-shadow-t.txt
-    sel_t=$(grep -o "selections=[0-9a-f]*" /tmp/dysel-verify-p-shadow-t.txt)
-    test -n "$sel_base" && test "$sel_t" = "$sel_base"
-done
+"$bin" --predict shadow --predict-model "$model" fig11a \
+    | grep "^run summary" > /tmp/dysel-verify-p-shadow.txt
+sel_shadow_subset=$(grep -o "selections=[0-9a-f]*" /tmp/dysel-verify-p-shadow.txt)
+test -n "$sel_base" && test "$sel_shadow_subset" = "$sel_base"
 # On mode must skip real profiling work (the suite itself verifies
 # every output, so a non-zero exit would mean a wrong selection ran),
 # and its digest must be invariant across reruns.

@@ -47,13 +47,8 @@ fn fold(digest: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// One inline functional worker: panics inside a kernel surface in the
-/// launching (shard worker) thread, where lane supervision catches them.
 fn device() -> Box<dyn Device> {
-    Box::new(CpuDevice::new(CpuConfig {
-        threads: 1,
-        ..CpuConfig::noiseless()
-    }))
+    Box::new(CpuDevice::new(CpuConfig::noiseless()))
 }
 
 fn writer(name: &str, cost: u64) -> Variant {
@@ -544,10 +539,7 @@ fn rebuilt_lane_keeps_the_quarantine_learned_before_the_panic() {
     let factory = {
         let built = built.clone();
         move || -> Box<dyn Device> {
-            let mut dev = CpuDevice::new(CpuConfig {
-                threads: 1,
-                ..CpuConfig::noiseless()
-            });
+            let mut dev = CpuDevice::new(CpuConfig::noiseless());
             // Only the stream's first lane sees `fast` fail.
             if built.fetch_add(1, Ordering::SeqCst) == 0 {
                 dev.set_fault_plan(Some(

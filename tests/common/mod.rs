@@ -76,16 +76,10 @@ pub fn suite() -> Vec<Workload> {
     ]
 }
 
-/// A default device for `target` with `threads` functional workers.
-pub fn device(target: Target, threads: usize) -> Box<dyn Device> {
+/// A default device for `target`.
+pub fn device(target: Target) -> Box<dyn Device> {
     match target {
-        Target::Cpu => Box::new(CpuDevice::new(CpuConfig {
-            threads,
-            ..CpuConfig::default()
-        })),
-        Target::Gpu => Box::new(GpuDevice::new(GpuConfig {
-            threads,
-            ..GpuConfig::kepler_k20c()
-        })),
+        Target::Cpu => Box::new(CpuDevice::new(CpuConfig::default())),
+        Target::Gpu => Box::new(GpuDevice::new(GpuConfig::kepler_k20c())),
     }
 }

@@ -44,55 +44,6 @@ fn run(device: Box<dyn Device>, target: Target) -> (LaunchReport, Vec<u32>) {
     (report, bits)
 }
 
-/// The determinism contract of the parallel executor: the worker-thread
-/// count changes host wall-clock only. Selections, reports (every virtual
-/// timestamp and measurement) and output buffers are bit-identical whether
-/// the functional execution ran inline or fanned out over 2 or 8 workers.
-#[test]
-fn worker_thread_count_never_changes_cpu_results() {
-    let baseline = run(
-        Box::new(CpuDevice::new(CpuConfig {
-            threads: 1,
-            ..CpuConfig::default()
-        })),
-        Target::Cpu,
-    );
-    for threads in [2usize, 8] {
-        let (report, bits) = run(
-            Box::new(CpuDevice::new(CpuConfig {
-                threads,
-                ..CpuConfig::default()
-            })),
-            Target::Cpu,
-        );
-        assert_eq!(report, baseline.0, "{threads} threads: report diverged");
-        assert_eq!(bits, baseline.1, "{threads} threads: output diverged");
-    }
-}
-
-/// Same contract on the GPU model (SwapPartial inference path included).
-#[test]
-fn worker_thread_count_never_changes_gpu_results() {
-    let baseline = run(
-        Box::new(GpuDevice::new(GpuConfig {
-            threads: 1,
-            ..GpuConfig::kepler_k20c()
-        })),
-        Target::Gpu,
-    );
-    for threads in [2usize, 8] {
-        let (report, bits) = run(
-            Box::new(GpuDevice::new(GpuConfig {
-                threads,
-                ..GpuConfig::kepler_k20c()
-            })),
-            Target::Gpu,
-        );
-        assert_eq!(report, baseline.0, "{threads} threads: report diverged");
-        assert_eq!(bits, baseline.1, "{threads} threads: output diverged");
-    }
-}
-
 #[test]
 fn cpu_runs_are_bit_identical() {
     let (r1, o1) = run(Box::new(CpuDevice::new(CpuConfig::default())), Target::Cpu);
@@ -143,14 +94,12 @@ fn different_noise_seeds_change_measurements_but_not_output() {
     assert_eq!(o1, o2);
 }
 
-/// The determinism contract extends to the degradation machinery: with a
-/// fault plan active (a hang, a transient launch error and silent
-/// corruption on three different variants), retries, deadline discards,
-/// quarantine decisions, repairs and the final output are all functions of
-/// virtual time and the plan's seed alone — bit-identical whether the
-/// functional execution ran inline or over 2 or 8 worker threads.
+/// The degradation machinery preserves output exactness: with a fault plan
+/// active (a hang, a transient launch error and silent corruption on three
+/// different variants), the plan fires, retries happen, and the repaired
+/// output equals a healthy run's bit for bit.
 #[test]
-fn worker_thread_count_never_changes_faulted_results() {
+fn fault_plan_degrades_to_the_healthy_output() {
     let w = workload();
     let names: Vec<String> = w
         .variants(Target::Cpu)
@@ -164,11 +113,8 @@ fn worker_thread_count_never_changes_faulted_results() {
             .with(FaultRule::new(&names[1], FaultKind::LaunchError).window(0, 1))
             .with(FaultRule::new(&names[2], FaultKind::WrongOutput))
     };
-    let faulted = |threads: usize| {
-        let mut dev = CpuDevice::new(CpuConfig {
-            threads,
-            ..CpuConfig::default()
-        });
+    let faulted = || {
+        let mut dev = CpuDevice::new(CpuConfig::default());
         dev.set_fault_plan(Some(plan()));
         let mut rt = Runtime::with_config(
             Box::new(dev),
@@ -196,119 +142,53 @@ fn worker_thread_count_never_changes_faulted_results() {
             .map(|v| v.to_bits())
             .collect();
         // The plan must actually have fired, or this test proves nothing.
-        assert!(!report.faults.is_clean(), "{threads} threads: plan inert");
-        assert!(report.faults.retries >= 1, "{threads} threads: no retry");
-        (report, bits)
+        assert!(!report.faults.is_clean(), "plan inert");
+        assert!(report.faults.retries >= 1, "no retry");
+        bits
     };
-    let baseline = faulted(1);
-    for threads in [2usize, 8] {
-        let (report, bits) = faulted(threads);
-        assert_eq!(report, baseline.0, "{threads} threads: report diverged");
-        assert_eq!(bits, baseline.1, "{threads} threads: output diverged");
-    }
-    // And a healthy run of the same workload produces the same bits: the
+    // A healthy run of the same workload produces the same bits: the
     // degradation ladder preserved output exactness.
     let healthy = run(Box::new(CpuDevice::new(CpuConfig::default())), Target::Cpu);
-    assert_eq!(baseline.1, healthy.1, "degraded output diverged");
+    assert_eq!(faulted(), healthy.1, "degraded output diverged");
 }
 
-/// Cooperative preemption is part of the determinism contract: with the
-/// budget subsystem armed (`profile_deadline_factor`) and a hang on a
-/// *later* variant — so earlier healthy measurements have already set the
-/// budget baseline when the hung variant profiles — the preemption point
-/// is a priced-cycle watermark, and the whole run (preemption counters,
-/// report, output bits) is identical at 1, 2 and 8 worker threads.
+/// Cooperative preemption under the budget subsystem
+/// (`profile_deadline_factor`), with a hang on a *later* variant so that
+/// earlier healthy measurements have already set the budget baseline when
+/// the hung variant profiles: the hang costs at most `factor` times that
+/// baseline, and the degraded output equals the healthy run bit for bit.
 #[test]
-fn budget_preemption_is_bit_identical_across_worker_threads() {
-    let w = workload();
-    let names: Vec<String> = w
-        .variants(Target::Cpu)
+fn budget_preemption_is_bounded_and_exact() {
+    let (report, bits) = preempted_run();
+    // Acceptance bound: the hang cost at most `factor` times the best
+    // measurement available when its budget was derived (a variant
+    // profiled before it).
+    let baseline = report
+        .measurements
         .iter()
-        .map(|v| v.name().to_owned())
-        .collect();
-    assert!(names.len() >= 3, "case IV grid has at least 3 CPU variants");
-    let hung = names[2].clone();
-    let factor = 8.0;
-    let budgeted = |threads: usize| {
-        let mut dev = CpuDevice::new(CpuConfig {
-            threads,
-            ..CpuConfig::default()
-        });
-        dev.set_fault_plan(Some(
-            FaultPlan::new(7).with(FaultRule::new(&hung, FaultKind::Hang(64))),
-        ));
-        let mut rt = Runtime::with_config(
-            Box::new(dev),
-            RuntimeConfig {
-                profile_threshold_groups: 16,
-                profile_deadline_factor: Some(factor),
-                ..RuntimeConfig::default()
-            },
-        );
-        rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
-        let mut args = w.fresh_args();
-        let report = rt
-            .launch(
-                &w.signature,
-                &mut args,
-                w.total_units,
-                &LaunchOptions::new(),
-            )
-            .unwrap();
-        let bits: Vec<u32> = args
-            .f32(spmv_csr::arg::Y)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        // The budget must actually have fired, mid-launch: the hung
-        // variant stopped executing groups instead of running to the end.
-        // (Here its very first hang*64-priced group already overruns, so
-        // zero groups complete — the strictest possible stop.)
-        assert!(
-            report.faults.preemptions >= 1,
-            "{threads} threads: no preemption"
-        );
-        // Acceptance bound: the hang cost at most `factor` times the best
-        // measurement available when its budget was derived (a variant
-        // profiled before it).
-        let baseline = report
-            .measurements
-            .iter()
-            .filter(|m| m.variant.0 < 2)
-            .map(|m| m.measured)
-            .min()
-            .expect("earlier variants measured");
-        let bound = Cycles::from_f64(baseline.as_f64() * factor);
-        assert!(
-            report.faults.preempted_cycles <= bound,
-            "{threads} threads: preempted {} > bound {bound}",
-            report.faults.preempted_cycles
-        );
-        (report, bits)
-    };
-    let baseline = budgeted(1);
-    for threads in [2usize, 8] {
-        let (report, bits) = budgeted(threads);
-        assert_eq!(report, baseline.0, "{threads} threads: report diverged");
-        assert_eq!(bits, baseline.1, "{threads} threads: output diverged");
-    }
-    // Exactness survives the preemption: the degraded output equals the
-    // healthy run bit for bit.
+        .filter(|m| m.variant.0 < 2)
+        .map(|m| m.measured)
+        .min()
+        .expect("earlier variants measured");
+    let bound = Cycles::from_f64(baseline.as_f64() * DEADLINE_FACTOR);
+    assert!(
+        report.faults.preempted_cycles <= bound,
+        "preempted {} > bound {bound}",
+        report.faults.preempted_cycles
+    );
     let healthy = run(Box::new(CpuDevice::new(CpuConfig::default())), Target::Cpu);
-    assert_eq!(baseline.1, healthy.1, "preempted run's output diverged");
+    assert_eq!(bits, healthy.1, "preempted run's output diverged");
 }
 
-/// The budget-preemption case of
-/// [`budget_preemption_is_bit_identical_across_worker_threads`] on a
-/// single-worker device: report and output bits.
+/// Profile-budget multiple of [`preempted_run`].
+const DEADLINE_FACTOR: f64 = 8.0;
+
+/// A launch whose third CPU variant hangs 64x under a profile budget of
+/// [`DEADLINE_FACTOR`]: report and output bits. The budget must fire.
 fn preempted_run() -> (LaunchReport, Vec<u32>) {
     let w = workload();
     let hung = w.variants(Target::Cpu)[2].name().to_owned();
-    let mut dev = CpuDevice::new(CpuConfig {
-        threads: 1,
-        ..CpuConfig::default()
-    });
+    let mut dev = CpuDevice::new(CpuConfig::default());
     dev.set_fault_plan(Some(
         FaultPlan::new(7).with(FaultRule::new(&hung, FaultKind::Hang(64))),
     ));
@@ -316,7 +196,7 @@ fn preempted_run() -> (LaunchReport, Vec<u32>) {
         Box::new(dev),
         RuntimeConfig {
             profile_threshold_groups: 16,
-            profile_deadline_factor: Some(8.0),
+            profile_deadline_factor: Some(DEADLINE_FACTOR),
             ..RuntimeConfig::default()
         },
     );

@@ -184,18 +184,16 @@ fn check(workloads: &[Workload], golden: &[(&str, u64, u64)]) {
         let mut args = w.fresh_args();
         args.rebase_in(&mut AddrSpace::new());
         for (target, want) in [(Target::Cpu, cpu), (Target::Gpu, gpu)] {
-            for threads in [1, 2] {
-                let got = if w.variants(target).is_empty() {
-                    0
-                } else {
-                    let (outcomes, written) = drive(w, target, device(target, threads), &args);
-                    digest(&outcomes, &written)
-                };
-                if got != want {
-                    failures.push(format!(
-                        "{name} [{target}] @{threads}: {got:#018x}, pinned {want:#018x}"
-                    ));
-                }
+            let got = if w.variants(target).is_empty() {
+                0
+            } else {
+                let (outcomes, written) = drive(w, target, device(target), &args);
+                digest(&outcomes, &written)
+            };
+            if got != want {
+                failures.push(format!(
+                    "{name} [{target}]: {got:#018x}, pinned {want:#018x}"
+                ));
             }
         }
     }
@@ -284,13 +282,13 @@ fn live_pricing_kmeans_particlefilter_histogram() {
             ),
             (
                 "histogram(uniform)",
-                0xbb57_0fc7_d839_edd0,
-                0x80f9_62e2_9522_2adc,
+                0x1177_1941_c5b6_00c2,
+                0xe602_ba2e_6390_8706,
             ),
             (
                 "histogram(skewed)",
-                0x1e64_5cee_acb5_6312,
-                0x1f8a_bae1_ad77_0600,
+                0x6584_254f_9378_6758,
+                0x8229_5dab_3048_5912,
             ),
         ],
     );

@@ -1,6 +1,5 @@
 //! Observability acceptance: the structured event stream is deterministic
-//! (bit-identical exports at any worker-thread count and across a device
-//! reset), fault handling shows up as retry-before-quarantine in canonical
+//! (bit-identical exports across a device reset and a fresh runtime), fault handling shows up as retry-before-quarantine in canonical
 //! order, observation off is bit-identical to observation on, and the
 //! three PR bugfixes hold — bounded diagnostics, warm-restore staleness
 //! invalidation, and size-aware sandbox reuse (covered unit-side; the
@@ -48,49 +47,37 @@ fn launch(rt: &mut Runtime, w: &Workload) -> LaunchReport {
     .unwrap()
 }
 
-/// The golden-trace contract: both exporters produce byte-identical output
-/// whether the device's functional execution ran inline or fanned out over
-/// 2 or 8 worker threads — device events are emitted in the serial pricing
-/// pass, so their sequence numbers are canonical.
-#[test]
-fn exports_are_bit_identical_across_worker_threads() {
-    let w = workload();
-    let exports = |threads: usize| {
-        let (mut rt, sink) = observed_runtime(Box::new(CpuDevice::new(CpuConfig {
-            threads,
-            ..CpuConfig::default()
-        })));
-        rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
-        launch(&mut rt, &w);
-        let events = sink.events();
-        assert!(!events.is_empty(), "{threads} threads: no events");
-        (chrome_trace(&events), jsonl(&events))
-    };
-    let baseline = exports(1);
-    for threads in [2usize, 8] {
-        assert_eq!(exports(threads), baseline, "{threads} threads diverged");
-    }
-}
-
-/// `Runtime::reset` + `EventSink::clear` replays the exact same event
-/// stream: the trace is a pure function of the virtual schedule.
+/// The golden-trace contract: `Runtime::reset` + `EventSink::clear`
+/// replays the exact same event stream, and so does a fresh runtime, so
+/// both exporters produce byte-identical output: the trace is a pure
+/// function of the virtual schedule.
 #[test]
 fn reset_and_rerun_reproduce_the_same_trace() {
     let w = workload();
-    let (mut rt, sink) = observed_runtime(Box::new(CpuDevice::new(CpuConfig::default())));
-    rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
-    launch(&mut rt, &w);
-    let first = chrome_trace(&sink.events());
+    let fresh = || {
+        let (mut rt, sink) = observed_runtime(Box::new(CpuDevice::new(CpuConfig::default())));
+        rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
+        launch(&mut rt, &w);
+        (rt, sink)
+    };
+    let exports = |sink: &EventSink| {
+        let events = sink.events();
+        assert!(!events.is_empty(), "no events");
+        (chrome_trace(&events), jsonl(&events))
+    };
+    let (mut rt, sink) = fresh();
+    let first = exports(&sink);
     sink.clear();
     rt.reset();
     launch(&mut rt, &w);
-    assert_eq!(chrome_trace(&sink.events()), first);
+    assert_eq!(exports(&sink), first, "reset run diverged");
+    assert_eq!(exports(&fresh().1), first, "fresh runtime diverged");
 }
 
 /// Under an active fault plan the event stream tells the degradation story
 /// in canonical order: for the erroring variant, every retry precedes its
 /// quarantine, and the stream ends in a selection of a healthy variant
-/// followed by the final batch. Byte-identical at any thread count.
+/// followed by the final batch.
 #[test]
 fn faulted_trace_reads_retry_then_quarantine_in_canonical_order() {
     let w = workload();
@@ -101,22 +88,16 @@ fn faulted_trace_reads_retry_then_quarantine_in_canonical_order() {
         .collect();
     assert!(names_v.len() >= 2);
     let broken = names_v[0].clone();
-    let run = |threads: usize| {
-        let mut dev = CpuDevice::new(CpuConfig {
-            threads,
-            ..CpuConfig::default()
-        });
-        dev.set_fault_plan(Some(
-            FaultPlan::new(2026).with(FaultRule::new(&broken, FaultKind::LaunchError)),
-        ));
-        let (mut rt, sink) = observed_runtime(Box::new(dev));
-        rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
-        let report = launch(&mut rt, &w);
-        assert!(report.faults.retries >= 1, "{threads} threads: no retry");
-        assert_ne!(report.selected_name, broken);
-        (sink.events(), report)
-    };
-    let (events, report) = run(1);
+    let mut dev = CpuDevice::new(CpuConfig::default());
+    dev.set_fault_plan(Some(
+        FaultPlan::new(2026).with(FaultRule::new(&broken, FaultKind::LaunchError)),
+    ));
+    let (mut rt, sink) = observed_runtime(Box::new(dev));
+    rt.add_kernels(&w.signature, w.variants(Target::Cpu).to_vec());
+    let report = launch(&mut rt, &w);
+    assert!(report.faults.retries >= 1, "no retry");
+    assert_ne!(report.selected_name, broken);
+    let events = sink.events();
 
     let retry_seqs: Vec<u64> = events
         .iter()
@@ -144,10 +125,6 @@ fn faulted_trace_reads_retry_then_quarantine_in_canonical_order() {
         .rfind(|e| e.stage == Stage::Batch)
         .expect("a final batch event");
     assert!(batch.seq > select.seq);
-
-    for threads in [2usize, 8] {
-        assert_eq!(run(threads).0, events, "{threads} threads diverged");
-    }
 }
 
 /// The overhead guard at its strongest: a fully unobserved run produces the
@@ -467,12 +444,7 @@ fn service_containment_counters_and_events_are_complete() {
         )
     };
     let service = LaunchService::with_factory(
-        || {
-            Box::new(CpuDevice::new(CpuConfig {
-                threads: 1,
-                ..CpuConfig::noiseless()
-            }))
-        },
+        || Box::new(CpuDevice::new(CpuConfig::noiseless())),
         ServiceConfig {
             shards: 1,
             observe: true,

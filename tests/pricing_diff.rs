@@ -6,9 +6,8 @@
 //! selected at runtime via [`set_pricing_path`]. Their contract
 //! (DESIGN.md §4.15) is **bit-identity**: timelines, launch reports,
 //! selection digests, output buffers and observability exports must match
-//! byte for byte, at any worker-thread count. This suite runs the full
-//! 18-workload × both-target matrix through both paths at 1, 2 and 8
-//! threads and diffs everything, then replays the `tests/faults.rs`
+//! byte for byte. This suite runs the full 18-workload × both-target
+//! matrix through both paths and diffs everything, then replays the `tests/faults.rs`
 //! fault-class matrix (including deadline/preemption watermarks, which
 //! are priced-cycle-accurate) under both paths.
 //!
@@ -49,15 +48,15 @@ struct RunArtifacts {
     metrics: String,
 }
 
-/// One full DySel launch of `w` under the given path/thread setting, with
-/// the observability tap on. Holds the path lock for the whole launch so
+/// One full DySel launch of `w` under the given pricing path, with the
+/// observability tap on. Holds the path lock for the whole launch so
 /// concurrent tests cannot flip the path mid-run.
-fn run_one(w: &Workload, target: Target, threads: usize, path: PricingPath) -> RunArtifacts {
+fn run_one(w: &Workload, target: Target, path: PricingPath) -> RunArtifacts {
     let _guard = path_lock();
     set_pricing_path(Some(path));
     let sink = Arc::new(EventSink::new());
     let mut rt = Runtime::with_config(
-        device(target, threads),
+        device(target),
         RuntimeConfig {
             profile_threshold_groups: 16,
             observe: Some(sink.clone()),
@@ -116,10 +115,9 @@ fn fold_selection(digest: &mut u64, report: &LaunchReport) {
     }
 }
 
-/// The differential matrix for a set of workloads: batched at 1 thread is
-/// the baseline; scalar and batched at 1, 2 and 8 threads must all
-/// reproduce it bit-for-bit, and the accumulated selection digests of the
-/// scalar and batched sweeps must agree.
+/// The differential matrix for a set of workloads: the scalar path must
+/// reproduce the batched one bit-for-bit, and the accumulated selection
+/// digests of the scalar and batched sweeps must agree.
 fn diff_workloads(workloads: &[Workload]) {
     let mut digest_scalar = 0xcbf2_9ce4_8422_2325u64;
     let mut digest_batched = digest_scalar;
@@ -128,22 +126,11 @@ fn diff_workloads(workloads: &[Workload]) {
             if w.variants(target).is_empty() {
                 continue;
             }
-            let baseline = run_one(w, target, 1, PricingPath::Batched);
+            let baseline = run_one(w, target, PricingPath::Batched);
             fold_selection(&mut digest_batched, &baseline.report);
-            let scalar = run_one(w, target, 1, PricingPath::Scalar);
+            let scalar = run_one(w, target, PricingPath::Scalar);
             fold_selection(&mut digest_scalar, &scalar.report);
-            assert_identical(
-                &format!("{} [{target}] scalar@1", w.name),
-                &scalar,
-                &baseline,
-            );
-            for threads in [2usize, 8] {
-                for path in [PricingPath::Scalar, PricingPath::Batched] {
-                    let got = run_one(w, target, threads, path);
-                    let label = format!("{} [{target}] {path:?}@{threads}", w.name);
-                    assert_identical(&label, &got, &baseline);
-                }
-            }
+            assert_identical(&format!("{} [{target}] scalar", w.name), &scalar, &baseline);
         }
     }
     assert_eq!(

@@ -131,15 +131,11 @@ fn fault_plan(suite: &[Workload]) -> FaultPlan {
     plan
 }
 
-/// The device every lane and every baseline runtime gets: one functional
-/// worker (virtual time is thread-count invariant; this just keeps an
-/// 8-client matrix from oversubscribing the host) plus the fault plan.
+/// The device every lane and every baseline runtime gets, with the fault
+/// plan.
 fn factory(plan: Option<FaultPlan>) -> impl Fn() -> Box<dyn Device> + Send + Sync + Clone {
     move || {
-        let mut dev = Box::new(CpuDevice::new(CpuConfig {
-            threads: 1,
-            ..CpuConfig::default()
-        }));
+        let mut dev = Box::new(CpuDevice::new(CpuConfig::default()));
         dev.set_fault_plan(plan.clone());
         dev as Box<dyn Device>
     }
