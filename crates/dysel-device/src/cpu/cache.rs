@@ -268,6 +268,99 @@ impl Default for CacheHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::GpuConfig;
+    use dysel_kernel::{fnv1a_step, XorShiftRng, FNV_OFFSET};
+
+    /// One step of [`probe_trace`]: a line access or a reset.
+    #[derive(Clone, Copy)]
+    enum Probe {
+        Line(u64),
+        Reset,
+    }
+
+    /// A seeded line trace mixing the shapes the sinks issue: strided
+    /// streams walked twice (unit, sub-line and set-aliasing strides),
+    /// random lines from a hot set and from a footprint larger than the LLC
+    /// share, random draws from 4–40 lines piled onto one set (more than
+    /// any level has ways), and one `reset` halfway.
+    fn probe_trace(seed: u64) -> Vec<Probe> {
+        let mut rng = XorShiftRng::seed_from_u64(seed);
+        let mut trace = Vec::new();
+        for round in 0..8 {
+            if round == 4 {
+                trace.push(Probe::Reset);
+            }
+            let base = rng.gen_range_u64(0, 1 << 16);
+            let stride = [1, 2, 7, 64, 512, 4096][rng.gen_range_usize(0, 6)];
+            let len = rng.gen_range_u64(64, 4096);
+            for _ in 0..2 {
+                trace.extend((0..len).map(|i| Probe::Line(base + i * stride)));
+            }
+            let hot = rng.gen_range_u64(0, 1 << 16);
+            for _ in 0..2048 {
+                let line = if rng.next_u64() & 1 == 0 {
+                    hot + rng.gen_range_u64(0, 256)
+                } else {
+                    rng.gen_range_u64(0, 1 << 16)
+                };
+                trace.push(Probe::Line(line));
+            }
+            // Lines 4096 apart share a set at every level and preset.
+            let set = rng.gen_range_u64(0, 4096);
+            let piled = rng.gen_range_u64(4, 41);
+            for _ in 0..256 {
+                trace.push(Probe::Line(set + (rng.gen_range_u64(0, piled) << 12)));
+            }
+        }
+        trace
+    }
+
+    /// Pins the cache model: every latency of the default hierarchy and
+    /// every hit of the three GPU texture-cache presets over
+    /// [`probe_trace`], plus each level's `(hits, misses)` before the reset
+    /// and at the end, fold into one digest.
+    #[test]
+    fn probe_trace_matches_the_golden_digest() {
+        let fold_stats = |d: u64, stats: &[(u64, u64)]| {
+            stats
+                .iter()
+                .fold(d, |d, &(h, m)| fnv1a_step(fnv1a_step(d, h), m))
+        };
+        let trace = probe_trace(0xCAC4E);
+        let mut d = FNV_OFFSET;
+        let mut h = CacheHierarchy::default();
+        for &p in &trace {
+            match p {
+                Probe::Line(line) => d = fnv1a_step(d, h.access_line(line)),
+                Probe::Reset => {
+                    d = fold_stats(d, &h.stats());
+                    h.reset();
+                }
+            }
+        }
+        d = fold_stats(d, &h.stats());
+        for gpu in [
+            GpuConfig::kepler_k20c(),
+            GpuConfig::fermi(),
+            GpuConfig::maxwell(),
+        ] {
+            let mut c = SetAssocCache::new(gpu.tex_cache);
+            for &p in &trace {
+                match p {
+                    Probe::Line(line) => d = fnv1a_step(d, u64::from(c.access_line(line))),
+                    Probe::Reset => {
+                        d = fold_stats(d, &[c.stats()]);
+                        c.reset();
+                    }
+                }
+            }
+            d = fold_stats(d, &[c.stats()]);
+        }
+        assert_eq!(
+            d, 0x990a_c91d_7ff8_8957,
+            "cache model digest moved: {d:#018x}"
+        );
+    }
 
     #[test]
     fn sequential_reuse_hits() {
