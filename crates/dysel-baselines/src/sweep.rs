@@ -138,6 +138,21 @@ mod tests {
     }
 
     #[test]
+    fn rerun_on_one_device_equals_a_fresh_device() {
+        // One noisy device runs every variant twice in turn; each run must
+        // price exactly as that variant does on a device of its own, so
+        // `run_pure`'s reset leaves nothing behind (caches included).
+        let m = CsrMatrix::random(512, 512, 0.05, 3);
+        let w = spmv_csr::case4_workload("spmv", &m, 1);
+        let mut shared = CpuDevice::new(CpuConfig::default());
+        for v in w.variants(Target::Cpu) {
+            let fresh = run_pure(&w, v, &mut CpuDevice::new(CpuConfig::default()));
+            assert_eq!(run_pure(&w, v, &mut shared), fresh, "{}", v.name());
+            assert_eq!(run_pure(&w, v, &mut shared), fresh, "{}", v.name());
+        }
+    }
+
+    #[test]
     fn sweep_is_deterministic() {
         let m = CsrMatrix::diagonal(512);
         let w = spmv_csr::case4_workload("spmv", &m, 1);

@@ -115,6 +115,7 @@ impl SetAssocCache {
     }
 
     /// Accesses a pre-computed line index; returns `true` on hit.
+    #[inline(always)]
     pub fn access_line(&mut self, line: u64) -> bool {
         // Sets are indexed by the low line bits — not perfectly uniform for
         // power-of-two strides, which is exactly the conflict-miss
@@ -158,8 +159,13 @@ impl SetAssocCache {
         }
     }
 
-    /// Drops all contents and statistics.
+    /// Drops all contents and statistics. Free on a cache untouched since
+    /// it was built or last reset: every access counts a hit or a miss, so
+    /// with neither counted every tag is still 0.
     pub fn reset(&mut self) {
+        if self.hits == 0 && self.misses == 0 {
+            return;
+        }
         self.tags.fill(0);
         self.hits = 0;
         self.misses = 0;
@@ -219,11 +225,13 @@ impl CacheHierarchy {
     }
 
     /// Accesses `addr`, returning the latency in cycles.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> u64 {
         self.access_line(self.l1.line_of(addr))
     }
 
     /// Accesses a pre-computed line index, returning the latency in cycles.
+    #[inline(always)]
     pub fn access_line(&mut self, line: u64) -> u64 {
         if self.l1.access_line(line) {
             self.l1_lat
@@ -452,9 +460,27 @@ mod tests {
 
     #[test]
     fn reset_clears_contents() {
+        // One access is enough for `reset` to clear: the next one is cold.
         let mut h = CacheHierarchy::default();
         h.access(0);
         h.reset();
         assert_eq!(h.access(0), h.mem_lat);
+        assert_eq!(h.stats(), [(0, 1); 3]);
+    }
+
+    #[test]
+    fn untouched_reset_leaves_a_fresh_cache() {
+        let fresh = SetAssocCache::new(CacheConfig::l2());
+        let state = |c: &SetAssocCache| (c.tags.clone(), c.stats());
+        let mut c = fresh.clone();
+        c.reset();
+        assert_eq!(state(&c), state(&fresh));
+        // Filled, reset, then reset again untouched: still fresh.
+        for line in 0..10_000 {
+            c.access_line(line * 7);
+        }
+        c.reset();
+        c.reset();
+        assert_eq!(state(&c), state(&fresh));
     }
 }
