@@ -381,14 +381,9 @@ mod tests {
     use super::*;
     use crate::ShardedCache;
 
-    fn dir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!(
-            "dysel-journal-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        fs::create_dir_all(&d).unwrap();
-        d
+    /// A per-process path in the OS temp dir; each test removes its file.
+    fn temp_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("dysel-journal-{}-{name}", std::process::id()))
     }
 
     fn sample_records() -> Vec<JournalRecord> {
@@ -420,7 +415,7 @@ mod tests {
 
     #[test]
     fn append_replay_round_trip() {
-        let path = dir().join("rt.journal");
+        let path = temp_path("rt.journal");
         let mut j = Journal::create(&path, 5).unwrap();
         for rec in sample_records() {
             assert!(j.append(&rec).unwrap());
@@ -435,7 +430,7 @@ mod tests {
 
     #[test]
     fn torn_tail_keeps_valid_prefix() {
-        let path = dir().join("torn.journal");
+        let path = temp_path("torn.journal");
         let mut j = Journal::create(&path, 0).unwrap();
         for rec in sample_records() {
             j.append(&rec).unwrap();
@@ -457,7 +452,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_stops_replay_without_panic() {
-        let path = dir().join("corrupt.journal");
+        let path = temp_path("corrupt.journal");
         let mut j = Journal::create(&path, 0).unwrap();
         for rec in sample_records() {
             j.append(&rec).unwrap();
@@ -483,7 +478,7 @@ mod tests {
 
     #[test]
     fn foreign_and_future_headers_are_typed() {
-        let path = dir().join("foreign.journal");
+        let path = temp_path("foreign.journal");
         fs::write(&path, b"garbage-bytes-here").unwrap();
         assert!(matches!(
             replay(&path).unwrap_err(),
@@ -539,7 +534,7 @@ mod tests {
 
     #[test]
     fn compaction_truncates_but_keeps_counting() {
-        let path = dir().join("compact.journal");
+        let path = temp_path("compact.journal");
         let mut j = Journal::create(&path, 0).unwrap();
         for rec in sample_records() {
             j.append(&rec).unwrap();
@@ -557,7 +552,7 @@ mod tests {
 
     #[test]
     fn killed_journal_drops_appends_silently() {
-        let path = dir().join("killed.journal");
+        let path = temp_path("killed.journal");
         let mut j = Journal::create(&path, 0).unwrap();
         j.append(&sample_records()[0]).unwrap();
         j.kill();

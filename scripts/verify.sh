@@ -28,8 +28,19 @@ cargo fmt --all --check
 echo "==> clippy, warnings as errors (whole workspace, all targets: lib, tests, examples)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> full test matrix (unit + integration + end-to-end)"
-cargo test --release --workspace -q
+echo "==> full test matrix (unit + integration + end-to-end), no temp-dir leaks"
+# Tests write state files and journals under the OS temp dir and must
+# remove them; a fresh TMPDIR shows any `dysel-*` entry left behind.
+test_tmp=$(mktemp -d)
+trap 'rm -rf "$test_tmp"' EXIT
+TMPDIR="$test_tmp" cargo test --release --workspace -q
+leaked=$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'dysel-*')
+if [ -n "$leaked" ]; then
+    echo "    tests left entries in the temp dir:" >&2
+    echo "$leaked" >&2
+    exit 1
+fi
+echo "    nothing left behind"
 
 echo "==> static lint audit of the workload suite (fail on any Deny)"
 cargo run --release -p dysel-bench --bin dysel-lint -q

@@ -50,8 +50,14 @@ fn temp_path(tag: &str) -> PathBuf {
         "dysel-persistence-{}-{tag}.state",
         std::process::id()
     ));
-    let _ = fs::remove_file(&p);
+    remove_state(&p);
     p
+}
+
+/// Removes a state file and the write-ahead journal beside it.
+fn remove_state(path: &Path) {
+    let _ = fs::remove_file(path);
+    let _ = fs::remove_file(dysel::core::journal_path(path));
 }
 
 fn config(path: &Path) -> RuntimeConfig {
@@ -112,7 +118,7 @@ fn warm_restart_skips_profiling_and_reselects_the_same_winner() {
     assert_eq!(warm.selected, cold.selected);
     assert_eq!(warm.selected_name, cold.selected_name);
     assert_eq!(out_bits(&args), cold_bits, "warm output diverged");
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 /// Only a micro-profiling winner is learned. Launches that skip
@@ -155,7 +161,7 @@ fn skipped_launches_are_never_persisted_as_the_selection() {
     assert!(large.profiled(), "profile-once must still profile once");
     assert_eq!(large.selected_name, "c-fast");
     assert_eq!(rt.cached_selection("triple"), Some(large.selected));
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 /// A warm restart whose persisted winner now fails quarantines it and
@@ -177,7 +183,7 @@ fn warm_fallback_is_not_persisted_as_the_selection() {
     let next = fp_sync(&mut restarted, &mut fresh_args());
     assert!(next.profiled(), "an unprofiled fallback must not warm-skip");
     assert_eq!(next.selected_name, "b-mid");
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 #[test]
@@ -216,7 +222,7 @@ fn round_trip_preserves_selections_and_quarantine_bit_for_bit() {
     let warm = fp_sync(&mut rt2, &mut fresh_args());
     assert_eq!(warm.selected, cold.selected);
     assert!(!warm.profiled());
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 /// Corrupting the file in `mutate` must cold-start the runtime with the
@@ -242,7 +248,7 @@ fn corrupt_and_cold_start(
     assert!(report.profiled(), "cold starts must micro-profile");
     assert_eq!(report.selected, cold.selected);
     assert_eq!(out_bits(&args), cold_bits, "cold-start output diverged");
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 #[test]
@@ -305,7 +311,7 @@ fn explicit_load_failure_leaves_memory_untouched() {
     let again = fp_sync(&mut rt, &mut fresh_args());
     assert_eq!(again.skipped, Some(SkipReason::CachedSelection));
     assert_eq!(again.selected, cold.selected);
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 #[test]
@@ -436,7 +442,7 @@ fn service_save_during_submission_storm_never_tears() {
     }
     service.save_state().unwrap();
     assert_eq!(fs::read(&path).unwrap(), bytes, "re-save diverged");
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 /// A fresh service warm-restores every tenant's stream from the v3 file:
@@ -477,7 +483,7 @@ fn service_state_round_trips_all_tenants_warm() {
         .unwrap()
         .wait();
     assert!(report.unwrap().profiled());
-    let _ = fs::remove_file(&path);
+    remove_state(&path);
 }
 
 /// Pre-v4 state files (v1 selections-only through v3 multi-tenant) come
@@ -525,8 +531,7 @@ fn v1_through_v3_state_files_cold_start_cleanly() {
             "v{old}: a cold start micro-profiles again"
         );
         drop(service);
-        let _ = fs::remove_file(&path);
-        let _ = fs::remove_file(dysel::core::journal_path(&path));
+        remove_state(&path);
     }
 }
 
@@ -567,6 +572,5 @@ fn save_state_stamps_journal_seq_and_truncates_the_journal() {
     );
     assert!(service.state_load_error().is_none());
     drop(service);
-    let _ = fs::remove_file(&path);
-    let _ = fs::remove_file(dysel::core::journal_path(&path));
+    remove_state(&path);
 }
