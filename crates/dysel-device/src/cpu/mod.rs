@@ -167,6 +167,7 @@ impl<'a> CpuCostSink<'a> {
     }
 
     /// Accesses `addr`, returning the latency in half-cycles.
+    #[inline(always)]
     fn access(&mut self, addr: u64) -> u64 {
         2 * self.cache.access(addr)
     }
