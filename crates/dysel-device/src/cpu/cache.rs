@@ -129,19 +129,20 @@ impl SetAssocCache {
             self.hits += 1;
             return true;
         }
-        if let Some(pos) = slots[1..].iter().position(|&t| t == tag) {
-            // Move the hit tag to the MRU front, shifting the rest down.
-            slots[..=pos + 1].rotate_right(1);
-            self.hits += 1;
-            true
-        } else {
-            // Insert at the front; the LRU slot (a tag or an empty way)
-            // falls off the end.
-            slots.copy_within(..ways - 1, 1);
-            slots[0] = tag;
-            self.misses += 1;
-            false
+        // Walk the set from the MRU end, carrying each tag one way down,
+        // until the line turns up (a hit: it lands at the front) or the
+        // LRU slot falls off the end (a miss: the new tag is at the front).
+        let mut carried = tag;
+        for slot in slots.iter_mut() {
+            let t = std::mem::replace(slot, carried);
+            if t == tag {
+                self.hits += 1;
+                return true;
+            }
+            carried = t;
         }
+        self.misses += 1;
+        false
     }
 
     /// (hits, misses) so far.
