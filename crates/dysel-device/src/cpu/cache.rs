@@ -124,11 +124,6 @@ impl SetAssocCache {
         let ways = self.cfg.ways as usize;
         let tag = line + 1;
         let slots = &mut self.tags[set * ways..set * ways + ways];
-        if slots[0] == tag {
-            // Re-touching the MRU line leaves the LRU order unchanged.
-            self.hits += 1;
-            return true;
-        }
         // Walk the set from the MRU end, carrying each tag one way down,
         // until the line turns up (a hit: it lands at the front) or the
         // LRU slot falls off the end (a miss: the new tag is at the front).
