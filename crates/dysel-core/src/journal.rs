@@ -379,7 +379,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedCache;
+    use crate::{CacheEntry, ShardedCache, StreamKey, TenantId};
 
     /// A per-process path in the OS temp dir; each test removes its file.
     fn temp_path(name: &str) -> PathBuf {
@@ -499,15 +499,20 @@ mod tests {
     fn replay_matches_cache_semantics() {
         let store = ShardedCache::new(2);
         store.replay(&sample_records());
-        let state = store.export();
+        let spmv = StreamKey::new(TenantId(0), "spmv");
+        let sgemm = StreamKey::new(TenantId(2), "sgemm");
+        let state = store.snapshot();
+        assert_eq!(state.len(), 2);
         // Tenant 0: spmv selected then invalidated.
-        assert!(state.selections.is_empty());
+        assert_eq!(state[&spmv], CacheEntry::default());
         // Tenant 2: sgemm v0 quarantined, v1 selected.
-        let t2 = &state.tenants[&2];
-        assert_eq!(t2.selections["sgemm"], VariantId(1));
         assert_eq!(
-            t2.quarantine["sgemm"],
-            vec![(VariantId(0), QuarantineReason::WrongOutput)]
+            state[&sgemm],
+            CacheEntry {
+                selection: Some(VariantId(1)),
+                variants: 2,
+                quarantine: vec![(VariantId(0), QuarantineReason::WrongOutput)],
+            }
         );
         // Selecting a quarantined variant is refused; quarantining the
         // current winner drops it. Double-apply is a no-op.
@@ -518,7 +523,7 @@ mod tests {
             variants: 2,
         };
         store.replay(&[select_bad]);
-        assert_eq!(store.export().tenants[&2].selections["sgemm"], VariantId(1));
+        assert_eq!(store.snapshot()[&sgemm].selection, Some(VariantId(1)));
         let quarantine_winner = JournalRecord::Quarantine {
             tenant: 2,
             signature: "sgemm".into(),
@@ -526,10 +531,9 @@ mod tests {
             reason: QuarantineReason::LaunchFailed,
         };
         store.replay(&[quarantine_winner.clone(), quarantine_winner]);
-        let state = store.export();
-        let t2 = &state.tenants[&2];
-        assert!(!t2.selections.contains_key("sgemm"));
-        assert_eq!(t2.quarantine["sgemm"].len(), 2);
+        let entry = &store.snapshot()[&sgemm];
+        assert_eq!(entry.selection, None);
+        assert_eq!(entry.quarantine.len(), 2);
     }
 
     #[test]

@@ -53,13 +53,13 @@ pub use mixed::MixedReport;
 pub use options::{
     InitialSelection, LaunchOptions, PredictLevel, PruneLevel, RuntimeConfig, TenantId, VerifyLevel,
 };
-pub use persist::{RuntimeState, StateError, TenantState};
+pub use persist::StateError;
 pub use pool::KernelPool;
 pub use report::{LaunchReport, Measurement, SkipReason};
 pub use runtime::Runtime;
 pub use service::{
-    BreakerConfig, DeviceFactory, LaunchOutcome, LaunchService, PredictStats, RecoveryInfo,
-    RejectReason, ServiceConfig, SubmitError, Ticket,
+    BreakerConfig, DeviceFactory, LaunchOutcome, LaunchService, RecoveryInfo, RejectReason,
+    ServiceConfig, SubmitError, Ticket,
 };
 pub use stats::LaunchStats;
 pub use store::{CacheEntry, ShardedCache, StreamKey};

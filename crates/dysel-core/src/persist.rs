@@ -31,12 +31,11 @@
 //! file content. Saving the same store twice produces bit-identical files —
 //! the same determinism contract the rest of the system honors.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dysel_kernel::{fnv1a, write_atomic, VariantId, FNV_OFFSET};
+use dysel_kernel::{fnv1a, write_atomic, FNV_OFFSET};
 
 use crate::fault::QuarantineReason;
 use crate::journal::{self, JournalRecord};
@@ -49,91 +48,6 @@ const MAGIC: [u8; 8] = *b"DYSELST\n";
 const VERSION: u32 = 5;
 /// Fixed header: magic, version, payload length, payload checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;
-
-/// One tenant's learned state inside a multi-tenant state file: the same
-/// three per-signature maps a plain runtime persists.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantState {
-    /// Selected winner per kernel signature.
-    pub selections: BTreeMap<String, VariantId>,
-    /// Quarantined variants per kernel signature, in quarantine order.
-    pub quarantine: BTreeMap<String, Vec<(VariantId, QuarantineReason)>>,
-    /// Number of registered variants per selected signature at save time
-    /// (zero when unknown).
-    pub variant_counts: BTreeMap<String, u32>,
-}
-
-impl TenantState {
-    /// True when there is nothing to persist for this tenant.
-    pub fn is_empty(&self) -> bool {
-        self.selections.is_empty() && self.quarantine.is_empty() && self.variant_counts.is_empty()
-    }
-}
-
-/// The persisted slice of a runtime's learned state as a value — what
-/// `export_state` and `load_state` return: per-signature selections and
-/// quarantine entries. The three flat maps are tenant 0's state (every
-/// single-tenant runtime reads and writes only those); a multi-tenant
-/// [`crate::LaunchService`] additionally nests the state of every other
-/// tenant under [`RuntimeState::tenants`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RuntimeState {
-    /// Selected winner per kernel signature (tenant 0).
-    pub selections: BTreeMap<String, VariantId>,
-    /// Quarantined variants per kernel signature, in quarantine order
-    /// (tenant 0).
-    pub quarantine: BTreeMap<String, Vec<(VariantId, QuarantineReason)>>,
-    /// Number of registered variants per selected signature at save time
-    /// (zero when unknown). A warm restore whose signature re-registers
-    /// with a different variant count is stale: the persisted winner was
-    /// chosen against a different candidate set. (Tenant 0.)
-    pub variant_counts: BTreeMap<String, u32>,
-    /// Per-tenant state for tenants other than 0. Tenant 0 stays in the
-    /// flat maps, and an export never carries an empty entry here.
-    pub tenants: BTreeMap<u32, TenantState>,
-    /// Cumulative count of write-ahead-journal records folded into this
-    /// checkpoint (see [`crate::journal_path`]). Zero for plain runtimes,
-    /// which never journal — the field is bookkeeping, not learned state,
-    /// so [`RuntimeState::is_empty`] ignores it.
-    pub journal_seq: u64,
-}
-
-/// One tenant's three per-signature maps, borrowed mutably from a
-/// [`RuntimeState`].
-pub(crate) type SectionsMut<'a> = (
-    &'a mut BTreeMap<String, VariantId>,
-    &'a mut BTreeMap<String, Vec<(VariantId, QuarantineReason)>>,
-    &'a mut BTreeMap<String, u32>,
-);
-
-impl RuntimeState {
-    /// True when there is nothing to persist. [`RuntimeState::journal_seq`]
-    /// is bookkeeping, not learned state, and is ignored here.
-    pub fn is_empty(&self) -> bool {
-        self.selections.is_empty()
-            && self.quarantine.is_empty()
-            && self.variant_counts.is_empty()
-            && self.tenants.values().all(TenantState::is_empty)
-    }
-
-    /// The tenant's maps: the flat ones for tenant 0, its nested section
-    /// (created on demand) otherwise.
-    pub(crate) fn sections_mut(&mut self, tenant: u32) -> SectionsMut<'_> {
-        if tenant == 0 {
-            return (
-                &mut self.selections,
-                &mut self.quarantine,
-                &mut self.variant_counts,
-            );
-        }
-        let ts = self.tenants.entry(tenant).or_default();
-        (
-            &mut ts.selections,
-            &mut ts.quarantine,
-            &mut ts.variant_counts,
-        )
-    }
-}
 
 /// Why a state file could not be loaded (or saved). Every variant is a
 /// *typed* rejection: the runtime cold-starts instead of panicking.
@@ -336,6 +250,7 @@ pub(crate) fn save(seq: u64, records: &[JournalRecord], path: &Path) -> Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dysel_kernel::VariantId;
 
     /// A checkpoint as the store writes one: per stream in key order, the
     /// selection, then its quarantines.

@@ -11,7 +11,7 @@
 //! — with [`DyselError::AllVariantsFaulted`] and the user buffers restored
 //! untouched.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use dysel_analysis::{infer_mode, safe_point, VariantFeatures};
@@ -26,9 +26,9 @@ use dysel_obs::{names, Event, MetricsSnapshot, Stage};
 use dysel_verify::{has_deny, sanitize_variant, Diagnostic, LintCode};
 
 use crate::fault::{FaultReport, QuarantineReason};
-use crate::persist::{self, RuntimeState, StateError};
+use crate::persist::{self, StateError};
 use crate::pool::SandboxPool;
-use crate::store::{ShardedCache, Slot, StreamKey};
+use crate::store::{CacheEntry, ShardedCache, Slot, StreamKey};
 use crate::timeline::{LaunchKind, Timeline, TimelineEntry};
 use crate::{
     DyselError, KernelPool, LaunchOptions, LaunchReport, LaunchStats, Measurement, PredictLevel,
@@ -246,7 +246,8 @@ impl Runtime {
 
     /// Explicitly (re)loads the state file from the configured
     /// [`RuntimeConfig::state_path`] — its selections become warm, its
-    /// quarantine entries are merged in — and returns the loaded state.
+    /// quarantine entries are merged in — and returns the file's journal
+    /// sequence and state: the entries a fresh store rebuilds from it.
     ///
     /// # Errors
     ///
@@ -255,7 +256,7 @@ impl Runtime {
     /// version skew, truncation, checksum mismatch, malformed payload).
     /// On error the in-memory state is left exactly as it was — the
     /// cold-start guarantee.
-    pub fn load_state(&mut self) -> Result<RuntimeState, DyselError> {
+    pub fn load_state(&mut self) -> Result<(u64, BTreeMap<StreamKey, CacheEntry>), DyselError> {
         let path = self
             .config
             .state_path
@@ -267,10 +268,7 @@ impl Runtime {
         // The file's own state, not the merge: what a fresh store rebuilds.
         let scratch = ShardedCache::new(1);
         scratch.replay(&records);
-        Ok(RuntimeState {
-            journal_seq,
-            ..scratch.export()
-        })
+        Ok((journal_seq, scratch.snapshot()))
     }
 
     /// The typed error of the best-effort state load performed at
@@ -283,8 +281,8 @@ impl Runtime {
     /// The learned state — cached selections, quarantine entries, variant
     /// counts — as a value, without touching any file: what
     /// [`Runtime::save_state`] persists.
-    pub fn export_state(&self) -> RuntimeState {
-        self.store.export()
+    pub fn export_state(&self) -> BTreeMap<StreamKey, CacheEntry> {
+        self.store.snapshot()
     }
 
     /// Registers a kernel variant (`DySelAddKernel`).

@@ -119,11 +119,11 @@ use dysel_obs::{names, Event, EventSink, MetricsSnapshot, Stage};
 use crate::chaos::{ChaosAction, ChaosPlan};
 use crate::journal::{self, Journal};
 use crate::options::{RuntimeConfig, TenantId};
-use crate::persist::{self, RuntimeState, StateError};
+use crate::persist::{self, StateError};
 use crate::pool::KernelPool;
 use crate::report::LaunchReport;
 use crate::runtime::Runtime;
-use crate::store::{fnv_fold, lock, ShardedCache, StreamKey};
+use crate::store::{fnv_fold, lock, CacheEntry, ShardedCache, StreamKey};
 use crate::{DyselError, LaunchOptions};
 
 /// How often the supervisor polls worker liveness and the watchdog slots.
@@ -483,7 +483,6 @@ struct ExecSlot {
 struct StreamStats {
     launches: u64,
     digest: u64,
-    predict: PredictStats,
     sink: Option<Arc<EventSink>>,
 }
 
@@ -492,42 +491,8 @@ impl Default for StreamStats {
         StreamStats {
             launches: 0,
             digest: FNV_OFFSET,
-            predict: PredictStats::default(),
             sink: None,
         }
-    }
-}
-
-/// Prediction accounting for one tenant (or one stream): how the trained
-/// model scored against the launches' final selections, and how often the
-/// drift watch invalidated a reused selection. All zeros while prediction
-/// is off.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredictStats {
-    /// Launches whose prediction matched the final selection.
-    pub hits: u64,
-    /// Launches whose prediction missed.
-    pub misses: u64,
-    /// Launches whose drift watch invalidated the reused selection.
-    pub drift_reprofiles: u64,
-}
-
-impl PredictStats {
-    fn fold(&mut self, report: &LaunchReport) {
-        match report.predict_hit {
-            Some(true) => self.hits += 1,
-            Some(false) => self.misses += 1,
-            None => {}
-        }
-        if report.drift_reprofiled {
-            self.drift_reprofiles += 1;
-        }
-    }
-
-    fn add(&mut self, other: &PredictStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.drift_reprofiles += other.drift_reprofiles;
     }
 }
 
@@ -877,29 +842,6 @@ impl LaunchService {
         digest
     }
 
-    /// One stream's prediction accounting (`None` if the stream never
-    /// launched). Counted from the launch reports, so it reflects exactly
-    /// the launches this stream completed — unlike the lane sinks, it
-    /// survives lane discards and needs no observability to be on.
-    pub fn stream_predict_stats(&self, tenant: TenantId, signature: &str) -> Option<PredictStats> {
-        let key = StreamKey::new(tenant, signature);
-        let shard = &self.inner.shards[self.inner.cache.shard_of(&key)];
-        lock(&shard.stats).get(&key).map(|s| s.predict)
-    }
-
-    /// The tenant's prediction accounting, summed over all of its streams.
-    pub fn tenant_predict_stats(&self, tenant: TenantId) -> PredictStats {
-        let mut total = PredictStats::default();
-        for shard in self.inner.shards.iter() {
-            for (key, stats) in lock(&shard.stats).iter() {
-                if key.tenant == tenant {
-                    total.add(&stats.predict);
-                }
-            }
-        }
-        total
-    }
-
     /// Total launches completed across all streams.
     pub fn launches(&self) -> u64 {
         self.inner
@@ -938,11 +880,11 @@ impl LaunchService {
         inner.cache.journal_error().or(inner.state_error.clone())
     }
 
-    /// The multi-tenant learned state as a value: tenant 0 in the flat
-    /// maps, every other tenant nested — snapshotted through the store's
-    /// shard locks, so no half-applied launch can be observed.
-    pub fn export_state(&self) -> RuntimeState {
-        self.inner.cache.export()
+    /// The multi-tenant learned state as a value: every stream's entry,
+    /// key-ordered ([`ShardedCache::snapshot`]), so no half-applied launch
+    /// can be observed.
+    pub fn export_state(&self) -> BTreeMap<StreamKey, CacheEntry> {
+        self.inner.cache.snapshot()
     }
 
     /// Atomically persists [`LaunchService::export_state`] to the
@@ -1387,7 +1329,6 @@ fn process(inner: &Inner, shard: &Shard, mut job: Job) {
                 if let Ok(report) = &result {
                     fnv_fold(&mut entry.digest, report.signature.as_bytes());
                     fnv_fold(&mut entry.digest, report.selected_name.as_bytes());
-                    entry.predict.fold(report);
                 }
             }
             // The service records the variant every successful launch ran,
@@ -1574,8 +1515,8 @@ mod tests {
             .quarantine(&a, VariantId(0), QuarantineReason::LaunchFailed);
         assert_eq!(svc.cache().get(&b).unwrap().quarantine, vec![]);
         let state = svc.export_state();
-        assert!(state.selections.contains_key("pair"));
-        assert!(state.tenants[&1].selections.contains_key("pair"));
+        assert!(state[&a].selection.is_some());
+        assert!(state[&b].selection.is_some());
     }
 
     #[test]

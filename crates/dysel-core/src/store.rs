@@ -22,7 +22,7 @@ use dysel_obs::{names, Event, EventSink, Stage};
 use crate::fault::QuarantineReason;
 use crate::journal::{Journal, JournalRecord};
 use crate::options::TenantId;
-use crate::persist::{self, RuntimeState, StateError};
+use crate::persist::{self, StateError};
 
 /// Folds `bytes` and a terminating zero into an FNV-1a `digest`.
 pub(crate) fn fnv_fold(digest: &mut u64, bytes: &[u8]) {
@@ -437,25 +437,6 @@ impl ShardedCache {
                 JournalRecord::Invalidate { .. } => self.invalidate(&key),
             }
         }
-    }
-
-    /// The learned state as a value: tenant 0 in the flat maps, every
-    /// other tenant nested — snapshotted through the shard locks, so no
-    /// half-applied commit can be observed.
-    pub fn export(&self) -> RuntimeState {
-        let mut state = RuntimeState::default();
-        for (key, entry) in self.snapshot() {
-            let (selections, quarantine, counts) = state.sections_mut(key.tenant.0);
-            if let Some(id) = entry.selection {
-                selections.insert(key.signature.clone(), id);
-                counts.insert(key.signature.clone(), entry.variants);
-            }
-            if !entry.quarantine.is_empty() {
-                quarantine.insert(key.signature, entry.quarantine);
-            }
-        }
-        state.tenants.retain(|_, ts| !ts.is_empty());
-        state
     }
 
     /// Attaches a write-ahead journal: every later change is appended to

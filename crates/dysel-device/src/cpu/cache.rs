@@ -246,11 +246,6 @@ impl CacheHierarchy {
         [self.l1.stats(), self.l2.stats(), self.l3.stats()]
     }
 
-    /// L1 hit rate (diagnostics).
-    pub fn l1_hit_rate(&self) -> f64 {
-        self.l1.hit_rate()
-    }
-
     /// Clears all levels.
     pub fn reset(&mut self) {
         self.l1.reset();

@@ -11,19 +11,11 @@ mod cache;
 
 pub use cache::{CacheConfig, CacheHierarchy, SetAssocCache};
 
-use std::sync::Arc;
-
 use dysel_kernel::{Args, Kernel, MemOp, Space, TraceSink, UnitRange, VariantMeta};
-use dysel_obs::EventSink;
 
 use crate::cycles::{lanes, path::PricingPath};
-use crate::device::{
-    BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
-};
-use crate::exec::{launch_batch_engine, run_group, PriceModel, Pricer};
-use crate::fault::FaultPlan;
-use crate::noise::NoiseModel;
-use crate::sched::UnitPool;
+use crate::device::DeviceKind;
+use crate::exec::{run_group, DeviceModel, Engine};
 use crate::Cycles;
 
 /// CPU model parameters.
@@ -415,7 +407,7 @@ impl TraceSink for CpuCostSink<'_> {
     }
 }
 
-/// The CPU device model.
+/// The CPU device model: the shared launch engine around [`CpuModel`].
 ///
 /// # Example
 ///
@@ -424,18 +416,15 @@ impl TraceSink for CpuCostSink<'_> {
 /// let cpu = CpuDevice::new(CpuConfig::default());
 /// assert_eq!(cpu.units(), 4);
 /// ```
+pub type CpuDevice = Engine<CpuModel>;
+
+/// The CPU timing model: one cache hierarchy per core, priced in exact
+/// half-cycles.
 #[derive(Debug)]
-pub struct CpuDevice {
+pub struct CpuModel {
     cfg: CpuConfig,
     costs: HalfCycles,
-    pool: UnitPool,
     caches: Vec<CacheHierarchy>,
-    streams: StreamTable,
-    noise: NoiseModel,
-    exec_noise: NoiseModel,
-    fault: Option<FaultPlan>,
-    budget: Option<BudgetPolicy>,
-    obs: Option<Arc<EventSink>>,
 }
 
 impl CpuDevice {
@@ -451,46 +440,21 @@ impl CpuDevice {
         let caches = (0..cfg.cores)
             .map(|_| CacheHierarchy::new(cfg.l1, cfg.l2, cfg.l3))
             .collect();
-        CpuDevice {
-            pool: UnitPool::new(cfg.cores as usize),
-            caches,
-            noise: NoiseModel::new(cfg.noise_sigma, cfg.seed),
-            exec_noise: NoiseModel::new(cfg.exec_sigma, cfg.seed ^ 0x9E37_79B9),
-            streams: StreamTable::default(),
-            fault: None,
-            budget: None,
-            obs: None,
-            costs: HalfCycles::of(&cfg),
-            cfg,
-        }
+        Engine::with_model(
+            cfg.noise_sigma,
+            cfg.exec_sigma,
+            cfg.seed,
+            CpuModel {
+                costs: HalfCycles::of(&cfg),
+                caches,
+                cfg,
+            },
+        )
     }
 
     /// The active configuration.
     pub fn config(&self) -> &CpuConfig {
-        &self.cfg
-    }
-}
-
-/// Prices work-groups against per-core cache state for the engine.
-struct CpuPriceModel<'a> {
-    costs: HalfCycles,
-    caches: &'a mut [CacheHierarchy],
-    /// Scalar reference vs batched fast path, pinned for the launch.
-    path: PricingPath,
-}
-
-impl PriceModel for CpuPriceModel<'_> {
-    fn price_group(
-        &mut self,
-        unit: usize,
-        kernel: &dyn Kernel,
-        meta: &VariantMeta,
-        group: (u64, UnitRange),
-        args: &mut Args,
-    ) -> Cycles {
-        let mut sink = CpuCostSink::new(self.costs, &mut self.caches[unit], self.path);
-        run_group(kernel, meta, group, args, &mut sink);
-        sink.total()
+        &self.model.cfg
     }
 }
 
@@ -500,7 +464,7 @@ impl Default for CpuDevice {
     }
 }
 
-impl Device for CpuDevice {
+impl DeviceModel for CpuModel {
     fn kind(&self) -> DeviceKind {
         DeviceKind::Cpu
     }
@@ -521,97 +485,23 @@ impl Device for CpuDevice {
         self.cfg.query_latency
     }
 
-    fn launch(&mut self, spec: LaunchSpec<'_>) -> LaunchOutcome {
-        let entry = BatchEntry {
-            kernel: spec.kernel,
-            meta: spec.meta,
-            units: spec.units,
-            target: 0,
-            stream: spec.stream,
-            not_before: spec.not_before,
-            measured: spec.measured,
-            budget: spec.budget,
-        };
-        self.launch_batch(&[entry], &mut [spec.args])
-            .pop()
-            .expect("one outcome per entry")
-    }
-
-    fn launch_batch(
+    fn price_group(
         &mut self,
-        entries: &[BatchEntry<'_>],
-        targets: &mut [&mut Args],
-    ) -> Vec<LaunchOutcome> {
-        // Launch overhead overlaps execution of earlier work in the same
-        // stream (pipelined enqueue): only the issue side pays it.
-        let pricer = Pricer {
-            streams: &mut self.streams,
-            pool: &mut self.pool,
-            exec_noise: &mut self.exec_noise,
-            meas_noise: &mut self.noise,
-            launch_overhead: self.cfg.launch_overhead,
-            model: CpuPriceModel {
-                costs: self.costs,
-                caches: &mut self.caches,
-                path: crate::cycles::path::pricing_path(),
-            },
-        };
-        launch_batch_engine(
-            entries,
-            targets,
-            pricer,
-            self.fault.as_mut(),
-            self.budget,
-            self.obs.as_deref(),
-        )
-    }
-
-    fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault = plan;
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
-    fn set_budget_policy(&mut self, policy: Option<BudgetPolicy>) {
-        self.budget = policy;
-    }
-
-    fn budget_policy(&self) -> Option<BudgetPolicy> {
-        self.budget
-    }
-
-    fn set_observer(&mut self, obs: Option<Arc<EventSink>>) {
-        self.obs = obs;
-    }
-
-    fn observer(&self) -> Option<&Arc<EventSink>> {
-        self.obs.as_ref()
-    }
-
-    fn stream_end(&self, stream: StreamId) -> Cycles {
-        self.streams.end_of(stream)
-    }
-
-    fn earliest_unit_free(&self) -> Cycles {
-        self.pool.earliest_free()
-    }
-
-    fn busy_until(&self) -> Cycles {
-        self.pool.busy_until()
+        unit: usize,
+        kernel: &dyn Kernel,
+        meta: &VariantMeta,
+        group: (u64, UnitRange),
+        args: &mut Args,
+        path: PricingPath,
+    ) -> Cycles {
+        let mut sink = CpuCostSink::new(self.costs, &mut self.caches[unit], path);
+        run_group(kernel, meta, group, args, &mut sink);
+        sink.total()
     }
 
     fn reset(&mut self) {
-        self.pool.reset();
-        self.streams.reset();
-        self.noise.reset();
-        self.exec_noise.reset();
         for c in &mut self.caches {
             c.reset();
-        }
-        if let Some(plan) = &mut self.fault {
-            plan.reset();
         }
     }
 }
@@ -619,7 +509,8 @@ impl Device for CpuDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dysel_kernel::{Args, Buffer, KernelIr, UnitRange, Variant, VariantMeta};
+    use crate::device::{Device, LaunchSpec, StreamId};
+    use dysel_kernel::{Buffer, KernelIr, Variant};
 
     fn copy_variant(stride: i64) -> Variant {
         Variant::from_fn(

@@ -1,10 +1,13 @@
-//! The launch engine shared by the device models.
+//! The launch engine: the one simulated device.
 //!
-//! The device models price every work-group against *stateful* per-unit
-//! cache models and a greedy earliest-free-unit scheduler, so the virtual
-//! timeline is an inherently serial computation. The engine therefore runs
-//! a batch in one pass, entry by entry in issue order, and runs every
-//! non-refused entry the same way ([`run_entry`]):
+//! [`Engine`] holds the state every device model shares (unit pool, stream
+//! table, noise, fault plan, budget policy, observer) and implements
+//! [`Device`] once, generic over a [`DeviceModel`] that prices work-groups
+//! against *stateful* per-unit cache models. With a greedy earliest-free
+//! unit scheduler on top, the virtual timeline is an inherently serial
+//! computation. The engine therefore runs a batch in one pass, entry by
+//! entry in issue order, and runs every non-refused entry the same way
+//! ([`run_entry`]):
 //!
 //! 1. it takes one copy-on-write snapshot of its target's pre-batch
 //!    arguments (inputs stay shared; a buffer is copied on first write);
@@ -35,12 +38,15 @@
 //!   accumulations (e.g. histogram bin counts) such kernels perform, and
 //!   keeps the writes of earlier entries on a shared target.
 
+use std::sync::Arc;
+
 use dysel_kernel::{Args, GroupCtx, Kernel, TraceSink, UnitRange, VariantMeta};
 use dysel_obs::{Event, EventSink, Stage};
 
+use crate::cycles::path::{pricing_path, PricingPath};
 use crate::device::{
-    BatchEntry, BudgetPolicy, LaunchFailure, LaunchOutcome, LaunchPreemption, LaunchRecord,
-    StreamTable,
+    BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchFailure, LaunchOutcome, LaunchPreemption,
+    LaunchRecord, LaunchSpec, StreamId, StreamTable,
 };
 use crate::fault::{FaultKind, FaultPlan};
 use crate::noise::NoiseModel;
@@ -70,10 +76,22 @@ fn output_indices(meta: &VariantMeta, target: &Args) -> Vec<usize> {
         .collect()
 }
 
-/// Device-specific pricing: the stateful cost model of each execution unit.
-pub(crate) trait PriceModel {
+/// What distinguishes one simulated device from another: its identity, its
+/// fixed costs, and the stateful cost model of each execution unit.
+pub trait DeviceModel: Send {
+    /// Device family.
+    fn kind(&self) -> DeviceKind;
+    /// Short human-readable name.
+    fn name(&self) -> String;
+    /// Number of execution units.
+    fn units(&self) -> u32;
+    /// Fixed cost the host pays per kernel launch.
+    fn launch_overhead(&self) -> Cycles;
+    /// Cost of one host-side stream status query.
+    fn query_latency(&self) -> Cycles;
     /// Runs work-group `group` of `kernel` against `args` (with
-    /// [`run_group`]) into the cost sink of `unit`, and returns its cost.
+    /// [`run_group`]) into the cost sink of `unit` on `path`, and returns
+    /// its cost.
     fn price_group(
         &mut self,
         unit: usize,
@@ -81,26 +99,51 @@ pub(crate) trait PriceModel {
         meta: &VariantMeta,
         group: (u64, UnitRange),
         args: &mut Args,
+        path: PricingPath,
     ) -> Cycles;
+    /// Clears the per-unit cache state.
+    fn reset(&mut self);
 }
 
-/// The device state a batch is priced against, in issue order.
-pub(crate) struct Pricer<'a, M> {
-    pub(crate) streams: &'a mut StreamTable,
-    pub(crate) pool: &'a mut UnitPool,
-    /// Per-group execution noise.
-    pub(crate) exec_noise: &'a mut NoiseModel,
-    /// Noise on the busy time a measured launch reports.
-    pub(crate) meas_noise: &'a mut NoiseModel,
-    pub(crate) launch_overhead: Cycles,
+/// A simulated device: the device-independent launch state around one
+/// timing model `M`.
+#[derive(Debug)]
+pub struct Engine<M> {
     pub(crate) model: M,
+    pool: UnitPool,
+    streams: StreamTable,
+    /// Per-group execution noise.
+    exec_noise: NoiseModel,
+    /// Noise on the busy time a measured launch reports.
+    meas_noise: NoiseModel,
+    fault: Option<FaultPlan>,
+    budget: Option<BudgetPolicy>,
+    obs: Option<Arc<EventSink>>,
 }
 
-impl<M> Pricer<'_, M> {
+impl<M: DeviceModel> Engine<M> {
+    /// An idle device around `model`: measured launches report busy time
+    /// perturbed by `noise_sigma`, and every group's cost is perturbed by
+    /// `exec_sigma`, both drawn from `seed`.
+    pub(crate) fn with_model(noise_sigma: f64, exec_sigma: f64, seed: u64, model: M) -> Self {
+        Engine {
+            pool: UnitPool::new(model.units() as usize),
+            streams: StreamTable::default(),
+            exec_noise: NoiseModel::new(exec_sigma, seed ^ 0x9E37_79B9),
+            meas_noise: NoiseModel::new(noise_sigma, seed),
+            fault: None,
+            budget: None,
+            obs: None,
+            model,
+        }
+    }
+
     /// When `e` may start: its stream's gate after the issue overhead.
+    /// Launch overhead overlaps execution of earlier work in the same
+    /// stream (pipelined enqueue): only the issue side pays it.
     fn gate(&self, e: &BatchEntry<'_>) -> Cycles {
         self.streams
-            .gate(e.stream, e.not_before + self.launch_overhead)
+            .gate(e.stream, e.not_before + self.model.launch_overhead())
     }
 }
 
@@ -131,16 +174,19 @@ impl Tally {
     /// unit, applies execution noise and the hang factor, and places it on
     /// that unit — unless the spend would then exceed `budget`, in which
     /// case nothing is placed and `false` is returned.
-    fn place<M: PriceModel>(
+    fn place<M: DeviceModel>(
         &mut self,
-        p: &mut Pricer<'_, M>,
+        p: &mut Engine<M>,
         e: &BatchEntry<'_>,
         group: (u64, UnitRange),
         args: &mut Args,
         budget: Option<Cycles>,
+        path: PricingPath,
     ) -> bool {
         let unit = p.pool.earliest_unit();
-        let cost = p.model.price_group(unit, e.kernel, e.meta, group, args);
+        let cost = p
+            .model
+            .price_group(unit, e.kernel, e.meta, group, args, path);
         let cost = p.exec_noise.perturb(cost) * self.slow;
         if budget.is_some_and(|b| self.busy + cost > b) {
             return false;
@@ -163,7 +209,7 @@ impl Tally {
     }
 
     /// Completes `e`: advances its stream and reports the launch.
-    fn done<M>(self, p: &mut Pricer<'_, M>, e: &BatchEntry<'_>) -> LaunchOutcome {
+    fn done<M>(self, p: &mut Engine<M>, e: &BatchEntry<'_>) -> LaunchOutcome {
         let start = if self.groups == 0 {
             self.gate
         } else {
@@ -182,81 +228,167 @@ impl Tally {
     }
 }
 
-/// The batch launch shared by the device models: every entry, in issue
-/// order, run and priced by [`run_entry`], or refused by a fault.
-///
-/// When a [`FaultPlan`] is installed, each entry consults it in issue order
-/// before anything of it runs. An injected `LaunchError` skips the entry
-/// entirely (no functional execution, no noise draws, no stream or
-/// unit-pool advance); `Hang` multiplies every priced group cost;
-/// `WrongOutput`/`Poison` tamper with exactly the elements the launch
-/// wrote, after the merge.
-///
-/// ## Cooperative launch budgets
-///
-/// An entry runs under a cycle budget when it carries an explicit
-/// [`BatchEntry::budget`], or when a [`BudgetPolicy`] is installed, the
-/// entry is measured, and an earlier measured entry of this batch already
-/// established a best-so-far baseline (`budget = deadline_factor x best`,
-/// tightening as better measurements arrive). Each group is committed only
-/// if the accumulated spend stays within budget; the first group that would
-/// overflow preempts the launch ([`LaunchOutcome::Preempted`]) before any
-/// further work runs, so `cycles_spent <= budget` holds strictly and a
-/// `hang*64` variant costs at most the budget instead of 64x the slice. A
-/// preempted entry discards its snapshot (target buffers untouched) and
-/// does not advance its stream; the unit pool keeps only the committed
-/// groups' occupancy. Every budget decision is made in priced virtual
-/// cycles.
-pub(crate) fn launch_batch_engine<M: PriceModel>(
-    entries: &[BatchEntry<'_>],
-    targets: &mut [&mut Args],
-    mut p: Pricer<'_, M>,
-    mut faults: Option<&mut FaultPlan>,
-    budget_policy: Option<BudgetPolicy>,
-    obs: Option<&EventSink>,
-) -> Vec<LaunchOutcome> {
-    // One pristine snapshot per distinct target (cheap: payloads are
-    // shared copy-on-write until an entry writes).
-    let pristine: Vec<Args> = targets.iter().map(|t| (**t).clone()).collect();
-    let mut best_measured: Option<Cycles> = None;
-    let mut outcomes = Vec::with_capacity(entries.len());
-    for e in entries {
-        let fault = faults
-            .as_deref_mut()
-            .and_then(|plan| plan.decide(&e.meta.name));
-        let outcome = if fault == Some(FaultKind::LaunchError) {
-            // Failed launch: nothing ran, nothing advances. The host
-            // observes the failure once the stream would have started.
-            LaunchOutcome::Failed(LaunchFailure {
-                at: p.gate(e),
-                transient: true,
-            })
-        } else {
-            let budget = e.budget.or_else(|| match (budget_policy, best_measured) {
-                (Some(policy), Some(best)) if e.measured => Some(policy.budget_for(best)),
-                _ => None,
-            });
-            run_entry(
-                e,
-                targets[e.target],
-                &pristine[e.target],
-                &mut p,
-                fault,
-                budget,
-            )
-        };
-        if let LaunchOutcome::Done(LaunchRecord {
-            measured: Some(m), ..
-        }) = outcome
-        {
-            best_measured = Some(best_measured.map_or(m, |b| b.min(m)));
-        }
-        if let Some(sink) = obs {
-            emit_outcome(sink, e, &outcome);
-        }
-        outcomes.push(outcome);
+impl<M: DeviceModel> Device for Engine<M> {
+    fn kind(&self) -> DeviceKind {
+        self.model.kind()
     }
-    outcomes
+
+    fn name(&self) -> String {
+        self.model.name()
+    }
+
+    fn units(&self) -> u32 {
+        self.model.units()
+    }
+
+    fn launch_overhead(&self) -> Cycles {
+        self.model.launch_overhead()
+    }
+
+    fn query_latency(&self) -> Cycles {
+        self.model.query_latency()
+    }
+
+    fn launch(&mut self, spec: LaunchSpec<'_>) -> LaunchOutcome {
+        let entry = BatchEntry {
+            kernel: spec.kernel,
+            meta: spec.meta,
+            units: spec.units,
+            target: 0,
+            stream: spec.stream,
+            not_before: spec.not_before,
+            measured: spec.measured,
+            budget: spec.budget,
+        };
+        self.launch_batch(&[entry], &mut [spec.args])
+            .pop()
+            .expect("one outcome per entry")
+    }
+
+    /// Every entry, in issue order, run and priced by [`run_entry`], or
+    /// refused by a fault.
+    ///
+    /// When a [`FaultPlan`] is installed, each entry consults it in issue
+    /// order before anything of it runs. An injected `LaunchError` skips
+    /// the entry entirely (no functional execution, no noise draws, no
+    /// stream or unit-pool advance); `Hang` multiplies every priced group
+    /// cost; `WrongOutput`/`Poison` tamper with exactly the elements the
+    /// launch wrote, after the merge.
+    ///
+    /// ## Cooperative launch budgets
+    ///
+    /// An entry runs under a cycle budget when it carries an explicit
+    /// [`BatchEntry::budget`], or when a [`BudgetPolicy`] is installed, the
+    /// entry is measured, and an earlier measured entry of this batch
+    /// already established a best-so-far baseline (`budget =
+    /// deadline_factor x best`, tightening as better measurements arrive).
+    /// Each group is committed only if the accumulated spend stays within
+    /// budget; the first group that would overflow preempts the launch
+    /// ([`LaunchOutcome::Preempted`]) before any further work runs, so
+    /// `cycles_spent <= budget` holds strictly and a `hang*64` variant
+    /// costs at most the budget instead of 64x the slice. A preempted entry
+    /// discards its snapshot (target buffers untouched) and does not
+    /// advance its stream; the unit pool keeps only the committed groups'
+    /// occupancy. Every budget decision is made in priced virtual cycles.
+    fn launch_batch(
+        &mut self,
+        entries: &[BatchEntry<'_>],
+        targets: &mut [&mut Args],
+    ) -> Vec<LaunchOutcome> {
+        // Scalar reference vs batched fast path, pinned for the batch.
+        let path = pricing_path();
+        // One pristine snapshot per distinct target (cheap: payloads are
+        // shared copy-on-write until an entry writes).
+        let pristine: Vec<Args> = targets.iter().map(|t| (**t).clone()).collect();
+        let mut best_measured: Option<Cycles> = None;
+        let mut outcomes = Vec::with_capacity(entries.len());
+        for e in entries {
+            let fault = self
+                .fault
+                .as_mut()
+                .and_then(|plan| plan.decide(&e.meta.name));
+            let outcome = if fault == Some(FaultKind::LaunchError) {
+                // Failed launch: nothing ran, nothing advances. The host
+                // observes the failure once the stream would have started.
+                LaunchOutcome::Failed(LaunchFailure {
+                    at: self.gate(e),
+                    transient: true,
+                })
+            } else {
+                let budget = e.budget.or_else(|| match (self.budget, best_measured) {
+                    (Some(policy), Some(best)) if e.measured => Some(policy.budget_for(best)),
+                    _ => None,
+                });
+                run_entry(
+                    e,
+                    targets[e.target],
+                    &pristine[e.target],
+                    self,
+                    fault,
+                    budget,
+                    path,
+                )
+            };
+            if let LaunchOutcome::Done(LaunchRecord {
+                measured: Some(m), ..
+            }) = outcome
+            {
+                best_measured = Some(best_measured.map_or(m, |b| b.min(m)));
+            }
+            if let Some(sink) = &self.obs {
+                emit_outcome(sink, e, &outcome);
+            }
+            outcomes.push(outcome);
+        }
+        outcomes
+    }
+
+    fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
+        self.fault = plan;
+    }
+
+    fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.fault.as_ref()
+    }
+
+    fn set_budget_policy(&mut self, policy: Option<BudgetPolicy>) {
+        self.budget = policy;
+    }
+
+    fn budget_policy(&self) -> Option<BudgetPolicy> {
+        self.budget
+    }
+
+    fn set_observer(&mut self, obs: Option<Arc<EventSink>>) {
+        self.obs = obs;
+    }
+
+    fn observer(&self) -> Option<&Arc<EventSink>> {
+        self.obs.as_ref()
+    }
+
+    fn stream_end(&self, stream: StreamId) -> Cycles {
+        self.streams.end_of(stream)
+    }
+
+    fn earliest_unit_free(&self) -> Cycles {
+        self.pool.earliest_free()
+    }
+
+    fn busy_until(&self) -> Cycles {
+        self.pool.busy_until()
+    }
+
+    fn reset(&mut self) {
+        self.pool.reset();
+        self.streams.reset();
+        self.meas_noise.reset();
+        self.exec_noise.reset();
+        self.model.reset();
+        if let Some(plan) = &mut self.fault {
+            plan.reset();
+        }
+    }
 }
 
 /// Emits the device-level event for one priced launch outcome.
@@ -303,13 +435,14 @@ fn emit_outcome(sink: &EventSink, e: &BatchEntry<'_>, outcome: &LaunchOutcome) {
 /// spend stays within `budget`. A completed entry merges the snapshot into
 /// `target` once and, under a `WrongOutput`/`Poison` `fault`, tampers with
 /// what it wrote once.
-fn run_entry<M: PriceModel>(
+fn run_entry<M: DeviceModel>(
     e: &BatchEntry<'_>,
     target: &mut Args,
     pristine: &Args,
-    p: &mut Pricer<'_, M>,
+    p: &mut Engine<M>,
     fault: Option<FaultKind>,
     budget: Option<Cycles>,
+    path: PricingPath,
 ) -> LaunchOutcome {
     let slow = match fault {
         Some(FaultKind::Hang(factor)) => factor.max(1),
@@ -318,7 +451,7 @@ fn run_entry<M: PriceModel>(
     let mut work = pristine.clone();
     let mut tally = Tally::new(p.gate(e), slow);
     for group in e.units.groups(u64::from(e.meta.wa_factor)) {
-        if !tally.place(p, e, group, &mut work, budget) {
+        if !tally.place(p, e, group, &mut work, budget, path) {
             // Committing this group would blow the budget: preempt before
             // it occupies a unit or any write becomes visible. The snapshot
             // (and with it every partial write) is discarded; the stream

@@ -10,21 +10,12 @@ mod cost;
 
 pub use cost::{coalesced_segments, gather_segments, smem_conflict_degree};
 
-use std::sync::Arc;
-
 use dysel_kernel::{Args, Kernel, UnitRange, VariantMeta, ADDR_REGION_BYTES};
 
-use crate::cycles::path::PricingPath;
-use dysel_obs::EventSink;
-
 use crate::cpu::{CacheConfig, SetAssocCache};
-use crate::device::{
-    BatchEntry, BudgetPolicy, Device, DeviceKind, LaunchOutcome, LaunchSpec, StreamId, StreamTable,
-};
-use crate::exec::{launch_batch_engine, run_group, PriceModel, Pricer};
-use crate::fault::FaultPlan;
-use crate::noise::NoiseModel;
-use crate::sched::UnitPool;
+use crate::cycles::path::PricingPath;
+use crate::device::DeviceKind;
+use crate::exec::{run_group, DeviceModel, Engine};
 use crate::Cycles;
 
 /// GPU hardware generation, selecting a parameter preset.
@@ -234,7 +225,7 @@ impl Default for GpuConfig {
     }
 }
 
-/// The GPU device model.
+/// The GPU device model: the shared launch engine around [`GpuModel`].
 ///
 /// # Example
 ///
@@ -243,17 +234,17 @@ impl Default for GpuConfig {
 /// let gpu = GpuDevice::new(GpuConfig::kepler_k20c());
 /// assert_eq!(gpu.units(), 13);
 /// ```
+pub type GpuDevice = Engine<GpuModel>;
+
+/// The GPU timing model: coalescing and texture pricing against one
+/// texture cache per SM.
 #[derive(Debug)]
-pub struct GpuDevice {
+pub struct GpuModel {
     cfg: GpuConfig,
-    pool: UnitPool,
     tex_caches: Vec<SetAssocCache>,
-    streams: StreamTable,
-    noise: NoiseModel,
-    exec_noise: NoiseModel,
-    fault: Option<FaultPlan>,
-    budget: Option<BudgetPolicy>,
-    obs: Option<Arc<EventSink>>,
+    /// Distinct-id scratch lent to the cost sinks, so the batched path
+    /// allocates it once per device.
+    scratch: Vec<u64>,
 }
 
 impl GpuDevice {
@@ -277,57 +268,21 @@ impl GpuDevice {
         let tex_caches = (0..cfg.sms)
             .map(|_| SetAssocCache::new(cfg.tex_cache))
             .collect();
-        GpuDevice {
-            pool: UnitPool::new(cfg.sms as usize),
-            tex_caches,
-            streams: StreamTable::default(),
-            noise: NoiseModel::new(cfg.noise_sigma, cfg.seed),
-            exec_noise: NoiseModel::new(cfg.exec_sigma, cfg.seed ^ 0x9E37_79B9),
-            fault: None,
-            budget: None,
-            obs: None,
-            cfg,
-        }
+        Engine::with_model(
+            cfg.noise_sigma,
+            cfg.exec_sigma,
+            cfg.seed,
+            GpuModel {
+                cfg,
+                tex_caches,
+                scratch: Vec::new(),
+            },
+        )
     }
 
     /// The active configuration.
     pub fn config(&self) -> &GpuConfig {
-        &self.cfg
-    }
-}
-
-/// Prices work-groups against per-SM texture-cache state.
-struct GpuPriceModel<'a> {
-    cfg: &'a GpuConfig,
-    tex_caches: &'a mut [SetAssocCache],
-    /// Scalar reference vs batched fast path, pinned for the launch.
-    path: PricingPath,
-    /// Distinct-id scratch lent to the cost sinks (lives for the launch, so
-    /// the batched path allocates at most once per launch batch).
-    scratch: Vec<u64>,
-}
-
-impl PriceModel for GpuPriceModel<'_> {
-    fn price_group(
-        &mut self,
-        sm: usize,
-        kernel: &dyn Kernel,
-        meta: &VariantMeta,
-        group: (u64, UnitRange),
-        args: &mut Args,
-    ) -> Cycles {
-        let occ = self
-            .cfg
-            .occupancy(meta.group_size, meta.ir.scratchpad_bytes);
-        let lat_factor = self.cfg.latency_factor(occ);
-        let mut sink = cost::GpuCostSink::new(
-            self.cfg,
-            &mut self.tex_caches[sm],
-            self.path,
-            &mut self.scratch,
-        );
-        run_group(kernel, meta, group, args, &mut sink);
-        sink.total(lat_factor)
+        &self.model.cfg
     }
 }
 
@@ -337,7 +292,7 @@ impl Default for GpuDevice {
     }
 }
 
-impl Device for GpuDevice {
+impl DeviceModel for GpuModel {
     fn kind(&self) -> DeviceKind {
         DeviceKind::Gpu
     }
@@ -358,101 +313,30 @@ impl Device for GpuDevice {
         self.cfg.query_latency
     }
 
-    fn launch(&mut self, spec: LaunchSpec<'_>) -> LaunchOutcome {
-        let entry = BatchEntry {
-            kernel: spec.kernel,
-            meta: spec.meta,
-            units: spec.units,
-            target: 0,
-            stream: spec.stream,
-            not_before: spec.not_before,
-            measured: spec.measured,
-            budget: spec.budget,
-        };
-        self.launch_batch(&[entry], &mut [spec.args])
-            .pop()
-            .expect("one outcome per entry")
-    }
-
-    fn launch_batch(
+    /// The measured value is the in-kernel clock readout (Fig. 7): each
+    /// group's priced cost, summed as busy time and read back by the host.
+    fn price_group(
         &mut self,
-        entries: &[BatchEntry<'_>],
-        targets: &mut [&mut Args],
-    ) -> Vec<LaunchOutcome> {
-        // Launch overhead overlaps execution of earlier work in the same
-        // stream (pipelined enqueue): only the issue side pays it. The
-        // measured value is the in-kernel clock readout (Fig. 7): atomicMin
-        // of first block start / atomicMax-ish of last block end, summed as
-        // busy time and read back by the host.
-        let pricer = Pricer {
-            streams: &mut self.streams,
-            pool: &mut self.pool,
-            exec_noise: &mut self.exec_noise,
-            meas_noise: &mut self.noise,
-            launch_overhead: self.cfg.launch_overhead,
-            model: GpuPriceModel {
-                cfg: &self.cfg,
-                tex_caches: &mut self.tex_caches,
-                path: crate::cycles::path::pricing_path(),
-                scratch: Vec::new(),
-            },
-        };
-        launch_batch_engine(
-            entries,
-            targets,
-            pricer,
-            self.fault.as_mut(),
-            self.budget,
-            self.obs.as_deref(),
-        )
-    }
-
-    fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault = plan;
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
-    fn set_budget_policy(&mut self, policy: Option<BudgetPolicy>) {
-        self.budget = policy;
-    }
-
-    fn budget_policy(&self) -> Option<BudgetPolicy> {
-        self.budget
-    }
-
-    fn set_observer(&mut self, obs: Option<Arc<EventSink>>) {
-        self.obs = obs;
-    }
-
-    fn observer(&self) -> Option<&Arc<EventSink>> {
-        self.obs.as_ref()
-    }
-
-    fn stream_end(&self, stream: StreamId) -> Cycles {
-        self.streams.end_of(stream)
-    }
-
-    fn earliest_unit_free(&self) -> Cycles {
-        self.pool.earliest_free()
-    }
-
-    fn busy_until(&self) -> Cycles {
-        self.pool.busy_until()
+        sm: usize,
+        kernel: &dyn Kernel,
+        meta: &VariantMeta,
+        group: (u64, UnitRange),
+        args: &mut Args,
+        path: PricingPath,
+    ) -> Cycles {
+        let occ = self
+            .cfg
+            .occupancy(meta.group_size, meta.ir.scratchpad_bytes);
+        let lat_factor = self.cfg.latency_factor(occ);
+        let mut sink =
+            cost::GpuCostSink::new(&self.cfg, &mut self.tex_caches[sm], path, &mut self.scratch);
+        run_group(kernel, meta, group, args, &mut sink);
+        sink.total(lat_factor)
     }
 
     fn reset(&mut self) {
-        self.pool.reset();
-        self.streams.reset();
-        self.noise.reset();
-        self.exec_noise.reset();
         for c in &mut self.tex_caches {
             c.reset();
-        }
-        if let Some(plan) = &mut self.fault {
-            plan.reset();
         }
     }
 }
@@ -460,7 +344,8 @@ impl Device for GpuDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dysel_kernel::{Args, Buffer, KernelIr, Space, UnitRange, Variant, VariantMeta};
+    use crate::device::{Device, LaunchSpec, StreamId};
+    use dysel_kernel::{Buffer, KernelIr, Space, Variant};
 
     fn gpu() -> GpuDevice {
         GpuDevice::new(GpuConfig::kepler_k20c().noiseless())

@@ -14,13 +14,18 @@
 //!   scratchpad banking, occupancy limits, in-order streams and in-kernel
 //!   cycle counters.
 //!
-//! Both implement the [`Device`] trait the DySel runtime drives. All
-//! randomness (measurement noise) is seeded, so every experiment in the
-//! paper's evaluation regenerates bit-identically.
+//! Both are one simulated device: the launch engine in `exec.rs` around a
+//! timing model ([`cpu::CpuModel`], [`gpu::GpuModel`]). The engine holds
+//! what the two share — the unit pool, the stream table, the noise, the
+//! fault plan, the budget policy and the observer — and implements, once
+//! for both, the [`Device`] trait the DySel runtime drives. A model
+//! supplies only its identity, its fixed costs and the per-unit cost of a
+//! work-group. All randomness (measurement noise) is seeded, so every
+//! experiment in the paper's evaluation regenerates bit-identically.
 //!
 //! Every launch runs its work-groups on the calling thread, in canonical
-//! order, each priced as it runs (the launch engine in `exec.rs`), so
-//! outputs, measurements and selections are bit-identical on every run.
+//! order, each priced as it runs, so outputs, measurements and selections
+//! are bit-identical on every run.
 //!
 //! # Example
 //!

@@ -88,11 +88,6 @@ impl UnitPool {
         self.free_at.iter().copied().max().unwrap_or(Cycles::ZERO)
     }
 
-    /// Per-unit next-free times (diagnostics).
-    pub fn free_times(&self) -> &[Cycles] {
-        &self.free_at
-    }
-
     /// Resets all units to free-at-zero.
     pub fn reset(&mut self) {
         self.free_at.fill(Cycles::ZERO);

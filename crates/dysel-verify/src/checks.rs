@@ -239,15 +239,6 @@ pub fn has_deny(diags: &[Diagnostic]) -> bool {
         .any(|d| d.severity == crate::lint::Severity::Deny)
 }
 
-/// Convenience used by tests and the lint binary: does any access site
-/// store through an indirect pattern?
-pub fn has_indirect_store(meta: &VariantMeta) -> bool {
-    meta.ir
-        .accesses
-        .iter()
-        .any(|a| a.store && a.pattern == AccessPattern::Indirect)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,7 +35,9 @@ done
 baseline=BENCH_baseline.json
 rev=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 out="BENCH_${rev}.json"
-raw=/tmp/dysel-bench-raw.txt
+work=$(mktemp -d "${TMPDIR:-/tmp}/dysel-bench.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+raw="$work/raw.txt"
 
 cargo build --release -p dysel-bench --bin experiments -q
 

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dysel::core::{
-    ChaosAction, ChaosPlan, ChaosRule, DyselError, LaunchOptions, LaunchService, Runtime,
-    RuntimeConfig, RuntimeState, ServiceConfig, SubmitError, TenantId,
+    CacheEntry, ChaosAction, ChaosPlan, ChaosRule, DyselError, LaunchOptions, LaunchService,
+    Runtime, RuntimeConfig, ServiceConfig, StreamKey, SubmitError, TenantId,
 };
 use dysel::device::{CpuConfig, CpuDevice, Device};
 use dysel::kernel::{Args, Buffer, KernelIr, Space, Variant, VariantMeta};
@@ -375,26 +375,17 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// `state` restricted to the selections present in `prefix` — used to
-/// assert "recovered == journaled prefix of the pre-crash snapshot".
-fn assert_selection_prefix(recovered: &RuntimeState, pre_crash: &RuntimeState) {
-    for (sig, variant) in &recovered.selections {
-        assert_eq!(
-            pre_crash.selections.get(sig),
-            Some(variant),
-            "recovered tenant-0 selection {sig} diverged from the pre-crash snapshot"
-        );
-    }
-    for (tenant, state) in &recovered.tenants {
-        let pre = pre_crash
-            .tenants
-            .get(tenant)
-            .expect("recovered tenant existed pre-crash");
-        for (sig, variant) in &state.selections {
+type Snapshot = BTreeMap<StreamKey, CacheEntry>;
+
+/// Asserts that every selection in `recovered` is the pre-crash one —
+/// "recovered == journaled prefix of the pre-crash snapshot".
+fn assert_selection_prefix(recovered: &Snapshot, pre_crash: &Snapshot) {
+    for (key, entry) in recovered {
+        if let Some(variant) = entry.selection {
             assert_eq!(
-                pre.selections.get(sig),
+                pre_crash.get(key).and_then(|e| e.selection),
                 Some(variant),
-                "recovered tenant-{tenant} selection {sig} diverged from the pre-crash snapshot"
+                "recovered selection {key:?} diverged from the pre-crash snapshot"
             );
         }
     }
@@ -453,12 +444,7 @@ fn journal_kill_point_recovers_exactly_the_journaled_prefix() {
         assert_eq!(info.replayed, 4, "exactly the journaled prefix");
         service.export_state()
     };
-    let recovered_count = recovered.selections.len()
-        + recovered
-            .tenants
-            .values()
-            .map(|t| t.selections.len())
-            .sum::<usize>();
+    let recovered_count = recovered.values().filter(|e| e.selection.is_some()).count();
     assert_eq!(recovered_count, 4, "one selection per journaled record");
     assert_selection_prefix(&recovered, &pre_crash);
     // Control: without the kill-point the full snapshot survives a crash.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use dysel::core::{
     DyselError, LaunchOptions, LaunchReport, LaunchService, QuarantineReason, Runtime,
-    RuntimeConfig, ServiceConfig, SkipReason, StateError, TenantId,
+    RuntimeConfig, ServiceConfig, SkipReason, StateError, StreamKey, TenantId,
 };
 use dysel::device::{CpuConfig, CpuDevice, Device, FaultKind, FaultPlan, FaultRule};
 use dysel::kernel::{
@@ -215,8 +215,9 @@ fn round_trip_preserves_selections_and_quarantine_bit_for_bit() {
         rt2.quarantined("triple"),
         &[(VariantId(1), QuarantineReason::DeadlineExceeded)]
     );
-    let state = rt2.load_state().unwrap();
-    assert_eq!(state.selections.get("triple"), Some(&cold.selected));
+    let (_, state) = rt2.load_state().unwrap();
+    let triple = StreamKey::new(TenantId(0), "triple");
+    assert_eq!(state[&triple].selection, Some(cold.selected));
     rt2.save_state().unwrap();
     assert_eq!(fs::read(&path).unwrap(), bytes, "re-save diverged");
     let warm = fp_sync(&mut rt2, &mut fresh_args());
@@ -419,25 +420,23 @@ fn service_save_during_submission_storm_never_tears() {
         stop.store(true, Ordering::SeqCst);
         assert!(saver.join().unwrap() > 0, "the saver never ran");
     });
-    // The final save reflects every tenant: tenant 0 in the flat maps,
-    // tenants 1 and 2 in the v3 nested section — and re-saving is a
-    // fixed point (the encoding is canonical).
+    // The final save reflects every tenant, and re-saving is a fixed
+    // point (the encoding is canonical).
     service.save_state().unwrap();
     let bytes = fs::read(&path).unwrap();
     let mut rt = runtime(None, config(&path));
-    let state = rt.load_state().unwrap();
+    let (_, state) = rt.load_state().unwrap();
     let winner = service
         .cache()
-        .get(&dysel::core::StreamKey::new(TenantId(0), "triple"))
+        .get(&StreamKey::new(TenantId(0), "triple"))
         .unwrap()
         .selection
         .unwrap();
-    assert_eq!(state.selections.get("triple"), Some(&winner));
-    for tenant in [1u32, 2] {
+    for tenant in [0u32, 1, 2] {
         assert_eq!(
-            state.tenants[&tenant].selections.get("triple"),
-            Some(&winner),
-            "tenant {tenant} selection missing from the nested section"
+            state[&StreamKey::new(TenantId(tenant), "triple")].selection,
+            Some(winner),
+            "tenant {tenant} selection missing from the saved state"
         );
     }
     service.save_state().unwrap();
@@ -555,9 +554,9 @@ fn save_state_stamps_journal_seq_and_truncates_the_journal() {
         service.save_state().unwrap();
     }
     let mut rt = runtime(None, config(&path));
-    let state = rt.load_state().unwrap();
+    let (journal_seq, _) = rt.load_state().unwrap();
     assert_eq!(
-        state.journal_seq, 3,
+        journal_seq, 3,
         "the checkpoint records the three absorbed journal appends"
     );
     // The journal was truncated with the save: a re-open replays nothing
