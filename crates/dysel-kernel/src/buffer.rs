@@ -678,6 +678,23 @@ impl Buffer {
         };
         Ok(copied)
     }
+
+    /// Copies `src`'s elements into `self` over the half-open element
+    /// window `(lo, hi)`, clamped to both payload lengths; everything
+    /// outside stays untouched. Returns the number of elements copied.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the buffers disagree on element type.
+    pub fn restore_window_from(
+        &mut self,
+        src: &Buffer,
+        (lo, hi): (usize, usize),
+    ) -> Result<u64, KernelError> {
+        let mut ranges = DirtyRanges::new();
+        ranges.mark(lo as u64, hi as u64);
+        self.restore_ranges_from(src, &ranges)
+    }
 }
 
 /// Clamps a dirty window to a target length, keeping `lo <= hi` so empty
@@ -1561,6 +1578,173 @@ mod tests {
                 !sb.bits_differ(&src).unwrap(),
                 "round {round}: ranged restore diverged from full restore"
             );
+        }
+    }
+
+    /// Widened bits of every element, in order. With `nan` set, every
+    /// float NaN reads as that value instead: the payload of a NaN that
+    /// float arithmetic produces is not fixed across builds (an optimiser
+    /// may swap the operands of an add).
+    fn element_bits(b: &Buffer, nan: Option<u64>) -> Vec<u64> {
+        let nan_or = |x: bool, bits: u64| if x { nan.unwrap_or(bits) } else { bits };
+        match b.data() {
+            BufferData::F32(v) => v
+                .iter()
+                .map(|x| nan_or(x.is_nan(), u64::from(x.to_bits())))
+                .collect(),
+            BufferData::F64(v) => v.iter().map(|x| nan_or(x.is_nan(), x.to_bits())).collect(),
+            BufferData::U32(v) => v.iter().map(|&x| u64::from(x)).collect(),
+            BufferData::I32(v) => v.iter().map(|&x| u64::from(x as u32)).collect(),
+        }
+    }
+
+    /// A `ty` buffer whose elements have the given bits (cut to the
+    /// type's width).
+    fn from_bits(ty: ElemType, bits: &[u64]) -> Buffer {
+        let data = match ty {
+            ElemType::F32 => {
+                BufferData::F32(bits.iter().map(|&b| f32::from_bits(b as u32)).collect())
+            }
+            ElemType::F64 => BufferData::F64(bits.iter().map(|&b| f64::from_bits(b)).collect()),
+            ElemType::U32 => BufferData::U32(bits.iter().map(|&b| b as u32).collect()),
+            ElemType::I32 => BufferData::I32(bits.iter().map(|&b| b as u32 as i32).collect()),
+        };
+        Buffer::new("golden", data, Space::Global)
+    }
+
+    /// FNV-1a over every result of the element primitives for one type:
+    /// dirty window, `bits_differ`, `changed_digest`, both merges, both
+    /// tampers and the window restore, over a shared payload, an
+    /// unchanged private copy, single, end-to-end, special-value and
+    /// dense writes, and empty buffers.
+    fn primitives_digest(ty: ElemType) -> u64 {
+        const N: usize = 37; // four scan chunks and a tail
+        let num = |x: f64| match ty {
+            ElemType::F32 => u64::from((x as f32).to_bits()),
+            ElemType::F64 => x.to_bits(),
+            ElemType::U32 => u64::from(x as i64 as u32),
+            ElemType::I32 => u64::from(x as i64 as i32 as u32),
+        };
+        // Signed zeros, NaN payloads and wrap-around boundaries.
+        let special: [u64; 5] = match ty {
+            ElemType::F32 => [0, 0x8000_0000, 0x7FC0_0001, 0x7FC0_0002, 0x7F80_0000],
+            ElemType::F64 => [
+                0,
+                1 << 63,
+                0x7FF8_0000_0000_0001,
+                0x7FF8_0000_0000_0002,
+                0x7FF0_0000_0000_0000,
+            ],
+            ElemType::U32 => [0, 0xFFFF_FFFF, 1, 0x8000_0000, 0x7FFF_FFFF],
+            ElemType::I32 => [0, 0xFFFF_FFFF, 1, 0x8000_0000, 0x7FFF_FFFF],
+        };
+        let mut p: Vec<u64> = (0..N).map(|i| num(i as f64 * 1.5 - 7.0)).collect();
+        p[20..25].copy_from_slice(&special);
+        let mut t = p.clone();
+        for i in (1..N).step_by(4) {
+            t[i] = num(1000.0 - i as f64);
+        }
+        t[24] = special[1];
+        let writes: Vec<Vec<(usize, u64)>> = vec![
+            vec![],
+            vec![(13, num(100.0))],
+            vec![(0, num(-3.0)), (N - 1, num(250.0))],
+            vec![
+                (8, num(-1e6)),
+                (20, special[1]),
+                (21, special[0]),
+                (22, special[3]),
+                (23, special[2]),
+                (24, special[0]),
+            ],
+            (5..30)
+                .filter(|i| i % 3 != 0)
+                .map(|i| (i, num((i * i) as f64 - 40.0)))
+                .collect(),
+        ];
+        let pristine = from_bits(ty, &p);
+        let target = from_bits(ty, &t);
+        let empty = from_bits(ty, &[]);
+        let mut cases = vec![
+            (pristine.clone(), pristine.clone(), target.clone()),
+            (empty.clone(), from_bits(ty, &[]), from_bits(ty, &[])),
+        ];
+        for w in &writes {
+            let mut e = p.clone();
+            for &(i, b) in w {
+                e[i] = b;
+            }
+            cases.push((from_bits(ty, &e), pristine.clone(), target.clone()));
+        }
+
+        let mut h = FNV_OFFSET;
+        let mut fold = |x: u64| h = fnv1a(h, &x.to_le_bytes());
+        for (exec, prist, targ) in &cases {
+            let window = exec.dirty_window(prist).unwrap();
+            fold(window.map_or(u64::MAX, |(a, b)| (a as u64) << 32 | b as u64));
+            fold(u64::from(exec.bits_differ(prist).unwrap()));
+            fold(exec.changed_digest(prist).unwrap());
+            for flag in [false, true] {
+                let mut merged = targ.clone();
+                merged.merge_span(exec, prist, flag).unwrap();
+                let nan = flag.then_some(u64::MAX); // only additive merges add
+                element_bits(&merged, nan).into_iter().for_each(&mut fold);
+                let mut tampered = targ.clone();
+                fold(tampered.corrupt_changed(exec, prist, flag).unwrap());
+                element_bits(&tampered, None)
+                    .into_iter()
+                    .for_each(&mut fold);
+            }
+            for w in [
+                window.unwrap_or((0, 0)),
+                (0, N),
+                (N / 2, N + 9),
+                (N + 1, N + 5),
+            ] {
+                let mut sb = exec.clone();
+                fold(sb.restore_window_from(prist, w).unwrap());
+                element_bits(&sb, None).into_iter().for_each(&mut fold);
+            }
+            // Restoring the dirty window alone brings back the pristine bits.
+            let mut sb = exec.clone();
+            sb.restore_window_from(prist, window.unwrap_or((0, 0)))
+                .unwrap();
+            assert!(!sb.bits_differ(prist).unwrap(), "{ty}");
+        }
+
+        // Every primitive refuses a buffer of another element type.
+        let other = from_bits(
+            if ty == ElemType::U32 {
+                ElemType::I32
+            } else {
+                ElemType::U32
+            },
+            &p,
+        );
+        let exec = &cases[3].0;
+        assert!(exec.dirty_window(&other).is_err());
+        assert!(exec.bits_differ(&other).is_err());
+        assert!(exec.changed_digest(&other).is_err());
+        assert!(other.clone().merge_span(exec, &pristine, false).is_err());
+        assert!(other
+            .clone()
+            .corrupt_changed(exec, &pristine, true)
+            .is_err());
+        assert!(other.clone().restore_window_from(exec, (0, N)).is_err());
+        h
+    }
+
+    #[test]
+    fn buffer_primitives_match_the_golden_digests() {
+        let golden = [
+            (ElemType::F32, 0x3659_3a69_cf61_bd8f),
+            (ElemType::F64, 0x140f_fc2e_5c27_9655),
+            (ElemType::U32, 0x2711_508b_c33f_4f65),
+            (ElemType::I32, 0x79a8_f7e3_89e1_b96d),
+        ];
+        for (ty, want) in golden {
+            let got = primitives_digest(ty);
+            assert_eq!(got, want, "{ty}: {got:#018x}");
         }
     }
 
