@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use dysel_kernel::{AddrSpace, Args, DirtyRanges, KernelError, Variant, VariantId};
+use dysel_kernel::{AddrSpace, Args, KernelError, Variant, VariantId};
 use dysel_obs::{names, EventSink};
 
 use crate::DyselError;
@@ -252,10 +252,8 @@ fn restore_leased(sb: &mut Args, src: &Args) -> Result<u64, KernelError> {
             continue; // already the live payload, bit-for-bit
         }
         if unique && same_shape {
-            if let Some((a, b)) = sb.buffer(i)?.dirty_window(s)? {
-                let mut ranges = DirtyRanges::new();
-                ranges.mark(a as u64, b as u64);
-                let copied = sb.buffer_mut(i)?.restore_ranges_from(s, &ranges)?;
+            if let Some(window) = sb.buffer(i)?.dirty_window(s)? {
+                let copied = sb.buffer_mut(i)?.restore_window_from(s, window)?;
                 restored += copied * s.elem_type().size_bytes();
             }
         } else {

@@ -9,10 +9,10 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::ops::{BitOr, BitXor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::dirty::DirtyRanges;
 use crate::fnv::{fnv1a, fnv1a_step, FNV_OFFSET};
 use crate::{KernelError, Space};
 
@@ -215,6 +215,110 @@ impl BufferData {
     }
 }
 
+/// What differs between the four element types. Every per-element body
+/// in this file is written once, generic over it; the trait is private
+/// to the crate, so these four impls are the only ones.
+pub(crate) trait Elem: Copy + 'static {
+    /// Native-width bits that change detection compares: `u32` for the
+    /// 4-byte types, `u64` for `f64`. Comparing bits, not values, catches
+    /// NaN payloads and signed zeros that `==` would miss.
+    type Bits: Copy
+        + Eq
+        + Default
+        + Into<u64>
+        + BitXor<Output = Self::Bits>
+        + BitOr<Output = Self::Bits>;
+    /// The element type tag.
+    const TYPE: ElemType;
+    /// Mask a `wrong` tamper XORs into a written element's bits.
+    const WRONG: Self::Bits;
+    /// Value a `poison` tamper writes.
+    const POISON: Self;
+    /// The element's bits.
+    fn bits(self) -> Self::Bits;
+    /// The element with the given bits.
+    fn from_bits(bits: Self::Bits) -> Self;
+    /// The additive merge step, `self + (executed - pristine)`: float
+    /// arithmetic, or wrapping integer arithmetic (so deltas compose
+    /// exactly).
+    fn add_delta(self, executed: Self, pristine: Self) -> Self;
+    /// The payload, if it holds this type.
+    fn slice(data: &BufferData) -> Option<&Vec<Self>>;
+    /// The payload, mutably, if it holds this type.
+    fn slice_mut(data: &mut BufferData) -> Option<&mut Vec<Self>>;
+}
+
+/// Implements [`Elem`] for `$t`, whose payloads are `BufferData::$tag`.
+macro_rules! impl_elem {
+    ($t:ident as $tag:ident, bits: $bits:ty = |$v:ident| $to:expr,
+     from_bits: |$b:ident| $from:expr, wrong: $wrong:expr, poison: $poison:expr,
+     add_delta: |$x:ident, $e:ident, $p:ident| $add:expr) => {
+        impl Elem for $t {
+            type Bits = $bits;
+            const TYPE: ElemType = ElemType::$tag;
+            const WRONG: $bits = $wrong;
+            const POISON: $t = $poison;
+            fn bits(self) -> $bits {
+                let $v = self;
+                $to
+            }
+            fn from_bits($b: $bits) -> $t {
+                $from
+            }
+            fn add_delta(self, $e: $t, $p: $t) -> $t {
+                let $x = self;
+                $add
+            }
+            fn slice(data: &BufferData) -> Option<&Vec<$t>> {
+                match data {
+                    BufferData::$tag(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn slice_mut(data: &mut BufferData) -> Option<&mut Vec<$t>> {
+                match data {
+                    BufferData::$tag(v) => Some(v),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+impl_elem!(f32 as F32, bits: u32 = |v| v.to_bits(), from_bits: |b| f32::from_bits(b),
+    wrong: 0x0040_0001, poison: f32::NAN, add_delta: |t, e, p| t + (e - p));
+impl_elem!(f64 as F64, bits: u64 = |v| v.to_bits(), from_bits: |b| f64::from_bits(b),
+    wrong: 0x0000_0000_0010_0001, poison: f64::NAN, add_delta: |t, e, p| t + (e - p));
+impl_elem!(u32 as U32, bits: u32 = |v| v, from_bits: |b| b,
+    wrong: 0xDEAD_BEEF, poison: u32::MAX, add_delta: |t, e, p| t.wrapping_add(e.wrapping_sub(p)));
+impl_elem!(i32 as I32, bits: u32 = |v| v as u32, from_bits: |b| b as i32,
+    wrong: 0x5EED_0BAD, poison: i32::MIN, add_delta: |t, e, p| t.wrapping_add(e.wrapping_sub(p)));
+
+/// Evaluates `$body` with the type alias `$T` naming the Rust element type
+/// of the tag `$ty`: the one type dispatch each buffer operation makes.
+macro_rules! with_elem {
+    ($ty:expr, $T:ident => $body:expr) => {
+        match $ty {
+            ElemType::F32 => {
+                type $T = f32;
+                $body
+            }
+            ElemType::F64 => {
+                type $T = f64;
+                $body
+            }
+            ElemType::U32 => {
+                type $T = u32;
+                $body
+            }
+            ElemType::I32 => {
+                type $T = i32;
+                $body
+            }
+        }
+    };
+}
+
 /// A device buffer: named, typed storage with a virtual base address and a
 /// default memory-space binding.
 ///
@@ -285,11 +389,6 @@ impl Buffer {
     /// Default memory-space binding.
     pub fn space(&self) -> Space {
         self.space
-    }
-
-    /// Rebinds the default memory space.
-    pub fn set_space(&mut self, space: Space) {
-        self.space = space;
     }
 
     /// Element type.
@@ -395,58 +494,22 @@ impl Buffer {
         pristine: &Buffer,
         additive: bool,
     ) -> Result<(), KernelError> {
-        if executed.shares_payload_with(pristine) {
-            return Ok(()); // copy-on-write never triggered: no writes.
-        }
         // Dirty-range narrowing: locate the changed window once with the
         // chunked scan, then run the per-element merge over it alone — a
         // launch that wrote 32 rows of a megabyte buffer merges 32 rows.
-        let Some((w0, w1)) = executed.dirty_window(pristine)? else {
-            return Ok(()); // written, but with bit-identical values
+        let Some(window) = executed.dirty_window(pristine)? else {
+            return Ok(()); // unwritten, or written with bit-identical values
         };
-        let mismatch = |index| KernelError::TypeMismatch {
-            index,
-            expected: pristine.elem_type(),
-            actual: executed.elem_type(),
-        };
-        match (
+        let err = type_mismatch(pristine, executed);
+        let (t, e, p) = (
             Arc::make_mut(&mut self.data),
             executed.data(),
             pristine.data(),
-        ) {
-            (BufferData::F32(t), BufferData::F32(e), BufferData::F32(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                merge_float(
-                    &mut t[lo..hi],
-                    &e[lo..hi],
-                    &p[lo..hi],
-                    additive,
-                    |a, b| a + b,
-                    |a, b| a - b,
-                )
-            }
-            (BufferData::F64(t), BufferData::F64(e), BufferData::F64(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                merge_float(
-                    &mut t[lo..hi],
-                    &e[lo..hi],
-                    &p[lo..hi],
-                    additive,
-                    |a, b| a + b,
-                    |a, b| a - b,
-                )
-            }
-            (BufferData::U32(t), BufferData::U32(e), BufferData::U32(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                merge_int(&mut t[lo..hi], &e[lo..hi], &p[lo..hi], additive)
-            }
-            (BufferData::I32(t), BufferData::I32(e), BufferData::I32(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                merge_int(&mut t[lo..hi], &e[lo..hi], &p[lo..hi], additive)
-            }
-            _ => return Err(mismatch(0)),
-        }
-        Ok(())
+        );
+        with_elem!(p.elem_type(), T => write_changed::<T>(t, e, p, window, |t, e, p| {
+            *t = if additive { t.add_delta(e, p) } else { e };
+        }))
+        .ok_or(err)
     }
 
     /// Tampers with every element whose bits differ between `executed` and
@@ -456,8 +519,8 @@ impl Buffer {
     /// sentinel (integers). Returns the number of tampered elements.
     ///
     /// This is the device fault injector's `WrongOutput`/`Poison` write
-    /// path; it deliberately mirrors [`Buffer::merge_span`]'s change
-    /// detection so only genuinely-written elements are corrupted.
+    /// path; it shares [`Buffer::merge_span`]'s change detection so only
+    /// genuinely-written elements are corrupted.
     ///
     /// # Errors
     ///
@@ -468,71 +531,21 @@ impl Buffer {
         pristine: &Buffer,
         poison: bool,
     ) -> Result<u64, KernelError> {
-        if executed.shares_payload_with(pristine) {
-            return Ok(0); // copy-on-write never triggered: no writes.
-        }
-        // Same dirty-range narrowing as `merge_span`: only the changed
-        // window can hold written elements.
-        let Some((w0, w1)) = executed.dirty_window(pristine)? else {
+        let Some(window) = executed.dirty_window(pristine)? else {
             return Ok(0);
         };
-        let mismatch = |index| KernelError::TypeMismatch {
-            index,
-            expected: pristine.elem_type(),
-            actual: executed.elem_type(),
-        };
-        let mut tampered = 0u64;
-        match (
+        let err = type_mismatch(pristine, executed);
+        let (t, e, p) = (
             Arc::make_mut(&mut self.data),
             executed.data(),
             pristine.data(),
-        ) {
-            (BufferData::F32(t), BufferData::F32(e), BufferData::F32(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                for ((t, &e), &p) in t[lo..hi].iter_mut().zip(&e[lo..hi]).zip(&p[lo..hi]) {
-                    if e.to_bits() != p.to_bits() {
-                        *t = if poison {
-                            f32::NAN
-                        } else {
-                            f32::from_bits(e.to_bits() ^ 0x0040_0001)
-                        };
-                        tampered += 1;
-                    }
-                }
-            }
-            (BufferData::F64(t), BufferData::F64(e), BufferData::F64(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                for ((t, &e), &p) in t[lo..hi].iter_mut().zip(&e[lo..hi]).zip(&p[lo..hi]) {
-                    if e.to_bits() != p.to_bits() {
-                        *t = if poison {
-                            f64::NAN
-                        } else {
-                            f64::from_bits(e.to_bits() ^ 0x0000_0000_0010_0001)
-                        };
-                        tampered += 1;
-                    }
-                }
-            }
-            (BufferData::U32(t), BufferData::U32(e), BufferData::U32(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                for ((t, &e), &p) in t[lo..hi].iter_mut().zip(&e[lo..hi]).zip(&p[lo..hi]) {
-                    if e != p {
-                        *t = if poison { u32::MAX } else { e ^ 0xDEAD_BEEF };
-                        tampered += 1;
-                    }
-                }
-            }
-            (BufferData::I32(t), BufferData::I32(e), BufferData::I32(p)) => {
-                let (lo, hi) = clamp_window(w0, w1, t.len());
-                for ((t, &e), &p) in t[lo..hi].iter_mut().zip(&e[lo..hi]).zip(&p[lo..hi]) {
-                    if e != p {
-                        *t = if poison { i32::MIN } else { e ^ 0x5EED_0BAD };
-                        tampered += 1;
-                    }
-                }
-            }
-            _ => return Err(mismatch(0)),
-        }
+        );
+        let mut tampered = 0u64;
+        with_elem!(p.elem_type(), T => write_changed::<T>(t, e, p, window, |t, e, _| {
+            *t = if poison { T::POISON } else { T::from_bits(e.bits() ^ T::WRONG) };
+            tampered += 1;
+        }))
+        .ok_or(err)?;
         Ok(tampered)
     }
 
@@ -545,50 +558,15 @@ impl Buffer {
     ///
     /// Fails if the buffers disagree on element type.
     pub fn changed_digest(&self, pristine: &Buffer) -> Result<u64, KernelError> {
-        if self.shares_payload_with(pristine) {
-            return Ok(FNV_OFFSET); // no writes: digest of the empty change set.
-        }
         // Dirty-range narrowing: the fold only visits the changed window,
         // with indices kept global so the digest value is unchanged.
         let Some((w0, w1)) = self.dirty_window(pristine)? else {
-            return Ok(FNV_OFFSET);
+            return Ok(FNV_OFFSET); // digest of the empty change set
         };
-        let mut h = FNV_OFFSET;
-        let mut fold = |i: u64, bits: u64| {
-            h = fnv1a(fnv1a(h, &i.to_le_bytes()), &bits.to_le_bytes());
-        };
-        match (self.data(), pristine.data()) {
-            (BufferData::F32(a), BufferData::F32(p)) => {
-                for (i, (&a, &p)) in a[w0..w1].iter().zip(&p[w0..w1]).enumerate() {
-                    if a.to_bits() != p.to_bits() {
-                        fold((w0 + i) as u64, u64::from(a.to_bits()));
-                    }
-                }
-            }
-            (BufferData::F64(a), BufferData::F64(p)) => {
-                for (i, (&a, &p)) in a[w0..w1].iter().zip(&p[w0..w1]).enumerate() {
-                    if a.to_bits() != p.to_bits() {
-                        fold((w0 + i) as u64, a.to_bits());
-                    }
-                }
-            }
-            (BufferData::U32(a), BufferData::U32(p)) => {
-                for (i, (&a, &p)) in a[w0..w1].iter().zip(&p[w0..w1]).enumerate() {
-                    if a != p {
-                        fold((w0 + i) as u64, u64::from(a));
-                    }
-                }
-            }
-            (BufferData::I32(a), BufferData::I32(p)) => {
-                for (i, (&a, &p)) in a[w0..w1].iter().zip(&p[w0..w1]).enumerate() {
-                    if a != p {
-                        fold((w0 + i) as u64, u64::from(a as u32));
-                    }
-                }
-            }
-            _ => unreachable!("dirty_window checked element types"),
-        }
-        Ok(h)
+        let (a, p) = (self.data(), pristine.data());
+        with_elem!(a.elem_type(), T => same_type::<T>(a, p)
+            .map(|(a, p)| digest_changes(&a[w0..w1], &p[w0..w1], w0)))
+        .ok_or(type_mismatch(pristine, self))
     }
 
     /// Whether any element's bits differ from `other`'s.
@@ -600,22 +578,18 @@ impl Buffer {
         if self.shares_payload_with(other) {
             return Ok(false);
         }
-        let mismatch = |index| KernelError::TypeMismatch {
-            index,
-            expected: other.elem_type(),
-            actual: self.elem_type(),
-        };
-        match data_first_diff(self.data(), other.data()) {
-            Some(d) => Ok(self.len() != other.len() || d.is_some()),
-            None => Err(mismatch(0)),
-        }
+        let (a, b) = (self.data(), other.data());
+        with_elem!(a.elem_type(), T => same_type::<T>(a, b)
+            .map(|(a, b)| a.len() != b.len() || first_diff(a, b).is_some()))
+        .ok_or(type_mismatch(other, self))
     }
 
     /// Half-open element window `[first, last+1)` outside which `self` and
-    /// `pristine` are bit-identical, or `None` when they agree everywhere.
-    /// Found by a chunked OR-of-XOR scan from both ends; the expensive
-    /// per-element paths (merge, digest, corruption) only walk this window
-    /// — i.e. the bytes a launch actually touched.
+    /// `pristine` are bit-identical, or `None` when they agree everywhere
+    /// (always when they share a payload). Found by a chunked OR-of-XOR
+    /// scan from both ends; the expensive per-element paths (merge, digest,
+    /// corruption, restore) only walk this window — i.e. the bytes a launch
+    /// actually touched.
     ///
     /// # Errors
     ///
@@ -624,64 +598,18 @@ impl Buffer {
         if self.shares_payload_with(pristine) {
             return Ok(None);
         }
-        data_diff_window(self.data(), pristine.data()).ok_or(KernelError::TypeMismatch {
-            index: 0,
-            expected: pristine.elem_type(),
-            actual: self.elem_type(),
-        })
-    }
-
-    /// Copies `src`'s elements into `self` over exactly the given dirty
-    /// ranges (clamped to both payload lengths); everything outside stays
-    /// untouched. Returns the number of elements copied.
-    ///
-    /// This is the dirty-range restore primitive: instead of dropping a
-    /// reused allocation and duplicating the whole payload, a restore
-    /// replays only the ranges that are known (or were measured via
-    /// [`Buffer::dirty_window`]) to differ.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the buffers disagree on element type.
-    pub fn restore_ranges_from(
-        &mut self,
-        src: &Buffer,
-        dirty: &DirtyRanges,
-    ) -> Result<u64, KernelError> {
-        if self.shares_payload_with(src) || dirty.is_empty() {
-            return Ok(0);
-        }
-        fn copy<T: Copy>(t: &mut [T], s: &[T], dirty: &DirtyRanges) -> u64 {
-            let n = t.len().min(s.len());
-            let mut copied = 0;
-            for (a, b) in dirty.iter() {
-                let a = (a as usize).min(n);
-                let b = (b as usize).min(n);
-                if a < b {
-                    t[a..b].copy_from_slice(&s[a..b]);
-                    copied += (b - a) as u64;
-                }
-            }
-            copied
-        }
-        let mismatch = KernelError::TypeMismatch {
-            index: 0,
-            expected: src.elem_type(),
-            actual: self.elem_type(),
-        };
-        let copied = match (Arc::make_mut(&mut self.data), src.data()) {
-            (BufferData::F32(t), BufferData::F32(s)) => copy(t, s, dirty),
-            (BufferData::F64(t), BufferData::F64(s)) => copy(t, s, dirty),
-            (BufferData::U32(t), BufferData::U32(s)) => copy(t, s, dirty),
-            (BufferData::I32(t), BufferData::I32(s)) => copy(t, s, dirty),
-            _ => return Err(mismatch),
-        };
-        Ok(copied)
+        let (a, p) = (self.data(), pristine.data());
+        with_elem!(a.elem_type(), T => same_type::<T>(a, p).map(|(a, p)| diff_window(a, p)))
+            .ok_or(type_mismatch(pristine, self))
     }
 
     /// Copies `src`'s elements into `self` over the half-open element
     /// window `(lo, hi)`, clamped to both payload lengths; everything
     /// outside stays untouched. Returns the number of elements copied.
+    ///
+    /// This is the sandbox restore primitive: instead of dropping a reused
+    /// allocation and duplicating the whole payload, a restore copies only
+    /// the [`Buffer::dirty_window`] where the two differ.
     ///
     /// # Errors
     ///
@@ -691,10 +619,68 @@ impl Buffer {
         src: &Buffer,
         (lo, hi): (usize, usize),
     ) -> Result<u64, KernelError> {
-        let mut ranges = DirtyRanges::new();
-        ranges.mark(lo as u64, hi as u64);
-        self.restore_ranges_from(src, &ranges)
+        if self.shares_payload_with(src) || lo >= hi {
+            return Ok(0);
+        }
+        let err = type_mismatch(src, self);
+        let (t, s) = (Arc::make_mut(&mut self.data), src.data());
+        with_elem!(s.elem_type(), T => T::slice_mut(t).zip(T::slice(s)).map(|(t, s)| {
+            let (lo, hi) = clamp_window(lo, hi, t.len().min(s.len()));
+            t[lo..hi].copy_from_slice(&s[lo..hi]);
+            (hi - lo) as u64
+        }))
+        .ok_or(err)
     }
+}
+
+/// The error for a buffer of the wrong element type next to `expected`.
+fn type_mismatch(expected: &Buffer, actual: &Buffer) -> KernelError {
+    KernelError::TypeMismatch {
+        index: 0,
+        expected: expected.elem_type(),
+        actual: actual.elem_type(),
+    }
+}
+
+/// Both payloads as `T` slices, or `None` if either holds another type.
+fn same_type<'a, T: Elem>(a: &'a BufferData, b: &'a BufferData) -> Option<(&'a [T], &'a [T])> {
+    T::slice(a)
+        .zip(T::slice(b))
+        .map(|(a, b)| (a.as_slice(), b.as_slice()))
+}
+
+/// Calls `write(target, executed, pristine)` on every element of `window`
+/// whose executed bits differ from pristine — exactly the elements a
+/// launch wrote. `None` if any payload does not hold `T`.
+fn write_changed<T: Elem>(
+    target: &mut BufferData,
+    executed: &BufferData,
+    pristine: &BufferData,
+    (w0, w1): (usize, usize),
+    mut write: impl FnMut(&mut T, T, T),
+) -> Option<()> {
+    let t = T::slice_mut(target)?;
+    let (e, p) = same_type::<T>(executed, pristine)?;
+    let (lo, hi) = clamp_window(w0, w1, t.len());
+    for ((t, &e), &p) in t[lo..hi].iter_mut().zip(&e[lo..hi]).zip(&p[lo..hi]) {
+        if e.bits() != p.bits() {
+            write(t, e, p);
+        }
+    }
+    Some(())
+}
+
+/// FNV-1a over `(index, bits)` of every element of `a` whose bits differ
+/// from `p`, indices counted from `first`.
+fn digest_changes<T: Elem>(a: &[T], p: &[T], first: usize) -> u64 {
+    let mut h = FNV_OFFSET;
+    for (i, (&a, &p)) in a.iter().zip(p).enumerate() {
+        if a.bits() != p.bits() {
+            let (i, bits): (u64, u64) = ((first + i) as u64, a.bits().into());
+            h = fnv1a(fnv1a(h, &i.to_le_bytes()), &bits.to_le_bytes());
+        }
+    }
+    h
 }
 
 /// Clamps a dirty window to a target length, keeping `lo <= hi` so empty
@@ -712,49 +698,41 @@ const DIFF_LANES: usize = 8;
 /// Index of the first element whose bits differ, scanning forward one
 /// `DIFF_LANES` chunk at a time.
 #[inline]
-fn first_diff<T, B>(a: &[T], b: &[T], bits: impl Fn(T) -> B + Copy) -> Option<usize>
-where
-    T: Copy,
-    B: Copy + Eq + Default + std::ops::BitXor<Output = B> + std::ops::BitOr<Output = B>,
-{
+fn first_diff<T: Elem>(a: &[T], b: &[T]) -> Option<usize> {
     let n = a.len().min(b.len());
-    let zero = B::default();
+    let zero = T::Bits::default();
     let mut i = 0;
     while i + DIFF_LANES <= n {
         let mut acc = zero;
         for k in 0..DIFF_LANES {
-            acc = acc | (bits(a[i + k]) ^ bits(b[i + k]));
+            acc = acc | (a[i + k].bits() ^ b[i + k].bits());
         }
         if acc != zero {
-            return (i..i + DIFF_LANES).find(|&j| bits(a[j]) != bits(b[j]));
+            return (i..i + DIFF_LANES).find(|&j| a[j].bits() != b[j].bits());
         }
         i += DIFF_LANES;
     }
-    (i..n).find(|&j| bits(a[j]) != bits(b[j]))
+    (i..n).find(|&j| a[j].bits() != b[j].bits())
 }
 
 /// Index one past the last differing element, scanning backward in
 /// `DIFF_LANES` chunks; `first` is a known differing index (scan floor).
 #[inline]
-fn after_last_diff<T, B>(a: &[T], b: &[T], bits: impl Fn(T) -> B + Copy, first: usize) -> usize
-where
-    T: Copy,
-    B: Copy + Eq + Default + std::ops::BitXor<Output = B> + std::ops::BitOr<Output = B>,
-{
+fn after_last_diff<T: Elem>(a: &[T], b: &[T], first: usize) -> usize {
     let n = a.len().min(b.len());
-    let zero = B::default();
+    let zero = T::Bits::default();
     let mut j = n;
     // Chunks that lie entirely above `first` can be skipped when clean.
     while j > first + DIFF_LANES {
         let s = j - DIFF_LANES;
         let mut acc = zero;
         for k in 0..DIFF_LANES {
-            acc = acc | (bits(a[s + k]) ^ bits(b[s + k]));
+            acc = acc | (a[s + k].bits() ^ b[s + k].bits());
         }
         if acc != zero {
             let last = (s..j)
                 .rev()
-                .find(|&x| bits(a[x]) != bits(b[x]))
+                .find(|&x| a[x].bits() != b[x].bits())
                 .expect("chunk contains a diff");
             return last + 1;
         }
@@ -762,125 +740,16 @@ where
     }
     let last = (first..j)
         .rev()
-        .find(|&x| bits(a[x]) != bits(b[x]))
+        .find(|&x| a[x].bits() != b[x].bits())
         .unwrap_or(first);
     last + 1
 }
 
 /// Half-open window `[first, last+1)` outside which the slices are
 /// bit-identical, or `None` when they agree everywhere.
-fn diff_window<T, B>(a: &[T], b: &[T], bits: impl Fn(T) -> B + Copy) -> Option<(usize, usize)>
-where
-    T: Copy,
-    B: Copy + Eq + Default + std::ops::BitXor<Output = B> + std::ops::BitOr<Output = B>,
-{
-    let first = first_diff(a, b, bits)?;
-    Some((first, after_last_diff(a, b, bits, first)))
-}
-
-/// Typed dispatch for [`diff_window`]. Outer `None` means the payloads
-/// disagree on element type.
-fn data_diff_window(a: &BufferData, b: &BufferData) -> Option<Option<(usize, usize)>> {
-    let w = match (a, b) {
-        (BufferData::F32(x), BufferData::F32(y)) => diff_window(x, y, f32::to_bits),
-        (BufferData::F64(x), BufferData::F64(y)) => diff_window(x, y, f64::to_bits),
-        (BufferData::U32(x), BufferData::U32(y)) => diff_window(x, y, |v: u32| v),
-        (BufferData::I32(x), BufferData::I32(y)) => diff_window(x, y, |v: i32| v as u32),
-        _ => return None,
-    };
-    Some(w)
-}
-
-/// Typed dispatch for [`first_diff`]. Outer `None` means the payloads
-/// disagree on element type.
-fn data_first_diff(a: &BufferData, b: &BufferData) -> Option<Option<usize>> {
-    let d = match (a, b) {
-        (BufferData::F32(x), BufferData::F32(y)) => first_diff(x, y, f32::to_bits),
-        (BufferData::F64(x), BufferData::F64(y)) => first_diff(x, y, f64::to_bits),
-        (BufferData::U32(x), BufferData::U32(y)) => first_diff(x, y, |v: u32| v),
-        (BufferData::I32(x), BufferData::I32(y)) => first_diff(x, y, |v: i32| v as u32),
-        _ => return None,
-    };
-    Some(d)
-}
-
-/// Bitwise change detection for floats: `to_bits` comparison catches NaN
-/// payloads and signed zeros that `==` would miss.
-fn merge_float<T: Copy + PartialEq + FloatBits>(
-    target: &mut [T],
-    executed: &[T],
-    pristine: &[T],
-    additive: bool,
-    add: impl Fn(T, T) -> T,
-    sub: impl Fn(T, T) -> T,
-) {
-    for ((t, &e), &p) in target.iter_mut().zip(executed).zip(pristine) {
-        if e.bits() == p.bits() {
-            continue;
-        }
-        if additive {
-            *t = add(*t, sub(e, p));
-        } else {
-            *t = e;
-        }
-    }
-}
-
-fn merge_int<T: Copy + PartialEq + WrappingArith>(
-    target: &mut [T],
-    executed: &[T],
-    pristine: &[T],
-    additive: bool,
-) {
-    for ((t, &e), &p) in target.iter_mut().zip(executed).zip(pristine) {
-        if e == p {
-            continue;
-        }
-        if additive {
-            *t = t.wrapping_add(e.wrapping_sub(p));
-        } else {
-            *t = e;
-        }
-    }
-}
-
-trait FloatBits {
-    fn bits(self) -> u64;
-}
-
-impl FloatBits for f32 {
-    fn bits(self) -> u64 {
-        u64::from(self.to_bits())
-    }
-}
-
-impl FloatBits for f64 {
-    fn bits(self) -> u64 {
-        self.to_bits()
-    }
-}
-
-trait WrappingArith {
-    fn wrapping_add(self, rhs: Self) -> Self;
-    fn wrapping_sub(self, rhs: Self) -> Self;
-}
-
-impl WrappingArith for u32 {
-    fn wrapping_add(self, rhs: Self) -> Self {
-        u32::wrapping_add(self, rhs)
-    }
-    fn wrapping_sub(self, rhs: Self) -> Self {
-        u32::wrapping_sub(self, rhs)
-    }
-}
-
-impl WrappingArith for i32 {
-    fn wrapping_add(self, rhs: Self) -> Self {
-        i32::wrapping_add(self, rhs)
-    }
-    fn wrapping_sub(self, rhs: Self) -> Self {
-        i32::wrapping_sub(self, rhs)
-    }
+fn diff_window<T: Elem>(a: &[T], b: &[T]) -> Option<(usize, usize)> {
+    let first = first_diff(a, b)?;
+    Some((first, after_last_diff(a, b, first)))
 }
 
 /// The argument set handed to a kernel launch: an ordered list of buffers.
@@ -943,20 +812,36 @@ impl Args {
         self.bufs.iter()
     }
 
+    /// Typed read access to argument `index` (see [`Args::f32`]).
+    fn typed<T: Elem>(&self, index: usize) -> Result<&[T], KernelError> {
+        let data = self.buffer(index)?.data();
+        T::slice(data)
+            .map(Vec::as_slice)
+            .ok_or(KernelError::TypeMismatch {
+                index,
+                expected: T::TYPE,
+                actual: data.elem_type(),
+            })
+    }
+
+    /// Typed write access to argument `index` (see [`Args::f32_mut`]).
+    fn typed_mut<T: Elem>(&mut self, index: usize) -> Result<&mut Vec<T>, KernelError> {
+        let data = self.buffer_mut(index)?.data_mut()?;
+        let actual = data.elem_type();
+        T::slice_mut(data).ok_or(KernelError::TypeMismatch {
+            index,
+            expected: T::TYPE,
+            actual,
+        })
+    }
+
     /// Typed read access to an `f32` argument.
     ///
     /// # Errors
     ///
     /// Fails on a bad index or if the argument is not `f32`.
     pub fn f32(&self, index: usize) -> Result<&[f32], KernelError> {
-        match self.buffer(index)?.data() {
-            BufferData::F32(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::F32,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed(index)
     }
 
     /// Typed write access to an `f32` argument (copy-on-write).
@@ -965,14 +850,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `f32`.
     pub fn f32_mut(&mut self, index: usize) -> Result<&mut Vec<f32>, KernelError> {
-        match self.buffer_mut(index)?.data_mut()? {
-            BufferData::F32(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::F32,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed_mut(index)
     }
 
     /// Typed read access to a `u32` argument.
@@ -981,14 +859,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `u32`.
     pub fn u32(&self, index: usize) -> Result<&[u32], KernelError> {
-        match self.buffer(index)?.data() {
-            BufferData::U32(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::U32,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed(index)
     }
 
     /// Typed write access to a `u32` argument (copy-on-write).
@@ -997,14 +868,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `u32`.
     pub fn u32_mut(&mut self, index: usize) -> Result<&mut Vec<u32>, KernelError> {
-        match self.buffer_mut(index)?.data_mut()? {
-            BufferData::U32(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::U32,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed_mut(index)
     }
 
     /// Typed read access to an `i32` argument.
@@ -1013,14 +877,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `i32`.
     pub fn i32(&self, index: usize) -> Result<&[i32], KernelError> {
-        match self.buffer(index)?.data() {
-            BufferData::I32(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::I32,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed(index)
     }
 
     /// Typed write access to an `i32` argument (copy-on-write).
@@ -1029,14 +886,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `i32`.
     pub fn i32_mut(&mut self, index: usize) -> Result<&mut Vec<i32>, KernelError> {
-        match self.buffer_mut(index)?.data_mut()? {
-            BufferData::I32(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::I32,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed_mut(index)
     }
 
     /// Typed read access to an `f64` argument.
@@ -1045,14 +895,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `f64`.
     pub fn f64(&self, index: usize) -> Result<&[f64], KernelError> {
-        match self.buffer(index)?.data() {
-            BufferData::F64(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::F64,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed(index)
     }
 
     /// Typed write access to an `f64` argument (copy-on-write).
@@ -1061,14 +904,7 @@ impl Args {
     ///
     /// Fails on a bad index or if the argument is not `f64`.
     pub fn f64_mut(&mut self, index: usize) -> Result<&mut Vec<f64>, KernelError> {
-        match self.buffer_mut(index)?.data_mut()? {
-            BufferData::F64(v) => Ok(v),
-            other => Err(KernelError::TypeMismatch {
-                index,
-                expected: ElemType::F64,
-                actual: other.elem_type(),
-            }),
-        }
+        self.typed_mut(index)
     }
 
     /// Creates a sandbox view: all arguments shared, except the listed
@@ -1516,16 +1352,12 @@ mod tests {
     }
 
     #[test]
-    fn restore_ranges_copies_exactly_the_marked_ranges() {
+    fn restore_window_copies_exactly_the_clamped_window() {
         let src = Buffer::f32("live", (0..32).map(|i| i as f32).collect(), Space::Global);
         let mut sb = Buffer::f32("sandbox", vec![-1.0; 32], Space::Global);
-        let mut dirty = crate::DirtyRanges::new();
-        dirty.mark(4, 8);
-        dirty.mark(6, 12); // overlaps the first
-        dirty.mark(20, 20); // empty: ignored
-        dirty.mark(30, 40); // clamped to the payload length
-        let copied = sb.restore_ranges_from(&src, &dirty).unwrap();
-        assert_eq!(copied, 8 + 2);
+        assert_eq!(sb.restore_window_from(&src, (4, 12)).unwrap(), 8);
+        assert_eq!(sb.restore_window_from(&src, (20, 20)).unwrap(), 0); // empty
+        assert_eq!(sb.restore_window_from(&src, (30, 40)).unwrap(), 2); // clamped
         let v = match sb.data() {
             BufferData::F32(v) => v,
             _ => unreachable!(),
@@ -1540,22 +1372,21 @@ mod tests {
         }
     }
 
-    /// Property: track every random span write (overlapping and empty
-    /// ranges included) in a `DirtyRanges`, then a ranged restore must be
-    /// byte-for-byte what a full-snapshot restore would produce — and the
-    /// derived `dirty_window` must bound every diff even for untracked
-    /// writes.
+    /// Property: after random span writes (overlapping and empty ranges
+    /// included), the derived `dirty_window` lies inside the hull of the
+    /// writes, and restoring that window alone is byte-for-byte what a
+    /// full-snapshot restore would produce.
     #[cfg(feature = "proptest")]
     #[test]
     fn random_span_writes_restore_like_full_snapshot() {
-        use crate::{DirtyRanges, XorShiftRng};
+        use crate::XorShiftRng;
         let mut rng = XorShiftRng::seed_from_u64(0xD1FF_5EED);
         for round in 0..200 {
             let n = 1 + rng.gen_range_u32(0, 200) as usize;
             let live: Vec<u32> = (0..n).map(|_| rng.gen_range_u32(0, 1 << 30)).collect();
             let src = Buffer::u32("live", live.clone(), Space::Global);
             let mut sb = Buffer::u32("sandbox", live.clone(), Space::Global);
-            let mut dirty = DirtyRanges::new();
+            let (mut lo, mut hi) = (n, 0);
             for _ in 0..rng.gen_range_u32(0, 12) {
                 let a = rng.gen_range_u32(0, n as u32) as usize;
                 let b = (a + rng.gen_range_u32(0, 16) as usize).min(n);
@@ -1564,19 +1395,20 @@ mod tests {
                         *x = rng.gen_range_u32(0, 1 << 30);
                     }
                 }
-                dirty.mark(a as u64, b as u64);
+                if a < b {
+                    (lo, hi) = (lo.min(a), hi.max(b));
+                }
             }
-            // The derived window bounds every tracked write's effect.
-            if let Some((w0, w1)) = sb.dirty_window(&src).unwrap() {
-                let lo = dirty.iter().next().unwrap().0 as usize;
-                let hi = dirty.iter().last().unwrap().1 as usize;
-                assert!(lo <= w0 && w1 <= hi, "round {round}: window escapes marks");
+            let window = sb.dirty_window(&src).unwrap();
+            if let Some((w0, w1)) = window {
+                assert!(lo <= w0 && w1 <= hi, "round {round}: window escapes writes");
             }
-            // Ranged restore == full-snapshot restore, byte-for-byte.
-            sb.restore_ranges_from(&src, &dirty).unwrap();
+            // Window restore == full-snapshot restore, byte-for-byte.
+            sb.restore_window_from(&src, window.unwrap_or((0, 0)))
+                .unwrap();
             assert!(
                 !sb.bits_differ(&src).unwrap(),
-                "round {round}: ranged restore diverged from full restore"
+                "round {round}: window restore diverged from full restore"
             );
         }
     }

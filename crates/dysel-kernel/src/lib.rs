@@ -59,7 +59,6 @@
 
 mod buffer;
 mod ctx;
-mod dirty;
 mod error;
 mod file;
 mod fnv;
@@ -75,7 +74,6 @@ pub use buffer::{
     AddrSpace, Args, Buffer, BufferData, ElemType, ADDR_REGION_BITS, ADDR_REGION_BYTES,
 };
 pub use ctx::GroupCtx;
-pub use dirty::DirtyRanges;
 pub use error::KernelError;
 pub use file::write_atomic;
 pub use fnv::{fnv1a, fnv1a_step, FNV_OFFSET};
