@@ -372,11 +372,6 @@ impl Runtime {
         self.device.as_ref()
     }
 
-    /// Mutable access to the device (e.g. to reset virtual time).
-    pub fn device_mut(&mut self) -> &mut dyn Device {
-        self.device.as_mut()
-    }
-
     /// Launch statistics collected so far (Fig. 2).
     pub fn stats(&self) -> &LaunchStats {
         &self.stats

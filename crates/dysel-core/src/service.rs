@@ -309,16 +309,6 @@ impl Ticket {
                 .0;
         }
     }
-
-    /// Returns the outcome if the launch already completed, the ticket
-    /// otherwise.
-    pub fn try_wait(self) -> Result<LaunchOutcome, Ticket> {
-        let taken = lock(&self.state.slot).take();
-        match taken {
-            Some(out) => Ok(out),
-            None => Err(self),
-        }
-    }
 }
 
 /// Builds a fresh device for one lane. Lanes never share a device — that

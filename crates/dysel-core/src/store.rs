@@ -100,19 +100,20 @@ impl CacheEntry {
     }
 
     /// Quarantines `id` (the first reason sticks) and drops a selection
-    /// naming it. Returns whether `id` was newly quarantined.
+    /// naming it, as [`CacheEntry::invalidate`] would. Returns whether `id`
+    /// was newly quarantined.
     pub(crate) fn quarantine(&mut self, id: VariantId, reason: QuarantineReason) -> bool {
         let fresh = !self.is_quarantined(id);
         if fresh {
             self.quarantine.push((id, reason));
         }
         if self.selection == Some(id) {
-            self.selection = None;
+            self.invalidate();
         }
         fresh
     }
 
-    /// Drops the selection; quarantine is kept.
+    /// Drops the selection and its variant count; quarantine is kept.
     pub(crate) fn invalidate(&mut self) {
         self.selection = None;
         self.variants = 0;
@@ -265,11 +266,6 @@ impl ShardedCache {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Which shard a key lives on.
     pub fn shard_of(&self, key: &StreamKey) -> usize {
         (key.hash64() % self.shards.len() as u64) as usize
@@ -331,7 +327,9 @@ impl ShardedCache {
     }
 
     /// Commits a launch's view of the stream, with `entry.selection` as
-    /// its winner: see [`Self::write`]. Returns whether the entry changed.
+    /// its winner: its selection, variant count and warm marker replace
+    /// the stored ones, and every quarantine is applied over them, so
+    /// quarantine still wins. Returns whether the entry changed.
     pub fn commit(&self, key: &StreamKey, entry: &CacheEntry, warm: bool) -> bool {
         let slot = Slot {
             entry: entry.clone(),
@@ -344,11 +342,15 @@ impl ShardedCache {
     /// Writes back a launch's slot: its selection, winner, variant count
     /// and warm marker replace the stored ones, and every quarantine —
     /// stored ones first, then the launch's — is applied over them, so
-    /// quarantine still wins. Returns whether the entry changed.
+    /// quarantine still wins. A variant count without a selection is
+    /// dropped. Returns whether the entry changed.
     pub(crate) fn write(&self, key: &StreamKey, slot: &Slot) -> bool {
         self.update(key, |s| {
             let mut fresh = slot.clone();
             fresh.entry.quarantine.clear();
+            if fresh.entry.selection.is_none() {
+                fresh.entry.variants = 0;
+            }
             let old = std::mem::replace(s, fresh);
             for &(id, reason) in old.entry.quarantine.iter().chain(&slot.entry.quarantine) {
                 s.quarantine(id, reason);
@@ -531,12 +533,24 @@ impl ShardedCache {
 
     /// Atomically writes the store to `path` as a checkpoint stamped with
     /// journal sequence `seq`: every entry's rebuilding records, in key
-    /// order, so saving the same store twice writes the same bytes.
+    /// order, so saving the same store twice writes the same bytes and
+    /// loading it rebuilds [`Self::snapshot`] exactly. An empty entry (a
+    /// stream touched but holding nothing) is kept too, as the
+    /// invalidation that recreates it.
     pub(crate) fn write_checkpoint(&self, path: &Path, seq: u64) -> Result<(), StateError> {
         let records: Vec<JournalRecord> = self
             .snapshot()
             .iter()
-            .flat_map(|(key, entry)| CacheEntry::default().changes(key, entry))
+            .flat_map(|(key, entry)| {
+                let mut records = CacheEntry::default().changes(key, entry);
+                if records.is_empty() {
+                    records.push(JournalRecord::Invalidate {
+                        tenant: key.tenant.0,
+                        signature: key.signature.clone(),
+                    });
+                }
+                records
+            })
             .collect();
         persist::save(seq, &records, path)
     }

@@ -109,6 +109,7 @@ fn apply_model(model: &mut BTreeMap<StreamKey, CacheEntry>, key: &StreamKey, op:
             }
             if e.selection == Some(id) {
                 e.selection = None;
+                e.variants = 0;
             }
         }
         Op::WarmRestore(id, n) => {
@@ -133,7 +134,7 @@ fn apply_model(model: &mut BTreeMap<StreamKey, CacheEntry>, key: &StreamKey, op:
                 }
             }
             e.selection = selection.filter(|s| !e.quarantine.iter().any(|(q, _)| q == s));
-            e.variants = variants;
+            e.variants = if e.selection.is_some() { variants } else { 0 };
         }
     }
 }
@@ -350,25 +351,10 @@ fn commits_and_warm_markers_agree_with_the_model() {
     }
 }
 
-/// What a checkpoint keeps of a snapshot: the entries with a selection or
-/// a quarantine, with a variant count only beside a selection.
-fn persisted(snapshot: BTreeMap<StreamKey, CacheEntry>) -> BTreeMap<StreamKey, CacheEntry> {
-    snapshot
-        .into_iter()
-        .filter(|(_, e)| e.selection.is_some() || !e.quarantine.is_empty())
-        .map(|(k, mut e)| {
-            if e.selection.is_none() {
-                e.variants = 0;
-            }
-            (k, e)
-        })
-        .collect()
-}
-
 /// Persistence round trip through the state file: a store saved as a
 /// checkpoint and loaded back (replayed into a fresh service's store)
-/// holds the same persisted state, every restored selection is warm, and
-/// re-saving writes the same bytes.
+/// has exactly the saved snapshot, empty entries included, every
+/// restored selection is warm, and re-saving writes the same bytes.
 #[test]
 fn save_load_is_a_fixed_point() {
     let path = std::env::temp_dir().join(format!("dysel-shard-prop-{}.state", std::process::id()));
@@ -392,7 +378,7 @@ fn save_load_is_a_fixed_point() {
             let key = random_key(&mut rng);
             apply_cache(cache, &key, random_store_op(&mut rng));
         }
-        let state = persisted(cache.snapshot());
+        let state = cache.snapshot();
         saved.save_state().unwrap();
         drop(saved);
         let bytes = std::fs::read(&path).unwrap();

@@ -35,11 +35,6 @@ impl Space {
         matches!(self, Space::Texture | Space::Constant)
     }
 
-    /// Whether the space lives on-chip (no DRAM traffic).
-    pub fn is_on_chip(self) -> bool {
-        matches!(self, Space::Scratchpad)
-    }
-
     /// Whether stores to this space are permitted.
     pub fn is_writable(self) -> bool {
         matches!(self, Space::Global | Space::Scratchpad)

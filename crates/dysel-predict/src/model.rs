@@ -52,9 +52,9 @@ pub struct VariantStats {
 pub struct Model {
     /// Per-signature observed costs: signature → variant name → stats.
     pub table: BTreeMap<String, BTreeMap<String, VariantStats>>,
-    /// Centroid of winning variants' feature vectors, ×[`CENTROID_SCALE`].
+    /// Centroid of winning variants' feature vectors, in fixed point ×256.
     pub winner_centroid: [i64; FEATURE_DIM],
-    /// Centroid of losing variants' feature vectors, ×[`CENTROID_SCALE`].
+    /// Centroid of losing variants' feature vectors, in fixed point ×256.
     pub loser_centroid: [i64; FEATURE_DIM],
     /// Training examples behind the winner centroid.
     pub winner_examples: u64,

@@ -15,7 +15,7 @@
 //!   the bounded side must fall in,
 //!
 //! and decides feasibility of a nonzero work-item multiplier from the
-//! abstraction. The tier is *refining only*: [`refine`] is invoked solely
+//! abstraction. The tier is *refining only*: `refine` is invoked solely
 //! on systems the affine tier left `Unknown`, so it can never flip a
 //! previously proven `Disjoint`/`Overlap` — it only resolves abstentions.
 //!

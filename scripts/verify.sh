@@ -33,6 +33,9 @@ cargo fmt --all --check
 echo "==> clippy, warnings as errors (whole workspace, all targets: lib, tests, examples)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc, warnings as errors (broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> full test matrix (unit + integration + end-to-end), no temp-dir leaks"
 # Tests write state files and journals under the OS temp dir and must
 # remove them; a fresh TMPDIR shows any `dysel-*` entry left behind.

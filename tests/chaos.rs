@@ -584,3 +584,126 @@ fn rebuilt_lane_keeps_the_quarantine_learned_before_the_panic() {
     }
     assert_eq!(built.load(Ordering::SeqCst), 2, "one rebuilt lane");
 }
+
+/// Submits one launch of the stream `k` (tenant 1) over `N` fresh units.
+fn submit_k(service: &LaunchService) -> Result<dysel::core::Ticket, SubmitError> {
+    const N: usize = 64;
+    let mut args = Args::new();
+    args.push(Buffer::f32("out", vec![0.0; N], Space::Global));
+    service.submit(TenantId(1), "k", args, N as u64, &LaunchOptions::new())
+}
+
+/// With no restart budget, the first worker death retires the shard: the
+/// stranded ticket resolves `WorkerDied`, and the next submission is
+/// refused with `ShardFailed` instead of queueing on a dead worker.
+#[test]
+fn a_shard_past_its_restart_budget_refuses_with_shard_failed() {
+    use dysel::core::RejectReason;
+
+    let service = LaunchService::new(
+        Arc::new(device),
+        ServiceConfig {
+            shards: 1,
+            max_worker_restarts: 0,
+            restart_backoff: Duration::from_millis(1),
+            chaos: Some(
+                ChaosPlan::new(3).with(ChaosRule::new("k", ChaosAction::Kill).window(0, 1)),
+            ),
+            ..ServiceConfig::default()
+        },
+    );
+    service.register("k", variants());
+    let killed = submit_k(&service).expect("admitted");
+    let (_, result) = killed.wait_timeout(WAIT).expect("no hung ticket");
+    assert!(
+        matches!(result, Err(DyselError::WorkerDied { .. })),
+        "{result:?}"
+    );
+    // The supervisor retires the shard asynchronously: until it does, a
+    // submission still queues, and retiring drains it as `WorkerDied`.
+    let start = std::time::Instant::now();
+    let reason = loop {
+        assert!(start.elapsed() < WAIT, "the shard was never retired");
+        match submit_k(&service) {
+            Ok(ticket) => {
+                let (_, result) = ticket.wait_timeout(WAIT).expect("no hung ticket");
+                assert!(
+                    matches!(result, Err(DyselError::WorkerDied { .. })),
+                    "{result:?}"
+                );
+            }
+            Err(SubmitError::Rejected { reason, .. }) => break reason,
+            Err(other) => panic!("untyped refusal: {other}"),
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(reason, RejectReason::ShardFailed);
+    assert_eq!(service.metrics().counter(names::SERVICE_WORKER_RESTARTS), 0);
+}
+
+/// A launch stalled on the wall clock past `stuck_after` is flagged once
+/// and opens its stream's breaker, so a submission made while it is stuck
+/// fails fast; the launch itself still completes.
+#[test]
+fn a_launch_stuck_past_stuck_after_is_flagged_once_and_opens_the_breaker() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use dysel::core::BreakerConfig;
+
+    let released = Arc::new(AtomicBool::new(false));
+    let stall = {
+        let released = released.clone();
+        Variant::from_fn(
+            VariantMeta::new("stall", KernelIr::regular(vec![0])),
+            move |ctx, args| {
+                let start = std::time::Instant::now();
+                while !released.load(Ordering::SeqCst) && start.elapsed() < WAIT {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                for u in ctx.units().iter() {
+                    args.f32_mut(0).unwrap()[u as usize] = 1.0;
+                }
+            },
+        )
+    };
+    let service = LaunchService::new(
+        Arc::new(device),
+        ServiceConfig {
+            shards: 1,
+            stuck_after: Some(Duration::from_millis(5)),
+            breaker: BreakerConfig {
+                cooldown: WAIT,
+                ..BreakerConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    );
+    service.register("k", [stall]);
+    let stuck = submit_k(&service).expect("admitted");
+    let start = std::time::Instant::now();
+    // The watchdog counts the verdict, then opens the breaker.
+    while service.metrics().counter(names::SERVICE_BREAKER_OPENS) == 0 {
+        assert!(
+            start.elapsed() < WAIT,
+            "the watchdog never flagged the launch"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Flagged: the breaker is open while the launch is still stuck.
+    assert_eq!(service.metrics().counter(names::SERVICE_LANE_STUCK), 1);
+    match submit_k(&service) {
+        Err(SubmitError::LaneFailed { key, .. }) => {
+            assert_eq!(key, StreamKey::new(TenantId(1), "k"))
+        }
+        Err(other) => panic!("expected a breaker refusal, got {other}"),
+        Ok(_) => panic!("a stuck stream admitted a submission"),
+    }
+    std::thread::sleep(Duration::from_millis(20)); // a later watchdog pass
+    released.store(true, Ordering::SeqCst);
+    let (out, result) = stuck.wait_timeout(WAIT).expect("no hung ticket");
+    result.expect("the stuck launch completes");
+    assert_eq!(out.f32(0).unwrap()[0], 1.0);
+    let metrics = service.metrics();
+    assert_eq!(metrics.counter(names::SERVICE_LANE_STUCK), 1, "one verdict");
+    assert_eq!(metrics.counter(names::SERVICE_BREAKER_OPENS), 1);
+}
