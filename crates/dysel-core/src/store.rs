@@ -73,7 +73,8 @@ pub struct CacheEntry {
     /// restore — for a service, the variant its last successful launch
     /// ran.
     pub selection: Option<VariantId>,
-    /// Variant-pool size the selection was made against (zero if unknown).
+    /// Variant-pool size the selection was made against (zero if unknown,
+    /// and always zero without a selection).
     pub variants: u32,
     /// Quarantined variants, in quarantine order. Quarantine survives
     /// [`ShardedCache::invalidate`] and is never undone by
