@@ -218,7 +218,7 @@ impl BufferData {
 /// What differs between the four element types. Every per-element body
 /// in this file is written once, generic over it; the trait is private
 /// to the crate, so these four impls are the only ones.
-pub(crate) trait Elem: Copy + 'static {
+pub(crate) trait Elem: Copy {
     /// Native-width bits that change detection compares: `u32` for the
     /// 4-byte types, `u64` for `f64`. Comparing bits, not values, catches
     /// NaN payloads and signed zeros that `==` would miss.
