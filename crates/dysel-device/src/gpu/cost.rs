@@ -56,11 +56,20 @@ pub fn coalesced_segments_batched(
 }
 
 /// Number of segments touched by a gather over arbitrary addresses.
+///
+/// An access's last byte is `a + elem - 1` in wrapping arithmetic, so an
+/// address in the last `elem - 1` bytes of the space (or a zero-width
+/// access at 0) prices the same in every build profile.
 pub fn gather_segments(addrs: &[u64], elem: u32, segment_bytes: u32) -> u32 {
     let seg = u64::from(segment_bytes);
     let mut segments: Vec<u64> = addrs
         .iter()
-        .flat_map(|&a| [a / seg, (a + u64::from(elem) - 1) / seg])
+        .flat_map(|&a| {
+            [
+                a / seg,
+                a.wrapping_add(u64::from(elem)).wrapping_sub(1) / seg,
+            ]
+        })
         .collect();
     segments.sort_unstable();
     segments.dedup();

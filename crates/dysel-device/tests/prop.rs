@@ -6,6 +6,7 @@
 
 use std::collections::VecDeque;
 
+use dysel_device::cycles::lanes::gather_distinct_segments;
 use dysel_device::gpu::{coalesced_segments, gather_segments, smem_conflict_degree};
 use dysel_device::{
     CacheConfig, CacheHierarchy, Cycles, GpuConfig, NoiseModel, SetAssocCache, UnitPool,
@@ -270,6 +271,109 @@ fn cache_matches_reference_lru() {
                 }
             }
             assert_eq!(cache.stats(), (reference.hits, reference.misses));
+        }
+    }
+}
+
+/// One of the address-set shapes a gather can present to the GPU model.
+#[derive(Debug, Clone, Copy)]
+enum GatherShape {
+    /// Segment ids within a few dozen of each other.
+    Narrow,
+    /// Segment ids spanning `1_021 + k` values, around the 1,024-id edge
+    /// between the bitmap and the hashed count.
+    Edge(u64),
+    /// Ids scattered over 2^40 bytes.
+    Wide,
+    /// A narrow set walked from the top down.
+    Descending,
+    /// A narrow set where every lane after the first reuses an earlier one.
+    Duplicates,
+    /// Addresses one to `elem - 1` bytes below a segment boundary, so
+    /// multi-byte accesses straddle two segments.
+    Straddle,
+    /// Addresses in the top 4 KiB of the address space, where the scalar
+    /// `a + elem - 1` wraps past zero.
+    NearMax,
+}
+
+fn gather_addrs(rng: &mut XorShiftRng, shape: GatherShape, n: usize, seg: u64) -> Vec<u64> {
+    let base = rng.gen_range_u64(0, 1 << 40) / seg * seg;
+    let narrow = |rng: &mut XorShiftRng| base + rng.gen_range_u64(0, 48 * seg);
+    let mut addrs: Vec<u64> = match shape {
+        GatherShape::Narrow | GatherShape::Descending | GatherShape::Duplicates => {
+            (0..n).map(|_| narrow(rng)).collect()
+        }
+        GatherShape::Edge(extra) => {
+            let span = 1_021 + extra;
+            let mut v: Vec<u64> = (0..n)
+                .map(|_| base + rng.gen_range_u64(0, span) * seg + rng.gen_range_u64(0, seg))
+                .collect();
+            // Pin both ends of the id range, in lanes that are not first.
+            v.push(base);
+            v.push(base + (span - 1) * seg);
+            v
+        }
+        GatherShape::Wide => (0..n).map(|_| rng.gen_range_u64(0, 1 << 40)).collect(),
+        GatherShape::Straddle => (0..n)
+            .map(|_| base + rng.gen_range_u64(1, 64) * seg - rng.gen_range_u64(1, 16))
+            .collect(),
+        GatherShape::NearMax => (0..n)
+            .map(|_| u64::MAX - rng.gen_range_u64(0, 4096))
+            .collect(),
+    };
+    match shape {
+        GatherShape::Descending => addrs.sort_unstable_by(|a, b| b.cmp(a)),
+        GatherShape::Duplicates => {
+            for i in 1..addrs.len() {
+                addrs[i] = addrs[rng.gen_range_usize(0, i)];
+            }
+        }
+        _ => {
+            // Shuffle, so the batched count leaves its ordered fast path.
+            for i in (1..addrs.len()).rev() {
+                addrs.swap(i, rng.gen_range_usize(0, i + 1));
+            }
+        }
+    }
+    addrs
+}
+
+/// The batched gather count equals the scalar `gather_segments` for
+/// 1-, 4-, 8- and 16-byte elements over narrow, edge-of-bitmap, wide,
+/// descending, duplicate-heavy, straddling and wrapping address sets, at
+/// the GPU model's segment sizes and at the one-byte segments of
+/// constant-memory word counts.
+#[test]
+fn gather_distinct_segments_matches_scalar() {
+    let shapes = [
+        GatherShape::Narrow,
+        GatherShape::Edge(0),
+        GatherShape::Edge(1),
+        GatherShape::Edge(2),
+        GatherShape::Edge(3),
+        GatherShape::Edge(4),
+        GatherShape::Wide,
+        GatherShape::Descending,
+        GatherShape::Duplicates,
+        GatherShape::Straddle,
+        GatherShape::NearMax,
+    ];
+    let mut scratch = Vec::new();
+    for case in 0..CASES {
+        let mut rng = rng_for(6, case);
+        for shape in shapes {
+            for seg in [1u32, 32, 128] {
+                let n = [1, 2, 31, 32, 33, 600][rng.gen_range_usize(0, 6)];
+                let addrs = gather_addrs(&mut rng, shape, n, u64::from(seg));
+                for elem in [1u32, 4, 8, 16] {
+                    assert_eq!(
+                        gather_distinct_segments(&addrs, elem, seg.trailing_zeros(), &mut scratch),
+                        gather_segments(&addrs, elem, seg),
+                        "case {case} {shape:?} seg {seg} elem {elem} addrs {addrs:?}"
+                    );
+                }
+            }
         }
     }
 }

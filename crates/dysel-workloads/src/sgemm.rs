@@ -561,6 +561,37 @@ mod tests {
         }
     }
 
+    /// Every variant sums each cell of `C` over `k` in `gemm_ref`'s order,
+    /// so its output equals the host reference bit for bit, not only within
+    /// the verifier's tolerance.
+    #[test]
+    fn every_variant_matches_gemm_ref_bit_for_bit() {
+        for n in [48, 64] {
+            let w = schedules_workload(n, 9);
+            let want = {
+                let args = w.fresh_args();
+                gemm_ref(n, n, n, args.f32(arg::A).unwrap(), args.f32(arg::B).unwrap())
+            };
+            let sets = [
+                cpu_schedule_variants(n),
+                cpu_vector_variants(n),
+                cpu_mixed_variants(n),
+                gpu_variants(n),
+            ];
+            for v in sets.iter().flatten() {
+                let mut args = w.fresh_args();
+                let mut ctx = GroupCtx::for_test(0, 0, w.total_units, &args);
+                v.kernel.run_group(&mut ctx, &mut args);
+                let got = args.f32(arg::C).unwrap();
+                let diff = got
+                    .iter()
+                    .zip(&want)
+                    .position(|(g, w)| g.to_bits() != w.to_bits());
+                assert_eq!(diff, None, "n {n} variant {}", v.name());
+            }
+        }
+    }
+
     #[test]
     fn partial_tail_groups_are_handled() {
         let n = 64;
