@@ -13,6 +13,10 @@
 /// 512-bit vector, two 256-bit ops, or four 128-bit ops — all common).
 pub const LANES: usize = 8;
 
+/// Width, in segment ids, of the stack bitmap [`gather_distinct_segments`]
+/// counts an unordered gather in (128 bytes of bits).
+const BITMAP_IDS: usize = 1024;
+
 /// Number of distinct `1 << shift`-byte segments touched by `elem`-byte
 /// accesses at `addrs`: exactly the scalar `gather_segments` count (with
 /// its wrapping `a + elem - 1` in release builds), computed with shifts
@@ -21,9 +25,11 @@ pub const LANES: usize = 8;
 /// Each access contributes its `first` and `last` bound. While those
 /// bounds arrive non-decreasing (lane by lane, `first` then `last`), one
 /// pass counts the runs of equal ids and touches no memory. At the first
-/// descent the count restarts over all lanes with an open-addressing set
-/// laid out in `scratch` (`u64::MAX` marks an empty slot; a real
-/// `u64::MAX` id is tracked beside the table).
+/// descent the count restarts over all lanes. If every bound lies within
+/// 1,024 ids of the smallest, each sets its bit in a stack bitmap
+/// and the count is the bitmap's popcount. Wider sets go through an
+/// open-addressing set laid out in `scratch` (`u64::MAX` marks an empty
+/// slot; a real `u64::MAX` id is tracked beside the table).
 pub fn gather_distinct_segments(
     addrs: &[u64],
     elem: u32,
@@ -49,6 +55,23 @@ pub fn gather_distinct_segments(
     }
     if ordered {
         return count;
+    }
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for &a in addrs {
+        let (first, last) = bounds(a);
+        lo = lo.min(first).min(last);
+        hi = hi.max(first).max(last);
+    }
+    if hi - lo < BITMAP_IDS as u64 {
+        let mut bits = [0u64; BITMAP_IDS / 64];
+        for &a in addrs {
+            let (first, last) = bounds(a);
+            for id in [first, last] {
+                let bit = (id - lo) as usize;
+                bits[bit / 64] |= 1 << (bit % 64);
+            }
+        }
+        return bits.iter().map(|w| w.count_ones()).sum();
     }
     // Load factor at most 1/2: 2 bounds per lane into 4 slots per lane.
     let slots = (4 * addrs.len()).next_power_of_two();
