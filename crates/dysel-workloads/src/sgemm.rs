@@ -82,23 +82,36 @@ fn tile_coords(n: usize, unit: u64) -> (usize, usize) {
     )
 }
 
+/// Rows of a tile accumulated together in one pass over `k`.
+const ROW_BLOCK: usize = 4;
+
 /// Computes one `C` tile functionally (schedule-independent result).
+///
+/// Each pass over `k` keeps a `ROW_BLOCK x TILE` block of accumulators in
+/// registers, so the loads of a `B` row serve four rows of `C` and the
+/// adds of different cells overlap. Every cell still sums `k` upwards from
+/// zero, the order `gemm_ref` uses, so `C` is bit-identical to it.
 fn compute_tile(args: &mut Args, n: usize, ti: usize, tj: usize) {
-    // Gather A rows and B columns into locals first to appease the borrow
-    // checker; the cost model sees the variant-specific trace instead.
+    // Accumulate into locals first to appease the borrow checker; the cost
+    // model sees the variant-specific trace instead.
     let mut acc = [[0.0f32; TILE]; TILE];
     {
         let a = args.f32(arg::A).expect("A is f32");
         let b = args.f32(arg::B).expect("B is f32");
-        for (di, row) in acc.iter_mut().enumerate() {
-            let i = ti + di;
-            for k in 0..n {
-                let av = a[i * n + k];
-                let brow = &b[k * n + tj..k * n + tj + TILE];
-                for (dj, cell) in row.iter_mut().enumerate() {
-                    *cell += av * brow[dj];
+        for (r0, block) in acc.chunks_exact_mut(ROW_BLOCK).enumerate() {
+            let rows: [&[f32]; ROW_BLOCK] =
+                std::array::from_fn(|r| &a[(ti + r0 * ROW_BLOCK + r) * n..][..n]);
+            let mut sums = [[0.0f32; TILE]; ROW_BLOCK];
+            for (k, brow) in b.chunks_exact(n).enumerate() {
+                let brow: &[f32; TILE] = brow[tj..tj + TILE].try_into().expect("TILE columns");
+                for (sum, row) in sums.iter_mut().zip(&rows) {
+                    let av = row[k];
+                    for (cell, &bv) in sum.iter_mut().zip(brow) {
+                        *cell += av * bv;
+                    }
                 }
             }
+            block.copy_from_slice(&sums);
         }
     }
     let c = args.f32_mut(arg::C).expect("C is f32");
