@@ -84,15 +84,21 @@ impl CsrMatrix {
     /// Reference `y = A * x` on the host.
     pub fn spmv_ref(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols, "x length must match matrix columns");
-        (0..self.rows)
-            .map(|r| {
-                let (a, b) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                (a..b)
-                    .map(|j| self.vals[j] * x[self.col_idx[j] as usize])
-                    .sum()
-            })
-            .collect()
+        csr_spmv(&self.row_ptr, &self.col_idx, &self.vals, x)
     }
+}
+
+/// Reference `y = A * x` over the CSR arrays themselves (one row per
+/// `row_ptr` window), as a verifier reads them from a launch's arguments.
+pub(crate) fn csr_spmv(row_ptr: &[u32], col_idx: &[u32], vals: &[f32], x: &[f32]) -> Vec<f32> {
+    row_ptr
+        .windows(2)
+        .map(|w| {
+            (w[0] as usize..w[1] as usize)
+                .map(|j| vals[j] * x[col_idx[j] as usize])
+                .sum()
+        })
+        .collect()
 }
 
 /// Reference dense `C = A * B` on the host (`A` is `m x k`, `B` is `k x n`,

@@ -16,7 +16,7 @@ use dysel_kernel::{
     VariantMeta,
 };
 
-use crate::{check_close, Workload};
+use crate::{check_close, RefMemo, Workload};
 
 /// Brick edge (= cell edge) in lattice points.
 pub const BRICK: usize = 4;
@@ -577,9 +577,12 @@ fn workload_with(shape: Shape, seed: u64, cpu: Vec<Variant>) -> Workload {
         shape.n.is_multiple_of(BRICK),
         "lattice edge must be a multiple of 4"
     );
+    let memo = RefMemo::new(&[arg::ATOMS]);
     let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let atoms = args.f32(arg::ATOMS).map_err(|e| e.to_string())?;
-        let want = reference(shape, atoms);
+        let want = memo.get(args, || {
+            let atoms = args.f32(arg::ATOMS).map_err(|e| e.to_string())?;
+            Ok(reference(shape, atoms))
+        })?;
         check_close(
             "out",
             args.f32(arg::OUT).map_err(|e| e.to_string())?,

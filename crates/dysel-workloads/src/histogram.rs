@@ -21,7 +21,7 @@ use dysel_kernel::{
     AccessIr, Args, Buffer, KernelIr, LoopBound, LoopIr, LoopKind, Space, Variant, VariantMeta,
 };
 
-use crate::{check_close, Workload};
+use crate::{check_close, RefMemo, Workload};
 
 /// Input elements per workload unit.
 pub const ELEMS_PER_UNIT: usize = 1024;
@@ -191,16 +191,19 @@ pub fn build_args(n: usize, dist: Distribution, seed: u64) -> Args {
 
 /// Assembles the histogram workload.
 pub fn workload(n: usize, dist: Distribution, seed: u64) -> Workload {
+    let memo = RefMemo::new(&[arg::DATA]);
     let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let data = args.u32(arg::DATA).map_err(|e| e.to_string())?;
-        let mut want = vec![0u32; BINS];
-        for &v in data {
-            want[v as usize % BINS] += 1;
-        }
+        let want = memo.get(args, || {
+            let data = args.u32(arg::DATA).map_err(|e| e.to_string())?;
+            let mut want = vec![0u32; BINS];
+            for &v in data {
+                want[v as usize % BINS] += 1;
+            }
+            Ok(want.iter().map(|&v| v as f32).collect())
+        })?;
         let got = args.u32(arg::HIST).map_err(|e| e.to_string())?;
         let gotf: Vec<f32> = got.iter().map(|&v| v as f32).collect();
-        let wantf: Vec<f32> = want.iter().map(|&v| v as f32).collect();
-        check_close("hist", &gotf, &wantf, 0.0)
+        check_close("hist", &gotf, &want, 0.0)
     });
     let name = match dist {
         Distribution::Uniform => "histogram(uniform)",

@@ -80,16 +80,37 @@ impl JdsMatrix {
     /// Reference `y = A * x`, producing `y` in *original* row order.
     pub fn spmv_ref(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.cols);
-        let mut y = vec![0.0f32; self.rows];
-        for d in 0..self.num_diagonals() {
-            let start = self.dia_ptr[d] as usize;
-            for i in 0..self.dia_rows[d] as usize {
-                let j = start + i;
-                y[self.perm[i] as usize] += self.vals[j] * x[self.col_idx[j] as usize];
-            }
-        }
-        y
+        jds_spmv(
+            &self.perm,
+            &self.dia_ptr,
+            &self.dia_rows,
+            &self.col_idx,
+            &self.vals,
+            x,
+        )
     }
+}
+
+/// Reference `y = A * x` over the JDS arrays themselves, as a verifier
+/// reads them from a launch's arguments; `y` is in original row order,
+/// one entry per `perm` entry.
+pub(crate) fn jds_spmv(
+    perm: &[u32],
+    dia_ptr: &[u32],
+    dia_rows: &[u32],
+    col_idx: &[u32],
+    vals: &[f32],
+    x: &[f32],
+) -> Vec<f32> {
+    let mut y = vec![0.0f32; perm.len()];
+    for (&start, &alive) in dia_ptr.iter().zip(dia_rows) {
+        let start = start as usize;
+        for (i, &row) in perm.iter().enumerate().take(alive as usize) {
+            let j = start + i;
+            y[row as usize] += vals[j] * x[col_idx[j] as usize];
+        }
+    }
+    y
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use dysel_kernel::{
     AccessIr, Args, Buffer, KernelIr, LoopBound, LoopIr, LoopKind, Variant, VariantMeta,
 };
 
-use crate::{check_close, Workload};
+use crate::{check_close, RefMemo, Workload};
 
 /// Points per workload unit.
 pub const POINT_BLOCK: usize = 32;
@@ -268,14 +268,19 @@ fn reference(shape: Shape, pts: &[f32], ctr: &[f32]) -> Vec<i32> {
 
 /// Assembles the kmeans workload.
 pub fn workload(shape: Shape, seed: u64) -> Workload {
+    let memo = RefMemo::new(&[arg::POINTS, arg::CENTERS]);
     let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let pts = args.f32(arg::POINTS).map_err(|e| e.to_string())?;
-        let ctr = args.f32(arg::CENTERS).map_err(|e| e.to_string())?;
-        let want = reference(shape, pts, ctr);
+        let want = memo.get(args, || {
+            let pts = args.f32(arg::POINTS).map_err(|e| e.to_string())?;
+            let ctr = args.f32(arg::CENTERS).map_err(|e| e.to_string())?;
+            Ok(reference(shape, pts, ctr)
+                .iter()
+                .map(|&v| v as f32)
+                .collect())
+        })?;
         let got = args.i32(arg::ASSIGN).map_err(|e| e.to_string())?;
-        let wantf: Vec<f32> = want.iter().map(|&v| v as f32).collect();
         let gotf: Vec<f32> = got.iter().map(|&v| v as f32).collect();
-        check_close("assign", &gotf, &wantf, 0.0)
+        check_close("assign", &gotf, &want, 0.0)
     });
     Workload::new(
         "kmeans",

@@ -39,4 +39,5 @@ pub mod stencil;
 
 pub use csr::{gemm_ref, CsrMatrix};
 pub use jds::JdsMatrix;
+use suite::RefMemo;
 pub use suite::{check_close, Target, VerifyFn, Workload};

@@ -15,7 +15,7 @@ use dysel_kernel::{
     AccessIr, Args, Buffer, KernelIr, LoopBound, LoopIr, LoopKind, Space, Variant, VariantMeta,
 };
 
-use crate::{check_close, Workload};
+use crate::{check_close, RefMemo, Workload};
 
 /// Particles per workload unit.
 pub const PARTICLE_BLOCK: usize = 32;
@@ -176,20 +176,25 @@ pub fn build_args(shape: Shape, seed: u64) -> Args {
 
 /// Assembles the particle filter workload.
 pub fn workload(shape: Shape, seed: u64) -> Workload {
+    let memo = RefMemo::new(&[arg::POS, arg::OBJXY, arg::IMAGE]);
     let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let pos = args.u32(arg::POS).map_err(|e| e.to_string())?;
-        let objxy = args.u32(arg::OBJXY).map_err(|e| e.to_string())?;
-        let image = args.f32(arg::IMAGE).map_err(|e| e.to_string())?;
-        let want: Vec<f32> = (0..shape.particles)
-            .map(|p| {
-                let acc: f32 = objxy
-                    .iter()
-                    .take(shape.window)
-                    .map(|&off| likelihood(image[(pos[p] as usize + off as usize) % shape.frame]))
-                    .sum();
-                acc / shape.window as f32
-            })
-            .collect();
+        let want = memo.get(args, || {
+            let pos = args.u32(arg::POS).map_err(|e| e.to_string())?;
+            let objxy = args.u32(arg::OBJXY).map_err(|e| e.to_string())?;
+            let image = args.f32(arg::IMAGE).map_err(|e| e.to_string())?;
+            Ok((0..shape.particles)
+                .map(|p| {
+                    let acc: f32 = objxy
+                        .iter()
+                        .take(shape.window)
+                        .map(|&off| {
+                            likelihood(image[(pos[p] as usize + off as usize) % shape.frame])
+                        })
+                        .sum();
+                    acc / shape.window as f32
+                })
+                .collect())
+        })?;
         check_close(
             "weights",
             args.f32(arg::WEIGHTS).map_err(|e| e.to_string())?,

@@ -16,7 +16,7 @@ use dysel_kernel::{
     Variant, VariantMeta,
 };
 
-use crate::{check_close, gemm_ref, Workload};
+use crate::{check_close, gemm_ref, RefMemo, Workload};
 
 /// Tile edge: a work-group computes one (or more) 16x16 output tiles.
 pub const TILE: usize = 16;
@@ -493,10 +493,13 @@ fn build_args(n: usize, seed: u64) -> Args {
 }
 
 fn verify_fn(n: usize) -> crate::VerifyFn {
+    let memo = RefMemo::new(&[arg::A, arg::B]);
     Arc::new(move |args: &Args| {
-        let a = args.f32(arg::A).map_err(|e| e.to_string())?;
-        let b = args.f32(arg::B).map_err(|e| e.to_string())?;
-        let want = gemm_ref(n, n, n, a, b);
+        let want = memo.get(args, || {
+            let a = args.f32(arg::A).map_err(|e| e.to_string())?;
+            let b = args.f32(arg::B).map_err(|e| e.to_string())?;
+            Ok(gemm_ref(n, n, n, a, b))
+        })?;
         check_close(
             "C",
             args.f32(arg::C).map_err(|e| e.to_string())?,
@@ -583,7 +586,13 @@ mod tests {
             let w = schedules_workload(n, 9);
             let want = {
                 let args = w.fresh_args();
-                gemm_ref(n, n, n, args.f32(arg::A).unwrap(), args.f32(arg::B).unwrap())
+                gemm_ref(
+                    n,
+                    n,
+                    n,
+                    args.f32(arg::A).unwrap(),
+                    args.f32(arg::B).unwrap(),
+                )
             };
             let sets = [
                 cpu_schedule_variants(n),

@@ -17,7 +17,8 @@ use dysel_kernel::{
     VariantMeta,
 };
 
-use crate::{check_close, CsrMatrix, Workload};
+use crate::csr::csr_spmv;
+use crate::{check_close, CsrMatrix, RefMemo, Workload};
 
 /// Rows per workload unit.
 pub const ROW_BLOCK: usize = 32;
@@ -395,10 +396,19 @@ pub fn build_args(m: &CsrMatrix, seed: u64) -> Args {
     args
 }
 
-fn verify_fn(m: CsrMatrix) -> crate::VerifyFn {
+/// Verifies `y` against a reference computed from the argument set's own
+/// CSR arrays and `x` (shared with the ELL workload, whose arguments start
+/// with the same five).
+pub(crate) fn verify_fn() -> crate::VerifyFn {
+    let memo = RefMemo::new(&[arg::ROW_PTR, arg::COL_IDX, arg::VALS, arg::X]);
     Arc::new(move |args: &Args| {
-        let x = args.f32(arg::X).map_err(|e| e.to_string())?;
-        let want = m.spmv_ref(x);
+        let want = memo.get(args, || {
+            let row_ptr = args.u32(arg::ROW_PTR).map_err(|e| e.to_string())?;
+            let col_idx = args.u32(arg::COL_IDX).map_err(|e| e.to_string())?;
+            let vals = args.f32(arg::VALS).map_err(|e| e.to_string())?;
+            let x = args.f32(arg::X).map_err(|e| e.to_string())?;
+            Ok(csr_spmv(row_ptr, col_idx, vals, x))
+        })?;
         check_close(
             "y",
             args.f32(arg::Y).map_err(|e| e.to_string())?,
@@ -417,15 +427,7 @@ pub fn workload(
     gpu: Vec<Variant>,
 ) -> Workload {
     let units = m.rows.div_ceil(ROW_BLOCK) as u64;
-    Workload::new(
-        name,
-        build_args(m, seed),
-        units,
-        cpu,
-        gpu,
-        verify_fn(m.clone()),
-    )
-    .iterative()
+    Workload::new(name, build_args(m, seed), units, cpu, gpu, verify_fn()).iterative()
 }
 
 /// Case I / Case IV workload on a matrix (full CPU grid, scalar+vector GPU).

@@ -9,13 +9,11 @@
 //! *both* the CSR arrays and the ELL arrays, and each variant reads its
 //! own format.
 
-use std::sync::Arc;
-
 use dysel_kernel::{
     AccessIr, Args, Buffer, KernelIr, LoopBound, LoopIr, LoopKind, Space, Variant, VariantMeta,
 };
 
-use crate::{check_close, spmv_csr, CsrMatrix, Workload};
+use crate::{spmv_csr, CsrMatrix, Workload};
 
 /// Rows per workload unit (shared with the CSR kernels).
 pub const ROW_BLOCK: usize = spmv_csr::ROW_BLOCK;
@@ -150,41 +148,32 @@ pub fn gpu_ell(rows: usize, width: usize) -> Variant {
 }
 
 /// Builds the duplicated-input argument set (CSR + ELL images).
-pub fn build_args(m: &CsrMatrix, seed: u64) -> (Args, EllMatrix) {
+///
+/// Returns the arguments and the ELL image's padded row length.
+pub fn build_args(m: &CsrMatrix, seed: u64) -> (Args, usize) {
     let ell = EllMatrix::from_csr(m);
     let mut args = spmv_csr::build_args(m, seed);
-    args.push(Buffer::u32("ell_col", ell.col_idx.clone(), Space::Global));
-    args.push(Buffer::f32("ell_val", ell.vals.clone(), Space::Global));
-    (args, ell)
+    args.push(Buffer::u32("ell_col", ell.col_idx, Space::Global));
+    args.push(Buffer::f32("ell_val", ell.vals, Space::Global));
+    (args, ell.width)
 }
 
 /// Assembles the format-selection workload: CSR-scalar, CSR-vector and
 /// ELL candidates over the same (duplicated) inputs.
 pub fn workload(name: &str, m: &CsrMatrix, seed: u64) -> Workload {
-    let (args, ell) = build_args(m, seed);
+    let (args, width) = build_args(m, seed);
     let variants = vec![
         spmv_csr::gpu_scalar(m.rows, Vec::new(), "csr-scalar"),
         spmv_csr::gpu_vector(m.rows, Vec::new(), "csr-vector"),
-        gpu_ell(m.rows, ell.width),
+        gpu_ell(m.rows, width),
     ];
-    let mref = m.clone();
-    let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let x = args.f32(arg::X).map_err(|e| e.to_string())?;
-        let want = mref.spmv_ref(x);
-        check_close(
-            "y",
-            args.f32(arg::Y).map_err(|e| e.to_string())?,
-            &want,
-            1e-3,
-        )
-    });
     Workload::new(
         name,
         args,
         m.rows.div_ceil(ROW_BLOCK) as u64,
         variants.clone(),
         variants,
-        verify,
+        spmv_csr::verify_fn(),
     )
     .iterative()
 }

@@ -14,7 +14,8 @@ use dysel_kernel::{
     AccessIr, Args, Buffer, KernelIr, LoopBound, LoopIr, LoopKind, Space, Variant, VariantMeta,
 };
 
-use crate::{check_close, JdsMatrix, Workload};
+use crate::jds::jds_spmv;
+use crate::{check_close, JdsMatrix, RefMemo, Workload};
 
 /// Sorted rows per workload unit.
 pub const ROW_BLOCK: usize = 32;
@@ -349,10 +350,28 @@ pub fn vector_workload(m: &JdsMatrix, seed: u64) -> Workload {
 }
 
 fn workload_with(m: &JdsMatrix, seed: u64, cpu: Vec<Variant>, gpu: Vec<Variant>) -> Workload {
-    let mref = m.clone();
+    let memo = RefMemo::new(&[
+        arg::DIA_PTR,
+        arg::DIA_ROWS,
+        arg::COL_IDX,
+        arg::VALS,
+        arg::X,
+        arg::PERM,
+    ]);
     let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let x = args.f32(arg::X).map_err(|e| e.to_string())?;
-        let want = mref.spmv_ref(x);
+        let want = memo.get(args, || {
+            let u32_arg = |i| args.u32(i).map_err(|e| e.to_string());
+            let vals = args.f32(arg::VALS).map_err(|e| e.to_string())?;
+            let x = args.f32(arg::X).map_err(|e| e.to_string())?;
+            Ok(jds_spmv(
+                u32_arg(arg::PERM)?,
+                u32_arg(arg::DIA_PTR)?,
+                u32_arg(arg::DIA_ROWS)?,
+                u32_arg(arg::COL_IDX)?,
+                vals,
+                x,
+            ))
+        })?;
         check_close(
             "y",
             args.f32(arg::Y).map_err(|e| e.to_string())?,

@@ -18,7 +18,7 @@ use dysel_kernel::{
     Variant, VariantMeta,
 };
 
-use crate::{check_close, Workload};
+use crate::{check_close, RefMemo, Workload};
 
 /// `y` values per unit.
 pub const YB: usize = 8;
@@ -423,9 +423,12 @@ fn reference(n: usize, g: &[f32]) -> Vec<f32> {
 /// Panics unless `n` is a multiple of [`YB`].
 pub fn workload(n: usize, seed: u64) -> Workload {
     assert!(n.is_multiple_of(YB), "grid edge must be a multiple of {YB}");
+    let memo = RefMemo::new(&[arg::IN]);
     let verify: crate::VerifyFn = Arc::new(move |args: &Args| {
-        let g = args.f32(arg::IN).map_err(|e| e.to_string())?;
-        let want = reference(n, g);
+        let want = memo.get(args, || {
+            let g = args.f32(arg::IN).map_err(|e| e.to_string())?;
+            Ok(reference(n, g))
+        })?;
         check_close(
             "out",
             args.f32(arg::OUT).map_err(|e| e.to_string())?,
