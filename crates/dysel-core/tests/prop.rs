@@ -36,8 +36,8 @@ fn fresh_args() -> Args {
 
 fn check_output(args: &Args) {
     let out = args.f32(0).unwrap();
-    for i in 0..N as usize {
-        assert_eq!(out[i], (i * 3 + 1) as f32, "at {i}");
+    for (i, &v) in out.iter().enumerate() {
+        assert_eq!(v, (i * 3 + 1) as f32, "at {i}");
     }
 }
 
@@ -126,8 +126,9 @@ fn report_consistency() {
         let mut args = fresh_args();
         let r1 = rt.launch("k", &mut args, N, &LaunchOptions::new()).unwrap();
         assert!(r1.profile_time <= r1.total_time);
-        assert!(r1.launches >= k + 1); // k profiles + at least one batch
-                                       // Second launch without profiling: cached selection.
+        // k profiles + at least one batch.
+        assert!(r1.launches > k);
+        // Second launch without profiling: cached selection.
         let mut args2 = fresh_args();
         let r2 = rt
             .launch(

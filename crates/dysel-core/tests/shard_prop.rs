@@ -50,9 +50,9 @@ enum Op {
 fn random_op(rng: &mut XorShiftRng) -> Op {
     let id = VariantId(rng.gen_range_usize(0, 4));
     match rng.gen_range_usize(0, 8) {
-        0 | 1 | 2 => Op::Insert(id, rng.gen_range_u64(1, 8) as u32),
-        3 | 4 => Op::Quarantine(id, REASONS[rng.gen_range_usize(0, REASONS.len())]),
-        5 | 6 => Op::WarmRestore(id, rng.gen_range_u64(1, 8) as u32),
+        0..=2 => Op::Insert(id, rng.gen_range_u64(1, 8) as u32),
+        3..=4 => Op::Quarantine(id, REASONS[rng.gen_range_usize(0, REASONS.len())]),
+        5..=6 => Op::WarmRestore(id, rng.gen_range_u64(1, 8) as u32),
         _ => Op::Invalidate,
     }
 }

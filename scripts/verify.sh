@@ -33,6 +33,9 @@ cargo fmt --all --check
 echo "==> clippy, warnings as errors (whole workspace, all targets: lib, tests, examples)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> clippy with every feature on (the proptest-gated suites), warnings as errors"
+cargo clippy --workspace --all-targets --all-features -- -D warnings
+
 echo "==> rustdoc, warnings as errors (broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
