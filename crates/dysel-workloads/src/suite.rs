@@ -95,11 +95,23 @@ impl Workload {
 
     /// Verifies output buffers against the host reference.
     ///
-    /// Every workload in this crate builds its reference through a
-    /// [`RefMemo`], once per input payload: a call whose input buffers
-    /// share their payloads with the previous call's reuses that call's
-    /// reference, and any other call recomputes it. Outputs are compared
-    /// element by element on every call.
+    /// Every workload in this crate computes its reference once per input
+    /// payload and compares the outputs with it element by element on
+    /// every call. The memo lives in the verifier, so clones of a
+    /// workload share it. Its key is a clone of each input buffer the
+    /// reference reads. A clone shares the buffer's payload, so while the
+    /// key holds it:
+    /// - the payload stays allocated, and its address cannot be reused
+    ///   for another payload;
+    /// - every write through a buffer that shares it copies the payload
+    ///   first (copy-on-write).
+    ///
+    /// A call whose inputs all satisfy [`Buffer::shares_payload_with`]
+    /// against the key therefore reads the very bytes the reference was
+    /// computed from, and reuses it. Any other call, including one whose
+    /// inputs were written since, recomputes the reference and replaces
+    /// the key. The reference is built on the first call, not when the
+    /// workload is assembled.
     ///
     /// # Errors
     ///
@@ -121,21 +133,11 @@ impl fmt::Debug for Workload {
     }
 }
 
-/// A verifier's host reference, computed once per input payload.
+/// A verifier's host reference, computed once per input payload; the key
+/// and why a hit is sound are documented on [`Workload::verify`].
 ///
-/// The key is a clone of each input buffer the reference reads. A clone
-/// shares the buffer's payload, so while the key holds it the payload
-/// stays allocated and its address cannot be reused for another one, and
-/// every write through a buffer that shares it copies the payload first
-/// (copy-on-write). A call whose inputs all satisfy
-/// [`Buffer::shares_payload_with`] against the key therefore reads the
-/// very bytes the reference was computed from, and reuses it. Any other
-/// call, including one whose inputs were written since, recomputes the
-/// reference and replaces the key.
-///
-/// The reference is built on the first call, not when the workload is
-/// assembled. Concurrent callers serialise on the build, so threads
-/// verifying the same inputs compute it once.
+/// Concurrent callers serialise on the build, so threads verifying the
+/// same inputs compute it once.
 pub(crate) struct RefMemo {
     inputs: Vec<usize>,
     slot: Mutex<Option<Memoised>>,
@@ -289,11 +291,15 @@ mod tests {
     fn concurrent_verifies_agree() {
         let builds = Arc::new(AtomicUsize::new(0));
         let w = doubling(&builds);
+        // Both threads start together, so the first calls race for the
+        // build.
+        let start = std::sync::Barrier::new(2);
         let verdicts: Vec<Vec<bool>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..2)
                 .map(|t| {
-                    let w = &w;
+                    let (w, start) = (&w, &start);
                     s.spawn(move || {
+                        start.wait();
                         (0..200)
                             .map(|i| {
                                 let mut args = run(w);
